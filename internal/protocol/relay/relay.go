@@ -197,10 +197,10 @@ func (nd *Node) absorb(round int, inbox []types.Message) {
 		if m.Path.Contains(nd.id) {
 			continue // not addressed to our role in this sub-protocol
 		}
-		if !nd.tree.ValidPath(m.Path) {
-			continue
-		}
-		_ = nd.tree.Set(m.Path, m.Value) // first write wins by tree contract
+		// Set rejects a path outside the tree's universe (wrong root,
+		// repeated or out-of-range node) and keeps the first write; an
+		// invalid path is garbage to discard like the cases above.
+		_ = nd.tree.Set(m.Path, m.Value)
 	}
 }
 

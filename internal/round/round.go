@@ -1,21 +1,23 @@
-// Package round is the event-scheduler core every execution mode of the
-// protocol shares: messages flow through a deterministic, seed-driven
-// Scheduler (a delivery queue ordered by a pluggable Policy, threaded
-// through the Channel/Expander interposition), and per-node step functions
-// consume what the scheduler delivers. The package has no opinion on *how*
-// the schedule is driven — goroutines, an inline loop, one OS process per
-// node exchanging frames over TCP, or a barrier-free asynchronous run.
+// Package round is the delivery core every execution mode of the protocol
+// shares: sends are stamped with their true source, passed through the
+// Channel/Expander interposition, and handed to per-node step functions in a
+// deterministic order. The package has no opinion on *how* the schedule is
+// driven — goroutines, an inline loop, one OS process per node exchanging
+// frames over TCP, or a barrier-free asynchronous run.
 //
-// The synchronous world of the paper's §4 is one scheduling policy, not
-// the engine's shape: an Engine drains the scheduler to quiescence under
-// Lockstep exactly once per round (deadline-closed rounds — sends still
-// queued when the barrier falls are discarded as absent), and a Driver
-// supplies the barrier placement and Step concurrency. The asynchronous
-// world is the same scheduler with no barrier: RunAsync pulls one
-// policy-chosen delivery at a time (FIFO, seeded reordering, unbounded
-// delay, targeted starvation) and message-driven AsyncNodes — quorum
-// certificates instead of deadlines (see internal/acast) — decide whenever
-// their certificates complete.
+// The synchronous world of the paper's §4 is deadline-closed rounds: what a
+// node sends in round r is read by its recipients in round r+1, and a send
+// that has not been delivered when the round closes is absent. An Engine
+// realizes that with two sets of inboxes. Collect routes each accepted send
+// through the channel at once and appends the surviving copies to the
+// recipient's inbox in the *next* set; Deliver, the barrier a Driver places
+// between rounds, flips the sets. (A Config.Policy other than Lockstep queues
+// the sends on a Scheduler instead and lets the policy order and withhold
+// them at the barrier — only tests ask for that.) The asynchronous world has
+// no barrier: RunAsync pulls one policy-chosen delivery at a time from a
+// Scheduler (FIFO, seeded reordering, unbounded delay, targeted starvation)
+// and message-driven AsyncNodes — quorum certificates instead of deadlines
+// (see internal/acast) — decide whenever their certificates complete.
 //
 // Both modes capture the assumptions of the paper's §4 as
 // machine-checkable contracts, with (b) realized per mode:
@@ -33,11 +35,11 @@
 //	    sender, so even Byzantine nodes cannot spoof their identity.
 //
 // An Engine holds one synchronous run's state: the node complement, the
-// scheduler, per-node inboxes, and the accounting that becomes the Result.
+// channel, the two inbox sets, and the accounting that becomes the Result.
 // A Driver walks the engine through its schedule:
 //
 //	for r := 1; r <= e.Rounds(); r++ {
-//		e.Deliver()                                  // round-(r-1) sends
+//		e.Deliver()                                  // open round r
 //		for i := 0; i < e.N(); i++ {                 // any interleaving
 //			out := e.Node(i).Step(r, e.Inbox(i))
 //			e.Collect(i, r, out)                 // serialized
@@ -47,12 +49,16 @@
 //	for i := 0; i < e.N(); i++ { e.Node(i).Finish(e.Inbox(i)) }
 //
 // Step calls may run concurrently (each node is only ever stepped by one
-// goroutine at a time); Deliver, Collect, and Finalize must be serialized
-// by the driver. The in-process drivers live in internal/netsim; the
-// distributed driver in internal/cluster realizes the same deadline-closed
-// rounds against real sockets (its per-round hold-back buffer and wall
-// clock deadline are the physical form of the Lockstep barrier, with the
-// same inbox sorting, sender stamping, and byte accounting); the fourth,
+// goroutine at a time), and Collect may run while other nodes' Step calls
+// are still reading their inboxes — it writes the other set. Deliver,
+// Collect, and Finalize must be serialized by the driver, and Deliver needs
+// every Step of the round to have returned. A seeded Channel draws once per
+// call, so the order of Collect calls is part of a run's identity: the
+// in-tree drivers collect in node-ID order. The in-process drivers live in
+// internal/netsim; the distributed driver in internal/cluster realizes the
+// same deadline-closed rounds against real sockets (its per-round hold-back
+// buffer and wall clock deadline are the physical form of the barrier, with
+// the same inbox sorting, sender stamping, and byte accounting); the fourth,
 // asynchronous driver is RunAsync under internal/acast's protocols.
 package round
 
@@ -122,18 +128,23 @@ type Config struct {
 	Rounds int
 	// Channel interposes on deliveries; nil means PerfectChannel.
 	Channel Channel
-	// Policy orders deliveries within each round's drain; nil means
-	// Lockstep (enqueue order). Because every inbox is sorted at the
-	// barrier, any non-withholding policy produces byte-identical results —
-	// the barrier, not the intra-round order, is what the synchronous
-	// semantics rest on; a withholding policy (Starve) turns into per-round
-	// message loss, i.e. detectable absence. Protocol callers leave it nil.
+	// Policy orders deliveries within a round; nil means Lockstep (collect
+	// order, routed as collected). Any other policy queues the round's sends
+	// and is run to quiescence at the barrier. Because every inbox ends in
+	// SortMessages order, any non-withholding policy produces byte-identical
+	// results — the barrier, not the intra-round order, is what the
+	// synchronous semantics rest on; a withholding policy (Starve) turns
+	// into per-round message loss, i.e. detectable absence. Protocol callers
+	// leave it nil.
 	Policy Policy
 	// RecordViews captures each node's full delivered-message transcript in
 	// the result. Used by the lower-bound indistinguishability checks and
 	// the cross-driver differential tests.
 	RecordViews bool
-	// Trace, when non-nil, observes every delivered message.
+	// Trace, when non-nil, observes every delivered message, in delivery
+	// order, before the Step calls of the round that reads it. Under
+	// Lockstep it is called from Collect, so other nodes' Step calls of the
+	// sending round may still be running on a concurrent driver.
 	Trace func(types.Message)
 	// Sink, when non-nil, receives structured round events (round open and
 	// close) regardless of which driver runs the schedule — the event stream
@@ -176,32 +187,57 @@ type Result struct {
 func MessageBytes(m types.Message) int { return 8 + 4*len(m.Path) }
 
 // Driver executes an engine's synchronous schedule: it owns the placement
-// of the round barrier over the scheduler core. Drive must follow the
-// contract documented in the package comment — R iterations of Deliver
-// (drain the scheduler, close the round) / Step / Collect, a final
-// Deliver, then Finish for every node — and is free to choose whatever
-// concurrency it wants for the Step calls. Run handles engine construction
-// and Finalize; a Driver only supplies the control flow. The asynchronous
-// execution mode has no Driver because it has no barrier to place: RunAsync
-// pulls deliveries from the same scheduler one policy decision at a time.
+// of the round barrier. Drive must follow the contract documented in the
+// package comment — R iterations of Deliver (close the round, flip the
+// inboxes) / Step / Collect, a final Deliver, then Finish for every node —
+// and is free to choose whatever concurrency it wants for the Step calls.
+// Run handles engine construction and Finalize; a Driver only supplies the
+// control flow. The asynchronous execution mode has no Driver because it
+// has no barrier to place: RunAsync pulls deliveries from a Scheduler one
+// policy decision at a time.
 type Driver interface {
 	Drive(e *Engine) error
 }
 
-// Engine is one synchronous run's round state: nodes, the scheduler core
-// (delivery queue + channel interposition), inboxes, and accounting.
-// Methods are not safe for concurrent use except Node and Inbox (immutable
-// between Deliver calls); drivers serialize Deliver and Collect.
+// Engine is one synchronous run's round state: nodes, the channel
+// interposition, two sets of inboxes, and accounting. Methods are not safe
+// for concurrent use except Node and Inbox (immutable between Deliver
+// calls); drivers serialize Deliver and Collect.
 type Engine struct {
 	cfg  Config
 	byID []Node
 
+	// expander is cfg.Channel when it can deliver more than one copy. sched
+	// is nil under Lockstep, where Collect routes each send at once; any
+	// other Policy queues sends on it until the barrier.
+	expander Expander
 	sched    *Scheduler
+
 	res      *Result
 	counters *obs.CounterSet
 	curRound int
-	inboxes  [][]types.Message
+
+	// cur is what Inbox hands the round's Step calls; next is where route
+	// puts the copies the following round will read. Two sets, because a
+	// driver may Collect node i's sends while other nodes' Step calls are
+	// still reading cur (netsim.Goroutine does): nothing but Deliver, at the
+	// barrier, ever touches cur.
+	cur, next []inbox
+	// delivered and bytes count the copies routed into next; Deliver moves
+	// them into the counters when the round they belong to opens.
+	delivered, bytes int
 }
+
+// inbox is one node's deliveries for one round. unsorted records that some
+// append broke SortMessages order, which is the only case Deliver sorts:
+// slices.SortFunc returns a non-decreasing slice as it found it, equal keys
+// included, so skipping the call there is byte-identical to making it.
+type inbox struct {
+	msgs     []types.Message
+	unsorted bool
+}
+
+func (b *inbox) reset() { b.msgs, b.unsorted = b.msgs[:0], false }
 
 // NewEngine validates the node complement and builds a run's engine. Nodes
 // must have distinct IDs in [0, len(nodes)).
@@ -227,22 +263,23 @@ func NewEngine(nodes []Node, cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:  cfg,
 		byID: byID,
-		// The scheduler is the shared event core; the engine's only policy
-		// freedom is intra-round order (see Config.Policy), with the round
-		// barrier supplied by the driver's Deliver calls.
-		sched: NewScheduler(cfg.Policy, cfg.Channel),
 		res: &Result{
 			Decisions: make(map[types.NodeID]types.Value, n),
 			PerRound:  make([]int, cfg.Rounds),
 		},
-		// inboxes is allocated once and reused every round: each per-node
-		// slice is truncated and refilled in place, so after the first
-		// couple of rounds delivery stops allocating entirely. Safe because
-		// the round barrier guarantees no Step/Finish call is in flight
-		// during delivery and nodes do not retain their inbox (see the Node
-		// contract).
-		inboxes:  make([][]types.Message, n),
+		// Both inbox sets are allocated once and reused every round: each
+		// per-node slice is truncated and refilled in place, so after the
+		// first couple of rounds delivery stops allocating entirely. Safe
+		// because the round barrier guarantees no Step/Finish call is in
+		// flight when a set is truncated and nodes do not retain their inbox
+		// (see the Node contract).
+		cur:      make([]inbox, n),
+		next:     make([]inbox, n),
 		counters: obs.NewCounterSet(CounterNames...),
+	}
+	e.expander, _ = cfg.Channel.(Expander)
+	if _, lockstep := cfg.Policy.(Lockstep); !lockstep && cfg.Policy != nil {
+		e.sched = NewScheduler(cfg.Policy, cfg.Channel)
 	}
 	if cfg.RecordViews {
 		e.res.Views = make(map[types.NodeID][]types.Message, n)
@@ -251,7 +288,7 @@ func NewEngine(nodes []Node, cfg Config) (*Engine, error) {
 }
 
 // Restart rearms the engine for a fresh run on the same configuration,
-// retaining every allocated buffer (inboxes, pending queue, result maps).
+// retaining every allocated buffer (both inbox sets, result maps).
 // nodes replaces the complement — it must have the same count, since the
 // shape (and Rounds) is fixed at construction; entries may differ from the
 // previous run (the serving runtime swaps honest nodes for Byzantine
@@ -286,10 +323,14 @@ func (e *Engine) Restart(nodes []Node) error {
 	}
 	e.counters.Reset()
 	e.curRound = 0
-	for i := range e.inboxes {
-		e.inboxes[i] = e.inboxes[i][:0]
+	e.delivered, e.bytes = 0, 0
+	for i := range e.cur {
+		e.cur[i].reset()
+		e.next[i].reset()
 	}
-	e.sched.Reset()
+	if e.sched != nil {
+		e.sched.Reset()
+	}
 	return nil
 }
 
@@ -302,35 +343,39 @@ func (e *Engine) Rounds() int { return e.cfg.Rounds }
 // Node returns the participant with ID i.
 func (e *Engine) Node(i int) Node { return e.byID[i] }
 
-// Deliver closes the round: it drains the scheduler under the configured
-// policy into the per-node inboxes, discards whatever the policy withheld
-// (the deadline passed — those sends are now detectably absent), and sorts
-// each inbox deterministically, recording views. It must be called exactly
-// once per round (before the round's Step calls) and once more before the
-// Finish calls.
+// Deliver is the round barrier. Under Lockstep the round's deliveries are
+// already in the next inbox set — Collect routed them — so closing the round
+// is a flip of the two sets. Under any other Policy the sends are still
+// queued: the scheduler is drained through the channel first, and whatever
+// the policy withheld is discarded (the deadline passed — those sends are
+// now detectably absent). Either way each inbox ends in SortMessages order,
+// views are recorded, and the round-close and round-open events are emitted.
+// It must be called exactly once per round (before the round's Step calls)
+// and once more before the Finish calls, with no Step or Finish in flight:
+// the set the previous round read is truncated here to take the next one's
+// deliveries.
 func (e *Engine) Deliver() {
-	for i := range e.inboxes {
-		e.inboxes[i] = e.inboxes[i][:0]
+	if e.sched != nil {
+		e.sched.Drain(func(dm types.Message) { e.route(&dm) })
+		e.sched.Reset()
 	}
-	delivered := 0
-	bytes := 0
-	e.sched.Drain(func(dm types.Message) {
-		delivered++
-		bytes += MessageBytes(dm)
-		if e.cfg.Trace != nil {
-			e.cfg.Trace(dm)
+	e.cur, e.next = e.next, e.cur
+	for i := range e.next {
+		e.next[i].reset()
+	}
+	for i := range e.cur {
+		b := &e.cur[i]
+		if b.unsorted {
+			types.SortMessages(b.msgs)
 		}
-		e.inboxes[int(dm.To)] = append(e.inboxes[int(dm.To)], dm)
-	})
-	e.counters.Add(CounterDelivered, uint64(delivered))
-	e.counters.Add(CounterBytes, uint64(bytes))
-	e.sched.Reset()
-	for i := range e.inboxes {
-		types.SortMessages(e.inboxes[i])
 		if e.cfg.RecordViews {
-			e.res.Views[types.NodeID(i)] = append(e.res.Views[types.NodeID(i)], e.inboxes[i]...)
+			e.res.Views[types.NodeID(i)] = append(e.res.Views[types.NodeID(i)], b.msgs...)
 		}
 	}
+	delivered := e.delivered
+	e.counters.Add(CounterDelivered, uint64(delivered))
+	e.counters.Add(CounterBytes, uint64(e.bytes))
+	e.delivered, e.bytes = 0, 0
 	if e.cfg.Sink != nil && e.curRound > 0 {
 		e.cfg.Sink.Emit(obs.Event{
 			Kind: obs.EvRoundClose, Node: -1, Round: int32(e.curRound),
@@ -356,23 +401,66 @@ func (e *Engine) sentIn(r int) int {
 }
 
 // Inbox returns node i's current delivery (valid until the next Deliver).
-func (e *Engine) Inbox(i int) []types.Message { return e.inboxes[i] }
+func (e *Engine) Inbox(i int) []types.Message { return e.cur[i].msgs }
 
-// Collect stamps, validates, and queues node i's round sends, enforcing
-// assumption (c): the true source is stamped, so a Byzantine node cannot
-// spoof its identity. Malformed and self-addressed sends are dropped.
+// Collect stamps and validates node i's round sends, enforcing assumption
+// (c): the true source is stamped, so a Byzantine node cannot spoof its
+// identity. Malformed and self-addressed sends are dropped. Under Lockstep
+// each accepted send then goes through the channel at once and its surviving
+// copies are routed into the next round's inboxes, so the channel sees sends
+// in collect order — node-ID order × outbox order under the in-tree drivers —
+// which is the sequence a seeded channel's draws are pinned to. Under any
+// other Policy the send is queued for the scheduler to order at the barrier.
+// out is read, never written: nodes reuse their outbox templates.
 func (e *Engine) Collect(i, round int, out []types.Message) {
 	n := len(e.byID)
-	for _, m := range out {
-		m.From = types.NodeID(i)
+	from := types.NodeID(i)
+	sent := 0
+	for k := range out {
+		m := out[k]
+		m.From = from
 		m.Round = round
-		if m.To < 0 || int(m.To) >= n || m.To == m.From {
+		if m.To < 0 || int(m.To) >= n || m.To == from {
 			continue // drop malformed or self-addressed sends
 		}
-		e.counters.Inc(CounterMessages)
-		e.res.PerRound[round-1]++
-		e.sched.Enqueue(m)
+		sent++
+		switch {
+		case e.sched != nil:
+			e.sched.Enqueue(m)
+		case e.expander != nil:
+			copies := e.expander.DeliverAll(m)
+			for c := range copies {
+				e.route(&copies[c])
+			}
+		case e.cfg.Channel != nil:
+			if dm, ok := e.cfg.Channel.Deliver(m); ok {
+				e.route(&dm)
+			}
+		default:
+			e.route(&m)
+		}
 	}
+	if sent > 0 {
+		e.counters.Add(CounterMessages, uint64(sent))
+		e.res.PerRound[round-1] += sent
+	}
+}
+
+// route puts one delivered copy into its destination's inbox for the next
+// round, counts it, and shows it to Config.Trace. It writes the next set
+// only (see Engine.cur). An append that is not in SortMessages order after
+// the inbox's last message marks the inbox for sorting at the barrier.
+func (e *Engine) route(dm *types.Message) {
+	e.delivered++
+	e.bytes += MessageBytes(*dm)
+	if e.cfg.Trace != nil {
+		e.cfg.Trace(*dm)
+	}
+	b := &e.next[int(dm.To)]
+	if k := len(b.msgs); k > 0 && !b.unsorted && types.CompareMessages(&b.msgs[k-1], dm) > 0 {
+		b.unsorted = true
+	}
+	b.msgs = append(b.msgs, *dm)
 }
 
 // Finalize reads every node's decision and returns the run's result,

@@ -22,9 +22,11 @@ type Pending struct {
 // Policy chooses which queued send the scheduler delivers next. It is the
 // whole difference between the synchronous and asynchronous worlds:
 //
-//   - Lockstep delivers in enqueue order, and the drivers' barrier (calling
+//   - Lockstep delivers in collect order, and the drivers' barrier (calling
 //     Engine.Deliver once per round) closes each round at its deadline — the
-//     paper's §4 synchronous model as a scheduling policy.
+//     paper's §4 synchronous model as a scheduling policy. Nothing about it
+//     depends on what else is queued, so the Engine does not queue at all
+//     under it: each send is routed as it is collected.
 //   - FIFO, Reorder, Delay, Adversarial, and Starve order deliveries with no
 //     barrier at all; RunAsync drives them one delivery at a time, which is
 //     the asynchronous model (unbounded delay and reordering, §6.1's
@@ -40,10 +42,11 @@ type Policy interface {
 }
 
 // Lockstep delivers strictly in enqueue order. It is the policy the
-// synchronous Engine drains each round under: combined with the drivers'
-// round barrier it reproduces the historical lockstep semantics exactly
-// (deadline-closed rounds), which is what keeps the cross-driver
-// differential matrix byte-identical across the scheduler-core refactor.
+// synchronous Engine runs each round under: combined with the drivers'
+// round barrier it is the lockstep semantics (deadline-closed rounds) that
+// keep the cross-driver differential matrix byte-identical. The Engine
+// recognizes it (and a nil Config.Policy) and routes sends at Collect with no
+// queue; a Scheduler built with it still works, one Next at a time.
 type Lockstep struct{}
 
 // Next implements Policy.
@@ -238,14 +241,14 @@ func splitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Scheduler is the event-scheduler core every execution mode shares: a
-// deterministic delivery queue threaded through the Channel/Expander
-// interposition. The synchronous Engine drains it to quiescence under
-// Lockstep once per round (the barrier is the drivers' Deliver call, not the
-// scheduler's shape); RunAsync pulls one policy-chosen delivery at a time
-// with no barrier at all. Either way a seed fully determines the delivery
-// order, which is what makes asynchronous chaos scenarios recordable,
-// replayable, and shrinkable like every other axis.
+// Scheduler is a deterministic delivery queue threaded through the
+// Channel/Expander interposition, ordered by a Policy. RunAsync pulls one
+// policy-chosen delivery at a time from it with no barrier at all; a
+// synchronous Engine given a non-Lockstep Config.Policy queues each round's
+// sends on one and drains it at the barrier (under Lockstep the Engine needs
+// no queue, see Engine.Collect). Either way a seed fully determines the
+// delivery order, which is what makes asynchronous chaos scenarios
+// recordable, replayable, and shrinkable like every other axis.
 //
 // A Scheduler is not safe for concurrent use; the engine (or async run)
 // serializes all calls.
@@ -319,32 +322,17 @@ func (s *Scheduler) Next(deliver func(types.Message)) bool {
 // it distinguishes a withholding policy (true) from an empty queue (false).
 func (s *Scheduler) Starved() bool { return len(s.queue) > 0 }
 
-// Drain runs the policy to quiescence, delivering until the queue empties
-// or the policy withholds the rest. The synchronous Engine calls it exactly
-// once per round: drain-then-barrier under Lockstep is precisely the old
-// lockstep delivery loop, now expressed as a policy over the shared core.
-// deliver must not Enqueue — at a round barrier no Step call is in flight,
-// so nothing can send during delivery (asynchronous runs, where a delivery
-// does trigger sends, go through Next instead).
+// Drain runs the policy to quiescence through Next, delivering until the
+// queue empties or the policy withholds the rest. A synchronous Engine built
+// with a non-Lockstep Config.Policy calls it once per round, at the barrier;
+// under Lockstep the engine has no queue to drain (Engine.Collect routes each
+// send as it is collected). Each Next removes its pick in place, so a drain
+// is quadratic in queue length — the price of position-dependent policies,
+// paid only by the callers that ask for one. deliver must not Enqueue — at a
+// round barrier no Step call is in flight, so nothing can send during
+// delivery (asynchronous runs, where a delivery does trigger sends, call
+// Next themselves).
 func (s *Scheduler) Drain(deliver func(types.Message)) {
-	if _, ok := s.policy.(Lockstep); ok {
-		// Fast path: the hot loop's policy is position-free, so drain the
-		// queue in place without per-delivery removals (the generic path is
-		// quadratic in queue length).
-		q := s.queue
-		s.queue = s.queue[:0]
-		for _, pm := range q {
-			s.tick++
-			if s.expander != nil {
-				for _, dm := range s.expander.DeliverAll(pm.M) {
-					deliver(dm)
-				}
-			} else if dm, ok := s.ch.Deliver(pm.M); ok {
-				deliver(dm)
-			}
-		}
-		return
-	}
 	for s.Next(deliver) {
 	}
 }

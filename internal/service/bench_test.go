@@ -98,20 +98,33 @@ func BenchmarkSlotDoSenderProbe(b *testing.B) {
 
 // BenchmarkSlotDoFallback prices the pooled full path the fast path falls
 // back to: one non-sender two-faced fault forces the complete EIG exchange
-// on the recycled engine.
+// on the recycled engine. "shallow" is the acceptance shape (42 messages);
+// "deep" is the benchmark's serve_deep shape (N=11 m=3 u=4), whose depth-4
+// exchange is 8 190 messages, so the engine's cost per message is what it
+// measures.
 func BenchmarkSlotDoFallback(b *testing.B) {
-	svc := New(Config{Shards: 1, SpecSample: -1})
-	defer svc.Close()
-	ctx := context.Background()
-	sl := svc.NewSlot()
-	req := Request{N: 7, M: 1, U: 2, Value: 42,
-		Faults: []FaultSpec{{Node: 3, Kind: adversary.KindTwoFaced, Value: 99}}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sl.Do(ctx, req); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range []struct {
+		name string
+		req  Request
+	}{
+		{"shallow", Request{N: 7, M: 1, U: 2, Value: 42,
+			Faults: []FaultSpec{{Node: 3, Kind: adversary.KindTwoFaced, Value: 99}}}},
+		{"deep", Request{N: 11, M: 3, U: 4, Value: 42,
+			Faults: []FaultSpec{{Node: 3, Kind: adversary.KindTwoFaced, Value: 99}}}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			svc := New(Config{Shards: 1, SpecSample: -1})
+			defer svc.Close()
+			ctx := context.Background()
+			sl := svc.NewSlot()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sl.Do(ctx, tc.req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -181,13 +181,17 @@ func (m Message) String() string {
 
 // SortMessages orders messages deterministically (by From, then Path key,
 // then To). Engines sort inboxes so runs are reproducible. slices.SortFunc
-// with a package-level comparator keeps the sort allocation-free, which the
-// serving hot loop's zero-alloc guarantee depends on.
+// with a comparator that captures nothing keeps the sort allocation-free,
+// which the serving hot loop's zero-alloc guarantee depends on.
 func SortMessages(ms []Message) {
-	slices.SortFunc(ms, compareMessages)
+	slices.SortFunc(ms, func(a, b Message) int { return CompareMessages(&a, &b) })
 }
 
-func compareMessages(a, b Message) int {
+// CompareMessages is the three-way SortMessages order. It takes pointers so
+// a caller holding messages in a slice can compare neighbours in place: the
+// round engine checks each delivery against the inbox's last message to
+// learn whether the inbox is already in order.
+func CompareMessages(a, b *Message) int {
 	if a.From != b.From {
 		if a.From < b.From {
 			return -1

@@ -17,6 +17,14 @@ go vet ./...
 echo "== go test =="
 go test ./...
 
+echo "== bench module (vet + smoke and determinism tests) =="
+# bench/ is a module of its own, so ./... above stops at its go.mod. Its
+# timedDriver follows the round.Driver contract from outside the engine: an
+# engine change that breaks that contract must fail here, not at the
+# benchmark gate.
+go vet -C bench ./...
+go test -C bench ./...
+
 echo "== go test -race (short) =="
 go test -race -short ./...
 
