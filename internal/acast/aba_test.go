@@ -100,7 +100,7 @@ func TestABAStarvationSafety(t *testing.T) {
 	for mask := 0; mask < 16; mask++ {
 		inputs := []uint8{uint8(mask) & 1, uint8(mask>>1) & 1, uint8(mask>>2) & 1, uint8(mask>>3) & 1}
 		for target := types.NodeID(0); target < 4; target++ {
-			res, err := round.RunAsync(abaFleet(p, inputs, 99), round.AsyncConfig{Policy: round.Starve{Target: target}})
+			res, err := round.RunAsync(abaFleet(p, inputs, 99), round.AsyncConfig{Policy: &round.Starve{Target: target}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -377,7 +377,7 @@ func TestACastStarvationIsSafeNotLive(t *testing.T) {
 	p := Params{N: 4, F: 1}
 	inputs := map[types.NodeID]types.Value{0: 5}
 	nodes := fleet(p, 0, inputs, nil)
-	res, err := round.RunAsync(nodes, round.AsyncConfig{Policy: round.Starve{Target: 2}})
+	res, err := round.RunAsync(nodes, round.AsyncConfig{Policy: &round.Starve{Target: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

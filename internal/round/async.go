@@ -96,7 +96,7 @@ func RunAsync(nodes []AsyncNode, cfg AsyncConfig) (*AsyncResult, error) {
 	}
 	policy := cfg.Policy
 	if policy == nil {
-		policy = FIFO{}
+		policy = &FIFO{}
 	}
 	max := cfg.MaxDeliveries
 	if max <= 0 {

@@ -97,7 +97,7 @@ func TestRunAsyncEchoTerminates(t *testing.T) {
 }
 
 func TestRunAsyncStarvation(t *testing.T) {
-	res, err := RunAsync(echoFleet(4, 7), AsyncConfig{Policy: Starve{Target: 2}})
+	res, err := RunAsync(echoFleet(4, 7), AsyncConfig{Policy: &Starve{Target: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRunAsyncWaitForSubset(t *testing.T) {
 	// node 2 never decides.
 	var wait types.NodeSet
 	wait = wait.Add(0).Add(1).Add(3)
-	res, err := RunAsync(echoFleet(4, 9), AsyncConfig{Policy: Starve{Target: 2}, WaitFor: wait})
+	res, err := RunAsync(echoFleet(4, 9), AsyncConfig{Policy: &Starve{Target: 2}, WaitFor: wait})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -278,7 +278,7 @@ func NewEngine(nodes []Node, cfg Config) (*Engine, error) {
 		counters: obs.NewCounterSet(CounterNames...),
 	}
 	e.expander, _ = cfg.Channel.(Expander)
-	if _, lockstep := cfg.Policy.(Lockstep); !lockstep && cfg.Policy != nil {
+	if _, lockstep := cfg.Policy.(*Lockstep); !lockstep && cfg.Policy != nil {
 		e.sched = NewScheduler(cfg.Policy, cfg.Channel)
 	}
 	if cfg.RecordViews {

@@ -11,10 +11,11 @@ import (
 // sends its scripted messages, later rounds it sends nothing, and it decides
 // the count of messages it ever received.
 type echoNode struct {
-	id      types.NodeID
-	sends   []types.Message
-	got     []types.Message
-	stepped []int
+	id         types.NodeID
+	sends      []types.Message // sent in round 1, or in every round
+	everyRound bool
+	got        []types.Message
+	stepped    []int
 }
 
 func (n *echoNode) ID() types.NodeID { return n.id }
@@ -24,7 +25,7 @@ func (n *echoNode) Step(round int, inbox []types.Message) []types.Message {
 	for _, m := range inbox {
 		n.got = append(n.got, m) // copy: the inbox buffer is reused
 	}
-	if round == 1 {
+	if round == 1 || n.everyRound {
 		return n.sends
 	}
 	return nil

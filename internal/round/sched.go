@@ -10,10 +10,10 @@ import (
 )
 
 // Pending is one queued send awaiting delivery: the message plus the global
-// enqueue ticket the scheduler stamped it with. Policies see the ticket so
-// seeded decisions (per-message delay draws) are a function of the message's
-// position in the causal stream, not of slice indices that shift as the
-// queue drains.
+// enqueue ticket the scheduler stamped it with. The ticket is a send's
+// position in the causal stream; seeded per-message decisions (Delay's holds)
+// are a function of it, never of where the send happens to sit in a policy's
+// storage.
 type Pending struct {
 	M   types.Message
 	Seq uint64
@@ -32,13 +32,110 @@ type Pending struct {
 //     the asynchronous model (unbounded delay and reordering, §6.1's
 //     relaxed-timeout half-step taken the rest of the way).
 //
-// Next returns an index into queue, or -1 to withhold every remaining send
-// (the adversary refuses to schedule anything; the run ends undecided). tick
-// is the number of deliveries performed so far, the scheduler's only notion
-// of time. Policies may be stateful (seeded rngs); a fresh policy plus an
-// equal seed replays the identical schedule.
+// A Policy is a queue discipline that owns its storage: the scheduler pushes
+// every send in enqueue order and pops the policy's pick, so each policy
+// keeps the one structure that makes its own selection rule cheap. The
+// schedule a policy produces is defined by that rule alone (stated on each
+// type below) and is part of every recorded repro; the storage behind it is
+// not. The methods are unexported because the set of policies is closed —
+// scenario strings name them through ParsePolicy — and a policy value serves
+// one Scheduler at a time.
+//
+// Policies may be stateful (seeded rngs); a fresh policy plus an equal seed
+// replays the identical schedule.
 type Policy interface {
-	Next(tick uint64, queue []Pending) int
+	// push queues one send; calls arrive in ascending Seq order.
+	push(p Pending)
+	// pop removes and returns the policy's pick, or false to deliver nothing:
+	// the queue is empty, or the policy withholds every remaining send (the
+	// adversary refuses to schedule anything; the run ends undecided). A
+	// policy that draws from an rng must not draw on an empty queue.
+	pop() (types.Message, bool)
+	// len counts the sends pushed and not yet popped, withheld ones included.
+	len() int
+	// rewind discards the queued sends and keeps the buffers (and the rng
+	// state: a reused policy continues its seeded stream). It is not named
+	// reset: the linker keeps every reachable method whose name and signature
+	// match an interface method that is called, unexported names included, so
+	// a reset() here held the runtime's, encoding/json's and eig's inlined
+	// reset methods in the binary and moved the code of packages this one
+	// does not touch.
+	rewind()
+}
+
+// blockLen is the most sends one block of a queue holds.
+const blockLen = 128
+
+// blocks is the storage every slice-shaped discipline keeps its sends in:
+// enqueue order, cut into blocks of at most blockLen, so a queue grows one
+// block at a time (nothing is copied to make room, and an emptied block is
+// reused), memory follows the live queue rather than the run's history, and
+// a queue that never outgrows one block is a plain slice.
+type blocks struct {
+	live  [][]Pending // enqueue order across and within; only a sole block may be empty
+	spare [][]Pending // emptied blocks, kept for reuse
+	n     int
+}
+
+func (q *blocks) push(p Pending) {
+	last := len(q.live) - 1
+	if last < 0 || len(q.live[last]) == blockLen {
+		var b []Pending // a first block grows by append: short runs stay small
+		if k := len(q.spare) - 1; k >= 0 {
+			b, q.spare = q.spare[k], q.spare[:k]
+		} else if last >= 0 {
+			b = make([]Pending, 0, blockLen)
+		}
+		q.live = append(q.live, b)
+		last++
+	}
+	q.live[last] = append(q.live[last], p)
+	q.n++
+}
+
+// retire moves block i, whose sends are gone or copied out, to the spares.
+func (q *blocks) retire(i int) {
+	q.spare = append(q.spare, q.live[i][:0])
+	q.live = q.live[:i+copy(q.live[i:], q.live[i+1:])]
+}
+
+func (q *blocks) len() int { return q.n }
+
+func (q *blocks) rewind() {
+	for _, b := range q.live {
+		q.spare = append(q.spare, b[:0])
+	}
+	q.live, q.n = q.live[:0], 0
+}
+
+// fifoQueue is the enqueue-order discipline: the oldest send is at a cursor
+// into the first block, so push and pop are O(1).
+type fifoQueue struct {
+	blocks
+	head int
+}
+
+func (q *fifoQueue) pop() (types.Message, bool) {
+	if q.n == 0 {
+		return types.Message{}, false
+	}
+	b := q.live[0]
+	m := b[q.head].M
+	q.n--
+	if q.head++; q.head == len(b) {
+		q.head = 0
+		if len(q.live) > 1 {
+			q.retire(0)
+		} else {
+			q.live[0] = b[:0] // drained: rewind instead of growing
+		}
+	}
+	return m, true
+}
+
+func (q *fifoQueue) rewind() {
+	q.blocks.rewind()
+	q.head = 0
 }
 
 // Lockstep delivers strictly in enqueue order. It is the policy the
@@ -47,43 +144,151 @@ type Policy interface {
 // keep the cross-driver differential matrix byte-identical. The Engine
 // recognizes it (and a nil Config.Policy) and routes sends at Collect with no
 // queue; a Scheduler built with it still works, one Next at a time.
-type Lockstep struct{}
-
-// Next implements Policy.
-func (Lockstep) Next(_ uint64, queue []Pending) int {
-	if len(queue) == 0 {
-		return -1
-	}
-	return 0
-}
+type Lockstep struct{ fifoQueue }
 
 // FIFO delivers in enqueue order with no barrier: the kindest asynchronous
 // scheduler, and the baseline the adversarial ones are benchmarked against.
-type FIFO struct{}
+type FIFO struct{ fifoQueue }
 
-// Next implements Policy.
-func (FIFO) Next(_ uint64, queue []Pending) int {
-	if len(queue) == 0 {
-		return -1
+// blockQueue is the order-statistic discipline behind Reorder and
+// Adversarial: the k-th live send in enqueue order is found by walking block
+// lengths and removed by one copy inside its block, without moving the rest
+// of the queue. Neighbours that fit in one block are joined, so blocks stay
+// at least half full on average however the removals fall.
+type blockQueue struct{ blocks }
+
+// take removes and returns the k-th live send in enqueue order, 0 ≤ k < n.
+func (q *blockQueue) take(k int) types.Message {
+	bi := len(q.live) - 1
+	if k == q.n-1 {
+		k = len(q.live[bi]) - 1 // the newest send: no walk
+	} else {
+		for bi = 0; k >= len(q.live[bi]); bi++ {
+			k -= len(q.live[bi])
+		}
 	}
-	return 0
+	b := q.live[bi]
+	m := b[k].M
+	q.live[bi] = b[:k+copy(b[k:], b[k+1:])]
+	q.n--
+	if !q.join(bi) {
+		q.join(bi - 1)
+	}
+	return m
+}
+
+// join folds block i+1 into block i when the two fit in one, and reports
+// whether it did. A join copies only the block it retires, and only a push
+// adds a block.
+func (q *blockQueue) join(i int) bool {
+	if i < 0 || i+1 >= len(q.live) || len(q.live[i])+len(q.live[i+1]) > blockLen {
+		return false
+	}
+	q.live[i] = append(q.live[i], q.live[i+1]...)
+	q.retire(i + 1)
+	return true
 }
 
 // Reorder delivers a uniformly random queued send each step, seeded: the
-// canonical "messages arrive in any order" adversary.
-type Reorder struct{ rng *rand.Rand }
+// canonical "messages arrive in any order" adversary. The rule: draw
+// k = Intn(len) and take the k-th remaining send in enqueue order.
+type Reorder struct {
+	rng *rand.Rand
+	blockQueue
+}
 
 // NewReorder returns a seeded uniform-reordering policy.
 func NewReorder(seed int64) *Reorder {
 	return &Reorder{rng: rand.New(rand.NewSource(seed))}
 }
 
-// Next implements Policy.
-func (p *Reorder) Next(_ uint64, queue []Pending) int {
-	if len(queue) == 0 {
-		return -1
+func (p *Reorder) pop() (types.Message, bool) {
+	if p.n == 0 {
+		return types.Message{}, false
 	}
-	return p.rng.Intn(len(queue))
+	return p.take(p.rng.Intn(p.n)), true
+}
+
+// Adversarial is the worst-case seeded scheduler the async benchmarks run
+// against: it favours the newest queued send (maximal reordering — late
+// messages overtake the whole causal prefix) and otherwise picks uniformly,
+// so quorum certificates assemble from the least convenient interleavings.
+// The rule: draw Intn(2); on 0 take the newest send, otherwise draw
+// k = Intn(len) and take the k-th remaining send in enqueue order.
+type Adversarial struct {
+	rng *rand.Rand
+	blockQueue
+}
+
+// NewAdversarial returns a seeded adversarial (LIFO-biased) policy.
+func NewAdversarial(seed int64) *Adversarial {
+	return &Adversarial{rng: rand.New(rand.NewSource(seed))}
+}
+
+func (p *Adversarial) pop() (types.Message, bool) {
+	if p.n == 0 {
+		return types.Message{}, false
+	}
+	k := p.n - 1
+	if p.rng.Intn(2) != 0 {
+		k = p.rng.Intn(p.n)
+	}
+	return p.take(k), true
+}
+
+// held is one Delay entry: a send and the position it is released at.
+type held struct {
+	release uint64
+	p       Pending
+}
+
+func (a *held) before(b *held) bool {
+	return a.release < b.release || a.release == b.release && a.p.Seq < b.p.Seq
+}
+
+// holdHeap is a binary min-heap on (release, Seq).
+type holdHeap []held
+
+func (h *holdHeap) push(e held) {
+	s := *h
+	if len(s) == cap(s) {
+		// Doubling: append's gentler growth past 256 entries would copy,
+		// and leave behind as garbage, twice as much on the way up.
+		s = append(make(holdHeap, 0, max(16, 2*len(s))), s...)
+	}
+	s = append(s, e)
+	i := len(s) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !e.before(&s[up]) {
+			break
+		}
+		s[i], i = s[up], up
+	}
+	s[i] = e
+	*h = s
+}
+
+func (h *holdHeap) pop() held {
+	s := *h
+	top, e := s[0], s[len(s)-1]
+	s = s[:len(s)-1]
+	*h = s
+	if len(s) == 0 {
+		return top
+	}
+	i := 0
+	for c := 1; c < len(s); c = 2*i + 1 {
+		if c+1 < len(s) && s[c+1].before(&s[c]) {
+			c++
+		}
+		if !s[c].before(&e) {
+			break
+		}
+		s[i], i = s[c], c
+	}
+	s[i] = e
+	return top
 }
 
 // Delay holds each send back for a seeded per-message number of scheduler
@@ -91,10 +296,27 @@ func (p *Reorder) Next(_ uint64, queue []Pending) int {
 // is eventually delivered — delay is unbounded relative to the protocol but
 // the schedule is fair — so fault-free runs still terminate, just far from
 // FIFO order.
+//
+// The rule, a tick being one pick and a send being released at tick
+// Seq+hold(Seq): take the lowest-Seq released send, else (so the queue
+// always progresses) the send with the lowest (release, Seq).
+//
+// A scheduler numbers sends and picks from zero together, and that makes the
+// second clause the whole rule. Take any queued send X. Every pick so far
+// took a send that was either queued before X, so has a smaller Seq, or beat
+// X to the front, so was released no later than X; as a send's Seq never
+// exceeds its release, all of them have Seq ≤ release(X), and none is X: at
+// most release(X) picks have been made. The tick never passes a queued
+// send's release, a send is "released" only at the tick that equals the
+// lowest release in the queue, and lowest (release, Seq) picks exactly it.
+// So the discipline is one min-heap on (release, Seq), the hold hashed once
+// at push, and needs no clock. The test oracle keeps the two-clause form.
 type Delay struct {
 	seed int64
 	// Max is the largest per-message hold in ticks (default 16).
 	Max uint64
+
+	heap holdHeap
 }
 
 // NewDelay returns a seeded bounded-hold delay policy.
@@ -110,72 +332,57 @@ func (p *Delay) hold(seq uint64) uint64 {
 	return splitmix(uint64(p.seed)^(seq*0x9e3779b97f4a7c15)) % (p.Max + 1)
 }
 
-// Next implements Policy: the first ready send in enqueue order, else the
-// send with the earliest release (so the queue always progresses).
-func (p *Delay) Next(tick uint64, queue []Pending) int {
-	if len(queue) == 0 {
-		return -1
-	}
-	best, bestRel := -1, uint64(0)
-	for i, pm := range queue {
-		rel := pm.Seq + p.hold(pm.Seq)
-		if rel <= tick {
-			return i
-		}
-		if best == -1 || rel < bestRel {
-			best, bestRel = i, rel
-		}
-	}
-	return best
+func (p *Delay) push(pm Pending) {
+	p.heap.push(held{release: pm.Seq + p.hold(pm.Seq), p: pm})
 }
 
-// Adversarial is the worst-case seeded scheduler the async benchmarks run
-// against: it favours the newest queued send (maximal reordering — late
-// messages overtake the whole causal prefix) and otherwise picks uniformly,
-// so quorum certificates assemble from the least convenient interleavings.
-type Adversarial struct{ rng *rand.Rand }
-
-// NewAdversarial returns a seeded adversarial (LIFO-biased) policy.
-func NewAdversarial(seed int64) *Adversarial {
-	return &Adversarial{rng: rand.New(rand.NewSource(seed))}
+func (p *Delay) pop() (types.Message, bool) {
+	if len(p.heap) == 0 {
+		return types.Message{}, false
+	}
+	return p.heap.pop().p.M, true
 }
 
-// Next implements Policy.
-func (p *Adversarial) Next(_ uint64, queue []Pending) int {
-	if len(queue) == 0 {
-		return -1
-	}
-	if p.rng.Intn(2) == 0 {
-		return len(queue) - 1
-	}
-	return p.rng.Intn(len(queue))
-}
+func (p *Delay) len() int { return len(p.heap) }
+
+func (p *Delay) rewind() { p.heap = p.heap[:0] }
 
 // Starve targets one node: sends addressed to Target are withheld while
 // anything else is deliverable, and withheld forever once only they remain.
 // The starved node never hears from the network — the targeted-starvation
 // chaos axis proving asynchronous safety needs no liveness: everyone else
 // may certify and decide, the victim must simply never be forced into a
-// conflicting decision.
-type Starve struct{ Target types.NodeID }
+// conflicting decision. The rule: take the oldest send not addressed to
+// Target. Target's sends can never be picked, so they are only counted
+// (len, and so Scheduler.Starved, still sees them), never stored.
+type Starve struct {
+	Target types.NodeID
+	fifoQueue
+	withheld int
+}
 
-// Next implements Policy.
-func (p Starve) Next(_ uint64, queue []Pending) int {
-	for i, pm := range queue {
-		if pm.M.To != p.Target {
-			return i
-		}
+func (p *Starve) push(pm Pending) {
+	if pm.M.To == p.Target {
+		p.withheld++
+		return
 	}
-	return -1
+	p.fifoQueue.push(pm)
+}
+
+func (p *Starve) len() int { return p.fifoQueue.len() + p.withheld }
+
+func (p *Starve) rewind() {
+	p.fifoQueue.rewind()
+	p.withheld = 0
 }
 
 var (
-	_ Policy = Lockstep{}
-	_ Policy = FIFO{}
+	_ Policy = (*Lockstep)(nil)
+	_ Policy = (*FIFO)(nil)
 	_ Policy = (*Reorder)(nil)
 	_ Policy = (*Delay)(nil)
 	_ Policy = (*Adversarial)(nil)
-	_ Policy = Starve{}
+	_ Policy = (*Starve)(nil)
 )
 
 // Policy spec names accepted by ParsePolicy (scenario JSON's "sched" field
@@ -193,19 +400,27 @@ const (
 //	""            FIFO (the default asynchronous schedule)
 //	fifo          enqueue order, no barrier
 //	reorder       seeded uniform reordering
-//	delay[:K]     seeded per-message holds up to K ticks (default 16)
+//	delay[:K]     seeded per-message holds up to K ≥ 1 ticks (default 16)
 //	adversarial   seeded LIFO-biased worst-case reordering
-//	starve:ID     withhold every delivery to node ID
+//	starve:ID     withhold every delivery to node ID ≥ 0
 //
 // seed drives every coin flip, so equal spec + seed replays the identical
-// schedule.
+// schedule. A spec is replayable input, so nothing in it is ignored: an
+// argument on a policy that takes none is an error, not a no-op.
 func ParsePolicy(spec string, seed int64) (Policy, error) {
 	name, arg, hasArg := strings.Cut(spec, ":")
 	switch name {
-	case "", SchedFIFO:
-		return FIFO{}, nil
-	case SchedReorder:
-		return NewReorder(seed), nil
+	case "", SchedFIFO, SchedReorder, SchedAdversarial:
+		if hasArg {
+			return nil, fmt.Errorf("round: sched %q takes no argument", spec)
+		}
+		switch name {
+		case SchedReorder:
+			return NewReorder(seed), nil
+		case SchedAdversarial:
+			return NewAdversarial(seed), nil
+		}
+		return &FIFO{}, nil
 	case SchedDelay:
 		var max uint64
 		if hasArg {
@@ -213,11 +428,12 @@ func ParsePolicy(spec string, seed int64) (Policy, error) {
 			if err != nil {
 				return nil, fmt.Errorf("round: bad delay bound in sched %q: %v", spec, err)
 			}
+			if v == 0 {
+				return nil, fmt.Errorf("round: delay bound in sched %q must be at least 1", spec)
+			}
 			max = v
 		}
 		return NewDelay(seed, max), nil
-	case SchedAdversarial:
-		return NewAdversarial(seed), nil
 	case SchedStarve:
 		if !hasArg {
 			return nil, fmt.Errorf("round: sched %q needs a target node (starve:ID)", spec)
@@ -226,7 +442,10 @@ func ParsePolicy(spec string, seed int64) (Policy, error) {
 		if err != nil {
 			return nil, fmt.Errorf("round: bad starve target in sched %q: %v", spec, err)
 		}
-		return Starve{Target: types.NodeID(id)}, nil
+		if id < 0 {
+			return nil, fmt.Errorf("round: negative starve target in sched %q", spec)
+		}
+		return &Starve{Target: types.NodeID(id)}, nil
 	default:
 		return nil, fmt.Errorf("round: unknown sched %q", spec)
 	}
@@ -242,7 +461,9 @@ func splitmix(x uint64) uint64 {
 }
 
 // Scheduler is a deterministic delivery queue threaded through the
-// Channel/Expander interposition, ordered by a Policy. RunAsync pulls one
+// Channel/Expander interposition, ordered by a Policy. The policy owns the
+// queue; the scheduler stamps each send with its enqueue ticket and routes
+// each pick through the channel. RunAsync pulls one
 // policy-chosen delivery at a time from it with no barrier at all; a
 // synchronous Engine given a non-Lockstep Config.Policy queues each round's
 // sends on one and drains it at the barrier (under Lockstep the Engine needs
@@ -257,20 +478,21 @@ type Scheduler struct {
 	ch       Channel
 	expander Expander
 
-	queue []Pending
-	seq   uint64
-	tick  uint64
+	seq uint64
 }
 
 // NewScheduler builds a scheduler over the given policy and channel. A nil
-// policy means Lockstep; a nil channel means PerfectChannel.
+// policy means Lockstep; a nil channel means PerfectChannel. The policy's
+// queue is emptied: whatever an earlier scheduler left on it is not this
+// one's to deliver.
 func NewScheduler(policy Policy, ch Channel) *Scheduler {
 	if policy == nil {
-		policy = Lockstep{}
+		policy = &Lockstep{}
 	}
 	if ch == nil {
 		ch = PerfectChannel{}
 	}
+	policy.rewind()
 	s := &Scheduler{policy: policy, ch: ch}
 	s.expander, _ = ch.(Expander)
 	return s
@@ -278,36 +500,32 @@ func NewScheduler(policy Policy, ch Channel) *Scheduler {
 
 // Enqueue queues one validated, stamped send for delivery.
 func (s *Scheduler) Enqueue(m types.Message) {
-	s.queue = append(s.queue, Pending{M: m, Seq: s.seq})
+	s.policy.push(Pending{M: m, Seq: s.seq})
 	s.seq++
 }
 
 // Len returns the number of queued sends.
-func (s *Scheduler) Len() int { return len(s.queue) }
+func (s *Scheduler) Len() int { return s.policy.len() }
 
-// Reset rearms the scheduler for a fresh run, retaining the queue buffer
-// (the batch hot loop reuses engines without allocating).
+// Reset rearms the scheduler for a fresh run, retaining the policy's queue
+// buffers (the batch hot loop reuses engines without allocating).
 func (s *Scheduler) Reset() {
-	s.queue = s.queue[:0]
+	s.policy.rewind()
 	s.seq = 0
-	s.tick = 0
 }
 
 // Next asks the policy for one send, routes it through the channel, and
 // invokes deliver for every physical copy (an Expander may duplicate or
 // drop; a plain Channel delivers at most once). It returns false when the
 // queue is empty or the policy withholds every remaining send — Starved
-// distinguishes the two. Each policy decision advances the scheduler's
-// tick, delivered or dropped, so seeded schedules are insensitive to
-// channel behaviour.
+// distinguishes the two. The policy sees only the pushes and its own picks,
+// never what the channel did with one, so seeded schedules are insensitive
+// to channel behaviour.
 func (s *Scheduler) Next(deliver func(types.Message)) bool {
-	idx := s.policy.Next(s.tick, s.queue)
-	if idx < 0 || idx >= len(s.queue) {
+	m, ok := s.policy.pop()
+	if !ok {
 		return false
 	}
-	m := s.queue[idx].M
-	s.queue = append(s.queue[:idx], s.queue[idx+1:]...)
-	s.tick++
 	if s.expander != nil {
 		for _, dm := range s.expander.DeliverAll(m) {
 			deliver(dm)
@@ -320,15 +538,16 @@ func (s *Scheduler) Next(deliver func(types.Message)) bool {
 
 // Starved reports whether sends remain queued — after Next returns false,
 // it distinguishes a withholding policy (true) from an empty queue (false).
-func (s *Scheduler) Starved() bool { return len(s.queue) > 0 }
+func (s *Scheduler) Starved() bool { return s.policy.len() > 0 }
 
 // Drain runs the policy to quiescence through Next, delivering until the
 // queue empties or the policy withholds the rest. A synchronous Engine built
 // with a non-Lockstep Config.Policy calls it once per round, at the barrier;
 // under Lockstep the engine has no queue to drain (Engine.Collect routes each
-// send as it is collected). Each Next removes its pick in place, so a drain
-// is quadratic in queue length — the price of position-dependent policies,
-// paid only by the callers that ask for one. deliver must not Enqueue — at a
+// send as it is collected). Each Next costs what the policy's own structure
+// makes its pick cost — O(1) for the enqueue-order policies, O(log q) for
+// Delay, one block walk and one in-block copy for Reorder and Adversarial —
+// so a drain is near-linear in queue length. deliver must not Enqueue — at a
 // round barrier no Step call is in flight, so nothing can send during
 // delivery (asynchronous runs, where a delivery does trigger sends, call
 // Next themselves).

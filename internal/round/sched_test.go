@@ -31,7 +31,7 @@ func sends(n int) []types.Message {
 
 func TestLockstepAndFIFOPreserveEnqueueOrder(t *testing.T) {
 	in := sends(17)
-	for _, p := range []Policy{Lockstep{}, FIFO{}} {
+	for _, p := range []Policy{&Lockstep{}, &FIFO{}} {
 		got := drainOrder(t, p, in)
 		if !reflect.DeepEqual(got, in) {
 			t.Errorf("%T: delivery order differs from enqueue order", p)
@@ -63,7 +63,7 @@ func TestSeededPoliciesReplayIdentically(t *testing.T) {
 
 func TestStarveWithholdsOnlyTheTarget(t *testing.T) {
 	in := sends(12) // recipients cycle 1,2,3
-	s := NewScheduler(Starve{Target: 2}, nil)
+	s := NewScheduler(&Starve{Target: 2}, nil)
 	for _, m := range in {
 		s.Enqueue(m)
 	}
@@ -90,13 +90,13 @@ func TestStarveWithholdsOnlyTheTarget(t *testing.T) {
 
 func TestParsePolicy(t *testing.T) {
 	good := map[string]any{
-		"":            FIFO{},
-		"fifo":        FIFO{},
+		"":            &FIFO{},
+		"fifo":        &FIFO{},
 		"reorder":     (*Reorder)(nil),
 		"delay":       (*Delay)(nil),
 		"delay:4":     (*Delay)(nil),
 		"adversarial": (*Adversarial)(nil),
-		"starve:3":    Starve{},
+		"starve:3":    &Starve{},
 	}
 	for spec, proto := range good {
 		p, err := ParsePolicy(spec, 42)
@@ -108,13 +108,16 @@ func TestParsePolicy(t *testing.T) {
 			t.Errorf("ParsePolicy(%q) = %T, want %T", spec, p, proto)
 		}
 	}
-	if p, err := ParsePolicy("starve:3", 0); err != nil || p.(Starve).Target != 3 {
+	if p, err := ParsePolicy("starve:3", 0); err != nil || p.(*Starve).Target != 3 {
 		t.Errorf("starve:3 = %v, %v", p, err)
 	}
 	if p, err := ParsePolicy("delay:4", 0); err != nil || p.(*Delay).Max != 4 {
 		t.Errorf("delay:4 = %v, %v", p, err)
 	}
-	for _, spec := range []string{"starve", "starve:x", "delay:x", "lifo", "starve:1:2"} {
+	for _, spec := range []string{
+		"starve", "starve:x", "delay:x", "lifo", "starve:1:2",
+		":1", "fifo:9", "fifo:", "reorder:x", "adversarial:1", "starve:-1", "delay:0", "delay:",
+	} {
 		if _, err := ParsePolicy(spec, 0); err == nil {
 			t.Errorf("ParsePolicy(%q): accepted", spec)
 		}
@@ -124,9 +127,12 @@ func TestParsePolicy(t *testing.T) {
 // TestEnginePolicyInvariance pins the refactor's central claim: because the
 // round barrier sorts every inbox, any non-withholding intra-round delivery
 // order yields byte-identical synchronous results — lockstep really is just
-// a policy over the scheduler core.
+// a policy over the scheduler core. The wide fleet sends 480 messages in each
+// of its rounds, so the engine's queued path (Enqueue → Drain → Reset on one
+// reused scheduler) runs over several blockQueue blocks, and a second pass
+// after Restart runs it on the buffers the first pass left behind.
 func TestEnginePolicyInvariance(t *testing.T) {
-	build := func() []Node {
+	small := func() []Node {
 		return []Node{
 			&echoNode{id: 0, sends: []types.Message{msg(1, 10), msg(2, 11), msg(3, 12)}},
 			&echoNode{id: 1, sends: []types.Message{msg(0, 20), msg(2, 21)}},
@@ -134,25 +140,61 @@ func TestEnginePolicyInvariance(t *testing.T) {
 			&echoNode{id: 3, sends: []types.Message{msg(0, 40), msg(1, 41), msg(2, 42)}},
 		}
 	}
-	run := func(p Policy) string {
-		res, err := Run(build(), Config{Rounds: 2, RecordViews: true, Policy: p}, Reference{})
-		if err != nil {
-			t.Fatal(err)
+	wide := func() []Node {
+		const n = 16
+		nodes := make([]Node, n)
+		for i := range nodes {
+			nd := &echoNode{id: types.NodeID(i), everyRound: true}
+			for j := 0; j < n; j++ {
+				if j != i {
+					// Two sends a pair, told apart by Path: the inbox order
+					// is on (From, Path, To), not on Value.
+					to := types.NodeID(j)
+					nd.sends = append(nd.sends, msg(to, types.Value(100*i+j)),
+						types.Message{To: to, Path: types.Path{nd.id}, Value: types.Value(-i)})
+				}
+			}
+			nodes[i] = nd
 		}
-		return fmt.Sprintf("%v %v %d %d %d", res.Decisions, res.Views, res.Messages, res.Delivered, res.Bytes)
+		return nodes
 	}
-	base := run(nil)
-	for _, tc := range []struct {
-		name string
-		p    Policy
-	}{
-		{"fifo", FIFO{}},
-		{"reorder", NewReorder(99)},
-		{"delay", NewDelay(99, 8)},
-		{"adversarial", NewAdversarial(99)},
-	} {
-		if got := run(tc.p); got != base {
-			t.Errorf("%s policy changed synchronous results:\n got %s\nwant %s", tc.name, got, base)
+	for _, fleet := range []struct {
+		name  string
+		build func() []Node
+	}{{"n=4", small}, {"n=16", wide}} {
+		run := func(p Policy) string {
+			eng, err := NewEngine(fleet.build(), Config{Rounds: 2, RecordViews: true, Policy: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out string
+			for pass := 0; pass < 2; pass++ {
+				if pass > 0 {
+					if err := eng.Restart(fleet.build()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := (Reference{}).Drive(eng); err != nil {
+					t.Fatal(err)
+				}
+				res := eng.Finalize()
+				out += fmt.Sprintf("%v %v %d %d %d\n", res.Decisions, res.Views, res.Messages, res.Delivered, res.Bytes)
+			}
+			return out
+		}
+		base := run(nil)
+		for _, tc := range []struct {
+			name string
+			p    Policy
+		}{
+			{"fifo", &FIFO{}},
+			{"reorder", NewReorder(99)},
+			{"delay", NewDelay(99, 8)},
+			{"adversarial", NewAdversarial(99)},
+		} {
+			if got := run(tc.p); got != base {
+				t.Errorf("%s: %s policy changed synchronous results:\n got %s\nwant %s", fleet.name, tc.name, got, base)
+			}
 		}
 	}
 }
@@ -166,7 +208,7 @@ func TestEngineStarvePolicyIsDetectableAbsence(t *testing.T) {
 		&echoNode{id: 1, sends: []types.Message{msg(0, 20), msg(2, 21)}},
 		&echoNode{id: 2, sends: []types.Message{msg(0, 30), msg(1, 31)}},
 	}
-	res, err := Run(nodes, Config{Rounds: 1, Policy: Starve{Target: 2}}, Reference{})
+	res, err := Run(nodes, Config{Rounds: 1, Policy: &Starve{Target: 2}}, Reference{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -403,22 +403,27 @@ func (s *Service) Submit(req Request) (<-chan Outcome, error) {
 		return nil, fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
 	t := &task{req: req, done: make(chan Outcome, 1)}
-	if err := s.enqueue(t); err != nil {
+	if err := s.nextShard().enqueue(t); err != nil {
 		return nil, err
 	}
 	return t.done, nil
 }
 
-// enqueue places a validated task on the next shard's queue, non-blocking.
-func (s *Service) enqueue(t *task) error {
-	sh := s.shards[(s.next.Add(1)-1)%uint64(len(s.shards))]
+// nextShard deals the shards out round-robin: one per one-shot Submit, one
+// per Slot for the slot's lifetime.
+func (s *Service) nextShard() *shard {
+	return s.shards[(s.next.Add(1)-1)%uint64(len(s.shards))]
+}
+
+// enqueue places a validated task on the shard's queue, non-blocking.
+func (sh *shard) enqueue(t *task) error {
 	select {
 	case sh.in <- t:
 		sh.stats.Inc(statAccepted)
 		return nil
 	default:
 		sh.stats.Inc(statRejected)
-		s.sheds.Get(TenantKey(t.req.Tenant)).Inc()
+		sh.svc.sheds.Get(TenantKey(t.req.Tenant)).Inc()
 		return ErrOverloaded
 	}
 }
@@ -429,15 +434,25 @@ func (s *Service) enqueue(t *task) error {
 // worker) submits without allocating. A Slot serves one request at a time —
 // Submit again only after the previous outcome was received — and is not
 // safe for concurrent use.
+//
+// A Slot submits to one shard for its whole life, and slots are dealt to the
+// shards round-robin as they are made, so callers that make them on demand
+// still spread over every shard. A shard's pooled complement is megabytes
+// that sit in the cache of the core that last ran it: were each request dealt
+// to the next shard instead, two closed-loop callers would trade shards
+// whenever their completions changed order, each then running on the
+// complement the other core has warm, which slows both and keeps the order
+// changing — a state a depth-4 run stays in once it is there, a third slower.
 type Slot struct {
 	svc    *Service
+	sh     *shard
 	t      *task
 	faults []FaultSpec
 }
 
 // NewSlot returns a reusable submission handle bound to the service.
 func (s *Service) NewSlot() *Slot {
-	return &Slot{svc: s, t: &task{done: make(chan Outcome, 1)}}
+	return &Slot{svc: s, sh: s.nextShard(), t: &task{done: make(chan Outcome, 1)}}
 }
 
 // Submit validates and enqueues req on the slot's recycled task. The slot
@@ -454,7 +469,7 @@ func (sl *Slot) Submit(req Request) error {
 	sl.faults = append(sl.faults[:0], req.Faults...)
 	req.Faults = sl.faults
 	sl.t.req = req
-	return sl.svc.enqueue(sl.t)
+	return sl.sh.enqueue(sl.t)
 }
 
 // Outcome returns the channel carrying the slot's next completion. The

@@ -238,6 +238,61 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
+// TestSlotKeepsItsShard pins admission's placement: slots are dealt to the
+// shards round-robin as they are made and then stay put, however the callers'
+// submissions interleave; one-shot Submits are dealt round-robin each. The
+// shard goroutines are not running, so the test reads the queues itself.
+func TestSlotKeepsItsShard(t *testing.T) {
+	svc := newUnstarted(Config{Shards: 2, QueueDepth: 8})
+	req := Request{N: 5, M: 1, U: 2, Value: 7}
+	queued := func() (at int, got *task) {
+		at = -1
+		for k, sh := range svc.shards {
+			select {
+			case got = <-sh.in:
+				if at >= 0 {
+					t.Fatalf("one submission queued on shards %d and %d", at, k)
+				}
+				at = k
+			default:
+			}
+		}
+		return at, got
+	}
+
+	a, b := svc.NewSlot(), svc.NewSlot()
+	home := map[*Slot]int{a: 0, b: 1}
+	// Dealt per request, the third submission would put b on a's shard.
+	for i, sl := range []*Slot{a, b, b, a, a, b, a} {
+		if err := sl.Submit(req); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if at, got := queued(); at != home[sl] || got != sl.t {
+			t.Fatalf("submit %d queued on shard %d, want the slot's own shard %d", i, at, home[sl])
+		}
+	}
+	// An abandoned request takes the task with it, not the placement.
+	b.abandon()
+	if err := b.Submit(req); err != nil {
+		t.Fatal(err)
+	}
+	if at, _ := queued(); at != home[b] {
+		t.Fatalf("after abandon queued on shard %d, want %d", at, home[b])
+	}
+
+	var last int
+	for i := 0; i < 4; i++ {
+		if _, err := svc.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+		at, _ := queued()
+		if i > 0 && at == last {
+			t.Fatalf("one-shot submits %d and %d both queued on shard %d", i-1, i, at)
+		}
+		last = at
+	}
+}
+
 // TestCloseDrains exercises the live shutdown path: requests admitted
 // before Close are all answered.
 func TestCloseDrains(t *testing.T) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Benchmark comparison report (non-failing; stdlib + awk only).
 #
-# Runs the eig and service benchmarks and prints two comparisons:
+# Runs the eig, service and round-scheduler benchmarks and prints two
+# comparisons:
 #
 #   1. Engine old-vs-new: the eig benchmarks carry both storage engines as
 #      sub-benchmarks (".../map" is the hash-map engine the flat engine
@@ -105,6 +106,7 @@ echo "== benchmarks (benchtime=$BENCHTIME) =="
 {
   go test -run '^$' -bench . -benchtime "$BENCHTIME" ./internal/eig/
   go test -run '^$' -bench . -benchtime "$BENCHTIME" ./internal/service/
+  go test -run '^$' -bench . -benchtime "$BENCHTIME" ./internal/round/
 } 2>&1 | tee "$RAW" | grep -E '^(Benchmark|ok|FAIL|---)' || true
 
 echo

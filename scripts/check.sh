@@ -36,10 +36,15 @@ echo "== benchmark smoke =="
 # producing numbers (or starts erroring) must be visible here, not hidden
 # in /dev/null.
 go test -run XXX -bench . -benchtime 1x .
+# One delivery per policy and queue length: the scheduler benchmark must
+# keep building and running (bench_compare.sh below reports it, but a
+# report cannot fail the check).
+go test -run XXX -bench SchedulerNext -benchtime 1x ./internal/round/
 
 echo "== benchmark comparison (non-failing report) =="
-# Runs the eig + service benchmarks (1 iteration each: this is the smoke
-# pass for those packages too) and prints the map-vs-flat engine deltas.
+# Runs the eig + service + round-scheduler benchmarks (1 iteration each:
+# this is the smoke pass for those packages too) and prints the map-vs-flat
+# engine deltas.
 # A report, not a gate — it never fails the check.
 BENCHTIME=1x scripts/bench_compare.sh
 
