@@ -28,36 +28,46 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden campaign repor
 // and pins the byte-identical JSON report to a checked-in golden: campaigns
 // are the repo's reproducibility showcase, so any drift is a regression in
 // the engine's determinism (or an intentional change, run with -update).
+// The asynchronous campaign is pinned the same way: its report is a function
+// of every delivery order, so it holds the scheduler's picks and the order
+// in which the A-Cast handlers emit their sends.
 func TestJSONReportDeterministicAndGolden(t *testing.T) {
-	args := []string{"-seed", "42", "-runs", "200", "-json"}
-	emit := func() string {
-		var buf bytes.Buffer
-		if err := run(args, &buf); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"campaign_seed42.json", []string{"-seed", "42", "-runs", "200", "-json"}},
+		{"campaign_seed42_async.json", []string{"-seed", "42", "-runs", "250", "-async", "-json"}},
+	} {
+		emit := func() string {
+			var buf bytes.Buffer
+			if err := run(tc.args, &buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.String()
 		}
-		return buf.String()
-	}
-	a, b := emit(), emit()
-	if a != b {
-		t.Fatal("same seed, different -json reports")
-	}
-	path := filepath.Join("testdata", "campaign_seed42.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
+		a, b := emit(), emit()
+		if a != b {
+			t.Fatalf("%v: same seed, different -json reports", tc.args)
 		}
-		if err := os.WriteFile(path, []byte(a), 0o644); err != nil {
-			t.Fatal(err)
+		path := filepath.Join("testdata", tc.golden)
+		if *updateGolden {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(a), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
 		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update): %v", err)
-	}
-	if a != string(want) {
-		t.Errorf("report drifted from golden %s (first diff near byte %d)",
-			path, firstDiff(a, string(want)))
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden (run with -update): %v", err)
+		}
+		if a != string(want) {
+			t.Errorf("report drifted from golden %s (first diff near byte %d)",
+				path, firstDiff(a, string(want)))
+		}
 	}
 }
 

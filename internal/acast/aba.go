@@ -36,7 +36,11 @@ type ABA struct {
 	coinSeed uint64
 	est      uint8
 	round    int
-	rounds   map[int]*abaRound
+	// rounds[r-1] is round r's vote state, dense from round 1: no round ever
+	// retires, because a node that has moved on still relays an old round's
+	// BVAL for laggards. abaRoundWindow bounds its length.
+	rounds   []abaRound
+	out      outbox
 	decided  bool
 	decision types.Value
 }
@@ -44,7 +48,7 @@ type ABA struct {
 // abaRoundWindow bounds how far ahead of the node's current round a
 // BVAL/AUX may claim to be before it is dropped. Round is protocol-owned and
 // arrives unvalidated in asynchronous mode, so without a bound a Byzantine
-// peer could grow the rounds map without limit by packing huge round numbers.
+// peer could grow the round state without limit by packing huge round numbers.
 // Honest peers can legitimately run ahead (the coin converges in a handful of
 // expected rounds), so the window is generous; dropping beyond it can only
 // delay termination, never violate safety.
@@ -68,7 +72,7 @@ func NewABA(id types.NodeID, p Params, input uint8, coinSeed uint64) *ABA {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return &ABA{id: id, p: p, coinSeed: coinSeed, est: input & 1, round: 1, rounds: make(map[int]*abaRound)}
+	return &ABA{id: id, p: p, coinSeed: coinSeed, est: input & 1, round: 1, out: newOutbox(id, p.N)}
 }
 
 // ID implements round.AsyncNode.
@@ -79,32 +83,54 @@ func (a *ABA) Decided() (types.Value, bool) { return a.decision, a.decided }
 
 // Start implements round.AsyncNode: broadcast the round-1 BVAL.
 func (a *ABA) Start() []types.Message {
-	return pump(a.id, a.p.N, a.handle, a.propose(a.round, a.est))
+	a.out.begin()
+	a.propose(a.round, a.est)
+	return a.flush()
 }
 
 // OnDeliver implements round.AsyncNode.
 func (a *ABA) OnDeliver(m types.Message) []types.Message {
-	return pump(a.id, a.p.N, a.handle, a.handle(m))
+	a.out.begin()
+	a.handle(m)
+	return a.flush()
 }
 
-// state returns round r's vote state, allocating it on first touch.
-func (a *ABA) state(r int) *abaRound {
-	st := a.rounds[r]
-	if st == nil {
-		st = &abaRound{}
-		a.rounds[r] = st
+// flush applies the queued self copies until quiescence and returns the
+// call's external sends.
+func (a *ABA) flush() []types.Message {
+	for m, ok := a.out.next(); ok; m, ok = a.out.next() {
+		a.handle(m)
 	}
-	return st
+	return a.out.ext
+}
+
+// state returns round r's vote state, extending the round slice on first
+// touch. The pointer is good until state is next asked for a higher round.
+func (a *ABA) state(r int) *abaRound {
+	for len(a.rounds) < r {
+		a.rounds = append(a.rounds, abaRound{})
+	}
+	return &a.rounds[r-1]
 }
 
 // propose marks BVAL(v) sent for round r and broadcasts it.
-func (a *ABA) propose(r int, v uint8) []types.Message {
+func (a *ABA) propose(r int, v uint8) {
 	st := a.state(r)
 	if st.sentBval[v] {
-		return nil
+		return
 	}
 	st.sentBval[v] = true
-	return broadcast(a.p.N, types.Message{Round: r<<kindBits | KindBval, Value: types.Value(v)})
+	a.out.broadcast(types.Message{Round: r<<kindBits | KindBval, Value: types.Value(v)})
+}
+
+// vote adds round r's AUX(v) to the node's own broadcasts once BVAL(v) has
+// its 2f+1 quorum: v joins bin_values, and the first such v is the AUX vote.
+func (a *ABA) vote(st *abaRound, r int, v uint8) {
+	st.binValues[v] = true
+	if !st.sentAux {
+		st.sentAux = true
+		a.out.broadcast(types.Message{Round: r<<kindBits | KindAux, Value: types.Value(v)})
+	}
 }
 
 // coin is the round's deterministic common coin: a splitmix draw over
@@ -113,78 +139,64 @@ func (a *ABA) coin(r int) uint8 {
 	return uint8(splitmix(a.coinSeed^(uint64(r)*0x9e3779b97f4a7c15)) & 1)
 }
 
-// handle ingests one ABA message and returns resulting broadcasts
-// (self-addressed copies included; pump applies them locally).
-func (a *ABA) handle(m types.Message) []types.Message {
+// handle ingests one ABA message and emits the resulting broadcasts into
+// the outbox.
+func (a *ABA) handle(m types.Message) {
 	if m.Value != 0 && m.Value != 1 {
-		return nil // Byzantine garbage: ABA values are bits
+		return // Byzantine garbage: ABA values are bits
 	}
 	v := uint8(m.Value)
 	r := ABARound(m.Round)
 	if r < 1 || r > a.round+abaRoundWindow {
-		return nil
+		return
 	}
 	st := a.state(r)
-	var out []types.Message
 	switch Kind(m.Round) {
 	case KindBval:
 		if st.bval[v].Contains(m.From) {
-			return nil
+			return
 		}
 		st.bval[v] = st.bval[v].Add(m.From)
 		n := st.bval[v].Len()
-		if n >= a.p.ReadyAmplify() && !st.sentBval[v] {
-			out = append(out, a.propose(r, v)...)
+		if n >= a.p.ReadyAmplify() {
+			a.propose(r, v)
 		}
 		if n >= a.p.ReadyQuorum() && !st.binValues[v] {
-			st.binValues[v] = true
-			if !st.sentAux {
-				st.sentAux = true
-				out = append(out, broadcast(a.p.N, types.Message{Round: r<<kindBits | KindAux, Value: types.Value(v)})...)
-			}
-			out = append(out, a.tryAdvance(r)...)
+			a.vote(st, r, v)
+			a.tryAdvance(r)
 		}
 	case KindAux:
 		if st.aux[v].Contains(m.From) {
-			return nil
+			return
 		}
 		st.aux[v] = st.aux[v].Add(m.From)
-		out = append(out, a.tryAdvance(r)...)
+		a.tryAdvance(r)
 	}
-	return out
 }
 
 // tryAdvance checks round r's AUX condition — n−f votes whose values all
 // lie in bin_values — and on success applies the coin rule and opens round
 // r+1. It only ever fires for the node's current round: earlier rounds are
 // done, later rounds wait their turn.
-func (a *ABA) tryAdvance(r int) []types.Message {
+func (a *ABA) tryAdvance(r int) {
 	if r != a.round {
-		return nil
+		return
 	}
 	st := a.state(r)
 	if st.done || (!st.binValues[0] && !st.binValues[1]) {
-		return nil
+		return
 	}
 	var voters types.NodeSet
 	var vals [2]bool
 	for v := 0; v < 2; v++ {
-		if !st.binValues[v] {
-			continue // votes for a non-bin value don't count (yet)
-		}
-		set := st.aux[v]
-		if set.Len() == 0 {
-			continue
-		}
-		vals[v] = true
-		for id := 0; id < a.p.N; id++ {
-			if set.Contains(types.NodeID(id)) {
-				voters = voters.Add(types.NodeID(id))
-			}
+		// Votes for a non-bin value don't count (yet).
+		if st.binValues[v] && !st.aux[v].Empty() {
+			vals[v] = true
+			voters = voters.Union(st.aux[v])
 		}
 	}
 	if voters.Len() < a.p.N-a.p.F {
-		return nil
+		return
 	}
 	st.done = true
 	c := a.coin(r)
@@ -203,31 +215,26 @@ func (a *ABA) tryAdvance(r int) []types.Message {
 		a.est = c
 	}
 	a.round = r + 1
-	out := a.propose(a.round, a.est)
+	a.propose(a.round, a.est)
 	// BVAL/AUX for the new round may already be buffered (a fast peer ran
 	// ahead); re-check its thresholds immediately.
-	return append(out, a.recheck(a.round)...)
+	a.recheck(a.round)
 }
 
 // recheck re-evaluates round r's thresholds from already-ingested votes,
 // used when the node advances into a round its peers reached first.
-func (a *ABA) recheck(r int) []types.Message {
+func (a *ABA) recheck(r int) {
 	st := a.state(r)
-	var out []types.Message
 	for v := uint8(0); v < 2; v++ {
 		n := st.bval[v].Len()
-		if n >= a.p.ReadyAmplify() && !st.sentBval[v] {
-			out = append(out, a.propose(r, v)...)
+		if n >= a.p.ReadyAmplify() {
+			a.propose(r, v)
 		}
 		if n >= a.p.ReadyQuorum() && !st.binValues[v] {
-			st.binValues[v] = true
-			if !st.sentAux {
-				st.sentAux = true
-				out = append(out, broadcast(a.p.N, types.Message{Round: r<<kindBits | KindAux, Value: types.Value(v)})...)
-			}
+			a.vote(st, r, v)
 		}
 	}
-	return append(out, a.tryAdvance(r)...)
+	a.tryAdvance(r)
 }
 
 // splitmix is the 64-bit splitmix finalizer (the same mix the scheduler

@@ -125,6 +125,38 @@ type Config struct {
 	Sink     obs.Sink
 }
 
+// tally counts one claimed value's votes.
+type tally struct {
+	value types.Value
+	count int
+}
+
+// votes tallies one vote kind (echo or ready) of one instance. Only a
+// sender's first vote counts (Bracha's rule), so however many values a
+// Byzantine sender invents the tally holds at most n entries; honest senders
+// vote once per instance, so the rule costs them nothing.
+type votes struct {
+	from   types.NodeSet // senders whose vote has been counted
+	counts []tally
+}
+
+// add counts sender's vote for v and returns v's new count, or 0 if sender
+// has already voted.
+func (t *votes) add(v types.Value, sender types.NodeID) int {
+	if t.from.Contains(sender) {
+		return 0
+	}
+	t.from = t.from.Add(sender)
+	for i := range t.counts {
+		if t.counts[i].value == v {
+			t.counts[i].count++
+			return t.counts[i].count
+		}
+	}
+	t.counts = append(t.counts, tally{value: v, count: 1})
+	return 1
+}
+
 // instance is one broadcaster's A-Cast state at one node.
 type instance struct {
 	initSeen  bool
@@ -132,19 +164,74 @@ type instance struct {
 	readied   bool
 	delivered bool
 	value     types.Value // delivered value, once delivered
-	// echoes and readies dedupe senders per claimed value. A Byzantine
-	// broadcaster may push two values; the maps keep both tallies and the
-	// quorum intersection argument picks at most one winner.
-	echoes  map[types.Value]types.NodeSet
-	readies map[types.Value]types.NodeSet
+	// path backs the Path{b} of every message this node sends for the
+	// instance, so a send allocates nothing.
+	path [1]types.NodeID
+	// A Byzantine broadcaster may push two values; the tallies keep both
+	// counts and the quorum intersection argument picks at most one winner.
+	echoes  votes
+	readies votes
+}
+
+// outbox is the node-owned send buffer the handlers emit into: the external
+// sends of one Start/OnDeliver call in emit order, and a FIFO of
+// self-addressed copies awaiting local application. Broadcast protocols count
+// their own echo/ready toward quorums and the scheduler core drops
+// self-addressed messages, so the self copies are applied here, synchronously
+// and deterministically. Both buffers are reused across calls; ext is what the
+// call returns, which is why round.AsyncNode's result is only borrowed.
+//
+// Emit order is part of the schedule contract (enqueue order is the Seq every
+// seeded policy's picks are a function of): breadth-first — the externals the
+// delivered message produced, in call order, then the externals produced by
+// applying each self copy in FIFO order.
+type outbox struct {
+	self types.NodeID
+	n    int
+	ext  []types.Message
+	loop []types.Message // self copies; loop[head:] are still to be applied
+	head int
+}
+
+func newOutbox(self types.NodeID, n int) outbox {
+	return outbox{self: self, n: n, ext: make([]types.Message, 0, n-1)}
+}
+
+// begin empties the outbox for the next call.
+func (o *outbox) begin() {
+	o.ext, o.loop, o.head = o.ext[:0], o.loop[:0], 0
+}
+
+// broadcast emits m to every node in ID order, the self copy stamped From
+// self the way the engine stamps the external ones.
+func (o *outbox) broadcast(m types.Message) {
+	for m.To = 0; int(m.To) < o.n; m.To++ {
+		if m.To != o.self {
+			o.ext = append(o.ext, m)
+		}
+	}
+	m.From, m.To = o.self, o.self
+	o.loop = append(o.loop, m)
+}
+
+// next pops the oldest self copy still to be applied. A call is finished
+// when there is none: applying one may queue more.
+func (o *outbox) next() (types.Message, bool) {
+	if o.head == len(o.loop) {
+		return types.Message{}, false
+	}
+	o.head++
+	return o.loop[o.head-1], true
 }
 
 // Node is one A-Cast participant, implementing round.AsyncNode. It runs one
 // reliable-broadcast instance per broadcaster and decides when every
 // instance has delivered.
 type Node struct {
-	cfg  Config
+	cfg Config
+	// inst holds the configured broadcasters' instances only, in ID order.
 	inst []instance
+	out  outbox
 	// await counts broadcasters not yet delivered; decision folds once it
 	// reaches zero.
 	await    int
@@ -162,20 +249,30 @@ func NewNode(cfg Config) *Node {
 	if cfg.Broadcasters.Len() == 0 {
 		cfg.Broadcasters = types.NewNodeSet(0)
 	}
-	n := &Node{cfg: cfg, inst: make([]instance, cfg.Params.N), await: cfg.Broadcasters.Len()}
-	return n
+	k := cfg.Broadcasters.Len()
+	return &Node{cfg: cfg, inst: make([]instance, k), out: newOutbox(cfg.ID, cfg.Params.N), await: k}
 }
 
 // ID implements round.AsyncNode.
 func (n *Node) ID() types.NodeID { return n.cfg.ID }
 
+// instance returns broadcaster b's instance, or nil if b is not a configured
+// broadcaster.
+func (n *Node) instance(b types.NodeID) *instance {
+	if !n.cfg.Broadcasters.Contains(b) {
+		return nil
+	}
+	below := types.NodeSet(1)<<uint(b) - 1
+	return &n.inst[n.cfg.Broadcasters.Intersect(below).Len()]
+}
+
 // Delivered returns the values A-Cast-delivered so far, keyed by
 // broadcaster: the asynchronous receipt vector.
 func (n *Node) Delivered() map[types.NodeID]types.Value {
 	out := make(map[types.NodeID]types.Value)
-	for b := range n.inst {
-		if n.inst[b].delivered {
-			out[types.NodeID(b)] = n.inst[b].value
+	for i, b := range n.cfg.Broadcasters.IDs() {
+		if n.inst[i].delivered {
+			out[b] = n.inst[i].value
 		}
 	}
 	return out
@@ -190,65 +287,77 @@ func (n *Node) Decided() (types.Value, bool) { return n.decision, n.decided }
 // everyone (the self-addressed copy is applied locally — the engine drops
 // self-sends).
 func (n *Node) Start() []types.Message {
-	if !n.cfg.Broadcasters.Contains(n.cfg.ID) {
+	ins := n.instance(n.cfg.ID)
+	if ins == nil {
 		return nil
 	}
-	return pump(n.cfg.ID, n.cfg.Params.N, n.handle, broadcast(n.cfg.Params.N, types.Message{
-		Round: KindInit,
-		Path:  types.Path{n.cfg.ID},
-		Value: n.cfg.Input,
-	}))
+	n.out.begin()
+	n.send(ins, n.cfg.ID, KindInit, n.cfg.Input)
+	return n.flush()
 }
 
 // OnDeliver implements round.AsyncNode.
 func (n *Node) OnDeliver(m types.Message) []types.Message {
-	return pump(n.cfg.ID, n.cfg.Params.N, n.handle, n.handle(m))
+	n.out.begin()
+	n.handle(m)
+	return n.flush()
 }
 
-// handle ingests one message and returns the resulting broadcasts,
-// including self-addressed copies (pump applies those locally).
-func (n *Node) handle(m types.Message) []types.Message {
+// flush applies the queued self copies until quiescence and returns the
+// call's external sends.
+func (n *Node) flush() []types.Message {
+	for m, ok := n.out.next(); ok; m, ok = n.out.next() {
+		n.handle(m)
+	}
+	return n.out.ext
+}
+
+// handle ingests one message and emits the resulting broadcasts into the
+// outbox.
+func (n *Node) handle(m types.Message) {
 	if len(m.Path) != 1 {
-		return nil
+		return
+	}
+	// From is engine-stamped (§4 assumption (c)); the range check only keeps
+	// a hand-built message from voting under an identity outside the system.
+	if m.From < 0 || int(m.From) >= n.cfg.Params.N {
+		return
 	}
 	b := m.Path[0]
-	if b < 0 || int(b) >= n.cfg.Params.N {
-		return nil
+	if int(b) >= n.cfg.Params.N {
+		return
 	}
 	// Only configured broadcasters have instances. Traffic claiming any other
 	// origin is Byzantine by construction; tallying it would let a rogue
 	// node's self-originated instance deliver and decrement await, flipping
 	// decided before every real broadcaster's instance has delivered.
-	if !n.cfg.Broadcasters.Contains(b) {
-		return nil
+	ins := n.instance(b)
+	if ins == nil {
+		return
 	}
-	ins := &n.inst[int(b)]
 	switch Kind(m.Round) {
 	case KindInit:
-		// Only the broadcaster itself can originate its init: From is
-		// engine-stamped (§4 assumption (c)), so a Byzantine node cannot
-		// open someone else's instance. First init wins — a two-faced
-		// broadcaster splits the echo tallies instead.
+		// Only the broadcaster itself can originate its init, so a Byzantine
+		// node cannot open someone else's instance. First init wins — a
+		// two-faced broadcaster splits the echo tallies instead.
 		if m.From != b || ins.initSeen {
-			return nil
+			return
 		}
 		ins.initSeen = true
-		return n.sendEcho(ins, b, m.Value)
+		n.sendEcho(ins, b, m.Value)
 	case KindEcho:
-		if addDedup(&ins.echoes, m.Value, m.From) &&
-			ins.echoes[m.Value].Len() >= n.cfg.Params.EchoQuorum() && !ins.readied {
+		if ins.echoes.add(m.Value, m.From) >= n.cfg.Params.EchoQuorum() && !ins.readied {
 			n.observe(obs.EvEcho, b, m.Value)
-			return n.sendReady(ins, b, m.Value)
+			n.sendReady(ins, b, m.Value)
 		}
 	case KindReady:
-		if !addDedup(&ins.readies, m.Value, m.From) {
-			return nil
+		count := ins.readies.add(m.Value, m.From)
+		if count == 0 {
+			return
 		}
-		count := ins.readies[m.Value].Len()
-		var out []types.Message
 		if count >= n.cfg.Params.ReadyAmplify() && !ins.readied {
 			n.observe(obs.EvReady, b, m.Value)
-			out = n.sendReady(ins, b, m.Value)
+			n.sendReady(ins, b, m.Value)
 		}
 		if count >= n.cfg.Params.ReadyQuorum() && !ins.delivered {
 			ins.delivered = true
@@ -260,38 +369,37 @@ func (n *Node) handle(m types.Message) []types.Message {
 			n.await--
 			if n.await == 0 {
 				n.decided = true
-				for i := range n.inst {
-					if n.cfg.Broadcasters.Contains(types.NodeID(i)) {
-						n.decision = n.inst[i].value
-						break
-					}
-				}
+				n.decision = n.inst[0].value
 			}
 		}
-		return out
 	}
-	return nil
+}
+
+// send broadcasts one of instance b's messages.
+func (n *Node) send(ins *instance, b types.NodeID, kind int, v types.Value) {
+	ins.path[0] = b
+	n.out.broadcast(types.Message{Round: kind, Path: ins.path[:], Value: v})
 }
 
 // sendEcho marks the instance echoed and broadcasts the echo.
-func (n *Node) sendEcho(ins *instance, b types.NodeID, v types.Value) []types.Message {
+func (n *Node) sendEcho(ins *instance, b types.NodeID, v types.Value) {
 	if ins.echoed {
-		return nil
+		return
 	}
 	ins.echoed = true
 	if n.cfg.Counters != nil {
 		n.cfg.Counters.Inc(CounterEcho)
 	}
-	return broadcast(n.cfg.Params.N, types.Message{Round: KindEcho, Path: types.Path{b}, Value: v})
+	n.send(ins, b, KindEcho, v)
 }
 
 // sendReady marks the instance readied and broadcasts the ready.
-func (n *Node) sendReady(ins *instance, b types.NodeID, v types.Value) []types.Message {
+func (n *Node) sendReady(ins *instance, b types.NodeID, v types.Value) {
 	ins.readied = true
 	if n.cfg.Counters != nil {
 		n.cfg.Counters.Inc(CounterReady)
 	}
-	return broadcast(n.cfg.Params.N, types.Message{Round: KindReady, Path: types.Path{b}, Value: v})
+	n.send(ins, b, KindReady, v)
 }
 
 // observe emits the quorum-certificate trace event.
@@ -299,50 +407,6 @@ func (n *Node) observe(kind obs.EventKind, b types.NodeID, v types.Value) {
 	if n.cfg.Sink != nil {
 		n.cfg.Sink.Emit(obs.Event{Kind: kind, Node: int16(n.cfg.ID), A: int64(b), B: int64(v)})
 	}
-}
-
-// addDedup records sender in set[v], reporting whether it was new.
-func addDedup(sets *map[types.Value]types.NodeSet, v types.Value, sender types.NodeID) bool {
-	if *sets == nil {
-		*sets = make(map[types.Value]types.NodeSet)
-	}
-	s := (*sets)[v]
-	if s.Contains(sender) {
-		return false
-	}
-	(*sets)[v] = s.Add(sender)
-	return true
-}
-
-// broadcast fans m out to every node, self included; pump routes the self
-// copy through the local handler.
-func broadcast(n int, m types.Message) []types.Message {
-	out := make([]types.Message, n)
-	for i := range out {
-		out[i] = m
-		out[i].To = types.NodeID(i)
-	}
-	return out
-}
-
-// pump applies self-addressed sends locally until quiescence and returns
-// the external sends. Broadcast protocols count their own echo/ready toward
-// quorums; the scheduler core drops self-addressed messages, so that local
-// application happens here, synchronously and deterministically.
-func pump(self types.NodeID, n int, handle func(types.Message) []types.Message, ms []types.Message) []types.Message {
-	out := make([]types.Message, 0, len(ms))
-	queue := ms
-	for len(queue) > 0 {
-		m := queue[0]
-		queue = queue[1:]
-		if m.To != self {
-			out = append(out, m)
-			continue
-		}
-		m.From = self
-		queue = append(queue, handle(m)...)
-	}
-	return out
 }
 
 var _ round.AsyncNode = (*Node)(nil)

@@ -152,6 +152,42 @@ func TestThresholdBehavior(t *testing.T) {
 	}
 }
 
+// TestVoteTalliesBoundedBySenders: the value in an echo or ready is
+// peer-controlled, so a tally keyed by it must not grow with what one sender
+// invents. Only a sender's first vote of each kind counts, which caps a
+// tally at n entries — and must not cost the honest votes that follow.
+func TestVoteTalliesBoundedBySenders(t *testing.T) {
+	p := Params{N: 4, F: 1}
+	nd := NewNode(Config{ID: 1, Params: p})
+	path := types.Path{0}
+	for v := 0; v < 10000; v++ {
+		for _, kind := range []int{KindEcho, KindReady} {
+			nd.OnDeliver(types.Message{From: 3, To: 1, Round: kind, Path: path, Value: types.Value(v)})
+		}
+	}
+	ins := nd.instance(0)
+	if e, r := len(ins.echoes.counts), len(ins.readies.counts); e > p.N || r > p.N {
+		t.Fatalf("one sender grew the tallies to %d echo / %d ready values, want at most n=%d", e, r, p.N)
+	}
+	// A hand-built message from outside the system must not vote at all:
+	// with node 0's ready these would make a certificate of 3.
+	nd.OnDeliver(types.Message{From: 9, To: 1, Round: KindReady, Path: path, Value: 5})
+	nd.OnDeliver(types.Message{From: -1, To: 1, Round: KindReady, Path: path, Value: 5})
+	nd.OnDeliver(types.Message{From: 0, To: 1, Round: KindReady, Path: path, Value: 5})
+	if _, ok := nd.Delivered()[0]; ok {
+		t.Fatal("delivered on one in-system ready plus out-of-system ones (certificate is 3)")
+	}
+	// The flood cost the honest senders nothing: a second ready amplifies
+	// (f+1 = 2), and node 1's own ready completes the certificate.
+	nd.OnDeliver(types.Message{From: 2, To: 1, Round: KindReady, Path: path, Value: 5})
+	if v, ok := nd.Delivered()[0]; !ok || v != 5 {
+		t.Fatalf("delivered %v/%v after the flood, want 5/true", v, ok)
+	}
+	if len(ins.readies.counts) > p.N {
+		t.Fatalf("ready tally holds %d values, want at most n=%d", len(ins.readies.counts), p.N)
+	}
+}
+
 func TestACastFaultFreeAllPolicies(t *testing.T) {
 	p := Params{N: 4, F: 1}
 	counters := obs.NewCounterSet(CounterNames...)

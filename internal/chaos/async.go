@@ -253,7 +253,10 @@ func (b *asyncByzantine) OnDeliver(m types.Message) []types.Message {
 
 // mutate rewrites the values of outgoing certificate traffic per the
 // adversary kind (lie: uniform forgery; twofaced: forgery to the upper half
-// of the system; random: seeded coin per message).
+// of the system; random: seeded coin per message). The rewrite is in place:
+// out is the inner node's own send buffer, borrowed under round.AsyncNode's
+// rule, which lets a caller mutate it and hand it on — the run copies each
+// send out before the next call into this node reuses the buffer.
 func (b *asyncByzantine) mutate(out []types.Message) []types.Message {
 	forged := b.fault.Value
 	if forged == 0 {

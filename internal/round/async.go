@@ -21,6 +21,18 @@ import (
 // ingestion must be idempotent) and may never arrive — but unlike the
 // synchronous mode, absence is not detectable, so protocols must make
 // progress from quorums of what did arrive.
+//
+// The slice Start and OnDeliver return is borrowed: it stays valid until the
+// next call into the same node, and the caller may rewrite its elements but
+// must not retain it. A node can therefore hand back one reused buffer and
+// allocate nothing per delivery; RunAsync copies every send into the policy's
+// queue before it calls the node again, and a wrapping node (a Byzantine
+// decorator) may corrupt the inner node's sends in place. The order of the
+// returned sends is part of the schedule contract: enqueue order is the Seq
+// every seeded policy's picks are a function of, so a node that reorders its
+// sends changes every recorded schedule. internal/acast emits breadth-first —
+// what the delivered message produced, then what applying each of the node's
+// own self-addressed copies produced, oldest copy first.
 type AsyncNode interface {
 	ID() types.NodeID
 	Start() []types.Message
@@ -150,17 +162,17 @@ func RunAsync(nodes []AsyncNode, cfg AsyncConfig) (*AsyncResult, error) {
 		collect(types.NodeID(i), nd.Start())
 		note(types.NodeID(i))
 	}
+	deliver := func(dm types.Message) {
+		res.Delivered++
+		res.Bytes += MessageBytes(dm)
+		if cfg.Trace != nil {
+			cfg.Trace(dm)
+		}
+		collect(dm.To, byID[int(dm.To)].OnDeliver(dm))
+		note(dm.To)
+	}
 	for awaiting > 0 && res.Delivered < max {
-		ok := sched.Next(func(dm types.Message) {
-			res.Delivered++
-			res.Bytes += MessageBytes(dm)
-			if cfg.Trace != nil {
-				cfg.Trace(dm)
-			}
-			collect(dm.To, byID[int(dm.To)].OnDeliver(dm))
-			note(dm.To)
-		})
-		if !ok {
+		if !sched.Next(deliver) {
 			res.Starved = sched.Starved()
 			break
 		}

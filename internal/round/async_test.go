@@ -226,3 +226,90 @@ func TestRunAsyncTraceMatchesSchedule(t *testing.T) {
 		t.Fatalf("replay diverged:\n %v\n %v", a, b)
 	}
 }
+
+// gossip floods: a node answers each of its first `budget` deliveries with a
+// send to every peer whose value encodes (sender, how many it has taken), and
+// decides when the budget is spent. With reuse set it obeys AsyncNode's
+// borrowed-slice rule as stingily as the rule allows: every call returns the
+// same backing array, and the first thing the next call does is scribble over
+// what the previous one returned.
+type gossip struct {
+	id     types.NodeID
+	n      int
+	budget int
+	taken  int
+	reuse  bool
+	buf    []types.Message
+}
+
+func (g *gossip) ID() types.NodeID             { return g.id }
+func (g *gossip) Decided() (types.Value, bool) { return types.Value(g.taken), g.taken >= g.budget }
+
+func (g *gossip) Start() []types.Message { return g.flood() }
+
+func (g *gossip) OnDeliver(types.Message) []types.Message {
+	if g.taken >= g.budget {
+		return nil
+	}
+	g.taken++
+	return g.flood()
+}
+
+func (g *gossip) flood() []types.Message {
+	var out []types.Message
+	if g.reuse {
+		// A send the run has not copied out by now arrives as this poison:
+		// well-formed, so it is enqueued, and recognisable in the trace.
+		for i := range g.buf {
+			g.buf[i] = types.Message{To: (g.id + 1) % types.NodeID(g.n), Value: -1}
+		}
+		out = g.buf[:0]
+	}
+	for i := 0; i < g.n; i++ {
+		if to := types.NodeID(i); to != g.id {
+			out = append(out, types.Message{To: to, Value: types.Value(int(g.id)*1000 + g.taken)})
+		}
+	}
+	g.buf = out
+	return out
+}
+
+// TestRunAsyncReusedBufferMatchesOracle proves the run never reads a borrowed
+// slice after the next call into the node that lent it: nodes that recycle
+// and poison one buffer produce the transcript and result of nodes that
+// return a fresh slice per call, under every policy.
+func TestRunAsyncReusedBufferMatchesOracle(t *testing.T) {
+	const n, budget = 6, 4
+	for _, spec := range []string{SchedFIFO, SchedReorder, "delay:8", SchedAdversarial, "starve:2"} {
+		run := func(reuse bool) ([]types.Message, *AsyncResult) {
+			nodes := make([]AsyncNode, n)
+			for i := range nodes {
+				nodes[i] = &gossip{id: types.NodeID(i), n: n, budget: budget, reuse: reuse}
+			}
+			policy, err := ParsePolicy(spec, 17)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var trace []types.Message
+			res, err := RunAsync(nodes, AsyncConfig{
+				Policy: policy,
+				Trace:  func(m types.Message) { trace = append(trace, m) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return trace, res
+		}
+		gotTrace, got := run(true)
+		wantTrace, want := run(false)
+		if !reflect.DeepEqual(gotTrace, wantTrace) {
+			t.Errorf("%s: reused-buffer transcript differs from the fresh-slice one", spec)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: result\n %+v\nfresh-slice oracle\n %+v", spec, got, want)
+		}
+		if len(gotTrace) < (n-1)*budget {
+			t.Errorf("%s: only %d deliveries, the flood never got going", spec, len(gotTrace))
+		}
+	}
+}

@@ -90,6 +90,13 @@ go run ./cmd/chaos -seed 42 -runs 250 -async |
   grep -E 'async: terminated=[1-9][0-9]* notTerminated=[1-9][0-9]* \(starved=[1-9][0-9]*\) certificates=[1-9][0-9]* safety_violations=0'
 go run ./cmd/chaos -seed 7 -async-sweep BENCH_async.json -async-runs 200 |
   grep -E 'async sweep adversarial: .* safety_violations=0'
+# The A-Cast/ABA handlers emit into a node-owned outbox; the order they emit
+# in is schedule. Hold it to the slice-returning oracle (transcript and result
+# over n x policy x fault wrapper, then a short fuzz of the same differential)
+# and hold the warmed handlers and the run's borrowed-slice rule to 0 allocs
+# and no stale reads.
+go test -run 'Oracle|AllocsPerRun' ./internal/acast ./internal/round
+go test -run '^$' -fuzz FuzzOutboxVsOracle -fuzztime 10s ./internal/acast
 
 echo "== cluster mode smoke (one OS process per node) =="
 # The paper's running example as 7 real processes over loopback TCP, then a
