@@ -34,8 +34,8 @@ type (
 	// ChaosTopoSpec pins one scenario's communication graph, channel mode,
 	// and fault placement; it round-trips through the scenario's JSON.
 	ChaosTopoSpec = chaos.TopoSpec
-	// ChaosTopoBench is the Theorem 3 connectivity-boundary table, the
-	// BENCH_topology.json artifact.
+	// ChaosTopoBench is the Theorem 3 connectivity-boundary table that
+	// cmd/chaos -topo-sweep writes.
 	ChaosTopoBench = chaos.TopoBench
 	// ChaosGridPoint is one (N, M, U) sweep point of a campaign grid.
 	ChaosGridPoint = chaos.GridPoint
@@ -49,7 +49,7 @@ type (
 	// Terminated/NotTerminated verdict split, starvation count, and the
 	// safety-violation total (zero for any within-tolerance campaign).
 	ChaosAsyncTally = chaos.AsyncTally
-	// ChaosAsyncBench is the BENCH_async.json document: FIFO-versus-
+	// ChaosAsyncBench is the cmd/chaos -async-sweep document: FIFO-versus-
 	// adversarial scheduling over identical seeded A-Cast workloads.
 	ChaosAsyncBench = chaos.AsyncBench
 )

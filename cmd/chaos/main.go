@@ -9,10 +9,10 @@
 //	chaos -seed 42 -grid 5:1:2,7:2:2 -json   # pinned grid, JSON report
 //	chaos -replay '<scenario json>'          # re-run one counterexample
 //	chaos -graph harary:4:9 -placement cutset # campaign over a sparse graph
-//	chaos -topo-sweep BENCH_topology.json    # Theorem 3 boundary table
+//	chaos -topo-sweep topo.json              # Theorem 3 boundary table
 //	chaos -async -runs 500                   # asynchronous A-Cast campaign
 //	chaos -async -sched adversarial,starve   # pin the scheduler pool
-//	chaos -async-sweep BENCH_async.json      # FIFO vs adversarial benchmark
+//	chaos -async-sweep async.json            # FIFO vs adversarial benchmark
 //
 // Grid syntax: comma-separated n:m:u triples. With -shrink, every scenario
 // that misses its expected verdict is delta-debugged to a locally minimal
@@ -68,11 +68,11 @@ func run(args []string, out io.Writer) error {
 		replay     = fs.String("replay", "", "replay one scenario (JSON) instead of running a campaign")
 		graphDef   = cliflags.Graph(fs)
 		placement  = cliflags.Placement(fs)
-		topoSweep  = fs.String("topo-sweep", "", "write the Theorem 3 topology boundary table (BENCH_topology.json) to this path and exit")
+		topoSweep  = fs.String("topo-sweep", "", "write the Theorem 3 topology boundary table to this path and exit")
 		topoRuns   = fs.Int("topo-runs", 4, "seeded runs per topology-sweep cell")
 		async      = fs.Bool("async", false, "run the campaign on the asynchronous track: A-Cast under drawn scheduling policies, safety judged under every schedule")
 		sched      = fs.String("sched", "", "scheduling-policy pool for -async, comma separated (fifo, reorder, delay[:K], adversarial, starve; default: all)")
-		asyncSweep = fs.String("async-sweep", "", "write the FIFO-vs-adversarial scheduling benchmark (BENCH_async.json) to this path and exit")
+		asyncSweep = fs.String("async-sweep", "", "write the FIFO-vs-adversarial scheduling benchmark to this path and exit")
 		asyncRuns  = fs.Int("async-runs", 200, "seeded runs per scheduler in the -async-sweep benchmark")
 		tracePath  = cliflags.Trace(fs)
 	)
@@ -293,9 +293,10 @@ func parseTopoAxis(graphDef, placement string) (*chaos.TopoAxis, error) {
 	return axis, nil
 }
 
-// runTopoSweep executes the Theorem 3 boundary table and writes it as the
-// BENCH_topology.json artifact. A violation in any at-or-above-bound cell
-// with f ≤ u makes the run exit non-zero: Theorem 3 predicts exactly zero.
+// runTopoSweep executes the Theorem 3 boundary table and writes it to path
+// (testdata/topo_sweep_seed9.json is the seed-9 golden). A violation in any
+// at-or-above-bound cell with f ≤ u makes the run exit non-zero: Theorem 3
+// predicts exactly zero.
 func runTopoSweep(out io.Writer, path string, seed int64, runsPerCell int) error {
 	bench, err := degradable.ChaosTopologySweep(seed, runsPerCell)
 	if err != nil {
@@ -336,8 +337,9 @@ func parseAsyncAxis(async bool, sched string) (*chaos.AsyncAxis, error) {
 }
 
 // runAsyncSweep executes the FIFO-versus-adversarial scheduling benchmark
-// and writes it as the BENCH_async.json artifact. Any safety violation makes
-// the run exit non-zero: quorum-certificate safety covers every schedule.
+// and writes it to path (testdata/async_sweep_seed7.json is the seed-7
+// golden). Any safety violation makes the run exit non-zero:
+// quorum-certificate safety covers every schedule.
 func runAsyncSweep(out io.Writer, path string, seed int64, runs int) error {
 	bench, err := degradable.ChaosAsyncSweep(seed, runs)
 	if err != nil {

@@ -10,7 +10,6 @@
 //	cluster -n 7 -m 1 -u 2 -kill 3:2:sent:bitflip             # + corrupted checkpoint
 //	cluster -n 7 -m 1 -u 2 -campaign 25 -seed 7               # chaos campaign
 //	cluster -n 7 -m 1 -u 2 -campaign 25 -crashes 2            # + crash schedules
-//	cluster -n 7 -m 1 -u 2 -campaign 25 -bench BENCH.json     # + latency artifact
 //
 // Fault syntax matches cmd/degrade: node:kind[:value][:seed] with kinds
 // silent, crash, lie, twofaced, random. Crash schedules (-kill) are
@@ -18,12 +17,12 @@
 // truncate, stale (damage the victim's checkpoint before the respawn) or
 // norestart (leave it dead: NeverConverged by construction). The run's
 // convergence taxonomy (Converged-in-k-rounds / NeverConverged) and the
-// restore counters land in the report and the -bench artifact's recovery
-// section. In campaign mode every generated scenario executes across real
-// processes and is classified by the chaos engine (SpecHeld / GracefulOnly
-// / Violated / Infeasible); the command exits non-zero on any violation or
-// missed expectation. Node processes are spawned by re-executing this
-// binary (-node-bin substitutes another node binary, e.g. cmd/node).
+// restore counters land in the report. In campaign mode every generated
+// scenario executes across real processes and is classified by the chaos
+// engine (SpecHeld / GracefulOnly / Violated / Infeasible); the command
+// exits non-zero on any violation or missed expectation. Node processes are
+// spawned by re-executing this binary (-node-bin substitutes another node
+// binary, e.g. cmd/node).
 package main
 
 import (
@@ -52,83 +51,6 @@ func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "cluster:", err)
 		os.Exit(1)
-	}
-}
-
-// benchArtifact is the -bench JSON shape: the cluster's round-latency
-// summary alongside the run shape, for CI artifact upload. Obs carries the
-// full unified telemetry snapshot (the same schema BENCH_service.json
-// embeds), so one tool can diff either artifact.
-type benchArtifact struct {
-	N              int           `json:"n"`
-	M              int           `json:"m"`
-	U              int           `json:"u"`
-	Runs           int           `json:"runs"`
-	Processes      int           `json:"processes"`
-	RoundWaitMax   time.Duration `json:"roundWaitMaxNs"`
-	RoundWaitTotal time.Duration `json:"roundWaitTotalNs"`
-	RoundWaitMaxMS float64       `json:"roundWaitMaxMs"`
-	RoundWaitP50MS float64       `json:"roundWaitP50Ms"`
-	RoundWaitP99MS float64       `json:"roundWaitP99Ms"`
-	LateBatches    int           `json:"lateBatches"`
-	Healthy        bool          `json:"healthy"`
-	// Recovery summarizes crash-recovery runs (present only when a crash
-	// schedule was in play): taxonomy, restore counters, and the
-	// kill-to-report convergence-time histogram's summary.
-	Recovery *recoverySection `json:"recovery,omitempty"`
-	Obs      obs.Snapshot     `json:"obs"`
-}
-
-// recoverySection is the bench artifact's crash-recovery summary,
-// assembled from the merged telemetry snapshot's restart/checkpoint
-// counters and convergence_time histogram.
-type recoverySection struct {
-	// Convergence is the taxonomy label of a single run
-	// ("Converged-in-k-rounds" / "NeverConverged"); campaigns leave it
-	// empty and speak through the counters.
-	Convergence      string  `json:"convergence,omitempty"`
-	Restarts         uint64  `json:"restarts"`
-	CheckpointsTotal uint64  `json:"checkpointsTotal"`
-	CorruptRejected  uint64  `json:"corruptRejected"`
-	StaleRejected    uint64  `json:"staleRejected"`
-	MissingReinits   uint64  `json:"missingReinits"`
-	ConvergeCount    uint64  `json:"convergeCount"`
-	ConvergeMeanMS   float64 `json:"convergeMeanMs"`
-	ConvergeMaxMS    float64 `json:"convergeMaxMs"`
-}
-
-// recoverySummary builds the artifact's recovery section from a merged
-// snapshot; nil when the snapshot shows no recovery activity at all.
-func recoverySummary(snap obs.Snapshot, convergence string, scheduled bool) *recoverySection {
-	conv := snap.Histograms[cluster.ConvergenceHist]
-	if !scheduled && snap.Counter("restart_total") == 0 {
-		return nil
-	}
-	return &recoverySection{
-		Convergence:      convergence,
-		Restarts:         snap.Counter("restart_total"),
-		CheckpointsTotal: snap.Counter("checkpoints_total"),
-		CorruptRejected:  snap.Counter("checkpoint_corrupt_total"),
-		StaleRejected:    snap.Counter("checkpoint_stale_total"),
-		MissingReinits:   snap.Counter("checkpoint_missing_total"),
-		ConvergeCount:    conv.Count,
-		ConvergeMeanMS:   float64(conv.Mean()) / float64(time.Millisecond),
-		ConvergeMaxMS:    float64(conv.MaxNs) / float64(time.Millisecond),
-	}
-}
-
-// artifact assembles the bench shape from a merged telemetry snapshot and a
-// round-wait summary (nanosecond units).
-func artifact(n, m, u, runs, processes int, snap obs.Snapshot, wait stats.Summary, healthy bool) benchArtifact {
-	late := int(snap.Counter("late_batches_total"))
-	return benchArtifact{
-		N: n, M: m, U: u, Runs: runs, Processes: processes,
-		RoundWaitMax:   time.Duration(wait.Max),
-		RoundWaitTotal: time.Duration(wait.Mean * float64(wait.N)),
-		RoundWaitMaxMS: wait.Max / float64(time.Millisecond),
-		RoundWaitP50MS: wait.P50 / float64(time.Millisecond),
-		RoundWaitP99MS: wait.P99 / float64(time.Millisecond),
-		LateBatches:    late, Healthy: healthy, Obs: snap,
 	}
 }
 
@@ -162,7 +84,6 @@ func run(args []string, out io.Writer) error {
 		kill     = fs.String("kill", "", "crash schedule as node:round[:phase][:bitflip|truncate|stale|norestart], comma separated")
 		ckptDir  = fs.String("ckpt-dir", "", "checkpoint directory (default: a temporary directory per run)")
 		grace    = fs.Duration("grace", 0, "recovery grace: how long a respawned victim may take to rejoin (default deadline*(m+3)+5s)")
-		bench    = fs.String("bench", "", "write round-latency counters to this JSON file")
 		trace    = fs.String("trace", "", "dump the structured round-event stream to this JSONL file")
 		asJSON   = fs.Bool("json", false, "emit the full report as JSON")
 		nodeBin  = fs.String("node-bin", "", "spawn this node binary instead of re-executing (e.g. a cmd/node build)")
@@ -183,7 +104,7 @@ func run(args []string, out io.Writer) error {
 		return runCampaign(ctx, out, campaignConfig{
 			n: *n, m: *m, u: *u, seed: *seed, runs: *campaign,
 			crashes:  *crashes,
-			deadline: *deadline, bench: *bench, trace: *trace,
+			deadline: *deadline, trace: *trace,
 			asJSON: *asJSON, command: command,
 		})
 	}
@@ -235,13 +156,6 @@ func run(args []string, out io.Writer) error {
 				rep.Recovery.CorruptRejected, rep.Recovery.StaleRejected)
 		}
 	}
-	if *bench != "" {
-		a := artifact(*n, *m, *u, 1, *n, rep.Obs, rep.RoundWait, rep.Verdict.OK)
-		a.Recovery = recoverySummary(rep.Obs, rep.Convergence, len(kills) > 0)
-		if err := writeBench(*bench, a); err != nil {
-			return err
-		}
-	}
 	if !rep.Verdict.OK {
 		return fmt.Errorf("spec violated: %s", rep.Verdict.Reason)
 	}
@@ -255,7 +169,6 @@ type campaignConfig struct {
 	runs     int
 	crashes  int
 	deadline time.Duration
-	bench    string
 	trace    string
 	asJSON   bool
 	command  []string
@@ -263,7 +176,7 @@ type campaignConfig struct {
 
 // runCampaign sweeps a seeded chaos campaign where every scenario runs as
 // one OS process per node, merging the unified telemetry snapshots across
-// runs for the bench artifact.
+// runs for the summary lines.
 func runCampaign(ctx context.Context, out io.Writer, cc campaignConfig) error {
 	var agg struct {
 		snap      obs.Snapshot
@@ -329,10 +242,13 @@ func runCampaign(ctx context.Context, out io.Writer, cc campaignConfig) error {
 			rep.SpecHeld, rep.GracefulOnly, rep.Violated, rep.Infeasible)
 		fmt.Fprintf(out, "round waits: max %v, p50 %v, p99 %v; late batches: %d\n",
 			time.Duration(wait.Max), time.Duration(wait.P50), time.Duration(wait.P99), late)
-		if rs := recoverySummary(agg.snap, "", cc.crashes > 0); rs != nil {
+		if snap := agg.snap; cc.crashes > 0 || snap.Counter("restart_total") > 0 {
+			conv := snap.Histograms[cluster.ConvergenceHist]
 			fmt.Fprintf(out, "recovery: %d restart(s), %d checkpoint(s), %d corrupt / %d stale / %d missing re-init(s), converge mean %.1fms max %.1fms\n",
-				rs.Restarts, rs.CheckpointsTotal, rs.CorruptRejected, rs.StaleRejected,
-				rs.MissingReinits, rs.ConvergeMeanMS, rs.ConvergeMaxMS)
+				snap.Counter("restart_total"), snap.Counter("checkpoints_total"),
+				snap.Counter("checkpoint_corrupt_total"), snap.Counter("checkpoint_stale_total"),
+				snap.Counter("checkpoint_missing_total"),
+				float64(conv.Mean())/float64(time.Millisecond), float64(conv.MaxNs)/float64(time.Millisecond))
 		}
 		for i, f := range rep.Failures {
 			fmt.Fprintf(out, "FAILURE %d: %s\n  reproduce: %s\n", i+1, f.Outcome.ExpectReason, f.ReproCommand)
@@ -340,14 +256,6 @@ func runCampaign(ctx context.Context, out io.Writer, cc campaignConfig) error {
 	}
 	if cc.trace != "" {
 		if err := writeTrace(cc.trace, agg.events); err != nil {
-			return err
-		}
-	}
-	if cc.bench != "" {
-		a := artifact(cc.n, cc.m, cc.u, rep.Completed, agg.processes,
-			agg.snap, wait, rep.Healthy())
-		a.Recovery = recoverySummary(agg.snap, "", cc.crashes > 0)
-		if err := writeBench(cc.bench, a); err != nil {
 			return err
 		}
 	}
@@ -359,15 +267,6 @@ func runCampaign(ctx context.Context, out io.Writer, cc campaignConfig) error {
 		return fmt.Errorf("interrupted after %d/%d scenarios", rep.Completed, rep.Runs)
 	}
 	return nil
-}
-
-// writeBench writes the round-latency artifact.
-func writeBench(path string, a benchArtifact) error {
-	b, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // parseKills parses node:round[:phase][:mod] crash-schedule entries: phase

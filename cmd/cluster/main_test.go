@@ -6,7 +6,6 @@ import (
 	"errors"
 	"flag"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -34,7 +33,7 @@ func TestClusterHelpListsEveryFlag(t *testing.T) {
 	for _, name := range []string{
 		"n", "m", "u", "sender", "value", "faults", "seed",
 		"deadline", "campaign", "crashes", "kill", "ckpt-dir", "grace",
-		"bench", "json", "node-bin",
+		"trace", "json", "node-bin",
 	} {
 		if !strings.Contains(out.String(), "-"+name) {
 			t.Errorf("-h output missing flag -%s:\n%s", name, out.String())
@@ -97,70 +96,47 @@ func TestParseKills(t *testing.T) {
 }
 
 // TestClusterCommandCrashRecovery drives the binary's kill/restart path:
-// a real SIGKILL at a round boundary, the convergence taxonomy in the
-// output, and the bench artifact's recovery section.
+// a real SIGKILL at a round boundary, the convergence taxonomy and the
+// recovery counters in the -json report. The text line is grep-gated by
+// scripts/check.sh and the recovery-smoke CI job.
 func TestClusterCommandCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
 	}
-	bench := filepath.Join(t.TempDir(), "BENCH_recovery.json")
-	var out bytes.Buffer
-	err := run([]string{
-		"-n", "5", "-m", "1", "-u", "2",
-		"-kill", "2:1:sent", "-deadline", "1500ms", "-bench", bench,
-	}, &out)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
+	rep := runJSON(t, []string{"-n", "5", "-m", "1", "-u", "2", "-kill", "2:1:sent", "-deadline", "1500ms"})
+	if rep.Recovery == nil || rep.Recovery.Restarts != 1 {
+		t.Fatalf("recovery = %+v", rep.Recovery)
 	}
-	if !strings.Contains(out.String(), "recovery: Converged-in-") {
-		t.Errorf("recovery line missing:\n%s", out.String())
+	if got := rep.Obs.Counter("checkpoints_total"); got == 0 {
+		t.Error("no checkpoints written")
 	}
-	raw, err := os.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a benchArtifact
-	if err := json.Unmarshal(raw, &a); err != nil {
-		t.Fatalf("bench artifact: %v\n%s", err, raw)
-	}
-	if a.Recovery == nil {
-		t.Fatalf("bench artifact has no recovery section:\n%s", raw)
-	}
-	if a.Recovery.Restarts != 1 || a.Recovery.CheckpointsTotal == 0 || a.Recovery.ConvergeCount != 1 {
-		t.Errorf("recovery section = %+v", a.Recovery)
-	}
-	if !strings.HasPrefix(a.Recovery.Convergence, "Converged-in-") {
-		t.Errorf("convergence %q", a.Recovery.Convergence)
+	if !strings.HasPrefix(rep.Convergence, "Converged-in-") {
+		t.Errorf("convergence %q", rep.Convergence)
 	}
 }
 
 // TestClusterCommandEndToEnd drives the binary's single-run path: real node
-// processes, a spec verdict, and the bench artifact.
+// processes, a spec verdict, and the round waits in the -json report.
 func TestClusterCommandEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns OS processes")
 	}
-	bench := filepath.Join(t.TempDir(), "BENCH_cluster.json")
+	rep := runJSON(t, []string{"-n", "5", "-m", "1", "-u", "2", "-faults", "2:twofaced:999", "-deadline", "10s"})
+	if !rep.Verdict.OK || rep.RoundWaitMax() <= 0 {
+		t.Errorf("verdict %+v, round wait max %v", rep.Verdict, rep.RoundWaitMax())
+	}
+}
+
+// runJSON runs the binary with -json and decodes its report.
+func runJSON(t *testing.T, args []string) *cluster.Report {
+	t.Helper()
 	var out bytes.Buffer
-	err := run([]string{
-		"-n", "5", "-m", "1", "-u", "2",
-		"-faults", "2:twofaced:999", "-deadline", "10s", "-bench", bench,
-	}, &out)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
+	if err := run(append(args, "-json"), &out); err != nil {
+		t.Fatalf("run -json: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "verdict:") || !strings.Contains(out.String(), "ok=true") {
-		t.Errorf("verdict line missing:\n%s", out.String())
+	var rep cluster.Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("-json report: %v\n%s", err, out.String())
 	}
-	raw, err := os.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a benchArtifact
-	if err := json.Unmarshal(raw, &a); err != nil {
-		t.Fatalf("bench artifact: %v\n%s", err, raw)
-	}
-	if !a.Healthy || a.Processes != 5 || a.RoundWaitMax <= 0 {
-		t.Errorf("bench artifact = %+v", a)
-	}
+	return &rep
 }

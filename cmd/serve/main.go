@@ -8,7 +8,7 @@
 //	serve -addr :7001 -shards 2 -queue 1024 -batch 64
 //
 // The daemon speaks the length-prefixed binary protocol of internal/wire
-// (cmd/loadgen and degradable.Dial are ready-made clients). SIGTERM or
+// (degradable.Dial is a ready-made client). SIGTERM or
 // SIGINT triggers a graceful shutdown: the listener closes, in-flight
 // requests are answered and flushed, the shard queues drain, and the final
 // service counters are printed.

@@ -269,7 +269,7 @@ func TestCampaignCutsetPlacement(t *testing.T) {
 	}
 }
 
-// TestTopologySweep checks the BENCH_topology table: deterministic, zero
+// TestTopologySweep checks the boundary table: deterministic, zero
 // violations on the sufficient side of the Theorem 3 boundary, and at least
 // one cell where classic BA's connectivity bound refuses a graph the
 // degradable spec still holds on.

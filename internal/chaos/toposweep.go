@@ -39,8 +39,8 @@ type TopoCell struct {
 	HopsPerLogicalMsg float64 `json:"hops_per_logical_msg"`
 }
 
-// TopoBench is the BENCH_topology.json artifact: the full boundary table
-// plus aggregates in bench_compare-friendly numeric keys.
+// TopoBench is the Theorem 3 boundary table cmd/chaos -topo-sweep writes:
+// every cell plus the aggregates its summary line reports.
 type TopoBench struct {
 	Seed        int64      `json:"seed"`
 	RunsPerCell int        `json:"runs_per_cell"`

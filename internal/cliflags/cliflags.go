@@ -30,9 +30,7 @@ func Shards(fs *flag.FlagSet) *int {
 	return fs.Int("shards", 0, "worker shards (default: GOMAXPROCS-aware service default)")
 }
 
-// Quota registers the per-tenant admission-quota flag, shared by
-// cmd/router and cmd/loadgen's -fleet mode (which passes it through to the
-// router it spawns).
+// Quota registers the per-tenant admission-quota flag of cmd/router.
 func Quota(fs *flag.FlagSet) *string {
 	return fs.String("quota", "",
 		"per-tenant token-bucket quotas as tenant:rate[:burst] comma-separated; unlisted tenants are unlimited")

@@ -24,8 +24,8 @@ import (
 const RoleEnv = "DEGRADABLE_FLEET_ROLE"
 
 // Hijack diverts the process into a fleet role when RoleEnv is set. Call
-// it first thing in main() of any binary that launches fleets (cmd/loadgen
-// and its tests); it does not return when a role is set.
+// it first thing in main() of any binary that launches fleets (the fleet
+// tests' TestMain); it does not return when a role is set.
 func Hijack() {
 	role := os.Getenv(RoleEnv)
 	if role == "" {

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -18,9 +17,11 @@ import (
 )
 
 // LaunchConfig describes a fleet to spawn as real OS processes: K serve
-// daemons on ephemeral loopback ports behind one router. The benchmark
-// path uses it so BENCH_fleet.json measures genuine cross-process hops,
-// not in-process shortcuts.
+// daemons on ephemeral loopback ports behind one router, each a re-exec of
+// the current binary in the role RoleEnv names (main, or the test binary's
+// TestMain, must call Hijack first thing). The fleet tests use it so the
+// router, admission and health paths run across genuine process hops, not
+// in-process shortcuts.
 type LaunchConfig struct {
 	// Daemons is how many cmd/serve processes to spawn (default 2).
 	Daemons int
@@ -28,12 +29,6 @@ type LaunchConfig struct {
 	DaemonArgs []string
 	// RouterArgs are extra argv entries for the router (e.g. -quota 7:50).
 	RouterArgs []string
-	// ServeBin / RouterBin override the spawned argv. Empty means re-exec
-	// the current binary with RoleEnv set ("daemon"/"router"), which
-	// requires main() to call Hijack. check.sh passes the real ./bin/serve
-	// and ./bin/router here so the smoke exercises the shipped binaries.
-	ServeBin  []string
-	RouterBin []string
 }
 
 // listenWait bounds how long awaitListen waits for a member's startup
@@ -59,19 +54,9 @@ type Fleet struct {
 	RouterAddr string
 }
 
-// StartDaemons spawns count serve daemons on ephemeral loopback ports and
-// waits for each to report its address. bin overrides the argv (empty
-// re-execs the current binary in the daemon role). The benchmark's
-// single-daemon baseline uses it directly, without a router in front.
-func StartDaemons(ctx context.Context, count int, bin, extraArgs []string) ([]*Proc, error) {
-	self := ""
-	if len(bin) == 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, err
-		}
-		self = exe
-	}
+// startDaemons spawns count serve daemons (re-execs of self) on ephemeral
+// loopback ports and waits for each to report its address.
+func startDaemons(ctx context.Context, self string, count int, extraArgs []string) ([]*Proc, error) {
 	var procs []*Proc
 	ok := false
 	defer func() {
@@ -82,15 +67,8 @@ func StartDaemons(ctx context.Context, count int, bin, extraArgs []string) ([]*P
 		}
 	}()
 	for i := 0; i < count; i++ {
-		argv := append([]string{}, bin...)
-		role := ""
-		if len(argv) == 0 {
-			argv = []string{self}
-			role = "daemon"
-		}
-		argv = append(argv, "-addr", "127.0.0.1:0")
-		argv = append(argv, extraArgs...)
-		p, err := spawnProc(ctx, argv, role)
+		argv := append([]string{self, "-addr", "127.0.0.1:0"}, extraArgs...)
+		p, err := spawnProc(ctx, argv, "daemon")
 		if err != nil {
 			return nil, fmt.Errorf("fleet: daemon %d: %w", i, err)
 		}
@@ -111,13 +89,9 @@ func Launch(ctx context.Context, cfg LaunchConfig) (*Fleet, error) {
 	if cfg.Daemons <= 0 {
 		cfg.Daemons = 2
 	}
-	self := ""
-	if len(cfg.RouterBin) == 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, err
-		}
-		self = exe
+	self, err := os.Executable()
+	if err != nil {
+		return nil, err
 	}
 	fl := &Fleet{}
 	ok := false
@@ -127,7 +101,7 @@ func Launch(ctx context.Context, cfg LaunchConfig) (*Fleet, error) {
 		}
 	}()
 
-	daemons, err := StartDaemons(ctx, cfg.Daemons, cfg.ServeBin, cfg.DaemonArgs)
+	daemons, err := startDaemons(ctx, self, cfg.Daemons, cfg.DaemonArgs)
 	if err != nil {
 		return nil, err
 	}
@@ -137,19 +111,12 @@ func Launch(ctx context.Context, cfg LaunchConfig) (*Fleet, error) {
 	for i, p := range fl.Daemons {
 		backends[i] = p.Addr
 	}
-	argv := append([]string{}, cfg.RouterBin...)
-	role := ""
-	if len(argv) == 0 {
-		argv = []string{self}
-		role = "router"
-	}
-	argv = append(argv,
+	argv := append([]string{self,
 		"-addr", "127.0.0.1:0",
 		"-backends", strings.Join(backends, ","),
 		"-pprof", "127.0.0.1:0",
-	)
-	argv = append(argv, cfg.RouterArgs...)
-	p, err := spawnProc(ctx, argv, role)
+	}, cfg.RouterArgs...)
+	p, err := spawnProc(ctx, argv, "router")
 	if err != nil {
 		return nil, fmt.Errorf("fleet: router: %w", err)
 	}
@@ -163,8 +130,7 @@ func Launch(ctx context.Context, cfg LaunchConfig) (*Fleet, error) {
 }
 
 // ScrapeRouter fetches the router's /debug/vars JSON snapshot — the
-// router→backend latency histogram, health gauges, and shed counters —
-// for the benchmark's per-tier breakdown.
+// router→backend latency histogram, health gauges, and shed counters.
 func (fl *Fleet) ScrapeRouter() (obs.Snapshot, error) {
 	var snap obs.Snapshot
 	if fl.Router == nil || fl.Router.Debug == "" {
@@ -301,17 +267,3 @@ func (p *Proc) DrainOutput() {
 		}
 	}()
 }
-
-// TenantOf maps a load-generator worker index to its tenant ID, shared by
-// the benchmark and check.sh smoke so "worker w is tenant w mod T" holds
-// everywhere.
-func TenantOf(worker, tenants int) uint32 {
-	if tenants <= 0 {
-		return 0
-	}
-	return uint32(worker % tenants)
-}
-
-// FormatTenant renders a tenant ID the way service.TenantKey does, for
-// snapshot series lookups from launcher-side code.
-func FormatTenant(t uint32) string { return strconv.FormatUint(uint64(t), 10) }

@@ -40,8 +40,10 @@ func TestAwaitListenTimesOut(t *testing.T) {
 }
 
 // TestLaunchFleet spawns a real 2-daemon fleet behind a router (process
-// per member, re-exec'd from this binary), routes a request through it
-// over TCP, scrapes the router's telemetry, and stops everything.
+// per member, re-exec'd from this binary), routes requests through it over
+// TCP, scrapes the router's telemetry, and stops everything. The admission
+// story is the gate: the capped tenant sheds with resource_exhausted, and
+// the uncapped tenant never sheds, even in a pipelined burst.
 func TestLaunchFleet(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -85,14 +87,29 @@ func TestLaunchFleet(t *testing.T) {
 			t.Fatalf("tenant-9 request %d: status=%v want %v", i, r.Status, want)
 		}
 	}
+	const uncapped = 4
+	var pending []<-chan wire.Result
+	for i := 0; i < uncapped; i++ {
+		ch, err := c.SendTagged(service.Request{N: 5, M: 1, U: 2, Value: 4}, wire.Tag{Tenant: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending = append(pending, ch)
+	}
+	for i, ch := range pending {
+		if r := <-ch; r.Status != wire.StatusOK {
+			t.Fatalf("tenant-0 request %d: status=%v want %v", i, r.Status, wire.StatusOK)
+		}
+	}
 	c.Close()
 
 	snap, err := fl.ScrapeRouter()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.Counter("fleet_routed_total"); got != 2 {
-		t.Errorf("fleet_routed_total = %d, want 2", got)
+	const routed = 2 + uncapped
+	if got := snap.Counter("fleet_routed_total"); got != routed {
+		t.Errorf("fleet_routed_total = %d, want %d", got, routed)
 	}
 	if got := snap.Counter("fleet_shed_quota_total"); got != 1 {
 		t.Errorf("fleet_shed_quota_total = %d, want 1", got)
@@ -100,9 +117,12 @@ func TestLaunchFleet(t *testing.T) {
 	if got := snap.Counter(`fleet_admission_shed_total{tenant="9"}`); got != 1 {
 		t.Errorf("per-tenant shed series = %d, want 1", got)
 	}
+	if got := snap.Counter(`fleet_admission_shed_total{tenant="0"}`); got != 0 {
+		t.Errorf("uncapped tenant shed %d requests, want 0", got)
+	}
 	hist, ok := snap.Histograms["fleet_backend_latency"]
-	if !ok || hist.Count != 2 {
-		t.Errorf("fleet_backend_latency count = %d (present=%v), want 2", hist.Count, ok)
+	if !ok || hist.Count != routed {
+		t.Errorf("fleet_backend_latency count = %d (present=%v), want %d", hist.Count, ok, routed)
 	}
 	healthy := 0
 	for _, p := range fl.Daemons {

@@ -24,8 +24,7 @@
 //   - Registry (registry.go): Prometheus-text /metrics and JSON
 //     /debug/vars-style handlers over named views of the above.
 //   - Snapshot (snapshot.go): the unified point-in-time schema serialized
-//     into bench artifacts (BENCH_service.json, BENCH_cluster.json) and
-//     cluster node reports.
+//     into cluster node reports and the cmd/cluster -json report.
 //
 // Everything here is safe for concurrent use unless noted; snapshots are
 // not atomic across metrics (writers keep running) but each value is

@@ -89,8 +89,8 @@ func (s *HistSnapshot) Merge(other HistSnapshot) {
 
 // Snapshot is the unified telemetry schema every layer serializes: named
 // monotonic counters, named gauges, and named histogram captures. It is
-// the shape embedded in BENCH_service.json and BENCH_cluster.json and in
-// cluster node reports, so one tool can diff any layer's telemetry.
+// the shape /debug/vars serves and cluster node reports embed, so one
+// decoder reads any layer's telemetry.
 type Snapshot struct {
 	Counters   map[string]uint64       `json:"counters,omitempty"`
 	Gauges     map[string]float64      `json:"gauges,omitempty"`

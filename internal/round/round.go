@@ -11,10 +11,8 @@
 // realizes that with two sets of inboxes. Collect routes each accepted send
 // through the channel at once and appends the surviving copies to the
 // recipient's inbox in the *next* set; Deliver, the barrier a Driver places
-// between rounds, flips the sets. (A Config.Policy other than Lockstep queues
-// the sends on a Scheduler instead and lets the policy order and withhold
-// them at the barrier — only tests ask for that.) The asynchronous world has
-// no barrier: RunAsync pulls one policy-chosen delivery at a time from a
+// between rounds, flips the sets. The asynchronous world has no barrier:
+// RunAsync pulls one policy-chosen delivery at a time from a
 // Scheduler (FIFO, seeded reordering, unbounded delay, targeted starvation)
 // and message-driven AsyncNodes — quorum certificates instead of deadlines
 // (see internal/acast) — decide whenever their certificates complete.
@@ -128,23 +126,14 @@ type Config struct {
 	Rounds int
 	// Channel interposes on deliveries; nil means PerfectChannel.
 	Channel Channel
-	// Policy orders deliveries within a round; nil means Lockstep (collect
-	// order, routed as collected). Any other policy queues the round's sends
-	// and is run to quiescence at the barrier. Because every inbox ends in
-	// SortMessages order, any non-withholding policy produces byte-identical
-	// results — the barrier, not the intra-round order, is what the
-	// synchronous semantics rest on; a withholding policy (Starve) turns
-	// into per-round message loss, i.e. detectable absence. Protocol callers
-	// leave it nil.
-	Policy Policy
 	// RecordViews captures each node's full delivered-message transcript in
 	// the result. Used by the lower-bound indistinguishability checks and
 	// the cross-driver differential tests.
 	RecordViews bool
 	// Trace, when non-nil, observes every delivered message, in delivery
-	// order, before the Step calls of the round that reads it. Under
-	// Lockstep it is called from Collect, so other nodes' Step calls of the
-	// sending round may still be running on a concurrent driver.
+	// order, before the Step calls of the round that reads it. It is called
+	// from Collect, so other nodes' Step calls of the sending round may still
+	// be running on a concurrent driver.
 	Trace func(types.Message)
 	// Sink, when non-nil, receives structured round events (round open and
 	// close) regardless of which driver runs the schedule — the event stream
@@ -207,11 +196,8 @@ type Engine struct {
 	cfg  Config
 	byID []Node
 
-	// expander is cfg.Channel when it can deliver more than one copy. sched
-	// is nil under Lockstep, where Collect routes each send at once; any
-	// other Policy queues sends on it until the barrier.
+	// expander is cfg.Channel when it can deliver more than one copy.
 	expander Expander
-	sched    *Scheduler
 
 	res      *Result
 	counters *obs.CounterSet
@@ -278,9 +264,6 @@ func NewEngine(nodes []Node, cfg Config) (*Engine, error) {
 		counters: obs.NewCounterSet(CounterNames...),
 	}
 	e.expander, _ = cfg.Channel.(Expander)
-	if _, lockstep := cfg.Policy.(*Lockstep); !lockstep && cfg.Policy != nil {
-		e.sched = NewScheduler(cfg.Policy, cfg.Channel)
-	}
 	if cfg.RecordViews {
 		e.res.Views = make(map[types.NodeID][]types.Message, n)
 	}
@@ -328,9 +311,6 @@ func (e *Engine) Restart(nodes []Node) error {
 		e.cur[i].reset()
 		e.next[i].reset()
 	}
-	if e.sched != nil {
-		e.sched.Reset()
-	}
 	return nil
 }
 
@@ -343,22 +323,14 @@ func (e *Engine) Rounds() int { return e.cfg.Rounds }
 // Node returns the participant with ID i.
 func (e *Engine) Node(i int) Node { return e.byID[i] }
 
-// Deliver is the round barrier. Under Lockstep the round's deliveries are
-// already in the next inbox set — Collect routed them — so closing the round
-// is a flip of the two sets. Under any other Policy the sends are still
-// queued: the scheduler is drained through the channel first, and whatever
-// the policy withheld is discarded (the deadline passed — those sends are
-// now detectably absent). Either way each inbox ends in SortMessages order,
-// views are recorded, and the round-close and round-open events are emitted.
-// It must be called exactly once per round (before the round's Step calls)
-// and once more before the Finish calls, with no Step or Finish in flight:
-// the set the previous round read is truncated here to take the next one's
-// deliveries.
+// Deliver is the round barrier. The round's deliveries are already in the
+// next inbox set — Collect routed them — so closing the round is a flip of
+// the two sets. Each inbox then ends in SortMessages order, views are
+// recorded, and the round-close and round-open events are emitted. It must
+// be called exactly once per round (before the round's Step calls) and once
+// more before the Finish calls, with no Step or Finish in flight: the set the
+// previous round read is truncated here to take the next one's deliveries.
 func (e *Engine) Deliver() {
-	if e.sched != nil {
-		e.sched.Drain(func(dm types.Message) { e.route(&dm) })
-		e.sched.Reset()
-	}
 	e.cur, e.next = e.next, e.cur
 	for i := range e.next {
 		e.next[i].reset()
@@ -405,13 +377,12 @@ func (e *Engine) Inbox(i int) []types.Message { return e.cur[i].msgs }
 
 // Collect stamps and validates node i's round sends, enforcing assumption
 // (c): the true source is stamped, so a Byzantine node cannot spoof its
-// identity. Malformed and self-addressed sends are dropped. Under Lockstep
-// each accepted send then goes through the channel at once and its surviving
-// copies are routed into the next round's inboxes, so the channel sees sends
-// in collect order — node-ID order × outbox order under the in-tree drivers —
-// which is the sequence a seeded channel's draws are pinned to. Under any
-// other Policy the send is queued for the scheduler to order at the barrier.
-// out is read, never written: nodes reuse their outbox templates.
+// identity. Malformed and self-addressed sends are dropped. Each accepted
+// send then goes through the channel at once and its surviving copies are
+// routed into the next round's inboxes, so the channel sees sends in collect
+// order — node-ID order × outbox order under the in-tree drivers — which is
+// the sequence a seeded channel's draws are pinned to. out is read, never
+// written: nodes reuse their outbox templates.
 func (e *Engine) Collect(i, round int, out []types.Message) {
 	n := len(e.byID)
 	from := types.NodeID(i)
@@ -425,8 +396,6 @@ func (e *Engine) Collect(i, round int, out []types.Message) {
 		}
 		sent++
 		switch {
-		case e.sched != nil:
-			e.sched.Enqueue(m)
 		case e.expander != nil:
 			copies := e.expander.DeliverAll(m)
 			for c := range copies {

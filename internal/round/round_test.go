@@ -11,11 +11,10 @@ import (
 // sends its scripted messages, later rounds it sends nothing, and it decides
 // the count of messages it ever received.
 type echoNode struct {
-	id         types.NodeID
-	sends      []types.Message // sent in round 1, or in every round
-	everyRound bool
-	got        []types.Message
-	stepped    []int
+	id      types.NodeID
+	sends   []types.Message // sent in round 1
+	got     []types.Message
+	stepped []int
 }
 
 func (n *echoNode) ID() types.NodeID { return n.id }
@@ -25,7 +24,7 @@ func (n *echoNode) Step(round int, inbox []types.Message) []types.Message {
 	for _, m := range inbox {
 		n.got = append(n.got, m) // copy: the inbox buffer is reused
 	}
-	if round == 1 || n.everyRound {
+	if round == 1 {
 		return n.sends
 	}
 	return nil

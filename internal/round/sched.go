@@ -19,18 +19,14 @@ type Pending struct {
 	Seq uint64
 }
 
-// Policy chooses which queued send the scheduler delivers next. It is the
-// whole difference between the synchronous and asynchronous worlds:
-//
-//   - Lockstep delivers in collect order, and the drivers' barrier (calling
-//     Engine.Deliver once per round) closes each round at its deadline — the
-//     paper's §4 synchronous model as a scheduling policy. Nothing about it
-//     depends on what else is queued, so the Engine does not queue at all
-//     under it: each send is routed as it is collected.
-//   - FIFO, Reorder, Delay, Adversarial, and Starve order deliveries with no
-//     barrier at all; RunAsync drives them one delivery at a time, which is
-//     the asynchronous model (unbounded delay and reordering, §6.1's
-//     relaxed-timeout half-step taken the rest of the way).
+// Policy chooses which queued send the scheduler delivers next. FIFO,
+// Reorder, Delay, Adversarial, and Starve order deliveries with no barrier at
+// all; RunAsync drives them one delivery at a time, which is the
+// asynchronous model (unbounded delay and reordering, §6.1's relaxed-timeout
+// half-step taken the rest of the way). The synchronous world needs no
+// policy: the Engine routes each send in collect order as it is collected,
+// and the drivers' barrier (Engine.Deliver once per round) closes each round
+// at its deadline — the paper's §4 model.
 //
 // A Policy is a queue discipline that owns its storage: the scheduler pushes
 // every send in enqueue order and pops the policy's pick, so each policy
@@ -137,14 +133,6 @@ func (q *fifoQueue) rewind() {
 	q.blocks.rewind()
 	q.head = 0
 }
-
-// Lockstep delivers strictly in enqueue order. It is the policy the
-// synchronous Engine runs each round under: combined with the drivers'
-// round barrier it is the lockstep semantics (deadline-closed rounds) that
-// keep the cross-driver differential matrix byte-identical. The Engine
-// recognizes it (and a nil Config.Policy) and routes sends at Collect with no
-// queue; a Scheduler built with it still works, one Next at a time.
-type Lockstep struct{ fifoQueue }
 
 // FIFO delivers in enqueue order with no barrier: the kindest asynchronous
 // scheduler, and the baseline the adversarial ones are benchmarked against.
@@ -377,7 +365,6 @@ func (p *Starve) rewind() {
 }
 
 var (
-	_ Policy = (*Lockstep)(nil)
 	_ Policy = (*FIFO)(nil)
 	_ Policy = (*Reorder)(nil)
 	_ Policy = (*Delay)(nil)
@@ -463,16 +450,13 @@ func splitmix(x uint64) uint64 {
 // Scheduler is a deterministic delivery queue threaded through the
 // Channel/Expander interposition, ordered by a Policy. The policy owns the
 // queue; the scheduler stamps each send with its enqueue ticket and routes
-// each pick through the channel. RunAsync pulls one
-// policy-chosen delivery at a time from it with no barrier at all; a
-// synchronous Engine given a non-Lockstep Config.Policy queues each round's
-// sends on one and drains it at the barrier (under Lockstep the Engine needs
-// no queue, see Engine.Collect). Either way a seed fully determines the
+// each pick through the channel. RunAsync pulls one policy-chosen delivery
+// at a time from it with no barrier at all. A seed fully determines the
 // delivery order, which is what makes asynchronous chaos scenarios
 // recordable, replayable, and shrinkable like every other axis.
 //
-// A Scheduler is not safe for concurrent use; the engine (or async run)
-// serializes all calls.
+// A Scheduler is not safe for concurrent use; the async run serializes all
+// calls.
 type Scheduler struct {
 	policy   Policy
 	ch       Channel
@@ -482,12 +466,12 @@ type Scheduler struct {
 }
 
 // NewScheduler builds a scheduler over the given policy and channel. A nil
-// policy means Lockstep; a nil channel means PerfectChannel. The policy's
+// policy means FIFO; a nil channel means PerfectChannel. The policy's
 // queue is emptied: whatever an earlier scheduler left on it is not this
 // one's to deliver.
 func NewScheduler(policy Policy, ch Channel) *Scheduler {
 	if policy == nil {
-		policy = &Lockstep{}
+		policy = &FIFO{}
 	}
 	if ch == nil {
 		ch = PerfectChannel{}
@@ -506,13 +490,6 @@ func (s *Scheduler) Enqueue(m types.Message) {
 
 // Len returns the number of queued sends.
 func (s *Scheduler) Len() int { return s.policy.len() }
-
-// Reset rearms the scheduler for a fresh run, retaining the policy's queue
-// buffers (the batch hot loop reuses engines without allocating).
-func (s *Scheduler) Reset() {
-	s.policy.rewind()
-	s.seq = 0
-}
 
 // Next asks the policy for one send, routes it through the channel, and
 // invokes deliver for every physical copy (an Expander may duplicate or
@@ -539,19 +516,3 @@ func (s *Scheduler) Next(deliver func(types.Message)) bool {
 // Starved reports whether sends remain queued — after Next returns false,
 // it distinguishes a withholding policy (true) from an empty queue (false).
 func (s *Scheduler) Starved() bool { return s.policy.len() > 0 }
-
-// Drain runs the policy to quiescence through Next, delivering until the
-// queue empties or the policy withholds the rest. A synchronous Engine built
-// with a non-Lockstep Config.Policy calls it once per round, at the barrier;
-// under Lockstep the engine has no queue to drain (Engine.Collect routes each
-// send as it is collected). Each Next costs what the policy's own structure
-// makes its pick cost — O(1) for the enqueue-order policies, O(log q) for
-// Delay, one block walk and one in-block copy for Reorder and Adversarial —
-// so a drain is near-linear in queue length. deliver must not Enqueue — at a
-// round barrier no Step call is in flight, so nothing can send during
-// delivery (asynchronous runs, where a delivery does trigger sends, call
-// Next themselves).
-func (s *Scheduler) Drain(deliver func(types.Message)) {
-	for s.Next(deliver) {
-	}
-}

@@ -9,10 +9,10 @@ import (
 
 var benchSpecs = []string{"fifo", "reorder", "delay", "adversarial", "starve:2"}
 
-// steadyScheduler returns a scheduler holding q sends whose buffers have
-// reached their steady-state size, and the step that keeps it there: one
-// Enqueue, one Next.
-func steadyScheduler(tb testing.TB, spec string, q int) (*Scheduler, func()) {
+// steadyScheduler builds a scheduler holding q sends whose buffers have
+// reached their steady-state size and returns the step that keeps it there:
+// one Enqueue, one Next.
+func steadyScheduler(tb testing.TB, spec string, q int) func() {
 	p, err := ParsePolicy(spec, 42)
 	if err != nil {
 		tb.Fatal(err)
@@ -37,7 +37,7 @@ func steadyScheduler(tb testing.TB, spec string, q int) (*Scheduler, func()) {
 	for w := 0; w < 4*q; w++ {
 		step()
 	}
-	return s, step
+	return step
 }
 
 // BenchmarkSchedulerNext pins the cost of one policy-chosen delivery at a
@@ -47,7 +47,7 @@ func BenchmarkSchedulerNext(b *testing.B) {
 	for _, spec := range benchSpecs {
 		for _, q := range []int{32, 1024, 8192} {
 			b.Run(fmt.Sprintf("%s/q=%d", spec, q), func(b *testing.B) {
-				_, step := steadyScheduler(b, spec, q)
+				step := steadyScheduler(b, spec, q)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -58,29 +58,14 @@ func BenchmarkSchedulerNext(b *testing.B) {
 	}
 }
 
-// TestSchedulerSteadyStateAllocs: a warm scheduler allocates nothing, neither
-// holding its queue length nor across Reset and a refill to the same length
-// (the Engine's non-Lockstep path reuses its scheduler every round).
+// TestSchedulerSteadyStateAllocs: a warm scheduler holding its queue length
+// allocates nothing per delivery.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	const q = 1024
 	for _, spec := range benchSpecs {
-		s, step := steadyScheduler(t, spec, q)
+		step := steadyScheduler(t, spec, q)
 		if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
 			t.Errorf("%s: %v allocs per Enqueue+Next at q=%d, want 0", spec, allocs, q)
-		}
-		refill := func() {
-			s.Reset()
-			for i := 0; i < q; i++ {
-				s.Enqueue(types.Message{To: 1, Value: types.Value(i)})
-			}
-			s.Drain(func(types.Message) {})
-			if s.Len() != 0 {
-				t.Fatalf("%s: %d sends left after Drain", spec, s.Len())
-			}
-		}
-		refill()
-		if allocs := testing.AllocsPerRun(20, refill); allocs != 0 {
-			t.Errorf("%s: %v allocs per Reset+refill+Drain of %d, want 0", spec, allocs, q)
 		}
 	}
 }

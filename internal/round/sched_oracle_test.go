@@ -184,6 +184,8 @@ var _ Expander = dupDropExpander{}
 type schedPair struct {
 	t      *testing.T
 	label  string
+	p      Policy
+	ch     Channel
 	s      *Scheduler
 	o      *oracleScheduler
 	step   int
@@ -204,6 +206,7 @@ func newSchedPair(t *testing.T, spec string, seed int64, expand bool) *schedPair
 	}
 	return &schedPair{
 		t: t, label: fmt.Sprintf("sched=%q seed=%d expand=%v", spec, seed, expand),
+		p: p, ch: ch,
 		s: NewScheduler(p, ch), o: newOracleScheduler(oracleParse(spec, seed), och),
 	}
 }
@@ -242,8 +245,10 @@ func (sp *schedPair) next() bool {
 	return ok
 }
 
+// reset hands the live policy to a fresh Scheduler, which must empty its
+// queue and restart the tickets while the policy keeps its rng stream.
 func (sp *schedPair) reset() {
-	sp.s.Reset()
+	sp.s = NewScheduler(sp.p, sp.ch)
 	sp.o.Reset()
 	sp.resets++
 	sp.check("reset")
@@ -266,7 +271,8 @@ var oracleSpecs = []string{"fifo", "reorder", "delay", "delay:3", "delay:200", "
 
 // TestSchedulerMatchesOracle holds every policy's queue discipline to the
 // slice-scanning reference over random interleavings of Enqueue bursts, Next
-// and Reset: same message, same ok, same Len and Starved after every step.
+// and a reset (NewScheduler over the live policy, against the oracle's
+// Reset): same message, same ok, same Len and Starved after every step.
 // The walk alternates growing the queue past several blockQueue blocks and
 // draining it until Next refuses, so block boundaries, the empty rewind and
 // the refill after it are all crossed, with and without an Expander that
@@ -321,7 +327,7 @@ func TestSchedulerMatchesOracle(t *testing.T) {
 
 // FuzzSchedulerVsOracle is the same differential with the fuzzer choosing
 // the policy, the seed and the operation stream: each op byte is an Enqueue
-// burst of 0–40 (high bit set), a Reset (0x7f) or a Next.
+// burst of 0–40 (high bit set), a reset (0x7f) or a Next.
 func FuzzSchedulerVsOracle(f *testing.F) {
 	f.Add(uint8(0), int64(1), false, []byte{0xa8, 0xa8, 0, 0, 0, 0x7f, 0x90, 0, 0})
 	f.Add(uint8(1), int64(42), true, []byte("\xa8\xa8\xa8\xa8\xa8\xa8\xa8\xa8\xa8\xa8\xa8\xa8\x00\x00\x00\x00\x00\x00\x00\x00"))

@@ -88,7 +88,7 @@ func TestSummarizeAllEqual(t *testing.T) {
 
 // TestPercentileTinySamples pins P99 on samples too small for a distinct
 // 99th percentile: it interpolates toward the max and never exceeds it,
-// for every tiny N (the loadgen report calls Summarize on whatever the
+// for every tiny N (the cluster report calls Summarize on whatever the
 // run produced, including near-empty runs).
 func TestPercentileTinySamples(t *testing.T) {
 	for n := 1; n <= 5; n++ {
