@@ -219,6 +219,51 @@ func (t *Tree) Set(p types.Path, v types.Value) error {
 	return nil
 }
 
+// Layout returns the flat engine's path ranker, which the ranker cache
+// shares by shape, so two trees have equal layouts exactly when
+// StoreRelays may copy between them. It is nil on a map engine and for
+// systems past types.MaxNodeSetID+1 nodes, which the bulk store does not
+// cover.
+func (t *Tree) Layout() *types.PathRanker {
+	if t.flat == nil || t.n > types.MaxNodeSetID+1 {
+		return nil
+	}
+	return t.flat.rk
+}
+
+// StoreRelays is Set in bulk. For every path σ of length level−1 that
+// avoids both relayer and self, it stores src's value at σ (Default when
+// src holds none) as the claim σ·relayer: exactly what relayer's honest
+// round-level outbox sends receiver self and self's absorption keeps.
+// First write wins and the unanimity tracker sees every store, as with
+// Set. Every path stored ends in relayer, which no other sender can sign
+// for, so interleaving these stores with Set calls for other senders'
+// claims cannot change the tree. t and src must have equal non-nil
+// Layouts.
+func (t *Tree) StoreRelays(src *Tree, relayer, self types.NodeID, level int) error {
+	rk := t.Layout()
+	if rk == nil || src.Layout() != rk {
+		return fmt.Errorf("eig: bulk store needs two flat trees of one shape")
+	}
+	if level < 2 || level > t.depth || relayer < 0 || int(relayer) >= t.n || relayer == t.sender {
+		return fmt.Errorf("eig: no level-%d relays from %d for n=%d depth=%d sender=%d",
+			level, int(relayer), t.n, t.depth, int(t.sender))
+	}
+	if self == t.sender {
+		return nil // every claim carries the sender, which never stores its own
+	}
+	f, vals := t.flat, src.flat.vals
+	for _, e := range f.relayPlan().runs[level][relayer] {
+		if e.on.Contains(self) {
+			continue
+		}
+		if v := vals[e.src]; f.set(int(e.dst), v) {
+			t.noteStore(v)
+		}
+	}
+	return nil
+}
+
 // noteStore folds one first-write store into the unanimity tracker.
 func (t *Tree) noteStore(v types.Value) {
 	if !t.uniSeen {

@@ -38,6 +38,85 @@ type flatStore struct {
 	level  [2][]types.Value
 	gather []types.Value
 	odo    []int
+
+	// plan is the shape's shared relay table, fetched on the first bulk
+	// store (Tree.StoreRelays) and kept so later stores skip the cache.
+	plan *relayPlan
+}
+
+// relayPlan is the bulk lane's rank-permutation table for one shape. For
+// level ℓ ≥ 2 and relayer i, runs[ℓ][i] lists the level-ℓ paths σ·i in
+// ascending rank — which is also ascending rank of σ, the order the relay
+// outbox walks its claims in. Each entry names σ's flat index (read in the
+// relayer's tree), σ·i's flat index (written in a receiver's tree) and σ's
+// members, so a receiver on σ can skip the claim as absorption would. The
+// entries over all relayers are the universe minus its root, so a plan is
+// no larger than one tree's index space. Immutable once built.
+type relayPlan struct {
+	runs [][][]relayEntry
+}
+
+type relayEntry struct {
+	src, dst int32
+	on       types.NodeSet
+}
+
+// planCache shares relay plans across trees of one shape, as rankerCache
+// shares rankers; the key is the same because the plan is a function of
+// the ranker alone.
+var planCache sync.Map // rankerKey -> *relayPlan
+
+// relayPlan returns the store's shared plan, building it on first use.
+func (f *flatStore) relayPlan() *relayPlan {
+	if f.plan != nil {
+		return f.plan
+	}
+	key := rankerKey{n: f.n, depth: f.depth, sender: f.sender}
+	if p, ok := planCache.Load(key); ok {
+		f.plan = p.(*relayPlan)
+		return f.plan
+	}
+	p := newRelayPlan(f.rk)
+	actual, _ := planCache.LoadOrStore(key, p)
+	f.plan = actual.(*relayPlan)
+	return f.plan
+}
+
+// newRelayPlan unranks every path of length ≥ 2 once and files it under its
+// last element. A non-sender relayer ends exactly 1/(n−1) of each level.
+func newRelayPlan(rk *types.PathRanker) *relayPlan {
+	n, depth := rk.N(), rk.Depth()
+	p := &relayPlan{runs: make([][][]relayEntry, depth+1)}
+	buf := make(types.Path, 0, depth)
+	for l := 2; l <= depth; l++ {
+		cnt := rk.Count(l)
+		per := cnt / (n - 1)
+		all := make([]relayEntry, cnt)
+		runs := make([][]relayEntry, n)
+		for i := range runs {
+			if types.NodeID(i) != rk.Sender() {
+				runs[i], all = all[:0:per], all[per:]
+			}
+		}
+		parent := rk.Offset(l - 1)
+		for rank := 0; rank < cnt; rank++ {
+			path, _ := rk.Unrank(l, rank, buf)
+			var on types.NodeSet
+			for _, id := range path[:l-1] {
+				on = on.Add(id)
+			}
+			last := path.Last()
+			runs[last] = append(runs[last], relayEntry{
+				// The children of the level-(ℓ−1) path of rank q are the
+				// level-ℓ ranks q·(n−ℓ+1)+s (types.PathRanker.Children).
+				src: int32(parent + rank/(n-l+1)),
+				dst: int32(rk.Offset(l) + rank),
+				on:  on,
+			})
+		}
+		p.runs[l] = runs
+	}
+	return p
 }
 
 // rankerCache shares PathRanker tables across trees of the same shape. A

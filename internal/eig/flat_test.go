@@ -219,3 +219,82 @@ func FuzzFlatVsMap(f *testing.F) {
 		}
 	})
 }
+
+// TestStoreRelaysMatchesSet holds the bulk store to the Set calls it
+// replaces: for every small shape, relayer, receiver and level, a tree fed
+// by StoreRelays must equal, claim for claim and in its unanimity state, a
+// tree fed the same relays one Set at a time, starting from a tree that
+// already holds some claims of every sender (first write wins).
+func TestStoreRelaysMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	domain := []types.Value{types.Default, 1, 2}
+	for n := 3; n <= 7; n++ {
+		for depth := 2; depth <= n-1 && depth <= 4; depth++ {
+			src := mustNew(t, n, depth, 1)
+			for _, p := range enumeratePaths(src) {
+				if rng.Intn(4) > 0 { // leave a quarter absent
+					_ = src.Set(p, domain[rng.Intn(len(domain))])
+				}
+			}
+			for relayer := 0; relayer < n; relayer++ {
+				for self := 0; self < n; self++ {
+					if self == relayer || relayer == 1 {
+						continue
+					}
+					for level := 2; level <= depth; level++ {
+						bulk, one := mustNew(t, n, depth, 1), mustNew(t, n, depth, 1)
+						for _, p := range enumeratePaths(bulk) {
+							if !p.Contains(types.NodeID(self)) && rng.Intn(8) == 0 {
+								v := domain[rng.Intn(len(domain))]
+								_ = bulk.Set(p, v)
+								_ = one.Set(p, v)
+							}
+						}
+						if err := bulk.StoreRelays(src, types.NodeID(relayer), types.NodeID(self), level); err != nil {
+							t.Fatal(err)
+						}
+						one.ForEachPath(level-1, types.NodeID(relayer), func(p types.Path) bool {
+							if !p.Contains(types.NodeID(self)) {
+								_ = one.Set(p.Append(types.NodeID(relayer)), src.Get(p))
+							}
+							return true
+						})
+						name := fmt.Sprintf("n=%d depth=%d relayer=%d self=%d level=%d", n, depth, relayer, self, level)
+						a, _ := bulk.Export(nil)
+						b, _ := one.Export(nil)
+						if string(a) != string(b) {
+							t.Fatalf("%s: bulk store's claims differ from Set's", name)
+						}
+						if bulk.uni != one.uni || bulk.uniSeen != one.uniSeen || (bulk.uni && bulk.uniVal != one.uniVal) {
+							t.Fatalf("%s: unanimity tracker differs from Set's", name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStoreRelaysRejectsMismatch checks the shape guard: a bulk store
+// between trees of different layouts, or from the sender, is an error.
+func TestStoreRelaysRejectsMismatch(t *testing.T) {
+	a, b := mustNew(t, 5, 3, 0), mustNew(t, 5, 3, 1)
+	if err := a.StoreRelays(b, 2, 3, 2); err == nil {
+		t.Error("store across senders accepted")
+	}
+	m, err := newMapTree(5, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Layout() != nil || a.StoreRelays(m, 2, 3, 2) == nil {
+		t.Error("store from a map-engine tree accepted")
+	}
+	if err := a.StoreRelays(mustNew(t, 5, 3, 0), 0, 3, 2); err == nil {
+		t.Error("relays from the sender accepted")
+	}
+	for _, level := range []int{1, 4} {
+		if err := a.StoreRelays(mustNew(t, 5, 3, 0), 2, 3, level); err == nil {
+			t.Errorf("level %d accepted", level)
+		}
+	}
+}

@@ -1,6 +1,6 @@
 // Package relay implements the honest participant of a depth-d EIG relay
-// protocol over the netsim engine. It is the message-passing realization of
-// the paper's algorithm skeleton (§4):
+// protocol over round.Engine. It is the message-passing realization of the
+// paper's algorithm skeleton (§4):
 //
 //	round 1:     the sender sends its value to all receivers;
 //	round r ≥ 2: every receiver relays, for each claim σ of length r−1 it
@@ -15,6 +15,12 @@
 // sends when it is supposed to); a claim that never arrived is relayed as
 // the default value, which is also what receivers substitute for absent
 // messages.
+//
+// Node is a round.LaneNode. Between two honest nodes of one flat shape, on
+// an engine whose configuration allows the bulk lane, a round-r relay is not
+// a message: the engine counts it, and at the barrier the receiver copies
+// the relayer's level-(r−1) values into its own tree under the σ·relayer
+// labels (eig.Tree.StoreRelays), so Outbox leaves those recipients out.
 package relay
 
 import (
@@ -48,9 +54,17 @@ type Node struct {
 	// Collect and nothing mutates the shared Path backing arrays. Survives
 	// Reset — pooled nodes re-run the same shape.
 	tmpl [][]types.Message
+
+	// lane is the peer set the engine last armed (see SetLanePeers): they
+	// take this node's relays as slabs, so Outbox leaves them out. keep
+	// lists the template block offsets of the recipients that stay
+	// per-message, and outBuf holds Outbox's filtered relays.
+	lane   types.NodeSet
+	keep   []int
+	outBuf []types.Message
 }
 
-var _ round.Node = (*Node)(nil)
+var _ round.LaneNode = (*Node)(nil)
 
 // New returns an honest node. If id == sender, value is the input to
 // distribute; receivers ignore it. depth is the number of message rounds.
@@ -102,7 +116,9 @@ func (nd *Node) Step(round int, inbox []types.Message) []types.Message {
 
 // Outbox computes the honest sends for the given round from the node's
 // current tree. It is exported so the Byzantine wrapper in the adversary
-// package can obtain the honest schedule and corrupt it.
+// package can obtain the honest schedule and corrupt it. Relays to the lane
+// peers an engine set are left out (see SetLanePeers); a node no engine
+// armed, like the wrapper's, sends its full schedule.
 func (nd *Node) Outbox(round int) []types.Message {
 	if round < 1 || round > nd.tree.Depth() {
 		return nil
@@ -126,6 +142,9 @@ func (nd *Node) Outbox(round int) []types.Message {
 		}
 		return out
 	}
+	if nd.lane != 0 {
+		return nd.keptRelays(out)
+	}
 	for i := 0; i < len(out); i += nd.n - 1 {
 		lbl := out[i].Path
 		v := nd.tree.Get(lbl[:len(lbl)-1]) // Default when the claim never arrived
@@ -134,6 +153,83 @@ func (nd *Node) Outbox(round int) []types.Message {
 		}
 	}
 	return out
+}
+
+// keptRelays is a relay round's outbox with the lane peers left out: each
+// claim is read once and sent only to the recipients at the keep offsets,
+// in template order.
+func (nd *Node) keptRelays(tmpl []types.Message) []types.Message {
+	if len(nd.keep) == 0 {
+		return nil
+	}
+	if need := nd.LaneClaims(nd.tree.Depth()) * len(nd.keep); cap(nd.outBuf) < need {
+		nd.outBuf = make([]types.Message, 0, need) // the last round is the widest
+	}
+	out := nd.outBuf[:0]
+	for i := 0; i < len(tmpl); i += nd.n - 1 {
+		lbl := tmpl[i].Path
+		v := nd.tree.Get(lbl[:len(lbl)-1])
+		for _, k := range nd.keep {
+			m := tmpl[i+k]
+			m.Value = v
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// LaneShape implements round.LaneNode: nodes whose trees share a flat
+// layout can copy each other's slabs. A tree on a map engine has none.
+func (nd *Node) LaneShape() any {
+	if rk := nd.tree.Layout(); rk != nil {
+		return rk
+	}
+	return nil
+}
+
+// SetLanePeers implements round.LaneNode. Round 1 is always sent in full:
+// the lane only carries relays.
+func (nd *Node) SetLanePeers(peers types.NodeSet) {
+	nd.lane = peers
+	nd.keep = nd.keep[:0]
+	if peers == 0 {
+		return // Outbox never reads keep without peers
+	}
+	if nd.keep == nil {
+		nd.keep = make([]int, 0, nd.n-1)
+	}
+	for k := 0; k < nd.n-1; k++ {
+		j := types.NodeID(k)
+		if j >= nd.id {
+			j++ // block offsets skip self, like the template
+		}
+		if !peers.Contains(j) {
+			nd.keep = append(nd.keep, k)
+		}
+	}
+}
+
+// LaneClaims implements round.LaneNode: a round-r relayer owes each
+// recipient one claim per length-(r−1) path that avoids it, P(n−2, r−2)
+// of them; the sender relays nothing.
+func (nd *Node) LaneClaims(round int) int {
+	if round < 2 || round > nd.tree.Depth() || nd.id == nd.sender {
+		return 0
+	}
+	c := 1
+	for k := 0; k < round-2; k++ {
+		c *= nd.n - 2 - k
+	}
+	return c
+}
+
+// TakeSlab implements round.LaneNode: it stores src's round-r relays to
+// this node as absorb would store the messages.
+func (nd *Node) TakeSlab(src round.LaneNode, round int) {
+	s := src.(*Node)
+	if err := nd.tree.StoreRelays(s.tree, s.id, nd.id, round); err != nil {
+		panic(fmt.Sprintf("relay: slab from %d to %d: %v", int(s.id), int(nd.id), err))
+	}
 }
 
 // buildTemplate materializes the value-independent (To, Round, Path) frame

@@ -32,6 +32,14 @@
 //	    run's collect) stamps every message's From field with the true
 //	    sender, so even Byzantine nodes cannot spoof their identity.
 //
+// A bulk lane carries the same exchange between honest relay nodes without
+// the messages. When both ends of an edge are LaneNodes of one shape, the
+// engine is off the Trace/RecordViews/Channel paths that observe single
+// messages, Collect accounts the edge's claims arithmetically and records a
+// slab, and Deliver has the receiver copy it at the barrier. Assumption (c)
+// holds there too: the slab's source is the node at the Collect slot, the
+// engine's own record of who sent, never a field the node supplies.
+//
 // An Engine holds one synchronous run's state: the node complement, the
 // channel, the two inbox sets, and the accounting that becomes the Result.
 // A Driver walks the engine through its schedule:
@@ -62,6 +70,7 @@ package round
 
 import (
 	"fmt"
+	"math/bits"
 
 	"degradable/internal/obs"
 	"degradable/internal/types"
@@ -90,6 +99,29 @@ type Node interface {
 	Step(round int, inbox []types.Message) []types.Message
 	Finish(inbox []types.Message)
 	Decide() types.Value
+}
+
+// LaneNode is the optional bulk-lane extension of Node, implemented by the
+// honest relay node. A lane node's relays to a lane peer are a slab: its
+// tree's previous level, re-addressed by a rank permutation. The engine arms
+// the lane at NewEngine and Restart — every LaneNode is told its peers, an
+// empty set when the lane is off — and then, per lane edge and round, counts
+// the claims the message path would have sent and has the receiver take the
+// slab at the barrier, when no Step is in flight.
+type LaneNode interface {
+	Node
+	// LaneShape is a comparable key of the node's slab layout, or nil when
+	// the node cannot take the lane. Only nodes of one shape are peers.
+	LaneShape() any
+	// SetLanePeers names the nodes that take this node's relays as slabs;
+	// Step's outbox must leave them out.
+	SetLanePeers(peers types.NodeSet)
+	// LaneClaims is the number of messages the node's round-r outbox sends
+	// each recipient, lane peers included; each carries an r-element path.
+	LaneClaims(round int) int
+	// TakeSlab stores src's round-r relays to this node exactly as
+	// absorbing the messages would.
+	TakeSlab(src LaneNode, round int)
 }
 
 // Channel interposes on message delivery. Deliver may rewrite the message
@@ -212,7 +244,22 @@ type Engine struct {
 	// delivered and bytes count the copies routed into next; Deliver moves
 	// them into the counters when the round they belong to opens.
 	delivered, bytes int
+
+	// lane is nil unless the configuration lets the bulk lane run: no
+	// Trace, no RecordViews and a nil or PerfectChannel, the settings under
+	// which a message is never seen, dropped or rewritten on its own. Then
+	// lane[i] holds node i and its peers while it is a lane member, and
+	// slabs the (relayer, round) pairs Collect recorded for Deliver to apply.
+	lane  []laneSlot
+	slabs []slab
 }
+
+type laneSlot struct {
+	nd    LaneNode
+	peers types.NodeSet
+}
+
+type slab struct{ from, round int }
 
 // inbox is one node's deliveries for one round. unsorted records that some
 // append broke SortMessages order, which is the only case Deliver sorts:
@@ -267,7 +314,55 @@ func NewEngine(nodes []Node, cfg Config) (*Engine, error) {
 	if cfg.RecordViews {
 		e.res.Views = make(map[types.NodeID][]types.Message, n)
 	}
+	switch cfg.Channel.(type) {
+	case nil, PerfectChannel:
+		if cfg.Trace == nil && !cfg.RecordViews && n <= types.MaxNodeSetID+1 {
+			e.lane = make([]laneSlot, n)
+			e.slabs = make([]slab, 0, n)
+		}
+	}
+	e.armLane()
 	return e, nil
+}
+
+// armLane picks the run's lane members — the LaneNodes sharing the first
+// one's shape, when the lane is on — and tells every LaneNode its peers, so
+// a node that was a member under an earlier engine or run stops leaving
+// recipients out.
+func (e *Engine) armLane() {
+	if e.lane == nil {
+		for _, nd := range e.byID {
+			if ln, ok := nd.(LaneNode); ok {
+				ln.SetLanePeers(0)
+			}
+		}
+		return
+	}
+	var members types.NodeSet
+	var shape any
+	for i, nd := range e.byID {
+		e.lane[i] = laneSlot{}
+		ln, ok := nd.(LaneNode)
+		if !ok {
+			continue
+		}
+		s := ln.LaneShape()
+		if shape == nil {
+			shape = s
+		}
+		if s != nil && s == shape {
+			e.lane[i].nd = ln
+			members = members.Add(types.NodeID(i))
+		}
+	}
+	for i, nd := range e.byID {
+		if e.lane[i].nd != nil {
+			e.lane[i].peers = members.Remove(types.NodeID(i))
+		}
+		if ln, ok := nd.(LaneNode); ok {
+			ln.SetLanePeers(e.lane[i].peers)
+		}
+	}
 }
 
 // Restart rearms the engine for a fresh run on the same configuration,
@@ -311,6 +406,8 @@ func (e *Engine) Restart(nodes []Node) error {
 		e.cur[i].reset()
 		e.next[i].reset()
 	}
+	e.slabs = e.slabs[:0]
+	e.armLane()
 	return nil
 }
 
@@ -331,6 +428,13 @@ func (e *Engine) Node(i int) Node { return e.byID[i] }
 // more before the Finish calls, with no Step or Finish in flight: the set the
 // previous round read is truncated here to take the next one's deliveries.
 func (e *Engine) Deliver() {
+	for _, sl := range e.slabs {
+		src := e.lane[sl.from]
+		for p := uint64(src.peers); p != 0; p &= p - 1 {
+			e.lane[bits.TrailingZeros64(p)].nd.TakeSlab(src.nd, sl.round)
+		}
+	}
+	e.slabs = e.slabs[:0]
 	e.cur, e.next = e.next, e.cur
 	for i := range e.next {
 		e.next[i].reset()
@@ -382,7 +486,10 @@ func (e *Engine) Inbox(i int) []types.Message { return e.cur[i].msgs }
 // routed into the next round's inboxes, so the channel sees sends in collect
 // order — node-ID order × outbox order under the in-tree drivers — which is
 // the sequence a seeded channel's draws are pinned to. out is read, never
-// written: nodes reuse their outbox templates.
+// written: nodes reuse their outbox templates. A lane member's sends to its
+// peers are not in out: Collect counts them as the message path would have
+// (all delivered, since the lane runs only where nothing drops) and records
+// one slab for Deliver.
 func (e *Engine) Collect(i, round int, out []types.Message) {
 	n := len(e.byID)
 	from := types.NodeID(i)
@@ -407,6 +514,14 @@ func (e *Engine) Collect(i, round int, out []types.Message) {
 			}
 		default:
 			e.route(&m)
+		}
+	}
+	if e.lane != nil && e.lane[i].nd != nil {
+		if k := e.lane[i].nd.LaneClaims(round) * e.lane[i].peers.Len(); k > 0 {
+			sent += k
+			e.delivered += k
+			e.bytes += k * (8 + 4*round)
+			e.slabs = append(e.slabs, slab{from: i, round: round})
 		}
 	}
 	if sent > 0 {

@@ -40,19 +40,23 @@ func TestFastPathZeroAlloc(t *testing.T) {
 
 // TestBatchArenaZeroAlloc is the guard for the full-path arena: a warmed
 // complement re-armed through Engine.Restart and driven to decisions must
-// not allocate — trees reset in place, outbox templates and path-ranker
-// tables are reused, and the engine keeps both of its inbox sets and its
-// result view across Restart. The deep case is the benchmark's serve_deep
-// shape with its one non-sender fault: 8 190 messages through the inboxes
-// per run, so a set dropped or regrown on Restart cannot hide.
+// not allocate — trees reset in place, outbox templates, path-ranker and
+// relay-plan tables are reused, and the engine keeps both of its inbox sets
+// and its result view across Restart. The deep case is the benchmark's
+// serve_deep shape with one two-faced non-sender fault, rotated over all ten
+// receivers across runs as the benchmark's requests rotate it, so the lane
+// peer set changes every run; the fault omits nothing, so every run owes
+// 10 + 100 + 900 + 7 200 = 8 210 messages, and a set dropped or regrown on
+// Restart cannot hide.
 func TestBatchArenaZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		params core.Params
-		faulty int // receiver wrapped two-faced; -1 for none
+		name     string
+		params   core.Params
+		faulty   []int // receivers wrapped two-faced in turn; none for a fault-free run
+		messages int
 	}{
-		{"shallow", core.Params{N: 7, M: 1, U: 2}, -1},
-		{"deep", core.Params{N: 11, M: 3, U: 4}, 3},
+		{"shallow", core.Params{N: 7, M: 1, U: 2}, nil, 6 + 36},
+		{"deep", core.Params{N: 11, M: 3, U: 4}, []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 8210},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			params := tc.params
@@ -64,43 +68,55 @@ func TestBatchArenaZeroAlloc(t *testing.T) {
 			// Boxed once here: converting the struct at each Reset would
 			// be the run's one allocation.
 			var strat adversary.Strategy = adversary.TwoFaced{A: types.NewNodeSet(1, 2), ValueA: 99, ValueB: 7}
-			var byz *adversary.Node
-			if tc.faulty >= 0 {
-				n, depth, sender := params.System()
-				if byz, err = adversary.NewNode(n, depth, sender, types.NodeID(tc.faulty), 42, strat); err != nil {
+			byz := make(map[int]*adversary.Node, len(tc.faulty))
+			n, depth, sender := params.System()
+			for _, id := range tc.faulty {
+				if byz[id], err = adversary.NewNode(n, depth, sender, types.NodeID(id), 42, strat); err != nil {
 					t.Fatal(err)
 				}
-				nodes[tc.faulty] = byz
 			}
 			eng, err := round.NewEngine(nodes, round.Config{Rounds: params.Depth()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			first := true
+			runs := 0
 			run := func() {
+				faulty := -1
+				if len(tc.faulty) > 0 {
+					faulty = tc.faulty[runs%len(tc.faulty)]
+				}
+				copy(nodes, honest)
 				for _, nd := range honest {
 					nd.(*relay.Node).Reset(42)
 				}
-				if byz != nil {
-					byz.Reset(42, strat)
+				if faulty >= 0 {
+					byz[faulty].Reset(42, strat)
+					nodes[faulty] = byz[faulty]
 				}
-				if !first {
+				if runs > 0 {
 					if err := eng.Restart(nodes); err != nil {
 						t.Fatal(err)
 					}
 				}
-				first = false
+				runs++
 				if err := (round.Reference{}).Drive(eng); err != nil {
 					t.Fatal(err)
 				}
+				res := eng.Finalize()
+				if res.Messages != tc.messages {
+					t.Fatalf("run with faulty %d sent %d messages, want %d", faulty, res.Messages, tc.messages)
+				}
 				for i, nd := range nodes {
-					if got := nd.Decide(); got != 42 && i != tc.faulty {
-						t.Fatalf("node %d decided %s, want 42", i, got)
+					if got := nd.Decide(); got != 42 && i != faulty {
+						t.Fatalf("node %d decided %s with %d faulty, want 42", i, got, faulty)
 					}
 				}
 			}
-			run() // builds templates and ranker tables
-			run() // first Restart pass
+			// Two passes over the rotation build every template, ranker
+			// and relay table and take every peer set once under Restart.
+			for i := 0; i < 2*len(tc.faulty)+2; i++ {
+				run()
+			}
 			if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 				t.Errorf("warm Restart+Drive+Decide allocates %.1f times per run, want 0", allocs)
 			}
