@@ -21,8 +21,8 @@ import (
 	degradable "degradable"
 	"degradable/internal/adversary"
 	"degradable/internal/core"
-	"degradable/internal/netsim"
 	"degradable/internal/protocol/relay"
+	"degradable/internal/round"
 )
 
 func main() {
@@ -181,7 +181,7 @@ func explainRun(out io.Writer, cfg degradable.Config, value degradable.Value,
 	for id := range strategies {
 		delete(honest, id)
 	}
-	if _, err := netsim.Run(nodes, netsim.Config{Rounds: p.Depth()}); err != nil {
+	if _, err := round.Run(nodes, round.Config{Rounds: p.Depth()}, round.Goroutine{}); err != nil {
 		return err
 	}
 	label := func(nSub int) string { return fmt.Sprintf("VOTE(%d,%d)", nSub-1-p.M, nSub-1) }

@@ -25,8 +25,8 @@ import (
 	"degradable/internal/adversary"
 	"degradable/internal/core"
 	"degradable/internal/eig"
-	"degradable/internal/netsim"
 	"degradable/internal/protocol/relay"
+	"degradable/internal/round"
 	"degradable/internal/spec"
 	"degradable/internal/types"
 	"degradable/internal/vote"
@@ -90,7 +90,7 @@ func Run(p core.Params, r Rule, senderValue types.Value,
 		return spec.Verdict{}, nil, err
 	}
 	depth := p.Depth()
-	nodes := make([]netsim.Node, p.N)
+	nodes := make([]round.Node, p.N)
 	for i := 0; i < p.N; i++ {
 		nd, err := relay.New(p.N, depth, p.Sender, types.NodeID(i), senderValue, rule)
 		if err != nil {
@@ -101,7 +101,7 @@ func Run(p core.Params, r Rule, senderValue types.Value,
 	if err := adversary.Wrap(nodes, p.N, depth, p.Sender, senderValue, strategies); err != nil {
 		return spec.Verdict{}, nil, err
 	}
-	res, err := netsim.Run(nodes, netsim.Config{Rounds: depth})
+	res, err := round.Run(nodes, round.Config{Rounds: depth}, round.Goroutine{})
 	if err != nil {
 		return spec.Verdict{}, nil, err
 	}

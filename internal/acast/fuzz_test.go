@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"degradable/internal/netsim"
 	"degradable/internal/round"
 	"degradable/internal/types"
 )
@@ -176,11 +175,11 @@ func FuzzAsyncVsSync(f *testing.F) {
 		}
 
 		// Synchronous side: the sequential driver's round-1 receipt vector.
-		sync := make([]netsim.Node, p.N)
+		sync := make([]round.Node, p.N)
 		for i := range sync {
 			sync[i] = &syncEchoNode{id: types.NodeID(i), n: p.N, value: inputs[i]}
 		}
-		if _, err := netsim.Run(sync, netsim.Config{Rounds: 1, Sequential: true}); err != nil {
+		if _, err := round.Run(sync, round.Config{Rounds: 1}, round.Reference{}); err != nil {
 			t.Fatal(err)
 		}
 

@@ -10,8 +10,7 @@ import (
 
 // benchShapes are the tree geometries the benchmarks sweep. N=7 m=1
 // (depth 2) is the canonical BYZ(t, 1) shape of the paper's running
-// example and the acceptance target; the deeper shapes show how the
-// advantage grows with the universe.
+// example; the deeper shapes show how the costs grow with the universe.
 var benchShapes = []struct {
 	n, depth, m int
 }{
@@ -20,23 +19,18 @@ var benchShapes = []struct {
 	{13, 4, 3},
 }
 
-// benchEngines builds the same shape on both engines so every benchmark
-// below reports a flat/map pair under identical workloads.
-func benchEngines(b *testing.B, n, depth int) map[string]*Tree {
+// benchTree builds one shape for a benchmark and returns it with its
+// valid paths.
+func benchTree(b *testing.B, n, depth int) (*Tree, []types.Path) {
 	b.Helper()
-	flatT, err := New(n, depth, 0)
+	tr, err := New(n, depth, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if flatT.flat == nil {
-		b.Fatalf("N=%d depth=%d should select the flat engine", n, depth)
-	}
-	mapT, err := newMapTree(n, depth, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return map[string]*Tree{"flat": flatT, "map": mapT}
+	return tr, enumeratePaths(tr)
 }
+
+func shapeName(n, depth int) string { return fmt.Sprintf("n%d_d%d", n, depth) }
 
 // BenchmarkSetResolve measures the full per-instance hot path of one
 // receiver: Reset the pooled tree, Set every valid path, then Resolve
@@ -44,94 +38,79 @@ func benchEngines(b *testing.B, n, depth int) map[string]*Tree {
 // does per agreement instance in the serving runtime.
 func BenchmarkSetResolve(b *testing.B) {
 	for _, shape := range benchShapes {
-		trees := benchEngines(b, shape.n, shape.depth)
+		tr, paths := benchTree(b, shape.n, shape.depth)
 		m := shape.m
 		rule := func(nSub int, vals []types.Value) types.Value {
 			return vote.Vote(nSub-1-m, vals)
 		}
-		for _, engine := range []string{"flat", "map"} {
-			tr := trees[engine]
-			paths := enumeratePaths(tr)
-			b.Run(fmt.Sprintf("n%d_d%d/%s", shape.n, shape.depth, engine), func(b *testing.B) {
-				b.ReportAllocs()
-				var sink types.Value
-				for i := 0; i < b.N; i++ {
-					tr.Reset()
-					for j, p := range paths {
-						_ = tr.Set(p, types.Value(j%3))
-					}
-					sink = tr.Resolve(1, rule)
+		b.Run(shapeName(shape.n, shape.depth), func(b *testing.B) {
+			b.ReportAllocs()
+			var sink types.Value
+			for i := 0; i < b.N; i++ {
+				tr.Reset()
+				for j, p := range paths {
+					_ = tr.Set(p, types.Value(j%3))
 				}
-				_ = sink
-			})
-		}
+				sink = tr.Resolve(1, rule)
+			}
+			_ = sink
+		})
 	}
 }
 
 // BenchmarkResolve isolates the bottom-up sweep on a pre-populated tree.
 func BenchmarkResolve(b *testing.B) {
 	for _, shape := range benchShapes {
-		trees := benchEngines(b, shape.n, shape.depth)
+		tr, paths := benchTree(b, shape.n, shape.depth)
 		m := shape.m
 		rule := func(nSub int, vals []types.Value) types.Value {
 			return vote.Vote(nSub-1-m, vals)
 		}
-		for _, engine := range []string{"flat", "map"} {
-			tr := trees[engine]
-			for j, p := range enumeratePaths(tr) {
-				_ = tr.Set(p, types.Value(j%3))
-			}
-			b.Run(fmt.Sprintf("n%d_d%d/%s", shape.n, shape.depth, engine), func(b *testing.B) {
-				b.ReportAllocs()
-				var sink types.Value
-				for i := 0; i < b.N; i++ {
-					sink = tr.Resolve(1, rule)
-				}
-				_ = sink
-			})
+		for j, p := range paths {
+			_ = tr.Set(p, types.Value(j%3))
 		}
+		b.Run(shapeName(shape.n, shape.depth), func(b *testing.B) {
+			b.ReportAllocs()
+			var sink types.Value
+			for i := 0; i < b.N; i++ {
+				sink = tr.Resolve(1, rule)
+			}
+			_ = sink
+		})
 	}
 }
 
-// BenchmarkSet isolates path validation + storage for a single write.
+// BenchmarkSet isolates path validation + storage for a single write of
+// the deepest path, the worst case for ranking.
 func BenchmarkSet(b *testing.B) {
 	for _, shape := range benchShapes {
-		trees := benchEngines(b, shape.n, shape.depth)
-		for _, engine := range []string{"flat", "map"} {
-			tr := trees[engine]
-			paths := enumeratePaths(tr)
-			// Deepest path: the worst case for both ranking and hashing.
-			p := paths[len(paths)-1]
-			b.Run(fmt.Sprintf("n%d_d%d/%s", shape.n, shape.depth, engine), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if i&1023 == 0 {
-						tr.Reset() // keep first-write-wins from short-circuiting every Set
-					}
-					_ = tr.Set(p, 2)
+		tr, paths := benchTree(b, shape.n, shape.depth)
+		p := paths[len(paths)-1]
+		b.Run(shapeName(shape.n, shape.depth), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i&1023 == 0 {
+					tr.Reset() // keep first-write-wins from short-circuiting every Set
 				}
-			})
-		}
+				_ = tr.Set(p, 2)
+			}
+		})
 	}
 }
 
 // BenchmarkGet isolates a read of the deepest path.
 func BenchmarkGet(b *testing.B) {
 	for _, shape := range benchShapes {
-		trees := benchEngines(b, shape.n, shape.depth)
-		for _, engine := range []string{"flat", "map"} {
-			tr := trees[engine]
-			paths := enumeratePaths(tr)
-			p := paths[len(paths)-1]
-			_ = tr.Set(p, 2)
-			b.Run(fmt.Sprintf("n%d_d%d/%s", shape.n, shape.depth, engine), func(b *testing.B) {
-				b.ReportAllocs()
-				var sink types.Value
-				for i := 0; i < b.N; i++ {
-					sink = tr.Get(p)
-				}
-				_ = sink
-			})
-		}
+		tr, paths := benchTree(b, shape.n, shape.depth)
+		p := paths[len(paths)-1]
+		_ = tr.Set(p, 2)
+		b.Run(shapeName(shape.n, shape.depth), func(b *testing.B) {
+			b.ReportAllocs()
+			var sink types.Value
+			for i := 0; i < b.N; i++ {
+				sink = tr.Get(p)
+			}
+			_ = sink
+		})
 	}
 }

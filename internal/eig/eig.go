@@ -21,6 +21,7 @@ package eig
 
 import (
 	"fmt"
+	"math/bits"
 
 	"degradable/internal/types"
 )
@@ -34,37 +35,38 @@ type Rule func(nSub int, vals []types.Value) types.Value
 // the given depth (number of relay rounds). The zero value is not usable;
 // construct with New.
 //
-// Storage engines, in preference order:
-//
-//   - flat: the valid paths form a fixed k-permutation universe, so they
-//     rank perfectly onto a dense array (types.PathRanker). Set/Get are a
-//     ranking pass plus an array access and Resolve is an iterative
-//     bottom-up level sweep — no hashing, no recursion, zero allocations
-//     after warm-up. Used whenever the universe materializes (n ≤ 255 and
-//     at most maxFlatEntries paths), which covers every runnable protocol.
-//   - fast map: a comparable fixed-size key (n ≤ 255, depth ≤ maxFastDepth)
-//     hashes without allocating. Fallback for universes too large to store
-//     densely.
-//   - string map: the fully general fallback for anything else.
-//
-// Exactly one engine is active per tree; the map engines also serve as the
-// oracle the differential tests hold the flat engine against.
+// The valid paths form a fixed k-permutation universe, so a types.PathRanker
+// ranks them perfectly onto a dense array: values live in one flat slice
+// (absent slots pre-filled with the default value, which is exactly what an
+// absent claim reads as) and a presence bitset carries the first-write-wins
+// and Stored bookkeeping. Set/Get/Has are a ranking pass plus an array
+// access — no hashing, no allocation — and Resolve is an iterative
+// bottom-up level sweep with zero allocations after the first call. New
+// refuses a shape whose universe does not materialize (n > 255, or more than
+// maxFlatEntries paths); the protocols' exponential message cost puts every
+// runnable shape far inside that bound.
 type Tree struct {
 	n      int
 	depth  int
 	sender types.NodeID
-	// flat is the dense-array engine; nil when the tree fell back to one
-	// of the two maps (of which exactly one is then non-nil).
-	flat *flatStore
-	fast map[pathKey]types.Value
-	vals map[string]types.Value
-	// pbuf and scratch are reusable buffers for the map engines' recursive
-	// Resolve: pbuf is the in-place DFS path, scratch holds one vals
-	// segment per recursion level. Lazily sized; never shared across
-	// goroutines (a Tree is one receiver's local state and has never been
-	// concurrency-safe).
-	pbuf    types.Path
-	scratch []types.Value
+	rk     *types.PathRanker
+
+	vals    []types.Value // indexed by rk.Index; types.Default when absent
+	present []uint64
+	stored  int
+
+	// Resolve scratch, lazily sized on first use and reused forever after:
+	// two level buffers (resolved values of the current and previous
+	// level, swapped as the sweep ascends), the gathered vote vector, and
+	// the odometer that tracks the member set of the path being resolved.
+	// Never shared across goroutines: a Tree is one receiver's local state.
+	level  [2][]types.Value
+	gather []types.Value
+	odo    []int
+
+	// plan is the shape's shared relay table, fetched on the first bulk
+	// store (StoreRelays) and kept so later stores skip the cache.
+	plan *relayPlan
 
 	// Unanimity tracking for the optimistic fast path: uni stays true while
 	// every stored value equals uniVal (vacuously true when nothing is
@@ -78,43 +80,11 @@ type Tree struct {
 	selfFree int
 }
 
-// maxFastDepth is the deepest path a pathKey can encode. Protocol depth is
-// m+1, so this covers every system up to m = 6 — far beyond what the
-// exponential message complexity makes runnable anyway.
-const maxFastDepth = 7
-
-// pathKey is a comparable fixed-size path encoding for the fast map.
-type pathKey struct {
-	n   uint8 // path length
-	ids [maxFastDepth]uint8
-}
-
-// fastKey encodes p as a pathKey. Only called when the tree is in fast mode,
-// which guarantees every ID fits a byte and the length fits the array.
-func fastKey(p types.Path) pathKey {
-	var k pathKey
-	k.n = uint8(len(p))
-	for i, id := range p {
-		k.ids[i] = uint8(id)
-	}
-	return k
-}
-
 // New returns an empty tree for a system of n nodes whose protocol performs
 // depth rounds, rooted at sender. depth must be in [1, n-1] so that paths
-// never exhaust the node population.
+// never exhaust the node population, and the path universe must fit the
+// dense store.
 func New(n, depth int, sender types.NodeID) (*Tree, error) {
-	return newTree(n, depth, sender, true)
-}
-
-// newMapTree builds a tree on the hash-map engine even where the flat
-// engine would apply. The differential tests use it as the oracle the
-// flat engine must match operation-for-operation.
-func newMapTree(n, depth int, sender types.NodeID) (*Tree, error) {
-	return newTree(n, depth, sender, false)
-}
-
-func newTree(n, depth int, sender types.NodeID, allowFlat bool) (*Tree, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("eig: need at least 2 nodes, got %d", n)
 	}
@@ -124,16 +94,23 @@ func newTree(n, depth int, sender types.NodeID, allowFlat bool) (*Tree, error) {
 	if sender < 0 || int(sender) >= n {
 		return nil, fmt.Errorf("eig: sender %d out of range", int(sender))
 	}
-	t := &Tree{n: n, depth: depth, sender: sender, uni: true, uniVal: types.Default}
-	if allowFlat {
-		t.flat = newFlatStore(n, depth, sender)
+	rk, err := sharedRanker(n, depth, sender)
+	if err != nil {
+		return nil, fmt.Errorf("eig: %w", err)
 	}
-	if t.flat == nil {
-		if n <= 255 && depth <= maxFastDepth {
-			t.fast = make(map[pathKey]types.Value)
-		} else {
-			t.vals = make(map[string]types.Value)
-		}
+	total := rk.Total()
+	if total > maxFlatEntries {
+		return nil, fmt.Errorf("eig: n=%d depth=%d has %d paths, more than the %d a tree stores",
+			n, depth, total, maxFlatEntries)
+	}
+	t := &Tree{
+		n: n, depth: depth, sender: sender, rk: rk,
+		vals:    make([]types.Value, total),
+		present: make([]uint64, (total+63)/64),
+		uni:     true, uniVal: types.Default,
+	}
+	for i := range t.vals {
+		t.vals[i] = types.Default
 	}
 	// Paths of length ℓ avoiding one fixed non-sender node: the sender is
 	// pinned at position 0 and the remaining ℓ−1 relayers are drawn, without
@@ -148,15 +125,23 @@ func newTree(n, depth int, sender types.NodeID, allowFlat bool) (*Tree, error) {
 
 // Reset empties the tree for reuse, retaining its allocated storage. The
 // serving runtime pools node complements across agreement instances; Reset
-// is what makes a pooled tree indistinguishable from a fresh one.
+// is what makes a pooled tree indistinguishable from a fresh one. It runs in
+// time proportional to the values actually recorded: each present slot is
+// restored to the default value and its bit cleared.
 func (t *Tree) Reset() {
-	switch {
-	case t.flat != nil:
-		t.flat.reset()
-	case t.fast != nil:
-		clear(t.fast)
-	default:
-		clear(t.vals)
+	if t.stored > 0 {
+		for w, word := range t.present {
+			if word == 0 {
+				continue
+			}
+			base := w << 6
+			for word != 0 {
+				t.vals[base+bits.TrailingZeros64(word)] = types.Default
+				word &= word - 1
+			}
+			t.present[w] = 0
+		}
+		t.stored = 0
 	}
 	t.uni, t.uniSeen, t.uniVal = true, false, types.Default
 }
@@ -185,50 +170,41 @@ func (t *Tree) ValidPath(p types.Path) bool {
 // Set records the value received for path p. The first write wins; protocols
 // ignore duplicate deliveries of the same claim. Invalid paths are rejected.
 func (t *Tree) Set(p types.Path, v types.Value) error {
-	if t.flat != nil {
-		// Ranking validates as a by-product: an invalid path has no index.
-		idx, ok := t.flat.rk.Index(p)
-		if !ok {
-			return fmt.Errorf("eig: invalid path %s for n=%d depth=%d sender=%d",
-				p, t.n, t.depth, int(t.sender))
-		}
-		if t.flat.set(idx, v) {
-			t.noteStore(v)
-		}
-		return nil
-	}
-	if !t.ValidPath(p) {
+	// Ranking validates as a by-product: an invalid path has no index.
+	idx, ok := t.rk.Index(p)
+	if !ok {
 		return fmt.Errorf("eig: invalid path %s for n=%d depth=%d sender=%d",
 			p, t.n, t.depth, int(t.sender))
 	}
-	if t.fast != nil {
-		k := fastKey(p)
-		if _, dup := t.fast[k]; dup {
-			return nil
-		}
-		t.fast[k] = v
+	if t.store(idx, v) {
 		t.noteStore(v)
-		return nil
 	}
-	k := p.Key()
-	if _, dup := t.vals[k]; dup {
-		return nil
-	}
-	t.vals[k] = v
-	t.noteStore(v)
 	return nil
 }
 
-// Layout returns the flat engine's path ranker, which the ranker cache
-// shares by shape, so two trees have equal layouts exactly when
-// StoreRelays may copy between them. It is nil on a map engine and for
-// systems past types.MaxNodeSetID+1 nodes, which the bulk store does not
-// cover.
+// store records v at idx unless a value is already present (first write
+// wins), reporting whether the value was stored — the unanimity tracking
+// only counts actual stores.
+func (t *Tree) store(idx int, v types.Value) bool {
+	w, b := idx>>6, uint(idx&63)
+	if t.present[w]&(1<<b) != 0 {
+		return false
+	}
+	t.present[w] |= 1 << b
+	t.vals[idx] = v
+	t.stored++
+	return true
+}
+
+// Layout returns the tree's path ranker, which the ranker cache shares by
+// shape, so two trees have equal layouts exactly when StoreRelays may copy
+// between them. It is nil for systems past types.MaxNodeSetID+1 nodes,
+// which the bulk store does not cover.
 func (t *Tree) Layout() *types.PathRanker {
-	if t.flat == nil || t.n > types.MaxNodeSetID+1 {
+	if t.n > types.MaxNodeSetID+1 {
 		return nil
 	}
-	return t.flat.rk
+	return t.rk
 }
 
 // StoreRelays is Set in bulk. For every path σ of length level−1 that
@@ -243,7 +219,7 @@ func (t *Tree) Layout() *types.PathRanker {
 func (t *Tree) StoreRelays(src *Tree, relayer, self types.NodeID, level int) error {
 	rk := t.Layout()
 	if rk == nil || src.Layout() != rk {
-		return fmt.Errorf("eig: bulk store needs two flat trees of one shape")
+		return fmt.Errorf("eig: bulk store needs two trees of one shape")
 	}
 	if level < 2 || level > t.depth || relayer < 0 || int(relayer) >= t.n || relayer == t.sender {
 		return fmt.Errorf("eig: no level-%d relays from %d for n=%d depth=%d sender=%d",
@@ -252,12 +228,11 @@ func (t *Tree) StoreRelays(src *Tree, relayer, self types.NodeID, level int) err
 	if self == t.sender {
 		return nil // every claim carries the sender, which never stores its own
 	}
-	f, vals := t.flat, src.flat.vals
-	for _, e := range f.relayPlan().runs[level][relayer] {
+	for _, e := range t.relayPlan().runs[level][relayer] {
 		if e.on.Contains(self) {
 			continue
 		}
-		if v := vals[e.src]; f.set(int(e.dst), v) {
+		if v := src.vals[e.src]; t.store(int(e.dst), v) {
 			t.noteStore(v)
 		}
 	}
@@ -279,48 +254,20 @@ func (t *Tree) noteStore(v types.Value) {
 // carrying it was absent (the paper's assumption (b): absence is detectable,
 // and a missing value is treated as the default).
 func (t *Tree) Get(p types.Path) types.Value {
-	if t.flat != nil {
-		if idx, ok := t.flat.rk.Index(p); ok {
-			return t.flat.vals[idx] // pre-filled with Default when absent
-		}
-		return types.Default
-	}
-	if t.fast != nil {
-		if v, ok := t.fast[fastKey(p)]; ok {
-			return v
-		}
-		return types.Default
-	}
-	if v, ok := t.vals[p.Key()]; ok {
-		return v
+	if idx, ok := t.rk.Index(p); ok {
+		return t.vals[idx] // pre-filled with Default when absent
 	}
 	return types.Default
 }
 
 // Has reports whether a value was recorded for p.
 func (t *Tree) Has(p types.Path) bool {
-	if t.flat != nil {
-		idx, ok := t.flat.rk.Index(p)
-		return ok && t.flat.has(idx)
-	}
-	if t.fast != nil {
-		_, ok := t.fast[fastKey(p)]
-		return ok
-	}
-	_, ok := t.vals[p.Key()]
-	return ok
+	idx, ok := t.rk.Index(p)
+	return ok && t.present[idx>>6]&(1<<uint(idx&63)) != 0
 }
 
 // Stored returns the number of recorded values.
-func (t *Tree) Stored() int {
-	if t.flat != nil {
-		return t.flat.stored
-	}
-	if t.fast != nil {
-		return len(t.fast)
-	}
-	return len(t.vals)
-}
+func (t *Tree) Stored() int { return t.stored }
 
 // FastDecision attempts to decide receiver self's value in O(1) from the
 // incremental unanimity tracking, without sweeping the tree. It returns
@@ -353,57 +300,10 @@ func (t *Tree) FastDecision(self types.NodeID) (types.Value, bool) {
 	if !t.uniSeen || t.uniVal == types.Default {
 		return types.Default, true
 	}
-	if t.Stored() == t.selfFree {
+	if t.stored == t.selfFree {
 		return t.uniVal, true
 	}
 	return types.Default, false
-}
-
-// Resolve computes the decision of receiver self by resolving the tree
-// bottom-up from the root path (sender). rule is applied at every internal
-// path; leaf paths (length == depth) evaluate to their stored value. The
-// vote vector handed to rule is only valid for the duration of the call.
-func (t *Tree) Resolve(self types.NodeID, rule Rule) types.Value {
-	if t.flat != nil {
-		return t.flat.resolve(self, rule)
-	}
-	// The map engines' DFS reuses one path buffer (children overwrite
-	// their siblings' slot) and one scratch segment per recursion level,
-	// so resolving a pooled tree allocates nothing after the first call.
-	if cap(t.pbuf) < t.depth {
-		t.pbuf = make(types.Path, 0, t.depth)
-	}
-	if want := t.depth * t.n; cap(t.scratch) < want {
-		t.scratch = make([]types.Value, want)
-	}
-	t.pbuf = t.pbuf[:1]
-	t.pbuf[0] = t.sender
-	return t.resolve(t.pbuf, self, rule)
-}
-
-func (t *Tree) resolve(p types.Path, self types.NodeID, rule Rule) types.Value {
-	if len(p) == t.depth {
-		return t.Get(p)
-	}
-	// n_σ: participants of the sub-protocol whose sender is p.Last().
-	// The top-level protocol has n participants; each recursion level
-	// excludes one prior sender.
-	nSub := t.n - (len(p) - 1)
-	level := len(p) - 1
-	seg := t.scratch[level*t.n : level*t.n : (level+1)*t.n]
-	vals := seg[:0]
-	// The receiver's own directly received value for this path (w_i in the
-	// paper's step 3).
-	vals = append(vals, t.Get(p))
-	for j := 0; j < t.n; j++ {
-		id := types.NodeID(j)
-		if id == self || p.Contains(id) {
-			continue
-		}
-		child := append(p, id)
-		vals = append(vals, t.resolve(child, self, rule))
-	}
-	return rule(nSub, vals)
 }
 
 // ForEachPath enumerates every valid path of exactly the given length

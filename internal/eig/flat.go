@@ -1,48 +1,16 @@
 package eig
 
 import (
-	"math/bits"
 	"sync"
 
 	"degradable/internal/types"
 )
 
-// maxFlatEntries bounds the dense universe the flat engine will allocate:
-// one types.Value per valid path plus a presence bitset. Universes past
-// the bound (very deep trees on large systems) fall back to the map
-// engine; everything the protocols actually run fits with room to spare.
+// maxFlatEntries bounds the dense universe a tree will allocate: one
+// types.Value per valid path plus a presence bit. New refuses shapes past
+// it (very deep trees on large systems); everything the protocols actually
+// run fits with room to spare.
 const maxFlatEntries = 1 << 20
-
-// flatStore is the dense-array EIG storage engine. Every valid path is
-// ranked to a contiguous integer by a types.PathRanker, values live in one
-// flat slice (absent slots pre-filled with the default value, which is
-// exactly what an absent claim reads as), and a presence bitset carries
-// the first-write-wins and Stored bookkeeping. Set/Get/Has are a ranking
-// pass plus an array access — no hashing, no allocation — and Resolve is
-// an iterative bottom-up level sweep with zero allocations after the
-// first call.
-type flatStore struct {
-	rk     *types.PathRanker
-	n      int
-	depth  int
-	sender types.NodeID
-
-	vals    []types.Value // indexed by rk.Index; types.Default when absent
-	present []uint64
-	stored  int
-
-	// Resolve scratch, lazily sized on first use and reused forever after:
-	// two level buffers (resolved values of the current and previous
-	// level, swapped as the sweep ascends), the gathered vote vector, and
-	// the odometer that tracks the member set of the path being resolved.
-	level  [2][]types.Value
-	gather []types.Value
-	odo    []int
-
-	// plan is the shape's shared relay table, fetched on the first bulk
-	// store (Tree.StoreRelays) and kept so later stores skip the cache.
-	plan *relayPlan
-}
 
 // relayPlan is the bulk lane's rank-permutation table for one shape. For
 // level ℓ ≥ 2 and relayer i, runs[ℓ][i] lists the level-ℓ paths σ·i in
@@ -66,20 +34,20 @@ type relayEntry struct {
 // the ranker alone.
 var planCache sync.Map // rankerKey -> *relayPlan
 
-// relayPlan returns the store's shared plan, building it on first use.
-func (f *flatStore) relayPlan() *relayPlan {
-	if f.plan != nil {
-		return f.plan
+// relayPlan returns the tree's shared plan, building it on first use.
+func (t *Tree) relayPlan() *relayPlan {
+	if t.plan != nil {
+		return t.plan
 	}
-	key := rankerKey{n: f.n, depth: f.depth, sender: f.sender}
+	key := rankerKey{n: t.n, depth: t.depth, sender: t.sender}
 	if p, ok := planCache.Load(key); ok {
-		f.plan = p.(*relayPlan)
-		return f.plan
+		t.plan = p.(*relayPlan)
+		return t.plan
 	}
-	p := newRelayPlan(f.rk)
+	p := newRelayPlan(t.rk)
 	actual, _ := planCache.LoadOrStore(key, p)
-	f.plan = actual.(*relayPlan)
-	return f.plan
+	t.plan = actual.(*relayPlan)
+	return t.plan
 }
 
 // newRelayPlan unranks every path of length ≥ 2 once and files it under its
@@ -147,109 +115,52 @@ func sharedRanker(n, depth int, sender types.NodeID) (*types.PathRanker, error) 
 	return actual.(*types.PathRanker), nil
 }
 
-// newFlatStore builds the dense engine, or returns nil when the universe
-// is out of the ranker's range or too large to materialize — the caller
-// then falls back to a map engine.
-func newFlatStore(n, depth int, sender types.NodeID) *flatStore {
-	rk, err := sharedRanker(n, depth, sender)
-	if err != nil {
-		return nil
-	}
-	total := rk.Total()
-	if total > maxFlatEntries {
-		return nil
-	}
-	f := &flatStore{rk: rk, n: n, depth: depth, sender: sender}
-	f.vals = make([]types.Value, total)
-	for i := range f.vals {
-		f.vals[i] = types.Default
-	}
-	f.present = make([]uint64, (total+63)/64)
-	return f
-}
-
-// set records v at idx unless a value is already present (first write
-// wins, matching the tree contract), reporting whether the value was
-// stored — the tree's unanimity tracking only counts actual stores.
-func (f *flatStore) set(idx int, v types.Value) bool {
-	w, b := idx>>6, uint(idx&63)
-	if f.present[w]&(1<<b) != 0 {
-		return false
-	}
-	f.present[w] |= 1 << b
-	f.vals[idx] = v
-	f.stored++
-	return true
-}
-
-// has reports whether idx holds a recorded value.
-func (f *flatStore) has(idx int) bool {
-	return f.present[idx>>6]&(1<<uint(idx&63)) != 0
-}
-
-// reset empties the store in time proportional to the values actually
-// recorded: each present slot is restored to the default value and its
-// bit cleared. A pooled tree therefore resets in O(stored), not O(universe).
-func (f *flatStore) reset() {
-	if f.stored == 0 {
-		return
-	}
-	for w, word := range f.present {
-		if word == 0 {
-			continue
-		}
-		base := w << 6
-		for word != 0 {
-			f.vals[base+bits.TrailingZeros64(word)] = types.Default
-			word &= word - 1
-		}
-		f.present[w] = 0
-	}
-	f.stored = 0
-}
-
-// resolve computes receiver self's decision by an iterative bottom-up
-// sweep over the flat arrays. The leaf level needs no work at all — the
-// value segment already holds stored-or-default for every leaf — and each
-// inner level ℓ reads its children from the level-(ℓ+1) results at the
+// Resolve computes the decision of receiver self by resolving the tree
+// bottom-up from the root path (sender). rule is applied at every internal
+// path; leaf paths (length == depth) evaluate to their stored value. The
+// vote vector handed to rule is only valid for the duration of the call.
+//
+// The sweep is iterative. The leaf level needs no work at all — the value
+// segment already holds stored-or-default for every leaf — and each inner
+// level ℓ reads its children from the level-(ℓ+1) results at the
 // contiguous rank block r·(n−ℓ)+s (see types.PathRanker.Children). The
 // per-path member set is tracked by a lexicographic odometer running in
 // lockstep with the rank counter, so no path is ever materialized, no
 // recursion happens, and after the scratch warms up nothing allocates.
-func (f *flatStore) resolve(self types.NodeID, rule Rule) types.Value {
-	if f.depth == 1 {
-		return f.vals[0] // the root is a leaf: stored value or default
+func (t *Tree) Resolve(self types.NodeID, rule Rule) types.Value {
+	if t.depth == 1 {
+		return t.vals[0] // the root is a leaf: stored value or default
 	}
-	n := f.n
+	n := t.n
 	// Compact index of self in the non-sender alphabet; -1 when self is
 	// the sender (then no child is ever excluded for self, matching the
 	// recursive definition where the root already contains the sender).
 	selfC := -1
-	if self != f.sender {
+	if self != t.sender {
 		selfC = int(self)
-		if self > f.sender {
+		if self > t.sender {
 			selfC--
 		}
 	}
-	if f.gather == nil {
-		inner := f.rk.Count(f.depth - 1) // the widest non-leaf level
-		f.level[0] = make([]types.Value, inner)
-		f.level[1] = make([]types.Value, inner)
-		f.gather = make([]types.Value, 0, n)
-		f.odo = make([]int, f.depth)
+	if t.gather == nil {
+		inner := t.rk.Count(t.depth - 1) // the widest non-leaf level
+		t.level[0] = make([]types.Value, inner)
+		t.level[1] = make([]types.Value, inner)
+		t.gather = make([]types.Value, 0, n)
+		t.odo = make([]int, t.depth)
 	}
 	// prev holds the resolved values of the level below, indexed by that
 	// level's rank. For the leaf level it aliases the flat value segment
 	// directly; absent leaves already read as the default value.
-	off := f.rk.Offset(f.depth)
-	prev := f.vals[off : off+f.rk.Count(f.depth)]
-	for l := f.depth - 1; l >= 1; l-- {
+	off := t.rk.Offset(t.depth)
+	prev := t.vals[off : off+t.rk.Count(t.depth)]
+	for l := t.depth - 1; l >= 1; l-- {
 		k := l - 1 // relayers on a length-l path
-		cnt := f.rk.Count(l)
-		cur := f.level[l&1][:cnt]
+		cnt := t.rk.Count(l)
+		cur := t.level[l&1][:cnt]
 		stride := n - l // children per path, and the child-block width
-		base := f.rk.Offset(l)
-		c := f.odo[:k]
+		base := t.rk.Offset(l)
+		c := t.odo[:k]
 		for i := range c {
 			c[i] = i // rank 0 is the lexicographically first permutation
 		}
@@ -274,7 +185,7 @@ func (f *flatStore) resolve(self types.NodeID, rule Rule) types.Value {
 				// w_1..w_{n_σ−1} of the paper's step 3: the receiver's own
 				// directly received value, then the children's resolved
 				// reports in ascending node-ID order.
-				vals := append(f.gather[:0], f.vals[base+rank])
+				vals := append(t.gather[:0], t.vals[base+rank])
 				cb := rank * stride
 				for s := 0; s < stride; s++ {
 					if s == sSelf {
@@ -285,7 +196,7 @@ func (f *flatStore) resolve(self types.NodeID, rule Rule) types.Value {
 				cur[rank] = rule(n-k, vals)
 			}
 			if rank+1 < cnt {
-				f.odoNext(c)
+				t.odoNext(c)
 			}
 		}
 		prev = cur
@@ -297,8 +208,8 @@ func (f *flatStore) resolve(self types.NodeID, rule Rule) types.Value {
 // {0..n−2} in lexicographic order, keeping the enumeration in lockstep
 // with the level rank counter. Positions are tiny (k ≤ depth−1), so the
 // quadratic membership scans stay a handful of compares.
-func (f *flatStore) odoNext(c []int) {
-	m := f.n - 1
+func (t *Tree) odoNext(c []int) {
+	m := t.n - 1
 	for i := len(c) - 1; i >= 0; i-- {
 	next:
 		for v := c[i] + 1; v < m; v++ {

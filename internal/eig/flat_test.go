@@ -10,27 +10,29 @@ import (
 	"degradable/internal/vote"
 )
 
-// TestFlatEngineSelection pins down which universes get the dense engine.
+// TestFlatEngineSelection pins down which shapes the dense store accepts:
+// New refuses a system past a byte of node IDs (the snapshot header stores
+// n in one byte) and a universe past maxFlatEntries, and a tree at n = 255
+// exports a snapshot that imports back.
 func TestFlatEngineSelection(t *testing.T) {
-	tr := mustNew(t, 7, 2, 0)
-	if tr.flat == nil {
-		t.Error("N=7 depth=2 should use the flat engine")
+	if _, err := New(256, 1, 0); err == nil {
+		t.Error("New(256, 1, 0) accepted n = 256")
 	}
-	mt, err := newMapTree(7, 2, 0)
+	// N=255 depth=4 has 1 + 254 + 254·253 + 254·253·252 ≈ 16.3M paths.
+	if _, err := New(255, 4, 0); err == nil {
+		t.Error("New(255, 4, 0) accepted a 16M-path universe")
+	}
+	tr := mustNew(t, 255, 2, 254)
+	if err := tr.Set(types.Path{254, 253}, 9); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := tr.Export(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt.flat != nil || mt.fast == nil {
-		t.Error("newMapTree should build the fast-map engine")
-	}
-	// A universe past maxFlatEntries falls back: N=255 depth=4 has
-	// 1 + 254 + 254·253 + 254·253·252 ≈ 16.3M paths.
-	big := mustNew(t, 255, 4, 0)
-	if big.flat != nil {
-		t.Error("16M-path universe should fall back to a map engine")
-	}
-	if big.fast == nil {
-		t.Error("fallback for n ≤ 255 should be the fast map")
+	back := mustNew(t, 255, 2, 254)
+	if err := back.Import(snap); err != nil || back.Get(types.Path{254, 253}) != 9 {
+		t.Fatalf("n=255 snapshot did not round-trip: %v", err)
 	}
 }
 
@@ -48,7 +50,7 @@ func enumeratePaths(tr *Tree) []types.Path {
 
 // TestFlatMatchesMapExhaustive is the differential oracle test: for every
 // small universe (n ≤ 6, all depths, two sender choices) and a seeded
-// random workload, the flat engine and the map engine must agree on
+// random workload, the tree and the map-engine oracle must agree on
 // Set/Get/Has/Stored and on Resolve — including the exact vote vectors
 // handed to the rule — for every receiver, across two Reset generations.
 func TestFlatMatchesMapExhaustive(t *testing.T) {
@@ -58,13 +60,7 @@ func TestFlatMatchesMapExhaustive(t *testing.T) {
 				name := fmt.Sprintf("n%d_d%d_s%d", n, depth, int(sender))
 				t.Run(name, func(t *testing.T) {
 					flatT := mustNew(t, n, depth, sender)
-					mapT, err := newMapTree(n, depth, sender)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if flatT.flat == nil {
-						t.Fatal("expected the flat engine")
-					}
+					mapT := newMapTree(n, depth, sender)
 					rng := rand.New(rand.NewSource(int64(n*100 + depth*10 + int(sender))))
 					paths := enumeratePaths(flatT)
 					for gen := 0; gen < 2; gen++ {
@@ -81,7 +77,7 @@ func TestFlatMatchesMapExhaustive(t *testing.T) {
 	}
 }
 
-func differentialWorkload(t *testing.T, flatT, mapT *Tree, paths []types.Path, rng *rand.Rand) {
+func differentialWorkload(t *testing.T, flatT *Tree, mapT *mapTree, paths []types.Path, rng *rand.Rand) {
 	t.Helper()
 	// Store a random ~2/3 subset, with duplicate Sets sprinkled in to
 	// exercise first-write-wins on both engines.
@@ -160,7 +156,7 @@ func differentialWorkload(t *testing.T, flatT, mapT *Tree, paths []types.Path, r
 }
 
 // TestFlatResolveAllocs verifies the warm-path guarantee: after the first
-// Resolve the flat engine allocates nothing, for Set and Resolve alike.
+// Resolve the tree allocates nothing, for Set and Resolve alike.
 func TestFlatResolveAllocs(t *testing.T) {
 	tr := mustNew(t, 7, 2, 0)
 	paths := enumeratePaths(tr)
@@ -181,7 +177,7 @@ func TestFlatResolveAllocs(t *testing.T) {
 }
 
 // FuzzFlatVsMap drives one universe with fuzzed operations and checks the
-// engines never diverge.
+// tree never diverges from the map-engine oracle.
 func FuzzFlatVsMap(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 0, 0, 0})
@@ -191,10 +187,7 @@ func FuzzFlatVsMap(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mapT, err := newMapTree(n, depth, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mapT := newMapTree(n, depth, 0)
 		paths := enumeratePaths(flatT)
 		for i := 0; i+1 < len(ops); i += 2 {
 			p := paths[int(ops[i])%len(paths)]
@@ -276,18 +269,15 @@ func TestStoreRelaysMatchesSet(t *testing.T) {
 }
 
 // TestStoreRelaysRejectsMismatch checks the shape guard: a bulk store
-// between trees of different layouts, or from the sender, is an error.
+// between trees of different layouts, past NodeSet's range, or from the
+// sender, is an error.
 func TestStoreRelaysRejectsMismatch(t *testing.T) {
 	a, b := mustNew(t, 5, 3, 0), mustNew(t, 5, 3, 1)
 	if err := a.StoreRelays(b, 2, 3, 2); err == nil {
 		t.Error("store across senders accepted")
 	}
-	m, err := newMapTree(5, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Layout() != nil || a.StoreRelays(m, 2, 3, 2) == nil {
-		t.Error("store from a map-engine tree accepted")
+	if wide := mustNew(t, 70, 2, 0); wide.Layout() != nil || wide.StoreRelays(mustNew(t, 70, 2, 0), 2, 3, 2) == nil {
+		t.Error("store past NodeSet's range accepted")
 	}
 	if err := a.StoreRelays(mustNew(t, 5, 3, 0), 0, 3, 2); err == nil {
 		t.Error("relays from the sender accepted")

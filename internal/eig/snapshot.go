@@ -9,9 +9,8 @@ import (
 )
 
 // Snapshot format: a versioned, checksummed serialization of a tree's
-// recorded claims, engine-agnostic (a snapshot exported from the flat
-// engine imports into a map-engine tree and vice versa — the differential
-// tests depend on it). It is the payload the cluster driver's crash-recovery
+// recorded claims, independent of the tree's storage layout (the tests hold
+// it to a reference codec over a map-backed oracle). It is the payload the cluster driver's crash-recovery
 // checkpoints embed, so the hard requirement is the inverse of the usual
 // one: corrupted bytes must never import *silently*. Every parse path
 // either returns the exact recorded claims or an error; a tree handed
@@ -43,12 +42,9 @@ const (
 // Export appends a snapshot of the tree's recorded claims to buf and
 // returns the extended slice. Claims are emitted in deterministic
 // (length-major, lexicographic) order, so equal trees export equal bytes.
-// Only systems whose node IDs fit a byte can be exported — which covers
-// every runnable protocol (the wire codec has the same bound).
+// Every node ID and the system size fit the format's bytes because New
+// refuses n > 255 (the wire codec has the same bound).
 func (t *Tree) Export(buf []byte) ([]byte, error) {
-	if t.n > 256 {
-		return nil, fmt.Errorf("eig: cannot export n=%d (node IDs exceed a byte)", t.n)
-	}
 	start := len(buf)
 	buf = binary.BigEndian.AppendUint32(buf, snapMagic)
 	buf = append(buf, snapVersion, byte(t.n), byte(t.depth), byte(t.sender))

@@ -8,91 +8,79 @@ import (
 	"degradable/internal/types"
 )
 
-// fillRandom stores a random subset of valid paths with random values,
-// identically into every given tree.
-func fillRandom(t testing.TB, rng *rand.Rand, trees ...*Tree) int {
-	t.Helper()
-	stored := 0
-	ref := trees[0]
-	for length := 1; length <= ref.Depth(); length++ {
-		ref.ForEachPath(length, -1, func(p types.Path) bool {
-			if rng.Intn(3) != 0 {
-				return true
-			}
-			v := types.Value(rng.Int63())
-			q := p.Clone()
-			for _, tr := range trees {
-				if err := tr.Set(q, v); err != nil {
-					t.Fatalf("Set(%s): %v", q, err)
-				}
-			}
-			stored++
-			return true
-		})
-	}
-	return stored
+// claimStore is the claim-level surface Tree and the mapTree oracle share.
+type claimStore interface {
+	Set(types.Path, types.Value) error
+	Get(types.Path) types.Value
+	Has(types.Path) bool
+	Stored() int
 }
 
-// assertTreesEqual compares every valid path's Has/Get across two trees.
-func assertTreesEqual(t *testing.T, got, want *Tree) {
+// fillRandom stores a random subset of ref's valid paths with random values,
+// identically into ref and every other given store.
+func fillRandom(t testing.TB, rng *rand.Rand, ref *Tree, others ...claimStore) {
+	t.Helper()
+	for _, p := range enumeratePaths(ref) {
+		if rng.Intn(3) != 0 {
+			continue
+		}
+		v := types.Value(rng.Int63())
+		for _, tr := range append([]claimStore{ref}, others...) {
+			if err := tr.Set(p, v); err != nil {
+				t.Fatalf("Set(%s): %v", p, err)
+			}
+		}
+	}
+}
+
+// assertTreesEqual compares Has/Get over every valid path of shape.
+func assertTreesEqual(t *testing.T, shape *Tree, got, want claimStore) {
 	t.Helper()
 	if got.Stored() != want.Stored() {
 		t.Fatalf("Stored() = %d, want %d", got.Stored(), want.Stored())
 	}
-	for length := 1; length <= want.Depth(); length++ {
-		want.ForEachPath(length, -1, func(p types.Path) bool {
-			if got.Has(p) != want.Has(p) {
-				t.Fatalf("Has(%s) = %v, want %v", p, got.Has(p), want.Has(p))
-			}
-			if got.Get(p) != want.Get(p) {
-				t.Fatalf("Get(%s) = %v, want %v", p, got.Get(p), want.Get(p))
-			}
-			return true
-		})
+	for _, p := range enumeratePaths(shape) {
+		if got.Has(p) != want.Has(p) {
+			t.Fatalf("Has(%s) = %v, want %v", p, got.Has(p), want.Has(p))
+		}
+		if got.Get(p) != want.Get(p) {
+			t.Fatalf("Get(%s) = %v, want %v", p, got.Get(p), want.Get(p))
+		}
 	}
 }
 
-// TestSnapshotRoundTrip exports from each engine and imports into the other:
-// the snapshot format is the bridge the cluster checkpoints cross between
-// the flat engine and the map-engine oracle.
+// TestSnapshotRoundTrip holds Export and Import to the oracle's reference
+// codec: equal claims export equal bytes, and each side imports the other's
+// snapshot back to the same claims.
 func TestSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, shape := range []struct{ n, depth, sender int }{
 		{4, 2, 0}, {5, 2, 3}, {7, 3, 1}, {6, 1, 5},
 	} {
-		flat, err := New(shape.n, shape.depth, types.NodeID(shape.sender))
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle, err := newMapTree(shape.n, shape.depth, types.NodeID(shape.sender))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fillRandom(t, rng, flat, oracle)
+		n, depth, sender := shape.n, shape.depth, types.NodeID(shape.sender)
+		tree := mustNew(t, n, depth, sender)
+		oracle := newMapTree(n, depth, sender)
+		fillRandom(t, rng, tree, oracle)
 
-		flatSnap, err := flat.Export(nil)
+		snap, err := tree.Export(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracleSnap, err := oracle.Export(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(flatSnap, oracleSnap) {
-			t.Fatalf("n=%d: flat and map engines export different snapshots", shape.n)
+		oracleSnap := oracle.Export()
+		if !bytes.Equal(snap, oracleSnap) {
+			t.Fatalf("n=%d: tree and oracle export different snapshots", n)
 		}
 
-		// Cross-engine import: flat snapshot into a fresh oracle and back.
-		fresh, _ := newMapTree(shape.n, shape.depth, types.NodeID(shape.sender))
-		if err := fresh.Import(flatSnap); err != nil {
-			t.Fatalf("map import of flat snapshot: %v", err)
+		fresh := newMapTree(n, depth, sender)
+		if err := fresh.Import(snap); err != nil {
+			t.Fatalf("oracle import of the tree's snapshot: %v", err)
 		}
-		assertTreesEqual(t, fresh, oracle)
-		freshFlat, _ := New(shape.n, shape.depth, types.NodeID(shape.sender))
-		if err := freshFlat.Import(oracleSnap); err != nil {
-			t.Fatalf("flat import of map snapshot: %v", err)
+		assertTreesEqual(t, tree, fresh, oracle)
+		freshTree := mustNew(t, n, depth, sender)
+		if err := freshTree.Import(oracleSnap); err != nil {
+			t.Fatalf("tree import of the oracle's snapshot: %v", err)
 		}
-		assertTreesEqual(t, freshFlat, flat)
+		assertTreesEqual(t, tree, freshTree, tree)
 	}
 }
 
@@ -180,10 +168,9 @@ func TestSnapshotRejectsBitFlips(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotImport fuzzes Import against the map-engine differential
-// oracle: arbitrary mutations of a valid snapshot must either error or —
-// only when the mutation reconstructs a byte-identical snapshot — import
-// the exact original claims.
+// FuzzSnapshotImport fuzzes Import against the oracle's reference decoder:
+// arbitrary mutations of a valid snapshot must either error on both sides,
+// leaving both empty, or import the same claims.
 func FuzzSnapshotImport(f *testing.F) {
 	base, _ := New(5, 2, 0)
 	rng := rand.New(rand.NewSource(17))
@@ -201,31 +188,31 @@ func FuzzSnapshotImport(f *testing.F) {
 		if len(mut) > 0 {
 			mut[int(pos)%len(mut)] ^= mask
 		}
-		flat, _ := New(5, 2, 0)
-		oracle, _ := newMapTree(5, 2, 0)
-		flatErr := flat.Import(mut)
+		tree, _ := New(5, 2, 0)
+		oracle := newMapTree(5, 2, 0)
+		treeErr := tree.Import(mut)
 		oracleErr := oracle.Import(mut)
-		if (flatErr == nil) != (oracleErr == nil) {
-			t.Fatalf("engines disagree: flat=%v oracle=%v", flatErr, oracleErr)
+		if (treeErr == nil) != (oracleErr == nil) {
+			t.Fatalf("decoders disagree: tree=%v oracle=%v", treeErr, oracleErr)
 		}
-		if flatErr != nil {
-			if flat.Stored() != 0 || oracle.Stored() != 0 {
-				t.Fatalf("failed import mutated the tree (flat=%d oracle=%d claims)",
-					flat.Stored(), oracle.Stored())
+		if treeErr != nil {
+			if tree.Stored() != 0 || oracle.Stored() != 0 {
+				t.Fatalf("failed import mutated a store (tree=%d oracle=%d claims)",
+					tree.Stored(), oracle.Stored())
 			}
 			return
 		}
-		// Both engines must agree claim-for-claim on anything accepted, and
-		// an accepted import must survive a full re-export/re-import cycle.
-		assertTreesEqual(t, flat, oracle)
-		re, err := flat.Export(nil)
+		// Both must agree claim-for-claim on anything accepted, and an
+		// accepted import must survive a full re-export/re-import cycle.
+		assertTreesEqual(t, tree, tree, oracle)
+		re, err := tree.Export(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, _ := newMapTree(5, 2, 0)
+		again := newMapTree(5, 2, 0)
 		if err := again.Import(re); err != nil {
 			t.Fatalf("re-import of re-export: %v", err)
 		}
-		assertTreesEqual(t, again, flat)
+		assertTreesEqual(t, tree, again, tree)
 	})
 }

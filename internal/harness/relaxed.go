@@ -5,7 +5,7 @@ import (
 
 	"degradable/internal/adversary"
 	"degradable/internal/core"
-	"degradable/internal/netsim"
+	"degradable/internal/round"
 	"degradable/internal/runner"
 	"degradable/internal/stats"
 	"degradable/internal/types"
@@ -54,7 +54,7 @@ func RelaxedTimeoutTable(seed int64) (*Result, error) {
 							// traffic is already adversarial, so exempting
 							// them only strengthens the drop adversary's
 							// focus on fault-free links.
-							Channel: netsim.NewRelaxedChannel(prob, seed+int64(i)*31+int64(faulty), faulty),
+							Channel: round.NewRelaxedChannel(prob, seed+int64(i)*31+int64(faulty), faulty),
 						}
 						_, verdict, err := in.Run()
 						if err != nil {

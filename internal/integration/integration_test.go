@@ -11,7 +11,7 @@ import (
 	"degradable/internal/adversary"
 	"degradable/internal/clocksync"
 	"degradable/internal/core"
-	"degradable/internal/netsim"
+	"degradable/internal/round"
 	"degradable/internal/runner"
 	"degradable/internal/topology"
 	"degradable/internal/transport"
@@ -70,7 +70,7 @@ func TestSection6EndToEnd(t *testing.T) {
 				3: adversary.Lie{Value: beta},
 				4: adversary.Silent{},
 			},
-			Channel: netsim.NewRelaxedChannel(dropProb, seed, faulty),
+			Channel: round.NewRelaxedChannel(dropProb, seed, faulty),
 		}
 		_, verdict, err := in.Run()
 		if err != nil {
@@ -171,7 +171,7 @@ func TestFullStack(t *testing.T) {
 				4: adversary.TwoFaced{A: types.NewNodeSet(1, 2, 3), ValueA: alpha, ValueB: beta},
 				7: adversary.Crash{After: 1},
 			},
-			Channel: netsim.ChainChannel{ch, netsim.NewRelaxedChannel(0.15, seed, faulty)},
+			Channel: round.ChainChannel{ch, round.NewRelaxedChannel(0.15, seed, faulty)},
 		}
 		_, verdict, err := in.Run()
 		if err != nil {

@@ -5,8 +5,8 @@ import (
 
 	"degradable/internal/adversary"
 	"degradable/internal/core"
-	"degradable/internal/netsim"
 	"degradable/internal/protocol/relay"
+	"degradable/internal/round"
 	"degradable/internal/spec"
 	"degradable/internal/topology"
 	"degradable/internal/transport"
@@ -78,7 +78,7 @@ func ConnectivityScenario(m, u, cut, sideSize int, alpha, beta types.Value) (*Co
 	p := core.Params{N: n, M: m, U: u}
 	depth := p.Depth()
 	rule := p.Rule()
-	nodes := make([]netsim.Node, n)
+	nodes := make([]round.Node, n)
 	for i := 0; i < n; i++ {
 		nd, err := relay.New(n, depth, 0, types.NodeID(i), beta, rule)
 		if err != nil {
@@ -93,7 +93,7 @@ func ConnectivityScenario(m, u, cut, sideSize int, alpha, beta types.Value) (*Co
 	if err != nil {
 		return nil, err
 	}
-	res, err := netsim.Run(nodes, netsim.Config{Rounds: depth, Channel: ch})
+	res, err := round.Run(nodes, round.Config{Rounds: depth, Channel: ch}, round.Goroutine{})
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +109,7 @@ func ConnectivityScenario(m, u, cut, sideSize int, alpha, beta types.Value) (*Co
 		F:                  u,
 		Verdict:            verdict,
 		Decisions:          res.Decisions,
-		DegradedDeliveries: ch.Degraded,
+		DegradedDeliveries: int(ch.Stats().Counter(transport.CounterNames[transport.CounterDegraded])),
 	}, nil
 }
 

@@ -23,8 +23,8 @@ import (
 	"fmt"
 
 	"degradable/internal/adversary"
-	"degradable/internal/netsim"
 	"degradable/internal/protocol/relay"
+	"degradable/internal/round"
 	"degradable/internal/spec"
 	"degradable/internal/types"
 	"degradable/internal/vote"
@@ -127,7 +127,7 @@ func Fig2Scenarios(alpha, beta types.Value) (*Fig2Report, error) {
 func runFig2(name string, senderValue types.Value, faulty types.NodeSet,
 	strategies map[types.NodeID]adversary.Strategy) (*ScenarioResult, error) {
 	const n, depth = 4, 2
-	nodes := make([]netsim.Node, n)
+	nodes := make([]round.Node, n)
 	for i := 0; i < n; i++ {
 		nd, err := relay.New(n, depth, NodeS, types.NodeID(i), senderValue, byz12Rule)
 		if err != nil {
@@ -138,7 +138,7 @@ func runFig2(name string, senderValue types.Value, faulty types.NodeSet,
 	if err := adversary.Wrap(nodes, n, depth, NodeS, senderValue, strategies); err != nil {
 		return nil, err
 	}
-	res, err := netsim.Run(nodes, netsim.Config{Rounds: depth, RecordViews: true})
+	res, err := round.Run(nodes, round.Config{Rounds: depth, RecordViews: true}, round.Goroutine{})
 	if err != nil {
 		return nil, err
 	}

@@ -178,8 +178,8 @@ func (nd *Node) keptRelays(tmpl []types.Message) []types.Message {
 	return out
 }
 
-// LaneShape implements round.LaneNode: nodes whose trees share a flat
-// layout can copy each other's slabs. A tree on a map engine has none.
+// LaneShape implements round.LaneNode: nodes whose trees share a layout
+// can copy each other's slabs. A tree past NodeSet's range has none.
 func (nd *Node) LaneShape() any {
 	if rk := nd.tree.Layout(); rk != nil {
 		return rk

@@ -8,7 +8,6 @@ import (
 
 	"degradable/internal/adversary"
 	"degradable/internal/core"
-	"degradable/internal/netsim"
 	"degradable/internal/protocol/relay"
 	"degradable/internal/round"
 	"degradable/internal/types"
@@ -40,7 +39,7 @@ var laneDrivers = []struct {
 	d    round.Driver
 }{
 	{"reference", round.Reference{}},
-	{"goroutine", netsim.Goroutine{}},
+	{"goroutine", round.Goroutine{}},
 }
 
 // laneRun executes one instance — honest complement, the given faults

@@ -9,7 +9,6 @@ import (
 	"degradable/internal/adversary"
 	"degradable/internal/chaos"
 	"degradable/internal/core"
-	"degradable/internal/netsim"
 	"degradable/internal/obs"
 	"degradable/internal/round"
 	"degradable/internal/routednet"
@@ -266,7 +265,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 		d    round.Driver
 	}{
 		{"reference", round.Reference{}},
-		{"goroutine", netsim.Goroutine{}},
+		{"goroutine", round.Goroutine{}},
 	}
 	for _, ch := range diffChannels {
 		for _, views := range []bool{false, true} {

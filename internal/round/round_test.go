@@ -134,20 +134,13 @@ func TestChannelAndExpander(t *testing.T) {
 		t.Errorf("drop-all: messages=%d delivered=%d got=%d", res.Messages, res.Delivered, len(dst.got))
 	}
 
-	res, dst = build(dupChannel{})
+	res, dst = build(fanOut{k: 2})
 	if res.Messages != 1 || res.Delivered != 2 || len(dst.got) != 2 {
 		t.Errorf("duplicate: messages=%d delivered=%d got=%d", res.Messages, res.Delivered, len(dst.got))
 	}
 	if want := 2 * MessageBytes(msg(1, 5)); res.Bytes != want {
 		t.Errorf("bytes=%d, want %d", res.Bytes, want)
 	}
-}
-
-type dupChannel struct{}
-
-func (dupChannel) Deliver(m types.Message) (types.Message, bool) { return m, true }
-func (dupChannel) DeliverAll(m types.Message) []types.Message {
-	return []types.Message{m, m}
 }
 
 // TestReferenceSchedule pins the Driver contract end to end: R Step calls

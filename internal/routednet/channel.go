@@ -1,3 +1,22 @@
+// Package routednet executes agreement protocols over an incompletely
+// connected network with TRUE hop-by-hop forwarding: every logical message
+// between non-adjacent nodes is physically split into copies, one per
+// vertex-disjoint path, and each copy traverses its route one hop at a
+// time, with Byzantine relays corrupting or dropping copies as they pass.
+// The destination accepts the value carried by at least m+1 copies when
+// unique (VOTE(m+1, copies)), else the default value.
+//
+// This is the uncompressed counterpart of internal/transport, which folds
+// the whole traversal into a single delivery function. DESIGN.md claims the
+// two are equivalent for corruption behaviours that depend only on (relay,
+// message, value); the tests in this package verify that claim by running
+// identical instances both ways and comparing every decision. The
+// uncompressed engine also reports true link-level traffic (hop count),
+// which the compressed channel can only estimate.
+//
+// The forwarding machinery lives in Channel, a round.Channel: any
+// round.Driver can run over it (the chaos engine selects it per scenario as
+// the "routed" topology mode), and Stats reports its link-level accounting.
 package routednet
 
 import (
@@ -86,6 +105,15 @@ func NewChannel(g *topology.Graph, m, u int, faulty map[types.NodeID]transport.R
 
 // Stats returns the channel's accounting in the unified snapshot schema.
 func (c *Channel) Stats() obs.Snapshot { return c.counters.Snapshot() }
+
+// token is one in-flight copy of a logical message.
+type token struct {
+	route []types.NodeID
+	pos   int // index of the node currently holding the copy
+	value types.Value
+	orig  types.Message
+	dead  bool
+}
 
 // Deliver implements round.Channel: adjacent pairs use their direct wire
 // (one hop, never degraded); everything else is forwarded token by token

@@ -6,7 +6,7 @@ import (
 
 	"degradable/internal/adversary"
 	"degradable/internal/core"
-	"degradable/internal/netsim"
+	"degradable/internal/round"
 	"degradable/internal/routednet"
 	"degradable/internal/spec"
 	"degradable/internal/topology"
@@ -26,29 +26,37 @@ func must(g *topology.Graph, err error) *topology.Graph {
 	return g
 }
 
-func TestValidation(t *testing.T) {
-	g := must(topology.Harary(4, 9))
-	p := core.Params{N: 9, M: 1, U: 2}
-	nodes, err := p.Nodes(alpha)
+// runRouted drives nodes over a hop-by-hop Channel on g under the reference
+// schedule and returns the run and the channel.
+func runRouted(t *testing.T, nodes []round.Node, g *topology.Graph, p core.Params,
+	faulty map[types.NodeID]transport.RelayCorruptor, strict bool) (*round.Result, *routednet.Channel) {
+	t.Helper()
+	ch, err := routednet.NewChannel(g, p.M, p.U, faulty, strict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := routednet.Run(nodes, routednet.Config{Graph: nil, M: 1, U: 2, Rounds: 2}); err == nil {
+	res, err := round.Run(nodes, round.Config{Rounds: p.Depth(), Channel: ch}, round.Reference{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, ch
+}
+
+func TestValidation(t *testing.T) {
+	g := must(topology.Harary(4, 9))
+	if _, err := routednet.NewChannel(nil, 1, 2, nil, true); err == nil {
 		t.Error("nil graph should error")
 	}
-	if _, err := routednet.Run(nodes[:5], routednet.Config{Graph: g, M: 1, U: 2, Rounds: 2}); err == nil {
-		t.Error("node/graph mismatch should error")
-	}
-	if _, err := routednet.Run(nodes, routednet.Config{Graph: g, M: 1, U: 2, Rounds: 0}); err == nil {
-		t.Error("zero rounds should error")
-	}
-	if _, err := routednet.Run(nodes, routednet.Config{Graph: g, M: 2, U: 1, Rounds: 2}); err == nil {
+	if _, err := routednet.NewChannel(g, 2, 1, nil, true); err == nil {
 		t.Error("m > u should error")
 	}
-	// Strict mode rejects insufficient connectivity.
+	// Strict mode rejects insufficient connectivity; loose mode builds.
 	cyc := must(topology.Cycle(9))
-	if _, err := routednet.Run(nodes, routednet.Config{Graph: cyc, M: 1, U: 2, Rounds: 2, Strict: true}); err == nil {
+	if _, err := routednet.NewChannel(cyc, 1, 2, nil, true); err == nil {
 		t.Error("strict mode should reject a 2-connected cycle for m+u+1=4")
+	}
+	if _, err := routednet.NewChannel(cyc, 1, 2, nil, false); err != nil {
+		t.Errorf("loose mode rejected a cycle: %v", err)
 	}
 }
 
@@ -59,21 +67,18 @@ func TestHonestRunOverSparseGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := routednet.Run(nodes, routednet.Config{Graph: g, M: 1, U: 2, Rounds: p.Depth(), Strict: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, ch := runRouted(t, nodes, g, p, nil, true)
 	for id, d := range res.Decisions {
 		if d != alpha {
 			t.Errorf("node %d decided %v", int(id), d)
 		}
 	}
-	if res.Hops <= res.LogicalMessages {
-		t.Errorf("hop count %d should exceed logical messages %d on a sparse graph",
-			res.Hops, res.LogicalMessages)
+	snap := ch.Stats()
+	if hops := int(snap.Counter(routednet.CounterNames[routednet.CounterHops])); hops <= res.Messages {
+		t.Errorf("hop count %d should exceed logical messages %d on a sparse graph", hops, res.Messages)
 	}
-	if res.Degraded != 0 {
-		t.Errorf("fault-free run degraded %d deliveries", res.Degraded)
+	if deg := snap.Counter(routednet.CounterNames[routednet.CounterDegraded]); deg != 0 {
+		t.Errorf("fault-free run degraded %d deliveries", deg)
 	}
 }
 
@@ -122,7 +127,7 @@ func TestEquivalenceWithCompressedTransport(t *testing.T) {
 				corrupt[id] = tc.corruptOf(id)
 			}
 
-			// Compressed: netsim + transport channel.
+			// Compressed: the transport channel.
 			nodesA, err := p.Nodes(alpha)
 			if err != nil {
 				t.Fatal(err)
@@ -134,7 +139,7 @@ func TestEquivalenceWithCompressedTransport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resA, err := netsim.Run(nodesA, netsim.Config{Rounds: p.Depth(), Channel: ch})
+			resA, err := round.Run(nodesA, round.Config{Rounds: p.Depth(), Channel: ch}, round.Goroutine{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,13 +152,7 @@ func TestEquivalenceWithCompressedTransport(t *testing.T) {
 			if err := adversary.Wrap(nodesB, p.N, p.Depth(), 0, alpha, strategies); err != nil {
 				t.Fatal(err)
 			}
-			resB, err := routednet.Run(nodesB, routednet.Config{
-				Graph: g, M: p.M, U: p.U, Rounds: p.Depth(), Strict: true,
-				Faulty: corrupt,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			resB, _ := runRouted(t, nodesB, g, p, corrupt, true)
 
 			if !reflect.DeepEqual(resA.Decisions, resB.Decisions) {
 				t.Errorf("decisions differ:\ncompressed  %v\nhop-by-hop %v", resA.Decisions, resB.Decisions)
@@ -180,10 +179,7 @@ func TestLooseModeOnWeakGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := routednet.Run(nodes, routednet.Config{Graph: g, M: 1, U: 2, Rounds: p.Depth()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := runRouted(t, nodes, g, p, nil, false)
 	for id, d := range res.Decisions {
 		if d != alpha {
 			t.Errorf("node %d decided %v", int(id), d)

@@ -8,8 +8,8 @@ import (
 	"fmt"
 
 	"degradable/internal/adversary"
-	"degradable/internal/netsim"
 	"degradable/internal/obs"
+	"degradable/internal/round"
 	"degradable/internal/spec"
 	"degradable/internal/types"
 )
@@ -25,7 +25,7 @@ type Protocol interface {
 	Thresholds() (m, u int)
 	// Nodes returns the fully honest node complement with the sender
 	// holding value.
-	Nodes(value types.Value) ([]netsim.Node, error)
+	Nodes(value types.Value) ([]round.Node, error)
 }
 
 // Instance is one configured run.
@@ -37,16 +37,16 @@ type Instance struct {
 	// Strategies arms the fault set: every key is faulty.
 	Strategies map[types.NodeID]adversary.Strategy
 	// Channel optionally interposes on deliveries (nil = perfect network).
-	Channel netsim.Channel
+	Channel round.Channel
 	// RecordViews captures per-node transcripts.
 	RecordViews bool
 	// Trace, when non-nil, observes every delivered message.
 	Trace func(types.Message)
 	// Sink, when non-nil, receives structured round events.
 	Sink obs.Sink
-	// Sequential runs all nodes inline on the calling goroutine (see
-	// netsim.Config.Sequential). Identical results, lower overhead; the
-	// serving runtime sets it so shard goroutines own instances end-to-end.
+	// Sequential runs all nodes inline on the calling goroutine under
+	// round.Reference instead of round.Goroutine: identical results, lower
+	// overhead. The chaos engine's sequential driver mode sets it.
 	Sequential bool
 }
 
@@ -60,7 +60,7 @@ func (in Instance) Faulty() types.NodeSet {
 }
 
 // Run executes the instance and checks the outcome against the spec.
-func (in Instance) Run() (*netsim.Result, spec.Verdict, error) {
+func (in Instance) Run() (*round.Result, spec.Verdict, error) {
 	if in.Protocol == nil {
 		return nil, spec.Verdict{}, fmt.Errorf("runner: nil protocol")
 	}
@@ -72,14 +72,17 @@ func (in Instance) Run() (*netsim.Result, spec.Verdict, error) {
 	if err := adversary.Wrap(nodes, n, depth, sender, in.SenderValue, in.Strategies); err != nil {
 		return nil, spec.Verdict{}, err
 	}
-	res, err := netsim.Run(nodes, netsim.Config{
+	var d round.Driver = round.Goroutine{}
+	if in.Sequential {
+		d = round.Reference{}
+	}
+	res, err := round.Run(nodes, round.Config{
 		Rounds:      depth,
 		Channel:     in.Channel,
 		RecordViews: in.RecordViews,
 		Trace:       in.Trace,
 		Sink:        in.Sink,
-		Sequential:  in.Sequential,
-	})
+	}, d)
 	if err != nil {
 		return nil, spec.Verdict{}, err
 	}

@@ -5,7 +5,7 @@ import (
 
 	"degradable/internal/adversary"
 	"degradable/internal/core"
-	"degradable/internal/netsim"
+	"degradable/internal/round"
 	"degradable/internal/runner"
 	"degradable/internal/types"
 )
@@ -54,7 +54,7 @@ func TestRunWithChannel(t *testing.T) {
 	in := runner.Instance{
 		Protocol:    core.Params{N: 5, M: 1, U: 2},
 		SenderValue: 7,
-		Channel:     netsim.FilterChannel{Keep: func(types.Message) bool { return true }},
+		Channel:     round.FilterChannel{Keep: func(types.Message) bool { return true }},
 	}
 	if _, verdict, err := in.Run(); err != nil || !verdict.OK {
 		t.Errorf("err=%v verdict=%+v", err, verdict)

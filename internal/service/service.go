@@ -4,12 +4,12 @@
 //
 // Each shard is one goroutine that owns its protocol instances end-to-end —
 // requests are admitted through a bounded per-shard queue with explicit
-// rejection (never blocking) and executed on the sequential netsim engine,
-// so the hot path takes no locks. Identically-shaped instances (same N, m,
+// rejection (never blocking) and executed by the round engine's inline
+// Reference driver, so the hot path takes no locks. Identically-shaped instances (same N, m,
 // u, sender) are batched: the shard drains its queue up to the batch size
 // and runs each shape group on a pooled, reusable node complement, so
 // per-instance setup (strategy construction, spec condition selection,
-// netsim wiring) is amortized across the batch.
+// engine wiring) is amortized across the batch.
 //
 // Serving never silently violates the paper's conditions: every shard
 // routes a deterministic sample of its results through the executable

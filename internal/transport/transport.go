@@ -26,8 +26,8 @@ package transport
 import (
 	"fmt"
 
-	"degradable/internal/netsim"
 	"degradable/internal/obs"
+	"degradable/internal/round"
 	"degradable/internal/topology"
 	"degradable/internal/types"
 	"degradable/internal/vote"
@@ -52,7 +52,7 @@ const (
 // CounterNames are the unified-snapshot names of the channel's counters.
 var CounterNames = []string{"transport_degraded_total", "transport_forwarded_total"}
 
-// Channel is a netsim.Channel that routes every delivery over vertex-
+// Channel is a round.Channel that routes every delivery over vertex-
 // disjoint paths of the given graph with Byzantine relays interposed.
 type Channel struct {
 	g        *topology.Graph
@@ -60,19 +60,9 @@ type Channel struct {
 	paths    map[[2]types.NodeID][][]types.NodeID
 	faulty   map[types.NodeID]RelayCorruptor
 	counters *obs.CounterSet
-
-	// Degraded mirrors the transport_degraded_total counter.
-	//
-	// Deprecated: read Stats() instead; the mutable int view predates the
-	// obs spine and is kept one release for EXPERIMENTS.md flows.
-	Degraded int
-	// Forwarded mirrors the transport_forwarded_total counter.
-	//
-	// Deprecated: read Stats() instead.
-	Forwarded int
 }
 
-var _ netsim.Channel = (*Channel)(nil)
+var _ round.Channel = (*Channel)(nil)
 
 // Stats returns the channel's accounting in the unified snapshot schema.
 func (c *Channel) Stats() obs.Snapshot { return c.counters.Snapshot() }
@@ -133,14 +123,15 @@ func build(g *topology.Graph, m, u int, faulty map[types.NodeID]RelayCorruptor, 
 	return c, nil
 }
 
-// Deliver implements netsim.Channel.
+// Deliver implements round.Channel. A pair with no route (loose mode on a
+// severed graph) is dropped — the detectable absence of §4 assumption (b),
+// as in routednet.Channel.
 func (c *Channel) Deliver(m types.Message) (types.Message, bool) {
 	if c.g.HasEdge(m.From, m.To) {
 		return m, true // direct wire, never degraded
 	}
-	ps, ok := c.paths[[2]types.NodeID{m.From, m.To}]
-	if !ok {
-		// No routes (shouldn't happen after New's validation).
+	ps := c.paths[[2]types.NodeID{m.From, m.To}]
+	if len(ps) == 0 {
 		return types.Message{}, false
 	}
 	copies := make([]types.Value, 0, len(ps))
@@ -149,7 +140,6 @@ func (c *Channel) Deliver(m types.Message) (types.Message, bool) {
 		dropped := false
 		for _, hop := range p[1 : len(p)-1] {
 			c.counters.Inc(CounterForwarded)
-			c.Forwarded++
 			corrupt, isFaulty := c.faulty[hop]
 			if !isFaulty {
 				continue
@@ -168,7 +158,6 @@ func (c *Channel) Deliver(m types.Message) (types.Message, bool) {
 	accepted := vote.Vote(c.m+1, copies)
 	if accepted != m.Value {
 		c.counters.Inc(CounterDegraded)
-		c.Degraded++
 	}
 	m.Value = accepted
 	return m, true

@@ -6,7 +6,7 @@ import (
 
 	"degradable/internal/adversary"
 	"degradable/internal/core"
-	"degradable/internal/netsim"
+	"degradable/internal/round"
 	"degradable/internal/runner"
 	"degradable/internal/topology"
 	"degradable/internal/transport"
@@ -238,6 +238,6 @@ func TestAgreementOverSparseGraphBattery(t *testing.T) {
 }
 
 func TestChannelImplementsInterface(t *testing.T) {
-	var _ netsim.Channel = (*transport.Channel)(nil)
+	var _ round.Channel = (*transport.Channel)(nil)
 	_ = fmt.Sprintf
 }

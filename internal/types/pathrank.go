@@ -46,19 +46,18 @@ type PathRanker struct {
 
 // maxRankerNodes caps the alphabet so unranking can track used values in a
 // fixed four-word bitmask (and so flat storage stays in byte-sized ID
-// territory). Larger systems use the hash-map tree engine instead.
+// territory). eig.New refuses larger systems.
 const maxRankerNodes = 255
 
 // maxRankerEntries caps the universe size so index arithmetic can never
 // overflow and a dense allocation stays sane. The EIG protocols are
 // exponential in depth, so any universe near this bound is unrunnable
-// anyway; the cap exists to make the fallback decision explicit.
+// anyway; the cap makes the refusal explicit.
 const maxRankerEntries = 1 << 40
 
 // NewPathRanker builds the ranking tables for a system of n nodes, paths
 // up to the given depth, rooted at sender. It fails when the parameters
-// are out of range or the universe exceeds maxRankerEntries — callers
-// treat that as "use the map engine".
+// are out of range or the universe exceeds maxRankerEntries.
 func NewPathRanker(n, depth int, sender NodeID) (*PathRanker, error) {
 	if n < 2 || n > maxRankerNodes {
 		return nil, fmt.Errorf("types: ranker needs 2 ≤ n ≤ %d, got %d", maxRankerNodes, n)

@@ -60,7 +60,7 @@ func TestPathRankerCounts(t *testing.T) {
 // TestPathRankerBijective checks, for every small universe, that Index is
 // a bijection onto [0, Total): every rank is hit exactly once, Unrank
 // inverts Index, ranks are assigned in lexicographic path order, and the
-// child-block contiguity the flat engine relies on holds.
+// child-block contiguity eig.Tree's resolve relies on holds.
 func TestPathRankerBijective(t *testing.T) {
 	for n := 2; n <= 6; n++ {
 		for depth := 1; depth <= n-1; depth++ {
