@@ -171,9 +171,13 @@ func BenchmarkTransportDeliver(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ch, err := transport.New(g, 1, 2, map[types.NodeID]transport.RelayCorruptor{
+	routes, err := topology.NewRoutes(g, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ch, err := transport.New(routes, 1, 2, map[types.NodeID]transport.RelayCorruptor{
 		5: transport.FlipTo(9),
-	})
+	}, true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -186,8 +190,8 @@ func BenchmarkTransportDeliver(b *testing.B) {
 	}
 }
 
-// BenchmarkDisjointPaths measures path extraction (done once per channel
-// setup in practice).
+// BenchmarkDisjointPaths measures path extraction (done once per graph and
+// path budget in practice: topology.Memo keeps the route table).
 func BenchmarkDisjointPaths(b *testing.B) {
 	g, err := topology.Harary(6, 16)
 	if err != nil {

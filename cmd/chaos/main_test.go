@@ -209,7 +209,8 @@ func TestChaosHelpListsEveryFlag(t *testing.T) {
 }
 
 // TestTopologyFlagErrors covers the -graph/-placement surface's rejection
-// paths: placement without a graph, unknown families, unknown placements.
+// paths: placement without a graph, unknown families, unknown placements,
+// and a graph that parses but cannot be built.
 func TestTopologyFlagErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -218,6 +219,7 @@ func TestTopologyFlagErrors(t *testing.T) {
 		{[]string{"-placement", "cutset"}, "requires -graph"},
 		{[]string{"-graph", "nosuch:3", "-runs", "1"}, "nosuch"},
 		{[]string{"-graph", "harary:4:9", "-placement", "corners", "-runs", "1"}, "placement"},
+		{[]string{"-seed", "11", "-runs", "20", "-graph", "gnp:9:0.05:1"}, "no connected graph"},
 	} {
 		var buf bytes.Buffer
 		err := run(tc.args, &buf)

@@ -167,7 +167,7 @@ func (sc Scenario) ResolveLevel() Level {
 		// Below the Theorem 3 bound κ ≥ m+u+1, faulty relays can forge
 		// values between fault-free nodes — outside every assumption the
 		// paper's conditions rest on, so nothing is promised.
-		if _, kappa, err := sc.Topology.analyze(); err == nil && kappa < sc.M+sc.U+1 {
+		if an, err := sc.Topology.analyze(); err == nil && an.Kappa < sc.M+sc.U+1 {
 			return LevelNone
 		}
 	}

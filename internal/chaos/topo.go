@@ -90,7 +90,8 @@ func (ts *TopoSpec) BuildGraph() (*topology.Graph, error) {
 	return sp.Build()
 }
 
-// validate rejects malformed mode and placement strings early.
+// validate rejects malformed mode and placement strings early (analyze
+// rejects a malformed graph).
 func (ts *TopoSpec) validate() error {
 	switch ts.Mode {
 	case "", TopoModeTransport, TopoModeRouted:
@@ -101,9 +102,6 @@ func (ts *TopoSpec) validate() error {
 	case "", PlacementUniform, PlacementCutset:
 	default:
 		return fmt.Errorf("chaos: unknown fault placement %q", ts.Placement)
-	}
-	if _, err := ts.spec(); err != nil {
-		return err
 	}
 	return nil
 }
@@ -124,13 +122,14 @@ func (ts *TopoSpec) edgeCandidates() [][2]int {
 	return out
 }
 
-// analyze builds the graph and computes its vertex connectivity.
-func (ts *TopoSpec) analyze() (*topology.Graph, int, error) {
-	g, err := ts.BuildGraph()
+// analyze returns the graph's shared analysis from topology.Shared: order,
+// κ, minimum cut and route tables, computed once per graph for the process.
+func (ts *TopoSpec) analyze() (*topology.Analysis, error) {
+	sp, err := ts.spec()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return g, g.VertexConnectivity(), nil
+	return topology.Shared.Analyze(sp)
 }
 
 // TopoReport is the topology block of an Outcome: the graph's position
@@ -175,13 +174,14 @@ func (ts *TopoSpec) Report(n, m, u, f int) (*TopoReport, error) {
 	if err := ts.validate(); err != nil {
 		return nil, err
 	}
-	g, kappa, err := ts.analyze()
+	an, err := ts.analyze()
 	if err != nil {
 		return nil, err
 	}
-	if g.N() != n {
-		return nil, fmt.Errorf("chaos: scenario has %d nodes but graph %q has %d", n, ts.Graph, g.N())
+	if an.N != n {
+		return nil, fmt.Errorf("chaos: scenario has %d nodes but graph %q has %d", n, ts.Graph, an.N)
 	}
+	kappa := an.Kappa
 	margin := kappa - (m + u + 1)
 	if margin < 0 && !ts.Loose {
 		return nil, fmt.Errorf(
@@ -217,17 +217,22 @@ func corruptorFor(f FaultSpec) transport.RelayCorruptor {
 	return transport.DropAll()
 }
 
-// NewChannel materializes the topology channel for one run: graph built,
-// relay corruptors derived from the scenario's fault set (crash victims in
-// faulty without a FaultSpec relay nothing), mode selected. Strict channels
-// (Loose unset) fail when the graph's pairwise connectivity is below m+u+1.
+// NewChannel materializes the topology channel for one run: the graph's
+// shared m+u+1 route table, relay corruptors derived from the scenario's
+// fault set (crash victims in faulty without a FaultSpec relay nothing),
+// mode selected. Strict channels (Loose unset) fail when the graph's
+// pairwise connectivity is below m+u+1.
 func (ts *TopoSpec) NewChannel(n, m, u int, faults []FaultSpec, faulty types.NodeSet) (TopoChannel, error) {
-	g, err := ts.BuildGraph()
+	an, err := ts.analyze()
 	if err != nil {
 		return nil, err
 	}
-	if g.N() != n {
-		return nil, fmt.Errorf("chaos: scenario has %d nodes but graph %q has %d", n, ts.Graph, g.N())
+	if an.N != n {
+		return nil, fmt.Errorf("chaos: scenario has %d nodes but graph %q has %d", n, ts.Graph, an.N)
+	}
+	routes, err := an.Routes(m + u + 1)
+	if err != nil {
+		return nil, err
 	}
 	corrupt := make(map[types.NodeID]transport.RelayCorruptor, faulty.Len())
 	for _, f := range faults {
@@ -240,12 +245,9 @@ func (ts *TopoSpec) NewChannel(n, m, u int, faults []FaultSpec, faulty types.Nod
 	}
 	switch ts.Mode {
 	case "", TopoModeTransport:
-		if ts.Loose {
-			return transport.NewLoose(g, m, u, corrupt)
-		}
-		return transport.New(g, m, u, corrupt)
+		return transport.New(routes, m, u, corrupt, !ts.Loose)
 	case TopoModeRouted:
-		return routednet.NewChannel(g, m, u, corrupt, !ts.Loose)
+		return routednet.NewChannel(routes, m, u, corrupt, !ts.Loose)
 	default:
 		return nil, fmt.Errorf("chaos: unknown topology mode %q", ts.Mode)
 	}
@@ -339,14 +341,18 @@ func DefaultTopoFamilies() []string {
 	}
 }
 
-// validate rejects a malformed axis before any scenario is generated.
+// validate rejects a malformed axis before any scenario is generated. Every
+// definition the axis names is built, through the memo, so a graph that
+// parses but cannot be built (a gnp draw with no connected sample) fails
+// the campaign instead of silently generating flat scenarios.
 func (a *TopoAxis) validate() error {
 	defs := a.Families
 	if a.Graph != "" {
 		defs = append([]string{a.Graph}, defs...)
 	}
 	for _, def := range defs {
-		if _, err := topology.ParseSpec(def); err != nil {
+		ts := TopoSpec{Graph: def}
+		if _, err := ts.analyze(); err != nil {
 			return err
 		}
 	}
@@ -411,15 +417,12 @@ func (a *TopoAxis) pick(rng *rand.Rand, gp *GridPoint) *topoPick {
 		}
 	}
 
-	sp, err := topology.ParseSpec(def)
+	ts := TopoSpec{Graph: def}
+	an, err := ts.analyze()
 	if err != nil {
-		return nil // axis validated up front; unreachable
+		return nil // a campaign's validate refuses such a definition up front
 	}
-	g, err := sp.Build()
-	if err != nil {
-		return nil
-	}
-	n, kappa := g.N(), g.VertexConnectivity()
+	n, kappa := an.N, an.Kappa
 	m, u := gp.M, gp.U
 	if !a.Loose && u > kappa-1-m {
 		u = kappa - 1 - m // clamp to the Theorem 3 boundary
@@ -433,7 +436,7 @@ func (a *TopoAxis) pick(rng *rand.Rand, gp *GridPoint) *topoPick {
 	}
 	gp.N, gp.U = n, u
 	if p.placement == PlacementCutset {
-		p.cut = g.MinVertexCut()
+		p.cut = an.Cut()
 	}
 	return p
 }

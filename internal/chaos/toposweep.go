@@ -102,12 +102,11 @@ func TopologySweep(seed int64, runsPerCell int) (*TopoBench, error) {
 	cellIdx := 0
 	for _, fam := range sweepFamilies() {
 		ts := TopoSpec{Graph: fam.def, Loose: fam.loose}
-		g, kappa, err := ts.analyze()
+		an, err := ts.analyze()
 		if err != nil {
 			return nil, err
 		}
-		n := g.N()
-		cut := g.MinVertexCut()
+		n, kappa, cut := an.N, an.Kappa, an.Cut()
 		for _, placement := range []string{PlacementUniform, PlacementCutset} {
 			for f := 1; f <= m+1; f++ {
 				cell := TopoCell{

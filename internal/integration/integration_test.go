@@ -99,6 +99,10 @@ func TestChannelSystemOverSparseNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	routes, err := topology.NewRoutes(g, m+u+1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := core.Params{N: 9, M: m, U: u}
 	faultPairs := [][]types.NodeID{{2, 6}, {1, 3}, {5, 8}}
 	for _, pair := range faultPairs {
@@ -108,7 +112,7 @@ func TestChannelSystemOverSparseNetwork(t *testing.T) {
 			corrupt[id] = transport.FlipTo(beta)
 			strategies[id] = adversary.Lie{Value: beta}
 		}
-		ch, err := transport.New(g, m, u, corrupt)
+		ch, err := transport.New(routes, m, u, corrupt, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,6 +156,10 @@ func TestFullStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	routes, err := topology.NewRoutes(g, m+u+1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := core.Params{N: 9, M: m, U: u}
 	faultyIDs := []types.NodeID{4, 7}
 	faulty := types.NewNodeSet(faultyIDs...)
@@ -160,7 +168,7 @@ func TestFullStack(t *testing.T) {
 		7: transport.DropAll(),
 	}
 	for seed := int64(0); seed < 5; seed++ {
-		ch, err := transport.New(g, m, u, corrupt)
+		ch, err := transport.New(routes, m, u, corrupt, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -89,7 +89,11 @@ func ConnectivityScenario(m, u, cut, sideSize int, alpha, beta types.Value) (*Co
 	if err := adversary.Wrap(nodes, n, depth, 0, beta, strategies); err != nil {
 		return nil, err
 	}
-	ch, err := transport.NewLoose(g, m, u, corrupt)
+	routes, err := topology.NewRoutes(g, m+u+1)
+	if err != nil {
+		return nil, err
+	}
+	ch, err := transport.New(routes, m, u, corrupt, false)
 	if err != nil {
 		return nil, err
 	}

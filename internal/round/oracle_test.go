@@ -226,14 +226,14 @@ var diffChannels = []struct {
 		return ch
 	}},
 	{"transport", false, func(t *testing.T) round.Channel {
-		ch, err := transport.New(diffGraph(t), diffShape.M, diffShape.U, diffRelays)
+		ch, err := transport.New(diffRoutes(t), diffShape.M, diffShape.U, diffRelays, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ch
 	}},
 	{"routednet", false, func(t *testing.T) round.Channel {
-		ch, err := routednet.NewChannel(diffGraph(t), diffShape.M, diffShape.U, diffRelays, true)
+		ch, err := routednet.NewChannel(diffRoutes(t), diffShape.M, diffShape.U, diffRelays, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,13 +246,17 @@ var diffRelays = map[types.NodeID]transport.RelayCorruptor{
 	6: transport.DropAll(),
 }
 
-func diffGraph(t *testing.T) *topology.Graph {
+func diffRoutes(t *testing.T) *topology.Routes {
 	t.Helper()
 	g, err := topology.Harary(5, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	r, err := topology.NewRoutes(g, diffShape.M+diffShape.U+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // TestEngineMatchesOracle is the judge of the route-at-collect engine: over

@@ -20,8 +20,6 @@
 package routednet
 
 import (
-	"fmt"
-
 	"degradable/internal/obs"
 	"degradable/internal/round"
 	"degradable/internal/topology"
@@ -50,57 +48,27 @@ var CounterNames = []string{"routed_hops_total", "routed_degraded_total"}
 // then VOTE(m+1, copies) acceptance at the destination. It is the
 // uncompressed counterpart of transport.Channel behind the same interface,
 // which is what lets every round.Driver — goroutine, sequential, cluster —
-// run over an incomplete graph with real link-level accounting.
+// run over an incomplete graph with real link-level accounting. Its own
+// state is the relay corruptors and the counters; the routes are a shared
+// table.
 type Channel struct {
-	g        *topology.Graph
+	routes   *topology.Routes
 	m        int
-	routes   map[[2]types.NodeID][][]types.NodeID
 	faulty   map[types.NodeID]transport.RelayCorruptor
 	counters *obs.CounterSet
 }
 
 var _ round.Channel = (*Channel)(nil)
 
-// NewChannel precomputes m+u+1 disjoint routes for every ordered
-// non-adjacent pair. strict fails when the graph's pairwise connectivity is
-// below m+u+1 (Theorem 3 necessity); loose routes over what exists, for the
-// lower-bound demonstrations.
-func NewChannel(g *topology.Graph, m, u int, faulty map[types.NodeID]transport.RelayCorruptor, strict bool) (*Channel, error) {
-	if g == nil {
-		return nil, fmt.Errorf("routednet: nil graph")
+// NewChannel builds a hop-by-hop channel for an m/u instance over a route
+// table built for m+u+1 paths per pair. strict fails when some pair has
+// fewer (Theorem 3 necessity); loose routes over what exists, for the
+// lower-bound demonstrations. See Routes.Fit.
+func NewChannel(r *topology.Routes, m, u int, faulty map[types.NodeID]transport.RelayCorruptor, strict bool) (*Channel, error) {
+	if err := r.Fit(m, u, strict); err != nil {
+		return nil, err
 	}
-	if m < 0 || u < m || u < 1 {
-		return nil, fmt.Errorf("routednet: infeasible m=%d u=%d", m, u)
-	}
-	need := m + u + 1
-	n := g.N()
-	c := &Channel{
-		g:        g,
-		m:        m,
-		routes:   make(map[[2]types.NodeID][][]types.NodeID),
-		faulty:   faulty,
-		counters: obs.NewCounterSet(CounterNames...),
-	}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			s, t := types.NodeID(a), types.NodeID(b)
-			if g.HasEdge(s, t) {
-				continue
-			}
-			ps, err := g.DisjointPaths(s, t, need)
-			if err != nil {
-				return nil, err
-			}
-			if strict && len(ps) < need {
-				return nil, fmt.Errorf("routednet: only %d paths for %d→%d, need %d", len(ps), a, b, need)
-			}
-			c.routes[[2]types.NodeID{s, t}] = ps
-		}
-	}
-	return c, nil
+	return &Channel{routes: r, m: m, faulty: faulty, counters: obs.NewCounterSet(CounterNames...)}, nil
 }
 
 // Stats returns the channel's accounting in the unified snapshot schema.
@@ -121,11 +89,11 @@ type token struct {
 // An unroutable message (loose mode on a severed graph) is dropped — the
 // detectable absence of §4 assumption (b).
 func (c *Channel) Deliver(m types.Message) (types.Message, bool) {
-	if c.g.HasEdge(m.From, m.To) {
+	if c.routes.Adjacent(m.From, m.To) {
 		c.counters.Inc(CounterHops)
 		return m, true
 	}
-	ps := c.routes[[2]types.NodeID{m.From, m.To}]
+	ps := c.routes.Paths(m.From, m.To)
 	if len(ps) == 0 {
 		return types.Message{}, false
 	}

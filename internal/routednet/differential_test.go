@@ -69,15 +69,15 @@ func diffOnGraph(t *testing.T, name string, g *topology.Graph, rng *rand.Rand, f
 		return nodes
 	}
 
-	// Compressed: the transport channel. Strictness follows the graph —
-	// below the Theorem 3 bound both sides run loose, and the equivalence
-	// must hold there too (forged outcomes and unroutable pairs included).
-	ch, err := transport.New(g, p.M, p.U, corrupt)
-	strict := err == nil
-	if !strict {
-		if ch, err = transport.NewLoose(g, p.M, p.U, corrupt); err != nil {
-			t.Fatal(err)
-		}
+	// Compressed: the transport channel. Both channels read one route
+	// table; strictness follows the graph — below the Theorem 3 bound both
+	// sides run loose, and the equivalence must hold there too (forged
+	// outcomes and unroutable pairs included).
+	routes := table(g, p)
+	strict := routes.Fit(p.M, p.U, true) == nil
+	ch, err := transport.New(routes, p.M, p.U, corrupt, strict)
+	if err != nil {
+		t.Fatal(err)
 	}
 	resA, err := round.Run(nodes(), round.Config{Rounds: p.Depth(), Channel: ch}, round.Goroutine{})
 	if err != nil {
@@ -85,7 +85,7 @@ func diffOnGraph(t *testing.T, name string, g *topology.Graph, rng *rand.Rand, f
 	}
 
 	// Uncompressed: hop-by-hop routing over the same graph and relay set.
-	resB, _ := runRouted(t, nodes(), g, p, corrupt, strict)
+	resB, _ := runRouted(t, nodes(), routes, p, corrupt, strict)
 
 	if !reflect.DeepEqual(resA.Decisions, resB.Decisions) {
 		t.Errorf("%s (strict=%v, faulty %v): decisions differ:\ncompressed %v\nhop-by-hop %v",

@@ -26,12 +26,21 @@ func must(g *topology.Graph, err error) *topology.Graph {
 	return g
 }
 
-// runRouted drives nodes over a hop-by-hop Channel on g under the reference
+// table builds g's route table for p's m/u channel.
+func table(g *topology.Graph, p core.Params) *topology.Routes {
+	r, err := topology.NewRoutes(g, p.M+p.U+1)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// runRouted drives nodes over a hop-by-hop Channel on r under the reference
 // schedule and returns the run and the channel.
-func runRouted(t *testing.T, nodes []round.Node, g *topology.Graph, p core.Params,
+func runRouted(t *testing.T, nodes []round.Node, r *topology.Routes, p core.Params,
 	faulty map[types.NodeID]transport.RelayCorruptor, strict bool) (*round.Result, *routednet.Channel) {
 	t.Helper()
-	ch, err := routednet.NewChannel(g, p.M, p.U, faulty, strict)
+	ch, err := routednet.NewChannel(r, p.M, p.U, faulty, strict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,13 +54,13 @@ func runRouted(t *testing.T, nodes []round.Node, g *topology.Graph, p core.Param
 func TestValidation(t *testing.T) {
 	g := must(topology.Harary(4, 9))
 	if _, err := routednet.NewChannel(nil, 1, 2, nil, true); err == nil {
-		t.Error("nil graph should error")
+		t.Error("nil route table should error")
 	}
-	if _, err := routednet.NewChannel(g, 2, 1, nil, true); err == nil {
+	if _, err := routednet.NewChannel(table(g, core.Params{M: 2, U: 1}), 2, 1, nil, true); err == nil {
 		t.Error("m > u should error")
 	}
 	// Strict mode rejects insufficient connectivity; loose mode builds.
-	cyc := must(topology.Cycle(9))
+	cyc := table(must(topology.Cycle(9)), core.Params{M: 1, U: 2})
 	if _, err := routednet.NewChannel(cyc, 1, 2, nil, true); err == nil {
 		t.Error("strict mode should reject a 2-connected cycle for m+u+1=4")
 	}
@@ -61,13 +70,12 @@ func TestValidation(t *testing.T) {
 }
 
 func TestHonestRunOverSparseGraph(t *testing.T) {
-	g := must(topology.Harary(4, 9))
 	p := core.Params{N: 9, M: 1, U: 2}
 	nodes, err := p.Nodes(alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, ch := runRouted(t, nodes, g, p, nil, true)
+	res, ch := runRouted(t, nodes, table(must(topology.Harary(4, 9)), p), p, nil, true)
 	for id, d := range res.Decisions {
 		if d != alpha {
 			t.Errorf("node %d decided %v", int(id), d)
@@ -86,8 +94,8 @@ func TestHonestRunOverSparseGraph(t *testing.T) {
 // produce identical decisions for deterministic relay corruption, across
 // fault placements and protocol-level strategies.
 func TestEquivalenceWithCompressedTransport(t *testing.T) {
-	g := must(topology.Harary(4, 9))
 	p := core.Params{N: 9, M: 1, U: 2}
+	routes := table(must(topology.Harary(4, 9)), p)
 	cases := []struct {
 		name       string
 		faulty     []types.NodeID
@@ -135,7 +143,7 @@ func TestEquivalenceWithCompressedTransport(t *testing.T) {
 			if err := adversary.Wrap(nodesA, p.N, p.Depth(), 0, alpha, strategies); err != nil {
 				t.Fatal(err)
 			}
-			ch, err := transport.New(g, p.M, p.U, corrupt)
+			ch, err := transport.New(routes, p.M, p.U, corrupt, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +160,7 @@ func TestEquivalenceWithCompressedTransport(t *testing.T) {
 			if err := adversary.Wrap(nodesB, p.N, p.Depth(), 0, alpha, strategies); err != nil {
 				t.Fatal(err)
 			}
-			resB, _ := runRouted(t, nodesB, g, p, corrupt, true)
+			resB, _ := runRouted(t, nodesB, routes, p, corrupt, true)
 
 			if !reflect.DeepEqual(resA.Decisions, resB.Decisions) {
 				t.Errorf("decisions differ:\ncompressed  %v\nhop-by-hop %v", resA.Decisions, resB.Decisions)
@@ -173,13 +181,12 @@ func TestEquivalenceWithCompressedTransport(t *testing.T) {
 func TestLooseModeOnWeakGraph(t *testing.T) {
 	// A cycle (κ=2) cannot support m=1,u=2; loose mode runs anyway, and
 	// with no faults the protocol still succeeds (both paths agree).
-	g := must(topology.Cycle(5))
 	p := core.Params{N: 5, M: 1, U: 2}
 	nodes, err := p.Nodes(alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := runRouted(t, nodes, g, p, nil, false)
+	res, _ := runRouted(t, nodes, table(must(topology.Cycle(5)), p), p, nil, false)
 	for id, d := range res.Decisions {
 		if d != alpha {
 			t.Errorf("node %d decided %v", int(id), d)

@@ -129,13 +129,18 @@ func (g *Graph) DisjointPaths(s, t types.NodeID, limit int) ([][]types.NodeID, e
 	if limit < 1 {
 		return nil, fmt.Errorf("topology: limit must be positive, got %d", limit)
 	}
+	return g.disjointPaths(s, t, limit), nil
+}
+
+// disjointPaths is DisjointPaths for endpoints and a limit already checked.
+func (g *Graph) disjointPaths(s, t types.NodeID, limit int) [][]types.NodeID {
 	f := newFlow(g, s, t)
 	for i := 0; i < limit; i++ {
 		if !f.augment() {
 			break
 		}
 	}
-	return f.decompose(), nil
+	return f.decompose()
 }
 
 // flow is a unit-capacity max-flow instance on the vertex-split digraph:

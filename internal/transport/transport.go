@@ -24,8 +24,6 @@
 package transport
 
 import (
-	"fmt"
-
 	"degradable/internal/obs"
 	"degradable/internal/round"
 	"degradable/internal/topology"
@@ -53,11 +51,11 @@ const (
 var CounterNames = []string{"transport_degraded_total", "transport_forwarded_total"}
 
 // Channel is a round.Channel that routes every delivery over vertex-
-// disjoint paths of the given graph with Byzantine relays interposed.
+// disjoint paths of a shared route table with Byzantine relays interposed.
+// Its own state is the relay corruptors and the counters.
 type Channel struct {
-	g        *topology.Graph
+	routes   *topology.Routes
 	m        int
-	paths    map[[2]types.NodeID][][]types.NodeID
 	faulty   map[types.NodeID]RelayCorruptor
 	counters *obs.CounterSet
 }
@@ -67,70 +65,27 @@ var _ round.Channel = (*Channel)(nil)
 // Stats returns the channel's accounting in the unified snapshot schema.
 func (c *Channel) Stats() obs.Snapshot { return c.counters.Snapshot() }
 
-// New builds a disjoint-path channel for an m/u instance over g. It
-// precomputes m+u+1 disjoint paths for every ordered pair of nodes and fails
-// if the graph's pairwise connectivity is insufficient (Theorem 3
-// necessity: such a graph cannot support the agreement).
-func New(g *topology.Graph, m, u int, faulty map[types.NodeID]RelayCorruptor) (*Channel, error) {
-	return build(g, m, u, faulty, true)
-}
-
-// NewLoose is New without the connectivity requirement: pairs with fewer
-// than m+u+1 disjoint paths route over however many exist. It exists only
-// for the lower-bound demonstrations, which run the protocol on topologies
-// Theorem 3 proves inadequate and observe the resulting violation.
-func NewLoose(g *topology.Graph, m, u int, faulty map[types.NodeID]RelayCorruptor) (*Channel, error) {
-	return build(g, m, u, faulty, false)
-}
-
-func build(g *topology.Graph, m, u int, faulty map[types.NodeID]RelayCorruptor, strict bool) (*Channel, error) {
-	if g == nil {
-		return nil, fmt.Errorf("transport: nil graph")
+// New builds a disjoint-path channel for an m/u instance over a route
+// table built for m+u+1 paths per pair. Strict mode fails if some pair has
+// fewer (Theorem 3 necessity: such a graph cannot support the agreement);
+// loose mode routes over however many exist, for the lower-bound
+// demonstrations, which run the protocol on topologies Theorem 3 proves
+// inadequate and observe the resulting violation. See Routes.Fit.
+func New(r *topology.Routes, m, u int, faulty map[types.NodeID]RelayCorruptor, strict bool) (*Channel, error) {
+	if err := r.Fit(m, u, strict); err != nil {
+		return nil, err
 	}
-	if m < 0 || u < m || u < 1 {
-		return nil, fmt.Errorf("transport: infeasible m=%d u=%d", m, u)
-	}
-	need := m + u + 1
-	c := &Channel{
-		g:        g,
-		m:        m,
-		paths:    make(map[[2]types.NodeID][][]types.NodeID),
-		faulty:   faulty,
-		counters: obs.NewCounterSet(CounterNames...),
-	}
-	n := g.N()
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			s, t := types.NodeID(a), types.NodeID(b)
-			if g.HasEdge(s, t) {
-				continue // direct wire
-			}
-			ps, err := g.DisjointPaths(s, t, need)
-			if err != nil {
-				return nil, err
-			}
-			if strict && len(ps) < need {
-				return nil, fmt.Errorf(
-					"transport: only %d disjoint paths between %d and %d, need %d (connectivity below m+u+1)",
-					len(ps), a, b, need)
-			}
-			c.paths[[2]types.NodeID{s, t}] = ps
-		}
-	}
-	return c, nil
+	return &Channel{routes: r, m: m, faulty: faulty, counters: obs.NewCounterSet(CounterNames...)}, nil
 }
 
 // Deliver implements round.Channel. A pair with no route (loose mode on a
 // severed graph) is dropped — the detectable absence of §4 assumption (b),
 // as in routednet.Channel.
 func (c *Channel) Deliver(m types.Message) (types.Message, bool) {
-	if c.g.HasEdge(m.From, m.To) {
+	if c.routes.Adjacent(m.From, m.To) {
 		return m, true // direct wire, never degraded
 	}
-	ps := c.paths[[2]types.NodeID{m.From, m.To}]
+	ps := c.routes.Paths(m.From, m.To)
 	if len(ps) == 0 {
 		return types.Message{}, false
 	}

@@ -27,26 +27,42 @@ func must(g *topology.Graph, err error) *topology.Graph {
 
 func TestNewValidation(t *testing.T) {
 	g := must(topology.Harary(4, 8))
-	if _, err := transport.New(nil, 1, 2, nil); err == nil {
-		t.Error("nil graph should error")
+	if _, err := transport.New(nil, 1, 2, nil, true); err == nil {
+		t.Error("nil route table should error")
 	}
-	if _, err := transport.New(g, 2, 1, nil); err == nil {
+	if _, err := transport.New(table(g, 2, 1), 2, 1, nil, true); err == nil {
 		t.Error("m > u should error")
 	}
-	if _, err := transport.New(g, 1, 2, nil); err != nil {
+	if _, err := transport.New(table(g, 1, 1), 1, 2, nil, true); err == nil {
+		t.Error("a table built for m+u+1=3 should be refused for m=1,u=2")
+	}
+	if _, err := transport.New(table(g, 1, 2), 1, 2, nil, true); err != nil {
 		t.Errorf("κ=4 graph with m+u+1=4 should work: %v", err)
 	}
-	// Insufficient connectivity: cycle has κ=2 < m+u+1=4.
-	if _, err := transport.New(must(topology.Cycle(6)), 1, 2, nil); err == nil {
+	// Insufficient connectivity: cycle has κ=2 < m+u+1=4; loose mode builds.
+	cyc := table(must(topology.Cycle(6)), 1, 2)
+	if _, err := transport.New(cyc, 1, 2, nil, true); err == nil {
 		t.Error("κ=2 graph should be rejected for m=1,u=2")
 	}
+	if _, err := transport.New(cyc, 1, 2, nil, false); err != nil {
+		t.Errorf("loose mode rejected a cycle: %v", err)
+	}
+}
+
+// table builds g's route table for an m/u channel.
+func table(g *topology.Graph, m, u int) *topology.Routes {
+	r, err := topology.NewRoutes(g, m+u+1)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 func TestDirectWireUntouched(t *testing.T) {
 	g := must(topology.Complete(4))
-	ch, err := transport.New(g, 1, 1, map[types.NodeID]transport.RelayCorruptor{
+	ch, err := transport.New(table(g, 1, 1), 1, 1, map[types.NodeID]transport.RelayCorruptor{
 		2: transport.FlipTo(beta),
-	})
+	}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +84,9 @@ func TestPerfectChannelUpToM(t *testing.T) {
 		if relay == 4 {
 			continue
 		}
-		ch, err := transport.New(g, 1, 2, map[types.NodeID]transport.RelayCorruptor{
+		ch, err := transport.New(table(g, 1, 2), 1, 2, map[types.NodeID]transport.RelayCorruptor{
 			types.NodeID(relay): transport.FlipTo(beta),
-		})
+		}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,10 +107,10 @@ func TestDegradedChannelBeyondM(t *testing.T) {
 			if r1 == 4 || r2 == 4 {
 				continue
 			}
-			ch, err := transport.New(g, 1, 2, map[types.NodeID]transport.RelayCorruptor{
+			ch, err := transport.New(table(g, 1, 2), 1, 2, map[types.NodeID]transport.RelayCorruptor{
 				types.NodeID(r1): transport.FlipTo(beta),
 				types.NodeID(r2): transport.FlipTo(beta),
-			})
+			}, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,10 +134,10 @@ func TestDegradedChannelBeyondM(t *testing.T) {
 func TestDropAllDegrades(t *testing.T) {
 	g := must(topology.Harary(4, 9))
 	// All relays on every path drop: u+? — use 2 faulty relays (f ≤ u).
-	ch, err := transport.New(g, 1, 2, map[types.NodeID]transport.RelayCorruptor{
+	ch, err := transport.New(table(g, 1, 2), 1, 2, map[types.NodeID]transport.RelayCorruptor{
 		2: transport.DropAll(),
 		8: transport.DropAll(),
-	})
+	}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +155,8 @@ func TestDropAllDegrades(t *testing.T) {
 // exactly m+u+1, with both faulty protocol nodes and faulty relays.
 func TestAgreementOverSparseGraph(t *testing.T) {
 	// N = 9 nodes, m = 1, u = 2 (N > 2m+u ✓), κ(H_{4,9}) = 4 = m+u+1.
-	g := must(topology.Harary(4, 9))
 	p := core.Params{N: 9, M: 1, U: 2}
+	routes := table(must(topology.Harary(4, 9)), p.M, p.U)
 
 	for _, tc := range []struct {
 		name    string
@@ -161,7 +177,7 @@ func TestAgreementOverSparseGraph(t *testing.T) {
 				corrupt[id] = transport.FlipTo(beta)
 				strategies[id] = adversary.Lie{Value: beta}
 			}
-			ch, err := transport.New(g, p.M, p.U, corrupt)
+			ch, err := transport.New(routes, p.M, p.U, corrupt, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,8 +207,8 @@ func TestAgreementOverSparseGraphBattery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("battery over sparse graph skipped in -short mode")
 	}
-	g := must(topology.Harary(4, 9))
 	p := core.Params{N: 9, M: 1, U: 2}
+	routes := table(must(topology.Harary(4, 9)), p.M, p.U)
 	all := make([]types.NodeID, p.N)
 	for i := range all {
 		all[i] = types.NodeID(i)
@@ -211,7 +227,7 @@ func TestAgreementOverSparseGraphBattery(t *testing.T) {
 				corrupt[id] = transport.FlipTo(beta)
 			}
 			for _, sc := range adversary.Battery() {
-				ch, err := transport.New(g, p.M, p.U, corrupt)
+				ch, err := transport.New(routes, p.M, p.U, corrupt, true)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -49,6 +49,15 @@ go run ./cmd/chaos -seed 11 -runs 150 -graph harary:4:9 -placement cutset |
   grep -E 'topology margin=\+[0-9]+: scenarios=[1-9]'
 go run ./cmd/chaos -seed 12 -runs 150 -graph bridge:3:4:3 -placement mixed |
   grep -E 'topology margin='
+# A graph that parses but cannot be built (no connected G(9, 0.05) draw)
+# must fail the campaign, not run it flat.
+if go run ./cmd/chaos -seed 11 -runs 20 -graph gnp:9:0.05:1 >/dev/null 2>&1; then
+  echo "an unbuildable -graph ran as a flat campaign"
+  exit 1
+fi
+# Every chaos run reads one process-wide memo of graph analyses and route
+# tables (topology.Shared): a full race pass over the packages that share it.
+go test -race ./internal/topology/... ./internal/transport/... ./internal/routednet/... ./internal/chaos/...
 # The Theorem 3 boundary table: graph family x fault placement x f, with
 # the classic-BA baseline column. The grep gates the paper's headline —
 # at least one classic-refused-but-degradable cell — and zero violations
