@@ -31,8 +31,8 @@ type (
 	// ChaosTopoAxis switches a campaign's topology dimension on: scenarios
 	// run over sparse graphs drawn from it instead of the complete wire.
 	ChaosTopoAxis = chaos.TopoAxis
-	// ChaosTopoSpec pins one scenario's communication graph, channel mode,
-	// and fault placement; it round-trips through the scenario's JSON.
+	// ChaosTopoSpec pins one scenario's communication graph and fault
+	// placement; it round-trips through the scenario's JSON.
 	ChaosTopoSpec = chaos.TopoSpec
 	// ChaosTopoBench is the Theorem 3 connectivity-boundary table that
 	// cmd/chaos -topo-sweep writes.
@@ -55,10 +55,9 @@ type (
 )
 
 // ChaosTopologySweep runs the Theorem 3 boundary table: every golden graph
-// family × fault placement × fault count, seeded and deterministic, with the
-// channel mode alternating between compressed transport and hop-by-hop
-// routing. The returned bench reports zero BoundViolations when every cell
-// at connectivity margin ≥ 0 with f ≤ u held the degradable spec.
+// family × fault placement × fault count, seeded and deterministic. The
+// returned bench reports zero BoundViolations when every cell at
+// connectivity margin ≥ 0 with f ≤ u held the degradable spec.
 func ChaosTopologySweep(seed int64, runsPerCell int) (*ChaosTopoBench, error) {
 	return chaos.TopologySweep(seed, runsPerCell)
 }

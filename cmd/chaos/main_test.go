@@ -326,6 +326,16 @@ func TestTopoSweepWritesBench(t *testing.T) {
 	families := map[string]bool{}
 	for _, cell := range bench.Cells {
 		families[cell.Graph] = true
+		// Every logical message crosses at least one link, and on a complete
+		// graph exactly one.
+		if cell.HopsPerLogicalMsg < 1 {
+			t.Errorf("%s/%s/f=%d: %v hops per logical message, want >= 1",
+				cell.Graph, cell.Placement, cell.F, cell.HopsPerLogicalMsg)
+		}
+		if cell.Graph == "complete:7" && cell.HopsPerLogicalMsg != 1 {
+			t.Errorf("%s/%s/f=%d: %v hops per logical message, want exactly 1",
+				cell.Graph, cell.Placement, cell.F, cell.HopsPerLogicalMsg)
+		}
 	}
 	if len(families) < 4 {
 		t.Errorf("sweep covered %d graph families, want >= 4", len(families))

@@ -149,15 +149,13 @@ type Counters struct {
 	Duplicated int `json:"duplicated"`
 	Corrupted  int `json:"corrupted"`
 	Severed    int `json:"severed"`
-	// Degraded, Forwarded, and Hops mirror the topology channel's counters
-	// when the scenario runs over a sparse graph (see TopoSpec): deliveries
-	// degraded by the VOTE(m+1) acceptance rule, compressed relay
-	// transmissions, and physical link traversals. Always zero — and
-	// omitted from the JSON form — for complete-graph scenarios, which
-	// keeps historical campaign reports byte-identical.
-	Degraded  int `json:"degraded,omitempty"`
-	Forwarded int `json:"forwarded,omitempty"`
-	Hops      int `json:"hops,omitempty"`
+	// Degraded and Hops mirror the topology channel's counters when the
+	// scenario runs over a sparse graph (see TopoSpec): deliveries degraded
+	// by the VOTE(m+1) acceptance rule, and physical link traversals.
+	// Always zero — and omitted from the JSON form — for complete-graph
+	// scenarios, which keeps historical campaign reports byte-identical.
+	Degraded int `json:"degraded,omitempty"`
+	Hops     int `json:"hops,omitempty"`
 }
 
 // Injections returns the total number of injected faults.
@@ -174,7 +172,6 @@ func (c *Counters) Add(other Counters) {
 	c.Corrupted += other.Corrupted
 	c.Severed += other.Severed
 	c.Degraded += other.Degraded
-	c.Forwarded += other.Forwarded
 	c.Hops += other.Hops
 }
 

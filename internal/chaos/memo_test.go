@@ -32,11 +32,11 @@ func outcomeJSON(t *testing.T, sc Scenario) []byte {
 	return b
 }
 
-// TestColdMemoMatchesWarm runs every sweep family × channel mode × fault
-// placement × f ∈ {1, 2} twice: once with the memo emptied before the run,
-// once against a single memo that every earlier scenario on the graph has
-// already warmed. The outcomes must be byte-identical: nothing a run does
-// may leak into the shared analysis.
+// TestColdMemoMatchesWarm runs every sweep family × fault placement ×
+// f ∈ {1, 2} twice: once with the memo emptied before the run, once against
+// a single memo that every earlier scenario on the graph has already
+// warmed. The outcomes must be byte-identical: nothing a run does may leak
+// into the shared analysis.
 func TestColdMemoMatchesWarm(t *testing.T) {
 	var scs []Scenario
 	for _, fam := range sweepFamilies() {
@@ -44,21 +44,19 @@ func TestColdMemoMatchesWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []string{TopoModeTransport, TopoModeRouted} {
-			for _, placement := range []string{PlacementUniform, PlacementCutset} {
-				for f := 1; f <= 2; f++ {
-					rng := rand.New(rand.NewSource(int64(len(scs) + 1)))
-					scs = append(scs, Scenario{
-						N: an.N, M: 1, U: 2,
-						SenderValue: harnessValue,
-						Seed:        rng.Int63(),
-						Driver:      DriverSequential,
-						Faults:      sweepFaults(rng, an.N, f, placement, an.Cut()),
-						Topology: &TopoSpec{
-							Graph: fam.def, Mode: mode, Placement: placement, Loose: fam.loose,
-						},
-					})
-				}
+		for _, placement := range []string{PlacementUniform, PlacementCutset} {
+			for f := 1; f <= 2; f++ {
+				rng := rand.New(rand.NewSource(int64(len(scs) + 1)))
+				scs = append(scs, Scenario{
+					N: an.N, M: 1, U: 2,
+					SenderValue: harnessValue,
+					Seed:        rng.Int63(),
+					Driver:      DriverSequential,
+					Faults:      sweepFaults(rng, an.N, f, placement, an.Cut()),
+					Topology: &TopoSpec{
+						Graph: fam.def, Placement: placement, Loose: fam.loose,
+					},
+				})
 			}
 		}
 	}
@@ -73,7 +71,7 @@ func TestColdMemoMatchesWarm(t *testing.T) {
 		warm := outcomeJSON(t, sc)
 		if !bytes.Equal(warm, cold[i]) {
 			t.Errorf("scenario %d (%s %s): warm outcome differs\ncold %s\nwarm %s",
-				i, sc.Topology.Graph, sc.Topology.Mode, cold[i], warm)
+				i, sc.Topology.Graph, sc.Topology.Placement, cold[i], warm)
 		}
 		degraded = degraded || bytes.Contains(warm, []byte(`"degraded":`))
 	}
@@ -83,32 +81,25 @@ func TestColdMemoMatchesWarm(t *testing.T) {
 }
 
 // TestMemoHammer has 8 goroutines call Report, NewChannel and Run on one
-// graph at once, starting from an empty memo, half of them in each channel
-// mode: every goroutine must see the outcome a lone run sees.
+// graph at once, starting from an empty memo: every goroutine must see the
+// outcome a lone run sees.
 func TestMemoHammer(t *testing.T) {
-	base := Scenario{
+	sc := Scenario{
 		N: 9, M: 1, U: 2, Seed: 5,
 		Driver: DriverSequential,
 		Faults: []FaultSpec{
 			{Node: 3, Kind: adversary.KindLie, Value: 2002},
 			{Node: 6, Kind: adversary.KindSilent},
 		},
+		Topology: &TopoSpec{Graph: "harary:4:9", Placement: PlacementCutset},
 	}
-	modes := []string{TopoModeTransport, TopoModeRouted}
-	scs := make([]Scenario, len(modes))
-	want := make([][]byte, len(modes))
-	for i, mode := range modes {
-		scs[i] = base
-		scs[i].Topology = &TopoSpec{Graph: "harary:4:9", Mode: mode, Placement: PlacementCutset}
-		want[i] = outcomeJSON(t, scs[i])
-	}
+	want := outcomeJSON(t, sc)
 	resetMemo()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc := scs[w%len(scs)]
 			if _, err := sc.Topology.Report(sc.N, sc.M, sc.U, sc.F()); err != nil {
 				t.Error(err)
 				return
@@ -131,8 +122,8 @@ func TestMemoHammer(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if !bytes.Equal(got, want[w%len(scs)]) {
-				t.Errorf("worker %d: outcome differs from a lone run\nwant %s\ngot  %s", w, want[w%len(scs)], got)
+			if !bytes.Equal(got, want) {
+				t.Errorf("worker %d: outcome differs from a lone run\nwant %s\ngot  %s", w, want, got)
 			}
 		}(w)
 	}

@@ -84,11 +84,10 @@ type Scenario struct {
 	// the executor can observe it.
 	Crashes []CrashSpec `json:"crashes,omitempty"`
 	// Topology, when non-nil, runs the scenario over a sparse physical
-	// graph: every delivery is carried by a disjoint-path channel
-	// (compressed transport or true hop-by-hop routing per TopoSpec.Mode)
-	// instead of the perfect complete-graph wire, with the scenario's own
-	// Byzantine nodes doubling as corrupt relays. Nil preserves the
-	// historical complete-graph behaviour exactly.
+	// graph: every delivery is carried by the disjoint-path channel
+	// (internal/transport) instead of the perfect complete-graph wire,
+	// with the scenario's own Byzantine nodes doubling as corrupt relays.
+	// Nil preserves the historical complete-graph behaviour exactly.
 	Topology *TopoSpec `json:"topology,omitempty"`
 	// Seed drives every injector coin flip of the run.
 	Seed   int64       `json:"seed"`
@@ -374,10 +373,9 @@ func (sc Scenario) RunWith(exec Executor) (*Outcome, error) {
 	out.Counters = eo.Counters
 	if out.Topo != nil {
 		out.Topo.Degraded = eo.Counters.Degraded
-		out.Topo.Forwarded = eo.Counters.Forwarded
 		out.Topo.Hops = eo.Counters.Hops
-		if traffic := eo.Counters.Hops + eo.Counters.Forwarded; traffic > 0 && eo.Messages > 0 {
-			out.Topo.HopsPerLogical = float64(traffic) / float64(eo.Messages)
+		if eo.Messages > 0 {
+			out.Topo.HopsPerLogical = float64(eo.Counters.Hops) / float64(eo.Messages)
 		}
 	}
 	if eo.Recovery != nil {

@@ -7,22 +7,20 @@ import (
 	"degradable/internal/adversary"
 	"degradable/internal/obs"
 	"degradable/internal/round"
-	"degradable/internal/routednet"
 	"degradable/internal/topology"
 	"degradable/internal/transport"
 	"degradable/internal/types"
 )
 
 // Topology channel modes accepted by TopoSpec.Mode ("" means transport).
+// They are validated, recorded labels only: every mode runs the one
+// disjoint-path channel (internal/transport). They stay because the
+// benchmark module's scenario generator and layer peeler name them, and
+// because the campaign axis's mixed-mode coin is an rng draw that keeps
+// every topology scenario stream byte-identical.
 const (
-	// TopoModeTransport carries every delivery over the compressed
-	// disjoint-path channel (internal/transport): the whole multi-path
-	// traversal folds into one delivery function.
 	TopoModeTransport = "transport"
-	// TopoModeRouted carries every delivery over TRUE hop-by-hop forwarding
-	// (internal/routednet): one token per disjoint path, advanced a link at
-	// a time, with real link-level hop accounting.
-	TopoModeRouted = "routed"
+	TopoModeRouted    = "routed"
 )
 
 // Fault-placement strategies recorded on scenarios and selected by the
@@ -36,7 +34,8 @@ const (
 	PlacementCutset = "cutset"
 	// PlacementMixed (campaign axis only) flips a seeded coin per scenario.
 	PlacementMixed = "mixed"
-	// TopoModeMixed (campaign axis only) flips a seeded coin per scenario.
+	// TopoModeMixed (campaign axis only) flips a seeded coin per scenario
+	// between the two mode labels.
 	TopoModeMixed = "mixed"
 )
 
@@ -51,7 +50,8 @@ type TopoSpec struct {
 	// Removed lists edges deleted from the generated graph — the shrinker's
 	// reduction dimension, also usable by hand for near-threshold graphs.
 	Removed [][2]int `json:"removed,omitempty"`
-	// Mode selects the channel implementation ("" = TopoModeTransport).
+	// Mode is a recorded label ("" = TopoModeTransport); it selects no
+	// code, since every mode runs the one disjoint-path channel.
 	Mode string `json:"mode,omitempty"`
 	// Placement records how the fault locations were chosen (descriptive;
 	// the faults themselves are pinned in Scenario.Faults).
@@ -64,8 +64,8 @@ type TopoSpec struct {
 }
 
 // TopoChannel is what a topology spec materializes: a round.Channel with
-// unified-snapshot accounting. Both transport.Channel (compressed) and
-// routednet.Channel (hop-by-hop) satisfy it.
+// unified-snapshot accounting, satisfied by transport.Channel. It stays an
+// interface because the benchmark module's layer peeler names it.
 type TopoChannel interface {
 	round.Channel
 	Stats() obs.Snapshot
@@ -136,7 +136,8 @@ func (ts *TopoSpec) analyze() (*topology.Analysis, error) {
 // relative to the Theorem 3 boundary, the classic-BA baseline verdict, and
 // the channel's traffic accounting.
 type TopoReport struct {
-	Graph     string `json:"graph"`
+	Graph string `json:"graph"`
+	// Mode echoes TopoSpec.Mode ("" reads "transport"): a label only.
 	Mode      string `json:"mode"`
 	Placement string `json:"placement,omitempty"`
 	// Kappa is the graph's vertex connectivity κ(G).
@@ -153,12 +154,9 @@ type TopoReport struct {
 	// Degraded counts deliveries whose accepted value differed from the
 	// sent one (VOTE degradation to V_d, or forgery below the bound).
 	Degraded int `json:"degraded,omitempty"`
-	// Forwarded counts compressed-channel relay transmissions (transport
-	// mode).
-	Forwarded int `json:"forwarded,omitempty"`
-	// Hops counts physical link traversals (routed mode).
+	// Hops counts physical link traversals.
 	Hops int `json:"hops,omitempty"`
-	// HopsPerLogical is physical traffic per logical protocol message.
+	// HopsPerLogical is Hops per logical protocol message.
 	HopsPerLogical float64 `json:"hopsPerLogical,omitempty"`
 }
 
@@ -218,11 +216,15 @@ func corruptorFor(f FaultSpec) transport.RelayCorruptor {
 }
 
 // NewChannel materializes the topology channel for one run: the graph's
-// shared m+u+1 route table, relay corruptors derived from the scenario's
-// fault set (crash victims in faulty without a FaultSpec relay nothing),
-// mode selected. Strict channels (Loose unset) fail when the graph's
-// pairwise connectivity is below m+u+1.
+// shared m+u+1 route table and relay corruptors derived from the scenario's
+// fault set (crash victims in faulty without a FaultSpec relay nothing).
+// Strict channels (Loose unset) fail when the graph's pairwise connectivity
+// is below m+u+1. A malformed mode or placement is refused here too, since
+// the cluster node process builds its channel without calling Report.
 func (ts *TopoSpec) NewChannel(n, m, u int, faults []FaultSpec, faulty types.NodeSet) (TopoChannel, error) {
+	if err := ts.validate(); err != nil {
+		return nil, err
+	}
 	an, err := ts.analyze()
 	if err != nil {
 		return nil, err
@@ -243,20 +245,13 @@ func (ts *TopoSpec) NewChannel(n, m, u int, faults []FaultSpec, faulty types.Nod
 			corrupt[id] = transport.DropAll() // crash victim: relays nothing
 		}
 	}
-	switch ts.Mode {
-	case "", TopoModeTransport:
-		return transport.New(routes, m, u, corrupt, !ts.Loose)
-	case TopoModeRouted:
-		return routednet.NewChannel(routes, m, u, corrupt, !ts.Loose)
-	default:
-		return nil, fmt.Errorf("chaos: unknown topology mode %q", ts.Mode)
-	}
+	return transport.New(routes, m, u, corrupt, !ts.Loose)
 }
 
 // topoEgress composes an injector stack (sender-side faults, applied first)
 // with a topology channel (the network, applied to each surviving copy).
-// chain alone is an Expander and transport/routednet channels alone are
-// Channels; their composition must expand so duplicates still fan out.
+// chain alone is an Expander and the transport channel alone is a Channel;
+// their composition must expand so duplicates still fan out.
 type topoEgress struct {
 	inj  round.Expander // nil when the scenario has no injectors
 	topo round.Channel
@@ -297,12 +292,10 @@ func ComposeEgress(inj round.Expander, topo round.Channel) round.Expander {
 }
 
 // AddTopoStats folds a topology channel's counter snapshot into the
-// scenario's injection counters, whichever mode produced it.
+// scenario's injection counters.
 func AddTopoStats(c *Counters, snap obs.Snapshot) {
-	c.Degraded += int(snap.Counter(transport.CounterNames[transport.CounterDegraded])) +
-		int(snap.Counter(routednet.CounterNames[routednet.CounterDegraded]))
-	c.Forwarded += int(snap.Counter(transport.CounterNames[transport.CounterForwarded]))
-	c.Hops += int(snap.Counter(routednet.CounterNames[routednet.CounterHops]))
+	c.Degraded += int(snap.Counter(transport.CounterNames[transport.CounterDegraded]))
+	c.Hops += int(snap.Counter(transport.CounterNames[transport.CounterHops]))
 }
 
 // TopoAxis switches a campaign's topology dimension on: every generated
@@ -319,8 +312,9 @@ type TopoAxis struct {
 	// Placement is PlacementUniform, PlacementCutset, or PlacementMixed
 	// ("" = uniform).
 	Placement string `json:"placement,omitempty"`
-	// Mode is TopoModeTransport, TopoModeRouted, or TopoModeMixed
-	// ("" = mixed: both implementations should agree, so exercise both).
+	// Mode is TopoModeTransport, TopoModeRouted, or TopoModeMixed ("" =
+	// mixed). It only labels scenarios; the mixed coin is still drawn so
+	// the scenario stream stays byte-identical.
 	Mode string `json:"mode,omitempty"`
 	// Loose permits below-bound graphs (lower-bound campaigns). Scenarios
 	// whose margin is negative resolve to LevelNone: nothing is promised.
@@ -409,7 +403,7 @@ func (a *TopoAxis) pick(rng *rand.Rand, gp *GridPoint) *topoPick {
 	switch a.Mode {
 	case TopoModeTransport, TopoModeRouted:
 		p.mode = a.Mode
-	default: // "" or mixed: both implementations must agree, exercise both
+	default: // "" or mixed: a label coin, drawn to keep the stream stable
 		if rng.Intn(2) == 0 {
 			p.mode = TopoModeRouted
 		} else {

@@ -11,9 +11,9 @@ import (
 	"degradable/internal/types"
 )
 
-// TestTopoScenarioBothModes runs one sparse scenario through both channel
-// implementations and checks the decisions agree, the spec holds, and each
-// mode reports its own traffic currency.
+// TestTopoScenarioBothModes runs one sparse scenario under both mode labels
+// and checks the spec holds and the two report identical counters: the mode
+// selects no code, and every run counts physical hops.
 func TestTopoScenarioBothModes(t *testing.T) {
 	base := Scenario{
 		N: 9, M: 1, U: 2,
@@ -47,16 +47,21 @@ func TestTopoScenarioBothModes(t *testing.T) {
 		outs[mode] = out
 	}
 	tr, ro := outs[TopoModeTransport], outs[TopoModeRouted]
-	if tr.Counters.Forwarded == 0 || tr.Counters.Hops != 0 {
-		t.Errorf("transport counters: forwarded=%d hops=%d", tr.Counters.Forwarded, tr.Counters.Hops)
+	if tr.Counters != ro.Counters || tr.Topo.HopsPerLogical != ro.Topo.HopsPerLogical {
+		t.Errorf("modes differ: transport %+v (%.4f hops/msg), routed %+v (%.4f hops/msg)",
+			tr.Counters, tr.Topo.HopsPerLogical, ro.Counters, ro.Topo.HopsPerLogical)
 	}
-	if ro.Counters.Hops == 0 || ro.Counters.Forwarded != 0 {
-		t.Errorf("routed counters: forwarded=%d hops=%d", ro.Counters.Forwarded, ro.Counters.Hops)
+	if tr.Counters.Hops <= tr.Messages {
+		t.Errorf("hops %d should exceed messages %d on harary:4:9", tr.Counters.Hops, tr.Messages)
 	}
-	// Same scenario, same seed: the two channel implementations must reach
-	// identical degradation decisions.
-	if tr.Counters.Degraded != ro.Counters.Degraded {
-		t.Errorf("degradation differs: transport=%d routed=%d", tr.Counters.Degraded, ro.Counters.Degraded)
+}
+
+// TestTopoNewChannelRejectsUnknownMode pins the refusal the cluster node
+// process relies on: it builds its channel without calling Report.
+func TestTopoNewChannelRejectsUnknownMode(t *testing.T) {
+	ts := &TopoSpec{Graph: "harary:4:9", Mode: "tokens"}
+	if _, err := ts.NewChannel(9, 1, 2, nil, 0); err == nil || !strings.Contains(err.Error(), "unknown topology mode") {
+		t.Fatalf("NewChannel accepted mode %q: %v", ts.Mode, err)
 	}
 }
 
@@ -95,71 +100,62 @@ func TestTheorem3Necessity(t *testing.T) {
 		{2, 2, "bridge:3:4:3", []types.NodeID{3, 4, 5, 6}},
 	}
 	for _, tc := range cases {
-		for _, mode := range []string{TopoModeTransport, TopoModeRouted} {
-			sp, err := topologyNodes(tc.graph)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc := Scenario{
-				N: sp, M: tc.m, U: tc.u, Seed: 3,
-				Driver:   DriverSequential,
-				Topology: &TopoSpec{Graph: tc.graph, Mode: mode, Placement: PlacementCutset, Loose: true},
-			}
-			for i := 0; i < tc.u; i++ { // u liars on the cut: the proof adversary
-				sc.Faults = append(sc.Faults, FaultSpec{
-					Node: tc.cut[i], Kind: adversary.KindLie, Value: 2002,
-				})
-			}
-			out, err := sc.Run()
-			if err != nil {
-				t.Fatalf("%s/%s m=%d u=%d: %v", tc.graph, mode, tc.m, tc.u, err)
-			}
-			if out.ClassValue() == SpecHeld {
-				t.Errorf("%s/%s m=%d u=%d f=%d: spec held at κ=m+u — necessity regression",
-					tc.graph, mode, tc.m, tc.u, tc.u)
-			}
-			if out.Topo.Margin >= 0 {
-				t.Errorf("%s: margin %d, want negative", tc.graph, out.Topo.Margin)
-			}
+		sp, err := topologyNodes(tc.graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := Scenario{
+			N: sp, M: tc.m, U: tc.u, Seed: 3,
+			Driver:   DriverSequential,
+			Topology: &TopoSpec{Graph: tc.graph, Placement: PlacementCutset, Loose: true},
+		}
+		for i := 0; i < tc.u; i++ { // u liars on the cut: the proof adversary
+			sc.Faults = append(sc.Faults, FaultSpec{
+				Node: tc.cut[i], Kind: adversary.KindLie, Value: 2002,
+			})
+		}
+		out, err := sc.Run()
+		if err != nil {
+			t.Fatalf("%s m=%d u=%d: %v", tc.graph, tc.m, tc.u, err)
+		}
+		if out.ClassValue() == SpecHeld {
+			t.Errorf("%s m=%d u=%d f=%d: spec held at κ=m+u — necessity regression",
+				tc.graph, tc.m, tc.u, tc.u)
+		}
+		if out.Topo.Margin >= 0 {
+			t.Errorf("%s: margin %d, want negative", tc.graph, out.Topo.Margin)
 		}
 	}
 }
 
 // TestTheorem3SufficiencyExhaustive is the sufficiency half: at κ = m+u+1,
-// NO placement of f ≤ m faults (lying or silent, every node, both channel
-// modes) can break the spec.
+// NO placement of f ≤ m faults (lying or silent, every node) can break the
+// spec.
 func TestTheorem3SufficiencyExhaustive(t *testing.T) {
 	kinds := []adversary.Kind{adversary.KindLie, adversary.KindSilent}
 	// m=1, u=2 on the minimum-edge κ=4 graph: every single fault.
 	for node := 0; node < 9; node++ {
 		for _, kind := range kinds {
-			for _, mode := range []string{TopoModeTransport, TopoModeRouted} {
-				sc := Scenario{
-					N: 9, M: 1, U: 2, Seed: 5,
-					Driver:   DriverSequential,
-					Faults:   []FaultSpec{faultOf(types.NodeID(node), kind)},
-					Topology: &TopoSpec{Graph: "harary:4:9", Mode: mode},
-				}
-				out, err := sc.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if out.ClassValue() != SpecHeld {
-					t.Errorf("harary:4:9 %s@%d %s: %s (%s)", kind, node, mode, out.Class, out.Reason)
-				}
+			sc := Scenario{
+				N: 9, M: 1, U: 2, Seed: 5,
+				Driver:   DriverSequential,
+				Faults:   []FaultSpec{faultOf(types.NodeID(node), kind)},
+				Topology: &TopoSpec{Graph: "harary:4:9"},
+			}
+			out, err := sc.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.ClassValue() != SpecHeld {
+				t.Errorf("harary:4:9 %s@%d: %s (%s)", kind, node, out.Class, out.Reason)
 			}
 		}
 	}
-	// m=2, u=2 on a κ=5 bridge: every fault pair (both kinds), alternating
-	// modes to keep the run count civil.
+	// m=2, u=2 on a κ=5 bridge: every fault pair, both kinds each.
 	for a := 0; a < 9; a++ {
 		for b := a + 1; b < 9; b++ {
-			for ki, ka := range kinds {
+			for _, ka := range kinds {
 				for _, kb := range kinds {
-					mode := TopoModeTransport
-					if (a+b+ki)%2 == 1 {
-						mode = TopoModeRouted
-					}
 					sc := Scenario{
 						N: 9, M: 2, U: 2, Seed: 5,
 						Driver: DriverSequential,
@@ -167,15 +163,15 @@ func TestTheorem3SufficiencyExhaustive(t *testing.T) {
 							faultOf(types.NodeID(a), ka),
 							faultOf(types.NodeID(b), kb),
 						},
-						Topology: &TopoSpec{Graph: "bridge:2:5:2", Mode: mode},
+						Topology: &TopoSpec{Graph: "bridge:2:5:2"},
 					}
 					out, err := sc.Run()
 					if err != nil {
 						t.Fatal(err)
 					}
 					if out.ClassValue() != SpecHeld {
-						t.Errorf("bridge:2:5:2 %s@%d+%s@%d %s: %s (%s)",
-							ka, a, kb, b, mode, out.Class, out.Reason)
+						t.Errorf("bridge:2:5:2 %s@%d+%s@%d: %s (%s)",
+							ka, a, kb, b, out.Class, out.Reason)
 					}
 				}
 			}

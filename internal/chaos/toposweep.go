@@ -9,8 +9,8 @@ import (
 )
 
 // TopoCell is one golden-table cell of the topology sweep: a graph family ×
-// fault placement × fault count, run several times with alternating channel
-// modes and judged against the Theorem 3 boundary.
+// fault placement × fault count, run several times and judged against the
+// Theorem 3 boundary.
 type TopoCell struct {
 	Graph     string `json:"graph"`
 	Placement string `json:"placement"`
@@ -34,8 +34,8 @@ type TopoCell struct {
 	GracefulOnly               int  `json:"graceful_only"`
 	Violated                   int  `json:"violated"`
 	DegradedTotal              int  `json:"degraded_total"`
-	// HopsPerLogicalMsg is physical traffic (hops + relay forwards) per
-	// logical protocol message, averaged over the cell's runs.
+	// HopsPerLogicalMsg is physical link traversals per logical protocol
+	// message over the cell's runs: exactly 1 on a complete graph.
 	HopsPerLogicalMsg float64 `json:"hops_per_logical_msg"`
 }
 
@@ -61,7 +61,6 @@ type TopoBench struct {
 	// regression.
 	BoundViolations int `json:"bound_violations"`
 	DegradedTotal   int `json:"degraded_total"`
-	ForwardedTotal  int `json:"forwarded_total"`
 	HopsTotal       int `json:"hops_total"`
 }
 
@@ -89,9 +88,7 @@ func sweepFamilies() []struct {
 
 // TopologySweep runs the Theorem 3 boundary table: every sweep family ×
 // fault placement {uniform, cutset} × f ∈ {1, 2} for the (m=1, u=2)
-// instance, runsPerCell seeded runs per cell with the channel mode
-// alternating between compressed transport and hop-by-hop routing (the two
-// must agree, so both carry golden traffic). Fully deterministic for a
+// instance, runsPerCell seeded runs per cell. Fully deterministic for a
 // given seed.
 func TopologySweep(seed int64, runsPerCell int) (*TopoBench, error) {
 	if runsPerCell <= 0 {
@@ -118,13 +115,9 @@ func TopologySweep(seed int64, runsPerCell int) (*TopoBench, error) {
 					ClassicBAOK:        classicBAOK(n, kappa, f),
 					Runs:               runsPerCell,
 				}
-				var traffic, messages int
+				var hops, messages int
 				for r := 0; r < runsPerCell; r++ {
 					rng := rand.New(rand.NewSource(mix(seed, int64(cellIdx)*1000+int64(r)+1)))
-					mode := TopoModeTransport
-					if r%2 == 1 {
-						mode = TopoModeRouted
-					}
 					sc := Scenario{
 						N: n, M: m, U: u,
 						SenderValue: harnessValue,
@@ -133,7 +126,6 @@ func TopologySweep(seed int64, runsPerCell int) (*TopoBench, error) {
 						Faults:      sweepFaults(rng, n, f, placement, cut),
 						Topology: &TopoSpec{
 							Graph:     fam.def,
-							Mode:      mode,
 							Placement: placement,
 							Loose:     fam.loose,
 						},
@@ -156,13 +148,12 @@ func TopologySweep(seed int64, runsPerCell int) (*TopoBench, error) {
 					}
 					cell.DegradedTotal += out.Counters.Degraded
 					bench.DegradedTotal += out.Counters.Degraded
-					bench.ForwardedTotal += out.Counters.Forwarded
 					bench.HopsTotal += out.Counters.Hops
-					traffic += out.Counters.Hops + out.Counters.Forwarded
+					hops += out.Counters.Hops
 					messages += out.Messages
 				}
 				if messages > 0 {
-					cell.HopsPerLogicalMsg = float64(traffic) / float64(messages)
+					cell.HopsPerLogicalMsg = float64(hops) / float64(messages)
 				}
 				switch {
 				case cell.Violated > 0:

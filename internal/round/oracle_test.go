@@ -11,7 +11,6 @@ import (
 	"degradable/internal/core"
 	"degradable/internal/obs"
 	"degradable/internal/round"
-	"degradable/internal/routednet"
 	"degradable/internal/topology"
 	"degradable/internal/transport"
 	"degradable/internal/types"
@@ -227,13 +226,6 @@ var diffChannels = []struct {
 	}},
 	{"transport", false, func(t *testing.T) round.Channel {
 		ch, err := transport.New(diffRoutes(t), diffShape.M, diffShape.U, diffRelays, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ch
-	}},
-	{"routednet", false, func(t *testing.T) round.Channel {
-		ch, err := routednet.NewChannel(diffRoutes(t), diffShape.M, diffShape.U, diffRelays, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,8 +11,8 @@ import (
 // snapshot, up to k internally-vertex-disjoint paths for every ordered
 // non-adjacent pair, and the narrowest pair's width. Theorem 3's routing is
 // a property of the graph alone (faulty relays act only when a copy passes
-// through them), so both sparse channels, internal/transport and
-// internal/routednet, read one shared table. Nothing in it is written after
+// through them), so every internal/transport channel on one graph reads one
+// shared table. Nothing in it is written after
 // NewRoutes returns: any number of channels and goroutines may share it,
 // and the slices it hands out must not be modified.
 type Routes struct {
@@ -81,7 +81,7 @@ func (r *Routes) Paths(s, t types.NodeID) [][]types.NodeID {
 // strict mode every non-adjacent pair has all of them (the necessity half:
 // a narrower graph cannot support the agreement). Loose mode, for the
 // lower-bound demonstrations, routes over however many paths exist. It is
-// the one refusal both sparse channels report.
+// the refusal transport.New reports.
 func (r *Routes) Fit(m, u int, strict bool) error {
 	if r == nil {
 		return errors.New("topology: nil route table")

@@ -33,7 +33,10 @@ import (
 
 // RelayCorruptor decides what a faulty relay node does to a message copy
 // passing through it: return the (possibly rewritten) value, or ok=false to
-// drop the copy.
+// drop the copy. It must be a pure function of (relay, message, value):
+// Deliver walks one path to the end before starting the next, so the order
+// in which relays on different paths are consulted is not part of the
+// contract. FlipTo, DropAll and FlipCrossing are pure.
 type RelayCorruptor func(relay types.NodeID, m types.Message, v types.Value) (types.Value, bool)
 
 // Names of the channel's obs counters, in index order.
@@ -42,13 +45,16 @@ const (
 	// the sent one (degraded to V_d — or, below the Theorem 3 bound, to a
 	// forged value).
 	CounterDegraded = iota
-	// CounterForwarded counts path-copy relay transmissions.
-	CounterForwarded
+	// CounterHops counts physical link traversals: one per direct-wire
+	// delivery, and one per link each path copy crosses — the link into a
+	// relay that drops the copy included, and the final link into the
+	// destination.
+	CounterHops
 	numCounters
 )
 
 // CounterNames are the unified-snapshot names of the channel's counters.
-var CounterNames = []string{"transport_degraded_total", "transport_forwarded_total"}
+var CounterNames = []string{"transport_degraded_total", "transport_hops_total"}
 
 // Channel is a round.Channel that routes every delivery over vertex-
 // disjoint paths of a shared route table with Byzantine relays interposed.
@@ -78,38 +84,38 @@ func New(r *topology.Routes, m, u int, faulty map[types.NodeID]RelayCorruptor, s
 	return &Channel{routes: r, m: m, faulty: faulty, counters: obs.NewCounterSet(CounterNames...)}, nil
 }
 
-// Deliver implements round.Channel. A pair with no route (loose mode on a
-// severed graph) is dropped — the detectable absence of §4 assumption (b),
-// as in routednet.Channel.
+// Deliver implements round.Channel. An adjacent pair uses its direct wire
+// (one hop, never degraded). Otherwise each disjoint path is walked once,
+// relay by relay, and the copies that reach the destination are accepted by
+// VOTE(m+1, copies). A pair with no route (loose mode on a severed graph) is
+// dropped — the detectable absence of §4 assumption (b).
 func (c *Channel) Deliver(m types.Message) (types.Message, bool) {
 	if c.routes.Adjacent(m.From, m.To) {
-		return m, true // direct wire, never degraded
+		c.counters.Inc(CounterHops)
+		return m, true
 	}
 	ps := c.routes.Paths(m.From, m.To)
 	if len(ps) == 0 {
 		return types.Message{}, false
 	}
 	copies := make([]types.Value, 0, len(ps))
+	hops := 0
 	for _, p := range ps {
-		v := m.Value
-		dropped := false
-		for _, hop := range p[1 : len(p)-1] {
-			c.counters.Inc(CounterForwarded)
-			corrupt, isFaulty := c.faulty[hop]
-			if !isFaulty {
-				continue
+		v, kept := m.Value, true
+		for _, relay := range p[1 : len(p)-1] {
+			hops++ // the link into relay
+			if corrupt, bad := c.faulty[relay]; bad {
+				if v, kept = corrupt(relay, m, v); !kept {
+					break
+				}
 			}
-			nv, keep := corrupt(hop, m, v)
-			if !keep {
-				dropped = true
-				break
-			}
-			v = nv
 		}
-		if !dropped {
+		if kept {
+			hops++ // the link into the destination
 			copies = append(copies, v)
 		}
 	}
+	c.counters.Add(CounterHops, uint64(hops))
 	accepted := vote.Vote(c.m+1, copies)
 	if accepted != m.Value {
 		c.counters.Inc(CounterDegraded)

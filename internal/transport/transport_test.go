@@ -58,6 +58,61 @@ func table(g *topology.Graph, m, u int) *topology.Routes {
 	return r
 }
 
+// TestHonestRunOverSparseGraph: a fault-free run over a κ = m+u+1 graph
+// decides the sender's value everywhere, degrades nothing, and crosses more
+// links than it sends logical messages.
+func TestHonestRunOverSparseGraph(t *testing.T) {
+	p := core.Params{N: 9, M: 1, U: 2}
+	nodes, err := p.Nodes(alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := transport.New(table(must(topology.Harary(4, 9)), p.M, p.U), p.M, p.U, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := round.Run(nodes, round.Config{Rounds: p.Depth(), Channel: ch}, round.Reference{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, d := range res.Decisions {
+		if d != alpha {
+			t.Errorf("node %d decided %v", int(id), d)
+		}
+	}
+	deg, hops := counts(ch)
+	if int(hops) <= res.Messages {
+		t.Errorf("hop count %d should exceed logical messages %d on a sparse graph", hops, res.Messages)
+	}
+	if deg != 0 {
+		t.Errorf("fault-free run degraded %d deliveries", deg)
+	}
+}
+
+// TestLooseModeOnWeakGraph: a cycle (κ=2) cannot support m=1,u=2; loose
+// mode runs anyway, and with no faults the protocol still succeeds (both
+// paths agree).
+func TestLooseModeOnWeakGraph(t *testing.T) {
+	p := core.Params{N: 5, M: 1, U: 2}
+	nodes, err := p.Nodes(alpha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := transport.New(table(must(topology.Cycle(5)), p.M, p.U), p.M, p.U, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := round.Run(nodes, round.Config{Rounds: p.Depth(), Channel: ch}, round.Reference{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, d := range res.Decisions {
+		if d != alpha {
+			t.Errorf("node %d decided %v", int(id), d)
+		}
+	}
+}
+
 func TestDirectWireUntouched(t *testing.T) {
 	g := must(topology.Complete(4))
 	ch, err := transport.New(table(g, 1, 1), 1, 1, map[types.NodeID]transport.RelayCorruptor{
@@ -69,6 +124,9 @@ func TestDirectWireUntouched(t *testing.T) {
 	m, ok := ch.Deliver(types.Message{From: 0, To: 1, Value: alpha})
 	if !ok || m.Value != alpha {
 		t.Errorf("direct delivery corrupted: %v %v", m.Value, ok)
+	}
+	if deg, hops := counts(ch); deg != 0 || hops != 1 {
+		t.Errorf("direct wire counted degraded=%d hops=%d, want 0 and 1", deg, hops)
 	}
 }
 

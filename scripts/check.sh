@@ -57,7 +57,10 @@ if go run ./cmd/chaos -seed 11 -runs 20 -graph gnp:9:0.05:1 >/dev/null 2>&1; the
 fi
 # Every chaos run reads one process-wide memo of graph analyses and route
 # tables (topology.Shared): a full race pass over the packages that share it.
-go test -race ./internal/topology/... ./internal/transport/... ./internal/routednet/... ./internal/chaos/...
+# Then a short fuzz of the sparse channel against its hop-by-hop twin
+# (decisions, deliveries, degraded and hop counters on random graphs).
+go test -race ./internal/topology/... ./internal/transport/... ./internal/chaos/...
+go test -run '^$' -fuzz FuzzTransportVsRouted -fuzztime 10s ./internal/transport
 # The Theorem 3 boundary table: graph family x fault placement x f, with
 # the classic-BA baseline column. The grep gates the paper's headline —
 # at least one classic-refused-but-degradable cell — and zero violations
