@@ -181,7 +181,7 @@ func explainRun(out io.Writer, cfg degradable.Config, value degradable.Value,
 	for id := range strategies {
 		delete(honest, id)
 	}
-	if _, err := round.Run(nodes, round.Config{Rounds: p.Depth()}, round.Goroutine{}); err != nil {
+	if _, err := round.Run(nodes, round.Config{Rounds: p.Depth()}, round.Reference{}); err != nil {
 		return err
 	}
 	label := func(nSub int) string { return fmt.Sprintf("VOTE(%d,%d)", nSub-1-p.M, nSub-1) }

@@ -101,7 +101,7 @@ func Run(p core.Params, r Rule, senderValue types.Value,
 	if err := adversary.Wrap(nodes, p.N, depth, p.Sender, senderValue, strategies); err != nil {
 		return spec.Verdict{}, nil, err
 	}
-	res, err := round.Run(nodes, round.Config{Rounds: depth}, round.Goroutine{})
+	res, err := round.Run(nodes, round.Config{Rounds: depth}, round.Reference{})
 	if err != nil {
 		return spec.Verdict{}, nil, err
 	}

@@ -86,12 +86,13 @@ type Campaign struct {
 	IncludeInfeasible bool `json:"includeInfeasible,omitempty"`
 	// Shrink, when set, delta-debugs every expectation failure to a
 	// locally minimal counterexample before reporting it. Shrinking always
-	// replays in process (the goroutine surrogate for cluster campaigns);
+	// replays in process (the reference schedule for cluster campaigns);
 	// the recorded repro keeps the campaign's Driver so the original
 	// execution environment stays identifiable.
 	Shrink bool `json:"shrink,omitempty"`
 	// Driver is stamped onto every generated scenario (and hence every
-	// failure repro): "" or DriverGoroutine, DriverSequential, or
+	// failure repro): "", or the replay labels DriverGoroutine and
+	// DriverSequential (all three run the reference schedule), or
 	// DriverCluster when the campaign runs through a cluster Executor.
 	Driver string `json:"driver,omitempty"`
 	// Sink, when non-nil, receives one structured verdict event per

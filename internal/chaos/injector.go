@@ -176,8 +176,12 @@ func (c *Counters) Add(other Counters) {
 }
 
 // layer is one built injector: declaration + seeded randomness + group index.
+// The source is seeded at the layer's first draw, so a layer that never
+// draws — a Partition, or a faulty-scope layer that sees no faulty traffic —
+// never pays for seeding.
 type layer struct {
 	spec     Injector
+	seed     int64
 	rng      *rand.Rand
 	group    map[types.NodeID]int // Partition: node → side
 	counters *Counters
@@ -193,33 +197,45 @@ func (l *layer) eligible(m types.Message) bool {
 	return scope == ScopeAnywhere || l.faulty.Contains(m.From)
 }
 
-// apply feeds one message through the layer, returning the surviving copies.
-func (l *layer) apply(m types.Message) []types.Message {
+// hit draws the layer's per-message coin.
+func (l *layer) hit() bool {
+	if l.rng == nil {
+		l.rng = rand.New(rand.NewSource(l.seed))
+	}
+	return l.rng.Float64() < l.spec.P
+}
+
+// apply feeds one message through the layer, appending the surviving copies
+// to dst.
+func (l *layer) apply(dst []types.Message, m types.Message) []types.Message {
 	if !l.eligible(m) {
-		return []types.Message{m}
+		return append(dst, m)
 	}
 	switch l.spec.Kind {
 	case Drop:
-		if l.rng.Float64() < l.spec.P {
+		if l.hit() {
 			l.counters.Dropped++
-			return nil
+			return dst
 		}
 	case DelayToAbsence:
-		if l.rng.Float64() < l.spec.P {
+		if l.hit() {
 			l.counters.Delayed++
-			return nil // late = detectably absent (§4 assumption b)
+			return dst // late = detectably absent (§4 assumption b)
 		}
 	case Duplicate:
-		if l.rng.Float64() < l.spec.P {
+		if l.hit() {
 			l.counters.Duplicated++
-			return []types.Message{m, m}
+			return append(dst, m, m)
 		}
 	case CorruptValue:
-		if l.rng.Float64() < l.spec.P {
+		if l.hit() {
 			l.counters.Corrupted++
-			domain := append([]types.Value{types.Default}, l.spec.Domain...)
-			m.Value = domain[l.rng.Intn(len(domain))]
-			return []types.Message{m}
+			// A draw over V_d followed by Domain.
+			if k := l.rng.Intn(len(l.spec.Domain) + 1); k == 0 {
+				m.Value = types.Default
+			} else {
+				m.Value = l.spec.Domain[k-1]
+			}
 		}
 	case Partition:
 		if l.active(m.Round) {
@@ -227,11 +243,11 @@ func (l *layer) apply(m types.Message) []types.Message {
 			gt, okT := l.group[m.To]
 			if okF && okT && gf != gt {
 				l.counters.Severed++
-				return nil
+				return dst
 			}
 		}
 	}
-	return []types.Message{m}
+	return append(dst, m)
 }
 
 // active reports whether the partition applies in the given round.
@@ -246,10 +262,13 @@ func (l *layer) active(round int) bool {
 }
 
 // chain is the composed injector stack; it implements round.Expander so
-// duplicates can fan out.
+// duplicates can fan out. Each layer reads one buffer and appends into the
+// other, so a warm DeliverAll allocates nothing; the slice it returns is
+// valid until the next call.
 type chain struct {
 	layers   []*layer
 	counters *Counters
+	in, out  []types.Message
 }
 
 var _ round.Expander = (*chain)(nil)
@@ -257,18 +276,20 @@ var _ round.Expander = (*chain)(nil)
 // DeliverAll implements round.Expander.
 func (c *chain) DeliverAll(m types.Message) []types.Message {
 	c.counters.Inspected++
-	out := []types.Message{m}
+	cur := append(c.in[:0], m)
+	next := c.out
 	for _, l := range c.layers {
-		var next []types.Message
-		for _, cm := range out {
-			next = append(next, l.apply(cm)...)
+		next = next[:0]
+		for _, cm := range cur {
+			next = l.apply(next, cm)
 		}
-		if len(next) == 0 {
-			return nil
+		cur, next = next, cur
+		if len(cur) == 0 {
+			break
 		}
-		out = next
 	}
-	return out
+	c.in, c.out = cur, next
+	return cur
 }
 
 // Deliver implements round.Channel for callers that cannot expand; the
@@ -291,9 +312,9 @@ func NewChannel(injectors []Injector, faulty types.NodeSet, seed int64, counters
 }
 
 // buildChannel materializes the injector stack for one run. Each layer gets
-// its own seeded source (derived from the scenario seed and the layer index)
-// so that removing a layer during shrinking does not perturb the randomness
-// of the layers that remain.
+// its own source, seeded at its first draw from the scenario seed and the
+// layer index, so that removing a layer during shrinking does not perturb
+// the randomness of the layers that remain.
 func buildChannel(injectors []Injector, faulty types.NodeSet, seed int64, counters *Counters) (*chain, error) {
 	c := &chain{counters: counters}
 	for i, in := range injectors {
@@ -302,7 +323,7 @@ func buildChannel(injectors []Injector, faulty types.NodeSet, seed int64, counte
 		}
 		l := &layer{
 			spec:     in,
-			rng:      rand.New(rand.NewSource(mix(seed, int64(i)+1))),
+			seed:     mix(seed, int64(i)+1),
 			counters: counters,
 			faulty:   faulty,
 		}

@@ -99,12 +99,13 @@ type Scenario struct {
 	// synchronous drivers, whose barrier makes intra-round order moot.
 	Sched string `json:"sched,omitempty"`
 	// Driver records how the scenario's instance was (or should be)
-	// executed: "" or "goroutine" (one goroutine per node), "sequential"
-	// (inline reference schedule), "cluster" (one OS process per node
-	// over loopback TCP), or "async" (the barrier-free A-Cast track under
-	// the Sched scheduling policy). The field makes shrinker reproductions
+	// executed: "" (the reference schedule), "goroutine" or "sequential"
+	// (replay labels kept from earlier reports; both now select the same
+	// reference schedule), "cluster" (one OS process per node over
+	// loopback TCP), or "async" (the barrier-free A-Cast track under the
+	// Sched scheduling policy). The field makes shrinker reproductions
 	// self-describing. Run executes the in-process drivers directly; a
-	// "cluster" scenario replayed through Run uses the goroutine driver as
+	// "cluster" scenario replayed through Run uses the reference schedule as
 	// its deterministic in-process surrogate (the judged semantics are
 	// identical when round deadlines cause no false absences) — replay
 	// across real processes goes through internal/cluster's Executor, as
@@ -404,10 +405,15 @@ func (sc Scenario) validateFaults() error {
 	return nil
 }
 
-// inProcess is the built-in executor: the goroutine or sequential driver
-// per sc.Driver (a "cluster" scenario replayed here runs on the goroutine
-// driver — see the Driver field's doc).
+// inProcess is the built-in executor: every synchronous driver name runs
+// the reference schedule (a "cluster" scenario replayed here included — see
+// the Driver field's doc).
 func inProcess(sc Scenario) (*ExecOutcome, error) {
+	switch sc.Driver {
+	case "", DriverGoroutine, DriverSequential, DriverCluster:
+	default:
+		return nil, fmt.Errorf("chaos: unknown driver %q", sc.Driver)
+	}
 	strategies := make(map[types.NodeID]adversary.Strategy, len(sc.Faults))
 	for _, f := range sc.Faults {
 		s, err := f.Kind.Build(sc.N, f.Value, f.Seed)
@@ -427,13 +433,6 @@ func inProcess(sc Scenario) (*ExecOutcome, error) {
 		Protocol:    core.Params{N: sc.N, M: sc.M, U: sc.U, Sender: sc.Sender},
 		SenderValue: sc.SenderValue,
 		Strategies:  strategies,
-	}
-	switch sc.Driver {
-	case "", DriverGoroutine, DriverCluster:
-	case DriverSequential:
-		in.Sequential = true
-	default:
-		return nil, fmt.Errorf("chaos: unknown driver %q", sc.Driver)
 	}
 	var topo TopoChannel
 	if sc.Topology != nil {
@@ -461,7 +460,8 @@ func inProcess(sc Scenario) (*ExecOutcome, error) {
 			in.Channel = inj
 		}
 	}
-	res, _, err := in.Run()
+	// RunWith judges the result, so the instance is executed, not checked.
+	res, err := in.Execute()
 	if err != nil {
 		return nil, err
 	}

@@ -251,27 +251,31 @@ func (ts *TopoSpec) NewChannel(n, m, u int, faults []FaultSpec, faulty types.Nod
 // topoEgress composes an injector stack (sender-side faults, applied first)
 // with a topology channel (the network, applied to each surviving copy).
 // chain alone is an Expander and the transport channel alone is a Channel;
-// their composition must expand so duplicates still fan out.
+// their composition must expand so duplicates still fan out. out is reused
+// by every DeliverAll, so the returned slice is valid until the next call.
 type topoEgress struct {
 	inj  round.Expander // nil when the scenario has no injectors
 	topo round.Channel
+	out  []types.Message
 }
 
 var _ round.Expander = (*topoEgress)(nil)
 
 // DeliverAll implements round.Expander.
 func (e *topoEgress) DeliverAll(m types.Message) []types.Message {
-	copies := []types.Message{m}
-	if e.inj != nil {
-		copies = e.inj.DeliverAll(m)
+	e.out = e.out[:0]
+	if e.inj == nil {
+		if dm, ok := e.topo.Deliver(m); ok {
+			e.out = append(e.out, dm)
+		}
+		return e.out
 	}
-	var out []types.Message
-	for _, cm := range copies {
+	for _, cm := range e.inj.DeliverAll(m) {
 		if dm, ok := e.topo.Deliver(cm); ok {
-			out = append(out, dm)
+			e.out = append(e.out, dm)
 		}
 	}
-	return out
+	return e.out
 }
 
 // Deliver implements round.Channel; the first surviving copy wins.

@@ -34,7 +34,7 @@ type diffCase struct {
 
 // diffMatrix is the seeded matrix of (N, m, u, fault script) points the
 // differential test sweeps. Fault behaviours are deterministic per node
-// (KindRandom is seeded), so all three drivers must agree byte for byte.
+// (KindRandom is seeded), so both drivers must agree byte for byte.
 func diffMatrix(short bool) []diffCase {
 	cases := []diffCase{
 		{name: "min-1-1-clean", n: 4, m: 1, u: 1},
@@ -68,8 +68,9 @@ func diffMatrix(short bool) []diffCase {
 	)
 }
 
-// inProcessRun executes one matrix case on an in-process driver.
-func inProcessRun(t *testing.T, c diffCase, sequential bool) *runner.Instance {
+// inProcessRun builds one matrix case as an in-process instance, which
+// runs on round.Reference.
+func inProcessRun(t *testing.T, c diffCase) *runner.Instance {
 	t.Helper()
 	strategies := make(map[types.NodeID]adversary.Strategy, len(c.faults))
 	for _, f := range c.faults {
@@ -84,48 +85,45 @@ func inProcessRun(t *testing.T, c diffCase, sequential bool) *runner.Instance {
 		SenderValue: 1001,
 		Strategies:  strategies,
 		RecordViews: true,
-		Sequential:  sequential,
 	}
 }
 
-// TestDifferentialDrivers asserts that the goroutine, sequential, and
-// cluster drivers produce byte-identical decisions and view transcripts
-// across the matrix. The cluster deadline is generous, so no loopback
-// delivery can be misread as an absence.
+// TestDifferentialDrivers asserts that the reference and cluster drivers
+// produce byte-identical decisions, view transcripts and accounting across
+// the matrix. The cluster deadline is generous, so no loopback delivery can
+// be misread as an absence. The reference schedule's concurrent twin, one
+// goroutine per node, is held to the same results in internal/round's
+// oracle_test.go, under the race detector.
 func TestDifferentialDrivers(t *testing.T) {
 	for _, c := range diffMatrix(testing.Short()) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			goRes, _, err := inProcessRun(t, c, false).Run()
+			// The reference driver is deterministic: two runs must agree not
+			// only on decisions but on the structured round event stream,
+			// which the matrix therefore also pins.
+			refIn := inProcessRun(t, c)
+			refTrace := obs.NewTracer(1024)
+			refIn.Sink = refTrace
+			refRes, _, err := refIn.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The sequential driver is the deterministic reference: two runs
-			// must agree not only on decisions but on the structured round
-			// event stream, which the matrix therefore also pins.
-			seqIn := inProcessRun(t, c, true)
-			seqTrace := obs.NewTracer(1024)
-			seqIn.Sink = seqTrace
-			seqRes, _, err := seqIn.Run()
-			if err != nil {
+			refIn2 := inProcessRun(t, c)
+			refTrace2 := obs.NewTracer(1024)
+			refIn2.Sink = refTrace2
+			if _, _, err := refIn2.Run(); err != nil {
 				t.Fatal(err)
 			}
-			seqIn2 := inProcessRun(t, c, true)
-			seqTrace2 := obs.NewTracer(1024)
-			seqIn2.Sink = seqTrace2
-			if _, _, err := seqIn2.Run(); err != nil {
-				t.Fatal(err)
-			}
-			events, events2 := seqTrace.Events(), seqTrace2.Events()
+			events, events2 := refTrace.Events(), refTrace2.Events()
 			if len(events) == 0 {
-				t.Fatal("sequential driver emitted no round events")
+				t.Fatal("reference driver emitted no round events")
 			}
 			if events[0].Kind != obs.EvRoundOpen {
 				t.Fatalf("event stream starts with %s, want roundOpen", events[0].Kind)
 			}
 			if !reflect.DeepEqual(events, events2) {
-				t.Fatalf("sequential event streams differ:\n%v\n%v", events, events2)
+				t.Fatalf("reference event streams differ:\n%v\n%v", events, events2)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
@@ -138,25 +136,19 @@ func TestDifferentialDrivers(t *testing.T) {
 			}
 			cluRes := rep.Result
 
-			if !reflect.DeepEqual(goRes.Decisions, seqRes.Decisions) {
-				t.Fatalf("goroutine vs sequential decisions:\n%v\n%v", goRes.Decisions, seqRes.Decisions)
+			if !reflect.DeepEqual(refRes.Decisions, cluRes.Decisions) {
+				t.Fatalf("reference vs cluster decisions:\n%v\n%v", refRes.Decisions, cluRes.Decisions)
 			}
-			if !reflect.DeepEqual(goRes.Decisions, cluRes.Decisions) {
-				t.Fatalf("goroutine vs cluster decisions:\n%v\n%v", goRes.Decisions, cluRes.Decisions)
-			}
-			for id := range goRes.Views {
-				if !viewsEqual(goRes.Views[id], seqRes.Views[id]) {
-					t.Fatalf("node %d: goroutine vs sequential views differ", int(id))
-				}
-				if !viewsEqual(goRes.Views[id], cluRes.Views[id]) {
-					t.Fatalf("node %d: goroutine vs cluster views differ:\n%v\n%v",
-						int(id), goRes.Views[id], cluRes.Views[id])
+			for id := range refRes.Views {
+				if !viewsEqual(refRes.Views[id], cluRes.Views[id]) {
+					t.Fatalf("node %d: reference vs cluster views differ:\n%v\n%v",
+						int(id), refRes.Views[id], cluRes.Views[id])
 				}
 			}
-			if goRes.Messages != cluRes.Messages || goRes.Delivered != cluRes.Delivered ||
-				goRes.Bytes != cluRes.Bytes || !reflect.DeepEqual(goRes.PerRound, cluRes.PerRound) {
-				t.Fatalf("accounting differs: goroutine {%d %d %d %v} cluster {%d %d %d %v}",
-					goRes.Messages, goRes.Delivered, goRes.Bytes, goRes.PerRound,
+			if refRes.Messages != cluRes.Messages || refRes.Delivered != cluRes.Delivered ||
+				refRes.Bytes != cluRes.Bytes || !reflect.DeepEqual(refRes.PerRound, cluRes.PerRound) {
+				t.Fatalf("accounting differs: reference {%d %d %d %v} cluster {%d %d %d %v}",
+					refRes.Messages, refRes.Delivered, refRes.Bytes, refRes.PerRound,
 					cluRes.Messages, cluRes.Delivered, cluRes.Bytes, cluRes.PerRound)
 			}
 			if rep.Late() != 0 {

@@ -2,10 +2,10 @@
 // process per node, exchanging round-tagged protocol messages over loopback
 // TCP using the internal/wire length-prefixed codec.
 //
-// Where the in-process drivers (round.Reference, round.Goroutine) realize
-// the §4 synchrony assumptions by construction — a shared-memory barrier
-// cannot lose or reorder anything — the cluster driver realizes them
-// against a real network:
+// Where the in-process driver (round.Reference) realizes the §4 synchrony
+// assumptions by construction — a shared-memory barrier cannot lose or
+// reorder anything — the cluster driver realizes them against a real
+// network:
 //
 //	(a) correct delivery: TCP per-connection reliability plus a per-round
 //	    batch-complete marker (an empty round batch), so "peer sent

@@ -97,7 +97,7 @@ func ConnectivityScenario(m, u, cut, sideSize int, alpha, beta types.Value) (*Co
 	if err != nil {
 		return nil, err
 	}
-	res, err := round.Run(nodes, round.Config{Rounds: depth, Channel: ch}, round.Goroutine{})
+	res, err := round.Run(nodes, round.Config{Rounds: depth, Channel: ch}, round.Reference{})
 	if err != nil {
 		return nil, err
 	}

@@ -138,7 +138,7 @@ func runFig2(name string, senderValue types.Value, faulty types.NodeSet,
 	if err := adversary.Wrap(nodes, n, depth, NodeS, senderValue, strategies); err != nil {
 		return nil, err
 	}
-	res, err := round.Run(nodes, round.Config{Rounds: depth, RecordViews: true}, round.Goroutine{})
+	res, err := round.Run(nodes, round.Config{Rounds: depth, RecordViews: true}, round.Reference{})
 	if err != nil {
 		return nil, err
 	}

@@ -2,11 +2,75 @@ package round
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"degradable/internal/types"
 	"degradable/internal/vote"
 )
+
+// Goroutine drives one worker goroutine per node, with the engine loop as
+// the round barrier: the concurrent schedule the race detector exercises.
+// It is a test twin of Reference — the barrier makes the two
+// result-identical — exported so the round_test matrices keep their
+// concurrent row.
+type Goroutine struct{}
+
+var _ Driver = Goroutine{}
+
+type stepReq struct {
+	round int
+	inbox []types.Message
+	final bool
+}
+
+// Drive implements Driver.
+func (Goroutine) Drive(e *Engine) error {
+	n := e.N()
+	reqs := make([]chan stepReq, n)
+	resps := make([]chan []types.Message, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		reqs[i] = make(chan stepReq)
+		resps[i] = make(chan []types.Message)
+		wg.Add(1)
+		go func(nd Node, req <-chan stepReq, resp chan<- []types.Message) {
+			defer wg.Done()
+			for r := range req {
+				if r.final {
+					nd.Finish(r.inbox)
+					resp <- nil
+					continue
+				}
+				resp <- nd.Step(r.round, r.inbox)
+			}
+		}(e.Node(i), reqs[i], resps[i])
+	}
+
+	for r := 1; r <= e.Rounds(); r++ {
+		e.Deliver()
+		// Fan out the round to all workers, then collect in node-ID order.
+		for i := 0; i < n; i++ {
+			reqs[i] <- stepReq{round: r, inbox: e.Inbox(i)}
+		}
+		for i := 0; i < n; i++ {
+			e.Collect(i, r, <-resps[i])
+		}
+	}
+	// Final delivery of round-R messages.
+	e.Deliver()
+	for i := 0; i < n; i++ {
+		reqs[i] <- stepReq{final: true, inbox: e.Inbox(i)}
+	}
+	for i := 0; i < n; i++ {
+		<-resps[i]
+	}
+	for i := 0; i < n; i++ {
+		close(reqs[i])
+	}
+	wg.Wait()
+	return nil
+}
 
 // The tests in this file and accounting_test.go run a small protocol under
 // the Goroutine driver, whose Step calls are concurrent with each other and

@@ -187,6 +187,31 @@ func diffNodes(t *testing.T) []round.Node {
 	return nodes
 }
 
+// kindNodes is diffShape with one node wrapped per adversary.Kind, built the
+// way campaigns build them, so the goroutine row steps every strategy
+// concurrently under the race detector.
+func kindNodes(t *testing.T) []round.Node {
+	t.Helper()
+	nodes, err := diffShape.Nodes(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, depth, sender := diffShape.System()
+	strategies := make(map[types.NodeID]adversary.Strategy)
+	for i, k := range []adversary.Kind{adversary.KindSilent, adversary.KindCrash,
+		adversary.KindLie, adversary.KindTwoFaced, adversary.KindRandom} {
+		s, err := k.Build(n, types.Value(90+i), int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		strategies[types.NodeID([]int{1, 2, 4, 5, 7}[i])] = s
+	}
+	if err := adversary.Wrap(nodes, n, depth, sender, 42, strategies); err != nil {
+		t.Fatal(err)
+	}
+	return nodes
+}
+
 // diffChannels builds a fresh, equally seeded channel per call: every seeded
 // channel draws per Deliver call, so the two sides of a comparison agree
 // only if they feed their channel the same messages in the same order.
@@ -252,9 +277,11 @@ func diffRoutes(t *testing.T) *topology.Routes {
 }
 
 // TestEngineMatchesOracle is the judge of the route-at-collect engine: over
-// every in-tree channel family, both in-process drivers, with and without
-// recorded views, and on a restarted engine, the run's result, Trace
-// sequence and Sink stream must equal the queue-drain-sort oracle's.
+// two fault complements, every in-tree channel family, the reference driver
+// and its goroutine-per-node twin, with and without recorded views, and on
+// a restarted engine, the run's result, Trace sequence and Sink stream must
+// equal the queue-drain-sort oracle's. The goroutine row is the only place
+// adversary-wrapped nodes are stepped concurrently.
 func TestEngineMatchesOracle(t *testing.T) {
 	drivers := []struct {
 		name string
@@ -263,47 +290,56 @@ func TestEngineMatchesOracle(t *testing.T) {
 		{"reference", round.Reference{}},
 		{"goroutine", round.Goroutine{}},
 	}
-	for _, ch := range diffChannels {
-		for _, views := range []bool{false, true} {
-			base := round.Config{Rounds: diffShape.Depth(), RecordViews: views}
+	complements := []struct {
+		name string
+		mk   func(*testing.T) []round.Node
+	}{
+		{"twofaced+random", diffNodes},
+		{"every-kind", kindNodes},
+	}
+	for _, nodes := range complements {
+		for _, ch := range diffChannels {
+			for _, views := range []bool{false, true} {
+				base := round.Config{Rounds: diffShape.Depth(), RecordViews: views}
 
-			var want transcript
-			cfg := observe(base, &want)
-			cfg.Channel = ch.mk(t)
-			want.Result = newOracle(diffNodes(t), cfg).run()
-			if want.Result.Delivered == 0 || len(want.Trace) != want.Result.Delivered {
-				t.Fatalf("%s: oracle delivered %d, traced %d", ch.name, want.Result.Delivered, len(want.Trace))
-			}
-
-			for _, drv := range drivers {
-				name := fmt.Sprintf("%s/%s/views=%v", ch.name, drv.name, views)
-				var got transcript
-				cfg := observe(base, &got)
+				var want transcript
+				cfg := observe(base, &want)
 				cfg.Channel = ch.mk(t)
-				eng, err := round.NewEngine(diffNodes(t), cfg)
-				if err != nil {
-					t.Fatal(err)
+				want.Result = newOracle(nodes.mk(t), cfg).run()
+				if want.Result.Delivered == 0 || len(want.Trace) != want.Result.Delivered {
+					t.Fatalf("%s/%s: oracle delivered %d, traced %d", nodes.name, ch.name, want.Result.Delivered, len(want.Trace))
 				}
-				if err := drv.d.Drive(eng); err != nil {
-					t.Fatal(err)
-				}
-				got.Result = eng.Finalize()
-				compareTranscripts(t, name, &got, &want)
 
-				if !ch.stateless {
-					continue
+				for _, drv := range drivers {
+					name := fmt.Sprintf("%s/%s/%s/views=%v", nodes.name, ch.name, drv.name, views)
+					var got transcript
+					cfg := observe(base, &got)
+					cfg.Channel = ch.mk(t)
+					eng, err := round.NewEngine(nodes.mk(t), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := drv.d.Drive(eng); err != nil {
+						t.Fatal(err)
+					}
+					got.Result = eng.Finalize()
+					compareTranscripts(t, name, &got, &want)
+
+					if !ch.stateless {
+						continue
+					}
+					// A restarted engine starts from whichever inbox set the
+					// last run left current; it must not matter.
+					got.Trace, got.Events = nil, nil
+					if err := eng.Restart(nodes.mk(t)); err != nil {
+						t.Fatal(err)
+					}
+					if err := drv.d.Drive(eng); err != nil {
+						t.Fatal(err)
+					}
+					got.Result = eng.Finalize()
+					compareTranscripts(t, name+"/restarted", &got, &want)
 				}
-				// A restarted engine starts from whichever inbox set the
-				// last run left current; it must not matter.
-				got.Trace, got.Events = nil, nil
-				if err := eng.Restart(diffNodes(t)); err != nil {
-					t.Fatal(err)
-				}
-				if err := drv.d.Drive(eng); err != nil {
-					t.Fatal(err)
-				}
-				got.Result = eng.Finalize()
-				compareTranscripts(t, name+"/restarted", &got, &want)
 			}
 		}
 	}

@@ -60,19 +60,19 @@
 // Collect, and Finalize must be serialized by the driver, and Deliver needs
 // every Step of the round to have returned. A seeded Channel draws once per
 // call, so the order of Collect calls is part of a run's identity: the
-// in-tree drivers collect in node-ID order. The in-process drivers are
-// Reference and Goroutine; the distributed driver in internal/cluster
-// realizes the same deadline-closed rounds against real sockets (its
-// per-round hold-back buffer and wall clock deadline are the physical form of
-// the barrier, with the same inbox sorting, sender stamping, and byte
-// accounting); the fourth, asynchronous driver is RunAsync under
+// in-tree drivers collect in node-ID order. The in-process driver is
+// Reference (its goroutine-per-node twin lives in the package's tests, where
+// the race detector steps nodes concurrently); the distributed driver in
+// internal/cluster realizes the same deadline-closed rounds against real
+// sockets (its per-round hold-back buffer and wall clock deadline are the
+// physical form of the barrier, with the same inbox sorting, sender
+// stamping, and byte accounting); the asynchronous driver is RunAsync under
 // internal/acast's protocols.
 package round
 
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"degradable/internal/obs"
 	"degradable/internal/types"
@@ -137,7 +137,8 @@ type Channel interface {
 // message more than once (duplication faults, as injected by the chaos
 // engine). When the configured Channel implements Expander, the engine calls
 // DeliverAll instead of Deliver; every returned message is delivered and
-// counted. An empty slice drops the message.
+// counted. An empty slice drops the message. The returned slice is valid
+// until the next DeliverAll: an Expander may reuse one buffer for every call.
 type Expander interface {
 	Channel
 	DeliverAll(m types.Message) []types.Message
@@ -240,7 +241,7 @@ type Engine struct {
 	// cur is what Inbox hands the round's Step calls; next is where route
 	// puts the copies the following round will read. Two sets, because a
 	// driver may Collect node i's sends while other nodes' Step calls are
-	// still reading cur (Goroutine does): nothing but Deliver, at the
+	// still reading cur (the concurrent test twin does): nothing but Deliver, at the
 	// barrier, ever touches cur.
 	cur, next []inbox
 	// delivered and bytes count the copies routed into next; Deliver moves
@@ -593,8 +594,8 @@ func Run(nodes []Node, cfg Config, d Driver) (*Result, error) {
 // calling goroutine, in node-ID order. It is the executable form of the
 // Driver contract and the baseline every other driver must be
 // result-identical to (the round barrier already serializes all
-// interleavings). Throughput-sensitive callers such as the serving runtime
-// run it, since per-instance goroutine setup would dominate their cost.
+// interleavings), and the schedule every in-process caller runs: a
+// goroutine per node would only add hand-offs the barrier then undoes.
 type Reference struct{}
 
 var _ Driver = Reference{}
@@ -612,65 +613,5 @@ func (Reference) Drive(e *Engine) error {
 	for i := 0; i < n; i++ {
 		e.Node(i).Finish(e.Inbox(i))
 	}
-	return nil
-}
-
-// Goroutine drives one worker goroutine per node, with the engine loop as
-// the round barrier: the concurrent schedule the race detector exercises.
-type Goroutine struct{}
-
-var _ Driver = Goroutine{}
-
-type stepReq struct {
-	round int
-	inbox []types.Message
-	final bool
-}
-
-// Drive implements Driver.
-func (Goroutine) Drive(e *Engine) error {
-	n := e.N()
-	reqs := make([]chan stepReq, n)
-	resps := make([]chan []types.Message, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		reqs[i] = make(chan stepReq)
-		resps[i] = make(chan []types.Message)
-		wg.Add(1)
-		go func(nd Node, req <-chan stepReq, resp chan<- []types.Message) {
-			defer wg.Done()
-			for r := range req {
-				if r.final {
-					nd.Finish(r.inbox)
-					resp <- nil
-					continue
-				}
-				resp <- nd.Step(r.round, r.inbox)
-			}
-		}(e.Node(i), reqs[i], resps[i])
-	}
-
-	for r := 1; r <= e.Rounds(); r++ {
-		e.Deliver()
-		// Fan out the round to all workers, then collect in node-ID order.
-		for i := 0; i < n; i++ {
-			reqs[i] <- stepReq{round: r, inbox: e.Inbox(i)}
-		}
-		for i := 0; i < n; i++ {
-			e.Collect(i, r, <-resps[i])
-		}
-	}
-	// Final delivery of round-R messages.
-	e.Deliver()
-	for i := 0; i < n; i++ {
-		reqs[i] <- stepReq{final: true, inbox: e.Inbox(i)}
-	}
-	for i := 0; i < n; i++ {
-		<-resps[i]
-	}
-	for i := 0; i < n; i++ {
-		close(reqs[i])
-	}
-	wg.Wait()
 	return nil
 }

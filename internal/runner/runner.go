@@ -44,10 +44,6 @@ type Instance struct {
 	Trace func(types.Message)
 	// Sink, when non-nil, receives structured round events.
 	Sink obs.Sink
-	// Sequential runs all nodes inline on the calling goroutine under
-	// round.Reference instead of round.Goroutine: identical results, lower
-	// overhead. The chaos engine's sequential driver mode sets it.
-	Sequential bool
 }
 
 // Faulty returns the fault set implied by the armed strategies.
@@ -61,32 +57,12 @@ func (in Instance) Faulty() types.NodeSet {
 
 // Run executes the instance and checks the outcome against the spec.
 func (in Instance) Run() (*round.Result, spec.Verdict, error) {
-	if in.Protocol == nil {
-		return nil, spec.Verdict{}, fmt.Errorf("runner: nil protocol")
-	}
-	n, depth, sender := in.Protocol.System()
-	nodes, err := in.Protocol.Nodes(in.SenderValue)
-	if err != nil {
-		return nil, spec.Verdict{}, err
-	}
-	if err := adversary.Wrap(nodes, n, depth, sender, in.SenderValue, in.Strategies); err != nil {
-		return nil, spec.Verdict{}, err
-	}
-	var d round.Driver = round.Goroutine{}
-	if in.Sequential {
-		d = round.Reference{}
-	}
-	res, err := round.Run(nodes, round.Config{
-		Rounds:      depth,
-		Channel:     in.Channel,
-		RecordViews: in.RecordViews,
-		Trace:       in.Trace,
-		Sink:        in.Sink,
-	}, d)
+	res, err := in.Execute()
 	if err != nil {
 		return nil, spec.Verdict{}, err
 	}
 	m, u := in.Protocol.Thresholds()
+	_, _, sender := in.Protocol.System()
 	verdict := spec.Check(spec.Execution{
 		M: m, U: u,
 		Sender:      sender,
@@ -95,4 +71,27 @@ func (in Instance) Run() (*round.Result, spec.Verdict, error) {
 		Decisions:   res.Decisions,
 	})
 	return res, verdict, nil
+}
+
+// Execute runs the instance under round.Reference without judging it, for
+// callers that check the result their own way.
+func (in Instance) Execute() (*round.Result, error) {
+	if in.Protocol == nil {
+		return nil, fmt.Errorf("runner: nil protocol")
+	}
+	n, depth, sender := in.Protocol.System()
+	nodes, err := in.Protocol.Nodes(in.SenderValue)
+	if err != nil {
+		return nil, err
+	}
+	if err := adversary.Wrap(nodes, n, depth, sender, in.SenderValue, in.Strategies); err != nil {
+		return nil, err
+	}
+	return round.Run(nodes, round.Config{
+		Rounds:      depth,
+		Channel:     in.Channel,
+		RecordViews: in.RecordViews,
+		Trace:       in.Trace,
+		Sink:        in.Sink,
+	}, round.Reference{})
 }

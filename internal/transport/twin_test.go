@@ -143,13 +143,13 @@ func pair(t *testing.T, r *topology.Routes, p core.Params, faulty map[types.Node
 	return ch, tw
 }
 
-// runBoth drives two identically built node sets, one over the channel (on
-// the goroutine driver) and one over the twin (on the reference driver),
-// and requires identical decisions, deliveries, and degraded and hop counts.
+// runBoth drives two identically built node sets, one over the channel and
+// one over the twin, and requires identical decisions, deliveries, and
+// degraded and hop counts.
 // It returns the twin's run.
 func runBoth(t *testing.T, name string, nodes func() []round.Node, ch *transport.Channel, tw *twin, depth int) *round.Result {
 	t.Helper()
-	resA, err := round.Run(nodes(), round.Config{Rounds: depth, Channel: ch}, round.Goroutine{})
+	resA, err := round.Run(nodes(), round.Config{Rounds: depth, Channel: ch}, round.Reference{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,9 +58,12 @@ fi
 # Every chaos run reads one process-wide memo of graph analyses and route
 # tables (topology.Shared): a full race pass over the packages that share it.
 # Then a short fuzz of the sparse channel against its hop-by-hop twin
-# (decisions, deliveries, degraded and hop counters on random graphs).
+# (decisions, deliveries, degraded and hop counters on random graphs), and
+# of the buffer-reusing injector chain against its eager, slice-per-message
+# oracle (returned copies in order, and counters).
 go test -race ./internal/topology/... ./internal/transport/... ./internal/chaos/...
 go test -run '^$' -fuzz FuzzTransportVsRouted -fuzztime 10s ./internal/transport
+go test -run '^$' -fuzz FuzzChainVsEager -fuzztime 10s ./internal/chaos
 # The Theorem 3 boundary table: graph family x fault placement x f, with
 # the classic-BA baseline column. The grep gates the paper's headline —
 # at least one classic-refused-but-degradable cell — and zero violations
