@@ -27,15 +27,16 @@ type (
 // missed deadline is the detectable absence of §4 assumption (b) and the
 // protocol substitutes V_d. The calling binary must invoke ClusterHijack
 // first thing in main (node processes are spawned by re-executing it), or
-// set cfg.Command to a dedicated node binary such as cmd/node.
+// set cfg.Command to a dedicated node binary such as cmd/node. A node that
+// prints no listen line within 10 s fails the run.
 func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterReport, error) {
 	return cluster.Run(ctx, cfg)
 }
 
-// ClusterHijack diverts a spawned node process into the cluster node
-// runtime. Binaries that call RunCluster with the default (re-exec)
-// command must call it before anything else; it returns immediately in the
-// parent process and never returns in a node process.
+// ClusterHijack diverts a process spawned in the cluster's node role into
+// the node runtime. Binaries that call RunCluster with the default
+// (re-exec) command must call it before anything else; it returns
+// immediately in the parent process and never returns in a node process.
 func ClusterHijack() { cluster.Hijack() }
 
 // ClusterNodeMain runs one cluster node end to end over the given stdio:

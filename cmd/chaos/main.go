@@ -130,7 +130,7 @@ func run(args []string, out io.Writer) error {
 	if tracer != nil {
 		// Dump before the health checks so the event stream survives an
 		// unhealthy campaign — that is exactly when it is most wanted.
-		if err := dumpTrace(*tracePath, tracer); err != nil {
+		if err := obs.WriteJSONLFile(*tracePath, tracer.Events()); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "chaos: wrote %d events to %s\n", len(tracer.Events()), *tracePath)
@@ -254,19 +254,6 @@ func writeReport(out io.Writer, rep *degradable.ChaosReport) {
 
 func indent(s string) string {
 	return "  " + strings.ReplaceAll(s, "\n", "\n  ")
-}
-
-// dumpTrace writes the campaign's verdict-event ring as JSONL.
-func dumpTrace(path string, t *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteJSONL(f, t.Events()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // parseTopoAxis turns the -graph/-placement pair into a campaign topology

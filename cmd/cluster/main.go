@@ -54,19 +54,6 @@ func main() {
 	}
 }
 
-// writeTrace dumps a structured round-event stream as JSONL.
-func writeTrace(path string, events []obs.Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteJSONL(f, events); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
 	fs.SetOutput(out)
@@ -128,7 +115,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *trace != "" {
-		if err := writeTrace(*trace, rep.Events()); err != nil {
+		if err := obs.WriteJSONLFile(*trace, rep.Events()); err != nil {
 			return err
 		}
 	}
@@ -255,7 +242,7 @@ func runCampaign(ctx context.Context, out io.Writer, cc campaignConfig) error {
 		}
 	}
 	if cc.trace != "" {
-		if err := writeTrace(cc.trace, agg.events); err != nil {
+		if err := obs.WriteJSONLFile(cc.trace, agg.events); err != nil {
 			return err
 		}
 	}

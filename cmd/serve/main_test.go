@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"degradable/internal/fleet"
 	"degradable/internal/service"
 	"degradable/internal/wire"
 )
@@ -38,13 +39,13 @@ func (s *syncBuf) String() string {
 
 // TestServeSignalShutdown boots the daemon on an ephemeral port, serves a
 // request over real TCP, then delivers SIGTERM and checks the graceful
-// path: run returns nil and the final counters are printed.
+// path: ServeMain returns nil and the final counters are printed.
 func TestServeSignalShutdown(t *testing.T) {
 	var out bytes.Buffer
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-shards", "2"}, &out, ready)
+		done <- fleet.ServeMain([]string{"-addr", "127.0.0.1:0", "-shards", "2"}, &out, ready)
 	}()
 	var addr string
 	select {
@@ -76,7 +77,7 @@ func TestServeSignalShutdown(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("run: %v", err)
+			t.Fatalf("ServeMain: %v", err)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not shut down on SIGTERM")
@@ -91,7 +92,7 @@ func TestServeSignalShutdown(t *testing.T) {
 // text (or renamed in one binary only) fails here.
 func TestServeHelpListsEveryFlag(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-h"}, &out, nil)
+	err := fleet.ServeMain([]string{"-h"}, &out, nil)
 	if !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h: got %v, want flag.ErrHelp", err)
 	}
@@ -108,10 +109,10 @@ func TestServeHelpListsEveryFlag(t *testing.T) {
 // TestServeBadFlags checks flag errors surface instead of hanging.
 func TestServeBadFlags(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-addr", "not-an-address"}, &out, nil); err == nil {
+	if err := fleet.ServeMain([]string{"-addr", "not-an-address"}, &out, nil); err == nil {
 		t.Fatal("bad listen address accepted")
 	}
-	if err := run([]string{"-addr", "127.0.0.1:0", "-pprof", "not-an-address"}, &out, nil); err == nil {
+	if err := fleet.ServeMain([]string{"-addr", "127.0.0.1:0", "-pprof", "not-an-address"}, &out, nil); err == nil {
 		t.Fatal("bad pprof address accepted")
 	}
 }
@@ -124,7 +125,7 @@ func TestServePprof(t *testing.T) {
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-shards", "1", "-pprof", "127.0.0.1:0"}, &out, ready)
+		done <- fleet.ServeMain([]string{"-addr", "127.0.0.1:0", "-shards", "1", "-pprof", "127.0.0.1:0"}, &out, ready)
 	}()
 	select {
 	case <-ready:
@@ -175,7 +176,7 @@ func TestServePprof(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("run: %v", err)
+			t.Fatalf("ServeMain: %v", err)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not shut down")

@@ -215,6 +215,22 @@ func TestDeadlineDetectsAbsence(t *testing.T) {
 	// what matters is that the run terminated and receivers fell back to V_d.
 }
 
+// TestRunFailsFastOnSilentNode: a node process that never prints its
+// listen line fails the launch at the startup deadline, instead of blocking
+// Run for as long as the process lives.
+func TestRunFailsFastOnSilentNode(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	start := time.Now()
+	_, err := Run(ctx, Config{N: 4, M: 1, U: 1, Command: []string{"sleep", "30"}})
+	if err == nil {
+		t.Fatal("Run succeeded with silent nodes")
+	}
+	if elapsed := time.Since(start); elapsed >= 15*time.Second {
+		t.Fatalf("Run failed after %v (%v), want within the startup deadline", elapsed, err)
+	}
+}
+
 // TestClusterChaosSmoke runs a short chaos campaign where every scenario
 // executes as one OS process per node, classified against D.1–D.4 and the
 // §2 m+1 floor by the same judging machinery as the in-process campaigns.

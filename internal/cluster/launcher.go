@@ -1,17 +1,16 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"os"
-	"os/exec"
 	"time"
 
 	"degradable/internal/chaos"
 	"degradable/internal/core"
 	"degradable/internal/obs"
+	"degradable/internal/proc"
 	"degradable/internal/round"
 	"degradable/internal/spec"
 	"degradable/internal/stats"
@@ -61,7 +60,7 @@ type Config struct {
 	RecoveryGrace time.Duration
 	// Command overrides how a node process is spawned (argv). Empty means
 	// re-exec the current binary, which must call Hijack first thing; the
-	// NodeEnv variable is set either way.
+	// child is spawned in proc's "node" role either way.
 	Command []string
 }
 
@@ -193,11 +192,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		argv = []string{self}
 	}
 
-	procs := make([]*nodeProc, cfg.N)
+	procs := make([]*proc.Proc, cfg.N)
 	defer func() {
 		for _, pr := range procs {
 			if pr != nil {
-				pr.kill()
+				pr.Kill()
 			}
 		}
 	}()
@@ -212,24 +211,28 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			Trace: cfg.Trace, Checkpoint: ckptDir,
 			Progress: crashBy[types.NodeID(i)] != nil,
 		}
-		pr, err := spawnNode(ctx, argv, nc)
+		pr, err := proc.Spawn(ctx, argv, "node")
 		if err != nil {
 			return nil, err
 		}
 		procs[i] = pr
+		if err := pr.Send(nc); err != nil {
+			return nil, fmt.Errorf("cluster: node %d config: %w", i, err)
+		}
 	}
 
-	// Collect every node's listen address, then distribute the roster.
+	// Collect every node's listen address, then distribute the roster. A
+	// node that stays silent past the startup deadline fails the launch.
 	ros := roster{Peers: make([]string, cfg.N)}
 	for i, pr := range procs {
 		var ll listenLine
-		if err := readLine(pr.out, &ll); err != nil {
+		if err := readReply(pr, proc.StartupWait, &ll); err != nil {
 			return nil, fmt.Errorf("cluster: node %d listen: %w", i, err)
 		}
 		ros.Peers[i] = ll.Listen
 	}
 	for i, pr := range procs {
-		if err := writeLine(pr.in, ros); err != nil {
+		if err := pr.Send(ros); err != nil {
 			return nil, fmt.Errorf("cluster: node %d roster: %w", i, err)
 		}
 	}
@@ -260,7 +263,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			}
 			pr := procs[int(id)]
 			procs[int(id)] = nil // the controller owns the process now
-			go func(cr *chaos.CrashSpec, pr *nodeProc, nc NodeConfig) {
+			go func(cr *chaos.CrashSpec, pr *proc.Proc, nc NodeConfig) {
 				ch <- crashVictim(ctx, argv, cr, pr, nc, ros, ckptDir, grace)
 			}(cr, pr, nc)
 		}
@@ -301,10 +304,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			nr = res.rep
 		} else {
 			nr = new(NodeReport)
-			if err := readLine(pr.out, nr); err != nil {
+			if err := readReply(pr, 0, nr); err != nil {
 				return nil, fmt.Errorf("cluster: node %d report: %w", i, err)
 			}
-			if err := pr.wait(); err != nil {
+			if err := pr.Wait(); err != nil {
 				return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 			}
 			procs[i] = nil
@@ -368,12 +371,12 @@ type crashResult struct {
 // progress marks for the scheduled round-phase boundary, SIGKILL it there,
 // damage its checkpoint if scheduled, respawn it bound to its original
 // roster address, and collect the restarted incarnation's report.
-func crashVictim(ctx context.Context, argv []string, cr *chaos.CrashSpec, pr *nodeProc, nc NodeConfig, ros roster, ckptDir string, grace time.Duration) crashResult {
+func crashVictim(ctx context.Context, argv []string, cr *chaos.CrashSpec, pr *proc.Proc, nc NodeConfig, ros roster, ckptDir string, grace time.Duration) crashResult {
 	phase := cr.EffectivePhase()
 	for {
-		raw, err := pr.out.ReadBytes('\n')
-		if len(raw) == 0 && err != nil {
-			pr.kill()
+		raw, err := pr.ReadLine(0)
+		if err != nil {
+			pr.Kill()
 			return crashResult{err: fmt.Errorf("died before its round %d %q mark: %w", cr.Round, phase, err)}
 		}
 		var probe struct {
@@ -383,7 +386,7 @@ func crashVictim(ctx context.Context, argv []string, cr *chaos.CrashSpec, pr *no
 		if json.Unmarshal(raw, &probe) != nil || probe.Progress == nil {
 			// The report line: the victim finished before its mark, which the
 			// marks' placement makes impossible; surface it as an error.
-			pr.kill()
+			pr.Kill()
 			return crashResult{err: fmt.Errorf("reported before its round %d %q mark", cr.Round, phase)}
 		}
 		if *probe.Progress == cr.Round && probe.Phase == phase {
@@ -392,7 +395,7 @@ func crashVictim(ctx context.Context, argv []string, cr *chaos.CrashSpec, pr *no
 	}
 	// The mark means the boundary's checkpoint is on disk: kill here and the
 	// victim's recovery story starts exactly at (round, phase).
-	pr.kill()
+	pr.Kill()
 	killedAt := time.Now()
 	if cr.Corrupt != "" {
 		if err := CorruptCheckpoint(CheckpointPath(ckptDir, cr.Node), cr.Corrupt, cr.Round-1); err != nil {
@@ -406,94 +409,43 @@ func crashVictim(ctx context.Context, argv []string, cr *chaos.CrashSpec, pr *no
 	nc.Resume = cr.Round
 	nc.ResumePhase = phase
 	nc.Listen = ros.Peers[int(cr.Node)]
-	pr2, err := spawnNode(ctx, argv, nc)
+	pr2, err := proc.Spawn(ctx, argv, "node")
 	if err != nil {
+		return crashResult{err: fmt.Errorf("respawn: %w", err)}
+	}
+	defer pr2.Kill()
+	if err := pr2.Send(nc); err != nil {
 		return crashResult{err: fmt.Errorf("respawn: %w", err)}
 	}
 	// The grace timer only ever kills the process; the pipe reads below then
 	// fail and the victim is written off as unrecovered.
-	timer := time.AfterFunc(grace, func() {
-		if pr2.cmd.Process != nil {
-			pr2.cmd.Process.Kill()
-		}
-	})
+	timer := time.AfterFunc(grace, pr2.Kill)
 	defer timer.Stop()
 	var ll listenLine
-	if err := readLine(pr2.out, &ll); err != nil {
-		pr2.kill()
+	if err := readReply(pr2, proc.StartupWait, &ll); err != nil {
 		return crashResult{}
 	}
-	if err := writeLine(pr2.in, ros); err != nil {
-		pr2.kill()
+	if err := pr2.Send(ros); err != nil {
 		return crashResult{}
 	}
 	var nr NodeReport
-	if err := readLine(pr2.out, &nr); err != nil {
-		pr2.kill()
+	if err := readReply(pr2, 0, &nr); err != nil {
 		return crashResult{}
 	}
-	if err := pr2.wait(); err != nil {
+	if err := pr2.Wait(); err != nil {
 		return crashResult{}
 	}
 	return crashResult{rep: &nr, converge: time.Since(killedAt)}
 }
 
-// nodeProc is one spawned node process and its stdio.
-type nodeProc struct {
-	cmd     *exec.Cmd
-	in      *os.File
-	out     *bufio.Reader
-	outPipe *os.File
-}
-
-func (p *nodeProc) kill() {
-	if p.cmd.Process != nil {
-		p.cmd.Process.Kill()
-	}
-	p.in.Close()
-	p.outPipe.Close()
-	p.cmd.Wait()
-}
-
-func (p *nodeProc) wait() error {
-	p.in.Close()
-	err := p.cmd.Wait()
-	p.outPipe.Close()
-	return err
-}
-
-// spawnNode starts one node process and sends it its config line.
-func spawnNode(ctx context.Context, argv []string, nc NodeConfig) (*nodeProc, error) {
-	inR, inW, err := os.Pipe()
+// readReply decodes a node's next stdout line into v; wait > 0 bounds the
+// read.
+func readReply(p *proc.Proc, wait time.Duration, v any) error {
+	line, err := p.ReadLine(wait)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	outR, outW, err := os.Pipe()
-	if err != nil {
-		inR.Close()
-		inW.Close()
-		return nil, err
-	}
-	cmd := exec.CommandContext(ctx, argv[0], argv[1:]...)
-	cmd.Stdin = inR
-	cmd.Stdout = outW
-	cmd.Stderr = os.Stderr
-	cmd.Env = append(os.Environ(), NodeEnv+"=1")
-	if err := cmd.Start(); err != nil {
-		inR.Close()
-		inW.Close()
-		outR.Close()
-		outW.Close()
-		return nil, err
-	}
-	inR.Close()
-	outW.Close()
-	pr := &nodeProc{cmd: cmd, in: inW, out: bufio.NewReader(outR), outPipe: outR}
-	if err := writeLine(pr.in, nc); err != nil {
-		pr.kill()
-		return nil, err
-	}
-	return pr, nil
+	return json.Unmarshal(line, v)
 }
 
 // Executor adapts the cluster launcher to the chaos campaign engine: the

@@ -56,17 +56,11 @@ import (
 	"degradable/internal/core"
 	"degradable/internal/eig"
 	"degradable/internal/obs"
+	"degradable/internal/proc"
 	"degradable/internal/round"
 	"degradable/internal/types"
 	"degradable/internal/wire"
 )
-
-// NodeEnv is the environment variable marking a process as a spawned
-// cluster node. Binaries that can act as launchers call Hijack first thing
-// in main (and test binaries in TestMain): when the variable is set the
-// process runs NodeMain on stdin/stdout and exits, never reaching the
-// launcher (or test) path.
-const NodeEnv = "DEGRADABLE_CLUSTER_NODE"
 
 // NodeConfig is everything one node process needs, sent as the first JSON
 // line on its stdin.
@@ -220,11 +214,12 @@ const RoundWaitHist = "round_wait"
 // Late returns the node's late-batch count from its obs snapshot.
 func (nr *NodeReport) Late() int { return int(nr.Obs.Counter(nodeStatNames[nodeStatLate])) }
 
-// Hijack diverts a spawned node process into NodeMain. Launcher-capable
-// binaries must call it before anything else (tests from TestMain); it
-// returns in the parent process and never returns in a node process.
+// Hijack diverts a process spawned in proc's "node" role into NodeMain.
+// Launcher-capable binaries must call it before anything else (tests from
+// TestMain); it returns in the parent process and never returns in a node
+// process.
 func Hijack() {
-	if os.Getenv(NodeEnv) == "" {
+	if proc.Role() != "node" {
 		return
 	}
 	if err := NodeMain(os.Stdin, os.Stdout, "127.0.0.1:0"); err != nil {
@@ -254,7 +249,7 @@ func NodeMain(in io.Reader, out io.Writer, listenAddr string) error {
 		return err
 	}
 	defer ln.Close()
-	if err := writeLine(out, listenLine{Listen: ln.Addr().String()}); err != nil {
+	if err := proc.WriteJSON(out, listenLine{Listen: ln.Addr().String()}); err != nil {
 		return err
 	}
 	var ros roster
@@ -265,7 +260,7 @@ func NodeMain(in io.Reader, out io.Writer, listenAddr string) error {
 	if err != nil {
 		return err
 	}
-	return writeLine(out, rep)
+	return proc.WriteJSON(out, rep)
 }
 
 // readLine decodes one newline-terminated JSON value.
@@ -275,17 +270,6 @@ func readLine(br *bufio.Reader, v any) error {
 		return err
 	}
 	return json.Unmarshal(line, v)
-}
-
-// writeLine encodes one newline-terminated JSON value.
-func writeLine(w io.Writer, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
 }
 
 // nodeObs is one node's live telemetry during a run: obs counters, the
@@ -457,7 +441,7 @@ func mark(progress io.Writer, cfg NodeConfig, r int, phase string) {
 	if progress == nil || !cfg.Progress {
 		return
 	}
-	writeLine(progress, progressLine{Progress: r, Phase: phase})
+	proc.WriteJSON(progress, progressLine{Progress: r, Phase: phase})
 }
 
 // treeHolder is the honest node's handle on its EIG state; checkpoints are

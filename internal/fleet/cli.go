@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux, served only when -pprof is set
-	"os"
 	"os/signal"
 	"syscall"
 	"time"
@@ -18,63 +17,64 @@ import (
 	"degradable/internal/wire"
 )
 
-// RoleEnv selects the re-exec role when the fleet launcher respawns the
-// current binary as a fleet member (same Hijack pattern as the cluster
-// launcher): "daemon" runs a serve daemon, "router" runs the router.
-const RoleEnv = "DEGRADABLE_FLEET_ROLE"
-
-// Hijack diverts the process into a fleet role when RoleEnv is set. Call
-// it first thing in main() of any binary that launches fleets (the fleet
-// tests' TestMain); it does not return when a role is set.
-func Hijack() {
-	role := os.Getenv(RoleEnv)
-	if role == "" {
-		return
-	}
-	var err error
-	switch role {
-	case "daemon":
-		err = DaemonMain(os.Args[1:], os.Stdout)
-	case "router":
-		err = RouterMain(os.Args[1:], os.Stdout, nil)
-	default:
-		err = fmt.Errorf("fleet: unknown role %q", role)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fleet:", err)
-		os.Exit(1)
-	}
-	os.Exit(0)
-}
-
-// DaemonMain is a minimal serve daemon for re-exec fleet members: the same
-// wire server and service runtime as cmd/serve, the same "listening on"
-// stdout contract the launcher parses, without the full CLI surface.
-func DaemonMain(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("fleet-daemon", flag.ContinueOnError)
+// ServeMain is the testable entry point of cmd/serve: the sharded
+// agreement service behind a wire listener, shut down gracefully on
+// SIGTERM or SIGINT. ready, when non-nil, receives the bound address once
+// the listener is up.
+func ServeMain(args []string, out io.Writer, ready chan<- string) error {
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		addr       = cliflags.Addr(fs, "addr", "127.0.0.1:0")
+		addr       = cliflags.Addr(fs, "addr", "127.0.0.1:7001")
 		shards     = cliflags.Shards(fs)
 		queue      = fs.Int("queue", 0, "per-shard admission queue depth (default 1024)")
 		batch      = fs.Int("batch", 0, "max requests drained per scheduling round (default 64)")
 		specSample = fs.Int("spec-sample", 0, "spec-check every k-th instance per shard (default 8, -1 disables)")
 		grace      = fs.Duration("grace", 10*time.Second, "graceful-shutdown bound")
+		pprofAddr  = cliflags.PProf(fs)
+		tracePath  = cliflags.Trace(fs)
+		timeouts   = cliflags.WireTimeouts(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
+	var tracer *obs.Tracer
+	var sink obs.Sink
+	if *tracePath != "" {
+		tracer = obs.NewTracer(4096)
+		sink = tracer
+	}
 	svc := service.New(service.Config{
 		Shards: *shards, QueueDepth: *queue, Batch: *batch, SpecSample: *specSample,
+		Sink: sink,
 	})
+	reg := obs.NewRegistry()
+	svc.Register(reg)
+	// Opt-in debug endpoint on its own listener, so the pprof + telemetry
+	// surface never shares a port with the agreement protocol. Bound before
+	// the daemon reports ready, failing fast on a bad address.
+	closeDebug, debugBound, err := cliflags.ServeDebug(*pprofAddr, reg)
+	if err != nil {
+		ln.Close()
+		return err
+	}
+	if closeDebug != nil {
+		defer closeDebug()
+		fmt.Fprintf(out, "serve: debug on http://%s/debug/pprof/ (also /metrics, /debug/vars)\n", debugBound)
+	}
 	srv := wire.NewServer(ln, svc)
+	srv.SetTimeouts(timeouts())
 	cfg := svc.Config()
 	fmt.Fprintf(out, "serve: listening on %s (shards=%d queue=%d batch=%d spec-sample=%d)\n",
 		ln.Addr(), cfg.Shards, cfg.QueueDepth, cfg.Batch, cfg.SpecSample)
+	if ready != nil {
+		ready <- ln.Addr().String()
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
@@ -82,13 +82,19 @@ func DaemonMain(args []string, out io.Writer) error {
 	go func() { serveErr <- srv.Serve() }()
 	select {
 	case <-ctx.Done():
-		stop()
+		stop() // restore default signal handling: a second signal kills
+		fmt.Fprintln(out, "serve: shutting down")
 		sctx, cancel := context.WithTimeout(context.Background(), *grace)
 		defer cancel()
 		err := srv.Shutdown(sctx)
 		st := svc.Stats()
-		fmt.Fprintf(out, "serve: done  accepted=%d rejected=%d completed=%d violations=%d\n",
-			st.Accepted, st.Rejected, st.Completed, st.SpecViolations)
+		fmt.Fprintf(out, "serve: done  accepted=%d rejected=%d completed=%d degraded=%d checked=%d violations=%d\n",
+			st.Accepted, st.Rejected, st.Completed, st.Degraded, st.SpecChecked, st.SpecViolations)
+		if tracer != nil {
+			if terr := obs.WriteJSONLFile(*tracePath, tracer.Events()); terr != nil && err == nil {
+				err = terr
+			}
+		}
 		return err
 	case err := <-serveErr:
 		return err
@@ -193,7 +199,7 @@ func RouterMain(args []string, out io.Writer, ready chan<- string) error {
 			snap.Counters["fleet_shed_quota_total"], snap.Counters["fleet_shed_unavailable_total"],
 			snap.Counters["fleet_backend_error_total"])
 		if tracer != nil {
-			if terr := dumpTrace(*tracep, tracer); terr != nil && err == nil {
+			if terr := obs.WriteJSONLFile(*tracep, tracer.Events()); terr != nil && err == nil {
 				err = terr
 			}
 		}
@@ -216,17 +222,4 @@ func splitNonEmpty(s string) []string {
 		}
 	}
 	return parts
-}
-
-// dumpTrace writes the event ring as JSONL.
-func dumpTrace(path string, t *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteJSONL(f, t.Events()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

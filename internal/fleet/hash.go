@@ -10,6 +10,8 @@
 // batches identically-shaped instances on one pooled node complement, so
 // landing a shape consistently on the same backend is what makes that
 // amortization survive scale-out.
+//
+// ServeMain and RouterMain are the whole of cmd/serve and cmd/router.
 package fleet
 
 import (

@@ -2,66 +2,113 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
+	"degradable/internal/obs"
+	"degradable/internal/proc"
 	"degradable/internal/service"
 	"degradable/internal/wire"
 )
 
-// TestMain hijacks re-executed copies of this test binary into the fleet
-// roles, so the launcher tests run real daemon and router processes.
+// TestMain diverts re-executed copies of this test binary into the fleet
+// roles, so TestLaunchFleet runs the shipped serve and router entry points
+// as real processes.
 func TestMain(m *testing.M) {
-	Hijack()
-	os.Exit(m.Run())
+	var err error
+	switch proc.Role() {
+	case "":
+		os.Exit(m.Run())
+	case "serve":
+		err = ServeMain(os.Args[1:], os.Stdout, nil)
+	case "router":
+		err = RouterMain(os.Args[1:], os.Stdout, nil)
+	default:
+		err = fmt.Errorf("unknown role %q", proc.Role())
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, proc.Role()+":", err)
+		os.Exit(1)
+	}
+	os.Exit(0)
 }
 
-// TestAwaitListenTimesOut: a spawned process that prints nothing and
-// stays alive must fail the launch at the deadline instead of blocking
-// the launcher until the outer context kills it.
-func TestAwaitListenTimesOut(t *testing.T) {
-	defer func(old time.Duration) { listenWait = old }(listenWait)
-	listenWait = 200 * time.Millisecond
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	p, err := spawnProc(ctx, []string{"sleep", "30"}, "")
+// member is one spawned fleet process and the addresses it announced.
+type member struct {
+	*proc.Proc
+	addr  string // wire listen address
+	debug string // debug/metrics address ("" if it has none)
+}
+
+// spawnMember re-execs this binary in role with args and reads its startup
+// lines (an optional "debug on http://ADDR/" line, then "listening on
+// ADDR"), then drains the rest of its output.
+func spawnMember(t *testing.T, ctx context.Context, role string, args ...string) *member {
+	t.Helper()
+	self, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.kill()
-	start := time.Now()
-	if err := p.awaitListen(); err == nil {
-		t.Fatal("awaitListen succeeded on a silent process")
+	p, err := proc.Spawn(ctx, append([]string{self, "-addr", "127.0.0.1:0"}, args...), role)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("awaitListen blocked %v on a silent process, want ~%v", elapsed, listenWait)
+	t.Cleanup(p.Kill)
+	mb := &member{Proc: p}
+	for mb.addr == "" {
+		line, err := p.ReadLine(proc.StartupWait)
+		if err != nil {
+			t.Fatalf("%s startup: %v", role, err)
+		}
+		if _, after, ok := strings.Cut(string(line), "debug on http://"); ok {
+			mb.debug, _, _ = strings.Cut(after, "/")
+		} else if _, after, ok := strings.Cut(string(line), "listening on "); ok {
+			mb.addr, _, _ = strings.Cut(strings.TrimSpace(after), " ")
+		}
 	}
+	p.Drain()
+	return mb
+}
+
+// scrape fetches a member's /debug/vars JSON snapshot.
+func (mb *member) scrape() (obs.Snapshot, error) {
+	var snap obs.Snapshot
+	resp, err := http.Get("http://" + mb.debug + "/debug/vars")
+	if err != nil {
+		return snap, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return snap, fmt.Errorf("scrape: %s", resp.Status)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	return snap, err
 }
 
 // TestLaunchFleet spawns a real 2-daemon fleet behind a router (process
-// per member, re-exec'd from this binary), routes requests through it over
-// TCP, scrapes the router's telemetry, and stops everything. The admission
-// story is the gate: the capped tenant sheds with resource_exhausted, and
-// the uncapped tenant never sheds, even in a pipelined burst.
+// per member, re-exec'd from this binary into ServeMain and RouterMain),
+// routes requests through it over TCP, scrapes the router's telemetry,
+// and stops everything. The admission story is the gate: the capped
+// tenant sheds with resource_exhausted, and the uncapped tenant never
+// sheds, even in a pipelined burst.
 func TestLaunchFleet(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	fl, err := Launch(ctx, LaunchConfig{
-		Daemons:    2,
-		DaemonArgs: []string{"-shards", "1"},
-		RouterArgs: []string{"-quota", "9:0.001:1"},
-	})
-	if err != nil {
-		t.Fatal(err)
+	daemons := []*member{
+		spawnMember(t, ctx, "serve", "-shards", "1"),
+		spawnMember(t, ctx, "serve", "-shards", "1"),
 	}
-	defer fl.kill()
-	for _, p := range fl.Daemons {
-		p.DrainOutput()
-	}
-	fl.Router.DrainOutput()
+	router := spawnMember(t, ctx, "router",
+		"-backends", daemons[0].addr+","+daemons[1].addr,
+		"-pprof", "127.0.0.1:0",
+		"-quota", "9:0.001:1")
 
-	c, err := wire.Dial(fl.RouterAddr)
+	c, err := wire.Dial(router.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +150,7 @@ func TestLaunchFleet(t *testing.T) {
 	}
 	c.Close()
 
-	snap, err := fl.ScrapeRouter()
+	snap, err := router.scrape()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +172,8 @@ func TestLaunchFleet(t *testing.T) {
 		t.Errorf("fleet_backend_latency count = %d (present=%v), want %d", hist.Count, ok, routed)
 	}
 	healthy := 0
-	for _, p := range fl.Daemons {
-		if snap.Gauges[`fleet_backend_healthy{backend="`+p.Addr+`"}`] == 1 {
+	for _, d := range daemons {
+		if snap.Gauges[`fleet_backend_healthy{backend="`+d.addr+`"}`] == 1 {
 			healthy++
 		}
 	}
@@ -134,7 +181,11 @@ func TestLaunchFleet(t *testing.T) {
 		t.Errorf("healthy backend gauges = %d, want 2\ngauges: %v", healthy, snap.Gauges)
 	}
 
-	if err := fl.Stop(); err != nil {
-		t.Fatalf("stop: %v", err)
+	// Router first (it drains in-flight calls, which needs the daemons still
+	// up), then the daemons; every member must exit cleanly.
+	for i, mb := range append([]*member{router}, daemons...) {
+		if err := mb.Terminate(); err != nil {
+			t.Errorf("stop member %d: %v", i, err)
+		}
 	}
 }

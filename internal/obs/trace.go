@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sync/atomic"
 )
 
@@ -304,6 +305,19 @@ func WriteJSONL(w io.Writer, events []Event) error {
 		}
 	}
 	return nil
+}
+
+// WriteJSONLFile creates path and writes events to it as JSON lines.
+func WriteJSONLFile(path string, events []Event) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteJSONL(f, events); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ReadJSONL decodes a JSONL event stream (the inverse of WriteJSONL).

@@ -27,8 +27,8 @@ go test ./...
 echo "== go test -race (short) =="
 go test -race -short ./...
 
-echo "== go test -race (full, service + wire + cluster + fleet) =="
-go test -race ./internal/service/... ./internal/wire/... ./internal/cluster/... ./internal/fleet/...
+echo "== go test -race (full, service + wire + proc + cluster + fleet) =="
+go test -race ./internal/service/... ./internal/wire/... ./internal/proc/... ./internal/cluster/... ./internal/fleet/...
 
 echo "== go benchmark smoke =="
 # One iteration of every go benchmark in the paper tables, the EIG engines,
@@ -119,7 +119,8 @@ echo "== benchmark (bench/, the repo's one measurement instrument) =="
 # violation, simulator digest mismatch). The report is BENCH.json at the
 # repo root (gitignored; CI uploads it). The real-process fleet smoke —
 # quota sheds for a capped tenant, none for an uncapped one — is
-# TestLaunchFleet in go test above.
+# TestLaunchFleet in go test above: it spawns the shipped ServeMain and
+# RouterMain as child processes through internal/proc.
 go run -C bench degradable/bench -seconds 2 -out "$PWD/BENCH.json"
 
 echo "all checks passed"
