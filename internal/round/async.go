@@ -2,6 +2,7 @@ package round
 
 import (
 	"fmt"
+	"math/bits"
 
 	"degradable/internal/types"
 )
@@ -25,8 +26,8 @@ import (
 // The slice Start and OnDeliver return is borrowed: it stays valid until the
 // next call into the same node, and the caller may rewrite its elements but
 // must not retain it. A node can therefore hand back one reused buffer and
-// allocate nothing per delivery; RunAsync copies every send into the policy's
-// queue before it calls the node again, and a wrapping node (a Byzantine
+// allocate nothing per delivery; RunAsync copies every send into the
+// scheduler's slab before it calls the node again, and a wrapping node (a Byzantine
 // decorator) may corrupt the inner node's sends in place. The order of the
 // returned sends is part of the schedule contract: enqueue order is the Seq
 // every seeded policy's picks are a function of, so a node that reorders its
@@ -45,8 +46,6 @@ type AsyncConfig struct {
 	// Policy orders deliveries; nil means FIFO. Seeded policies make the
 	// whole run a deterministic function of (nodes, config).
 	Policy Policy
-	// Channel interposes on deliveries; nil means PerfectChannel.
-	Channel Channel
 	// MaxDeliveries bounds the run (asynchronous protocols have no round
 	// count to bound them). Zero means 64·n² — far above any terminating
 	// Bracha-broadcast or ABA schedule at these system sizes, so hitting
@@ -72,7 +71,7 @@ type AsyncResult struct {
 	// latency measure (there are no rounds to count).
 	DeliveriesToDecision map[types.NodeID]int
 	// Messages is the number of sends accepted; Delivered the number of
-	// physical copies delivered; Bytes the approximate wire volume.
+	// them delivered; Bytes the approximate wire volume delivered.
 	Messages  int
 	Delivered int
 	Bytes     int
@@ -89,7 +88,9 @@ type AsyncResult struct {
 // queued send at a time, the recipient's handler runs, and its sends join
 // the queue. The run ends when every WaitFor node has decided, the queue
 // empties, the policy withholds everything left, or MaxDeliveries is
-// reached. Nodes must have distinct IDs in [0, len(nodes)).
+// reached. Nodes must have distinct IDs in [0, len(nodes)), and so must
+// the members of WaitFor; an empty WaitFor names every node, so it needs
+// len(nodes) ≤ types.MaxNodeSetID+1.
 func RunAsync(nodes []AsyncNode, cfg AsyncConfig) (*AsyncResult, error) {
 	n := len(nodes)
 	if n == 0 {
@@ -106,22 +107,28 @@ func RunAsync(nodes []AsyncNode, cfg AsyncConfig) (*AsyncResult, error) {
 		}
 		byID[int(id)] = nd
 	}
-	policy := cfg.Policy
-	if policy == nil {
-		policy = &FIFO{}
-	}
 	max := cfg.MaxDeliveries
 	if max <= 0 {
 		max = 64 * n * n
 	}
 	waitFor := cfg.WaitFor
+	if n <= types.MaxNodeSetID {
+		if rest := uint64(waitFor) >> n; rest != 0 {
+			id := n + bits.TrailingZeros64(rest)
+			return nil, fmt.Errorf("round: WaitFor node ID %d out of range [0,%d)", id, n)
+		}
+	}
 	if waitFor.Len() == 0 {
+		if n > types.MaxNodeSetID+1 {
+			return nil, fmt.Errorf("round: %d nodes need an explicit WaitFor (an empty one names every node, and a set holds IDs up to %d)", n, types.MaxNodeSetID)
+		}
 		for i := 0; i < n; i++ {
 			waitFor = waitFor.Add(types.NodeID(i))
 		}
 	}
 
-	sched := NewScheduler(policy, cfg.Channel)
+	sched := NewScheduler(cfg.Policy)
+	defer sched.release()
 	res := &AsyncResult{
 		Decisions:            make(map[types.NodeID]types.Value, n),
 		DeliveriesToDecision: make(map[types.NodeID]int, n),
@@ -162,20 +169,19 @@ func RunAsync(nodes []AsyncNode, cfg AsyncConfig) (*AsyncResult, error) {
 		collect(types.NodeID(i), nd.Start())
 		note(types.NodeID(i))
 	}
-	deliver := func(dm types.Message) {
-		res.Delivered++
-		res.Bytes += MessageBytes(dm)
-		if cfg.Trace != nil {
-			cfg.Trace(dm)
-		}
-		collect(dm.To, byID[int(dm.To)].OnDeliver(dm))
-		note(dm.To)
-	}
 	for awaiting > 0 && res.Delivered < max {
-		if !sched.Next(deliver) {
+		m, ok := sched.Next()
+		if !ok {
 			res.Starved = sched.Starved()
 			break
 		}
+		res.Delivered++
+		res.Bytes += MessageBytes(m)
+		if cfg.Trace != nil {
+			cfg.Trace(m)
+		}
+		collect(m.To, byID[m.To].OnDeliver(m))
+		note(m.To)
 	}
 	res.Terminated = awaiting == 0
 	return res, nil

@@ -2,6 +2,7 @@ package round
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"degradable/internal/types"
@@ -59,6 +60,17 @@ func TestRunAsyncValidation(t *testing.T) {
 	}
 	if _, err := RunAsync([]AsyncNode{&asyncEcho{id: 5, n: 1}}, AsyncConfig{}); err == nil {
 		t.Error("out-of-range ID: expected error")
+	}
+	// A WaitFor member no node can be would leave Terminated unreachable.
+	if _, err := RunAsync(echoFleet(4, 7), AsyncConfig{WaitFor: types.NewNodeSet(0, 1, 2, 3, 40)}); err == nil {
+		t.Error("out-of-range WaitFor member: expected error")
+	}
+	// An empty WaitFor names every node, and a NodeSet cannot name node 64.
+	if _, err := RunAsync(echoFleet(types.MaxNodeSetID+2, 7), AsyncConfig{}); err == nil {
+		t.Error("65 nodes, empty WaitFor: expected error")
+	}
+	if res, err := RunAsync(echoFleet(types.MaxNodeSetID+2, 7), AsyncConfig{WaitFor: types.NewNodeSet(0, 1)}); err != nil || !res.Terminated {
+		t.Errorf("65 nodes, explicit WaitFor: %v, %v", res, err)
 	}
 }
 
@@ -255,6 +267,14 @@ func (g *gossip) OnDeliver(types.Message) []types.Message {
 	return g.flood()
 }
 
+func gossipFleet(n, budget int, reuse bool) []AsyncNode {
+	nodes := make([]AsyncNode, n)
+	for i := range nodes {
+		nodes[i] = &gossip{id: types.NodeID(i), n: n, budget: budget, reuse: reuse}
+	}
+	return nodes
+}
+
 func (g *gossip) flood() []types.Message {
 	var out []types.Message
 	if g.reuse {
@@ -282,16 +302,12 @@ func TestRunAsyncReusedBufferMatchesOracle(t *testing.T) {
 	const n, budget = 6, 4
 	for _, spec := range []string{SchedFIFO, SchedReorder, "delay:8", SchedAdversarial, "starve:2"} {
 		run := func(reuse bool) ([]types.Message, *AsyncResult) {
-			nodes := make([]AsyncNode, n)
-			for i := range nodes {
-				nodes[i] = &gossip{id: types.NodeID(i), n: n, budget: budget, reuse: reuse}
-			}
 			policy, err := ParsePolicy(spec, 17)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var trace []types.Message
-			res, err := RunAsync(nodes, AsyncConfig{
+			res, err := RunAsync(gossipFleet(n, budget, reuse), AsyncConfig{
 				Policy: policy,
 				Trace:  func(m types.Message) { trace = append(trace, m) },
 			})
@@ -312,4 +328,67 @@ func TestRunAsyncReusedBufferMatchesOracle(t *testing.T) {
 			t.Errorf("%s: only %d deliveries, the flood never got going", spec, len(gotTrace))
 		}
 	}
+}
+
+// TestRunAsyncConcurrentReplays proves the pooled slab and queue storage is
+// private to a run: eight goroutines replaying seeded gossip runs side by
+// side, each walking the cases from a different start so that runs of
+// different sizes hand storage to each other through the pools, reproduce
+// the sequential transcripts and results exactly.
+func TestRunAsyncConcurrentReplays(t *testing.T) {
+	const n, workers = 6, 8
+	type replay struct {
+		trace []types.Message
+		res   *AsyncResult
+	}
+	type tcase struct {
+		spec   string
+		seed   int64
+		budget int
+	}
+	var cases []tcase
+	for _, spec := range []string{SchedReorder, "delay:3", SchedAdversarial} {
+		for seed := int64(1); seed <= 4; seed++ {
+			cases = append(cases, tcase{spec, seed, 2 + 3*int(seed)})
+		}
+	}
+	run := func(tc tcase) (replay, error) {
+		policy, err := ParsePolicy(tc.spec, tc.seed)
+		if err != nil {
+			return replay{}, err
+		}
+		var r replay
+		r.res, err = RunAsync(gossipFleet(n, tc.budget, true), AsyncConfig{
+			Policy: policy,
+			Trace:  func(m types.Message) { r.trace = append(r.trace, m) },
+		})
+		return r, err
+	}
+	want := make([]replay, len(cases))
+	for i, tc := range cases {
+		var err error
+		if want[i], err = run(tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range cases {
+				k := (i + w) % len(cases)
+				got, err := run(cases[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[k]) {
+					t.Errorf("worker %d, %+v: concurrent replay differs from the sequential one", w, cases[k])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

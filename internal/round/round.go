@@ -1,9 +1,11 @@
 // Package round is the delivery core every execution mode of the protocol
-// shares: sends are stamped with their true source, passed through the
-// Channel/Expander interposition, and handed to per-node step functions in a
-// deterministic order. The package has no opinion on *how* the schedule is
-// driven — goroutines, an inline loop, one OS process per node exchanging
-// frames over TCP, or a barrier-free asynchronous run.
+// shares: sends are stamped with their true source and handed to per-node
+// step functions in a deterministic order — synchronously through the
+// Channel/Expander interposition, asynchronously straight from the
+// scheduler's queue, whose policy is the adversary. The package has no
+// opinion on *how* the schedule is driven — goroutines, an inline loop, one
+// OS process per node exchanging frames over TCP, or a barrier-free
+// asynchronous run.
 //
 // The synchronous world of the paper's §4 is deadline-closed rounds: what a
 // node sends in round r is read by its recipients in round r+1, and a send
@@ -11,11 +13,12 @@
 // realizes that with two sets of inboxes. Collect routes each accepted send
 // through the channel at once and appends the surviving copies to the
 // recipient's inbox in the *next* set; Deliver, the barrier a Driver places
-// between rounds, flips the sets. The asynchronous world has no barrier:
-// RunAsync pulls one policy-chosen delivery at a time from a
+// between rounds, flips the sets. The asynchronous world has no barrier and
+// no channel: RunAsync pops one policy-chosen delivery at a time from a
 // Scheduler (FIFO, seeded reordering, unbounded delay, targeted starvation)
-// and message-driven AsyncNodes — quorum certificates instead of deadlines
-// (see internal/acast) — decide whenever their certificates complete.
+// and hands it to the recipient, and message-driven AsyncNodes — quorum
+// certificates instead of deadlines (see internal/acast) — decide whenever
+// their certificates complete.
 //
 // Both modes capture the assumptions of the paper's §4 as
 // machine-checkable contracts, with (b) realized per mode:

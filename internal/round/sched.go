@@ -5,18 +5,22 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 
 	"degradable/internal/types"
 )
 
-// Pending is one queued send awaiting delivery: the message plus the global
-// enqueue ticket the scheduler stamped it with. The ticket is a send's
-// position in the causal stream; seeded per-message decisions (Delay's holds)
-// are a function of it, never of where the send happens to sit in a policy's
-// storage.
-type Pending struct {
-	M   types.Message
-	Seq uint64
+// ticket is one queued send as a policy sees it: the slab slot its message
+// sits in, the global enqueue number the scheduler stamped it with, and its
+// recipient. The number is a send's position in the causal stream; seeded
+// per-message decisions (Delay's holds) are a function of it, never of where
+// the send happens to sit in a policy's storage. A ticket holds no pointer,
+// so a policy's storage is plain memory the collector never scans and block
+// copies need no write barriers.
+type ticket struct {
+	seq  uint64
+	slot uint32
+	to   types.NodeID
 }
 
 // Policy chooses which queued send the scheduler delivers next. FIFO,
@@ -29,79 +33,98 @@ type Pending struct {
 // at its deadline — the paper's §4 model.
 //
 // A Policy is a queue discipline that owns its storage: the scheduler pushes
-// every send in enqueue order and pops the policy's pick, so each policy
-// keeps the one structure that makes its own selection rule cheap. The
-// schedule a policy produces is defined by that rule alone (stated on each
-// type below) and is part of every recorded repro; the storage behind it is
-// not. The methods are unexported because the set of policies is closed —
-// scenario strings name them through ParsePolicy — and a policy value serves
-// one Scheduler at a time.
+// a ticket for every send in enqueue order and pops the policy's pick, so
+// each policy keeps the one structure that makes its own selection rule
+// cheap. The schedule a policy produces is defined by that rule alone (stated
+// on each type below) and is part of every recorded repro; the storage behind
+// it is not. The methods are unexported because the set of policies is closed
+// — scenario strings name them through ParsePolicy — and a policy value
+// serves one Scheduler at a time.
 //
 // Policies may be stateful (seeded rngs); a fresh policy plus an equal seed
 // replays the identical schedule.
 type Policy interface {
-	// push queues one send; calls arrive in ascending Seq order.
-	push(p Pending)
-	// pop removes and returns the policy's pick, or false to deliver nothing:
-	// the queue is empty, or the policy withholds every remaining send (the
-	// adversary refuses to schedule anything; the run ends undecided). A
-	// policy that draws from an rng must not draw on an empty queue.
-	pop() (types.Message, bool)
+	// push queues one send; calls arrive in ascending seq order.
+	push(t ticket)
+	// pop removes the policy's pick and returns its slot, or false to
+	// deliver nothing: the queue is empty, or the policy withholds every
+	// remaining send (the adversary refuses to schedule anything; the run
+	// ends undecided). A policy that draws from an rng must not draw on an
+	// empty queue.
+	pop() (uint32, bool)
 	// len counts the sends pushed and not yet popped, withheld ones included.
 	len() int
-	// rewind discards the queued sends and keeps the buffers (and the rng
-	// state: a reused policy continues its seeded stream). It is not named
-	// reset: the linker keeps every reachable method whose name and signature
-	// match an interface method that is called, unexported names included, so
-	// a reset() here held the runtime's, encoding/json's and eig's inlined
-	// reset methods in the binary and moved the code of packages this one
-	// does not touch.
+	// rewind discards the queued sends and hands the storage back to its
+	// pool (the rng state stays: a reused policy continues its seeded
+	// stream); the next push takes storage from the pool again. It is not
+	// named reset: the linker keeps every reachable method whose name and
+	// signature match an interface method that is called, unexported names
+	// included, so a reset() here held the runtime's, encoding/json's and
+	// eig's inlined reset methods in the binary and moved the code of
+	// packages this one does not touch.
 	rewind()
 }
 
 // blockLen is the most sends one block of a queue holds.
 const blockLen = 128
 
-// blocks is the storage every slice-shaped discipline keeps its sends in:
+// blockStore is the pooled backing of one blocks queue: its sends' slots in
 // enqueue order, cut into blocks of at most blockLen, so a queue grows one
 // block at a time (nothing is copied to make room, and an emptied block is
-// reused), memory follows the live queue rather than the run's history, and
-// a queue that never outgrows one block is a plain slice.
-type blocks struct {
-	live  [][]Pending // enqueue order across and within; only a sole block may be empty
-	spare [][]Pending // emptied blocks, kept for reuse
-	n     int
+// reused) and memory follows the live queue rather than the run's history.
+type blockStore struct {
+	live  [][]uint32 // enqueue order across and within; only a sole block may be empty
+	spare [][]uint32 // emptied blocks, kept for reuse
 }
 
-func (q *blocks) push(p Pending) {
-	last := len(q.live) - 1
-	if last < 0 || len(q.live[last]) == blockLen {
-		var b []Pending // a first block grows by append: short runs stay small
-		if k := len(q.spare) - 1; k >= 0 {
-			b, q.spare = q.spare[k], q.spare[:k]
-		} else if last >= 0 {
-			b = make([]Pending, 0, blockLen)
+var blockPool = sync.Pool{New: func() any { return new(blockStore) }}
+
+// retire moves block i, whose slots are gone or copied out, to the spares.
+func (st *blockStore) retire(i int) {
+	st.spare = append(st.spare, st.live[i][:0])
+	st.live = st.live[:i+copy(st.live[i:], st.live[i+1:])]
+}
+
+// blocks is the storage every slice-shaped discipline keeps its tickets'
+// slots in. The store is taken from blockPool at the first push and handed
+// back by rewind, so a run's queue costs nothing once the pool is warm.
+type blocks struct {
+	st *blockStore // nil while nothing was pushed since the last rewind
+	n  int
+}
+
+func (q *blocks) push(t ticket) {
+	if q.st == nil {
+		q.st = blockPool.Get().(*blockStore)
+	}
+	st := q.st
+	last := len(st.live) - 1
+	if last < 0 || len(st.live[last]) == blockLen {
+		var b []uint32
+		if k := len(st.spare) - 1; k >= 0 {
+			b, st.spare = st.spare[k], st.spare[:k]
+		} else {
+			b = make([]uint32, 0, blockLen)
 		}
-		q.live = append(q.live, b)
+		st.live = append(st.live, b)
 		last++
 	}
-	q.live[last] = append(q.live[last], p)
+	st.live[last] = append(st.live[last], t.slot)
 	q.n++
-}
-
-// retire moves block i, whose sends are gone or copied out, to the spares.
-func (q *blocks) retire(i int) {
-	q.spare = append(q.spare, q.live[i][:0])
-	q.live = q.live[:i+copy(q.live[i:], q.live[i+1:])]
 }
 
 func (q *blocks) len() int { return q.n }
 
 func (q *blocks) rewind() {
-	for _, b := range q.live {
-		q.spare = append(q.spare, b[:0])
+	if st := q.st; st != nil {
+		for _, b := range st.live {
+			st.spare = append(st.spare, b[:0])
+		}
+		st.live = st.live[:0]
+		blockPool.Put(st)
+		q.st = nil
 	}
-	q.live, q.n = q.live[:0], 0
+	q.n = 0
 }
 
 // fifoQueue is the enqueue-order discipline: the oldest send is at a cursor
@@ -111,22 +134,23 @@ type fifoQueue struct {
 	head int
 }
 
-func (q *fifoQueue) pop() (types.Message, bool) {
+func (q *fifoQueue) pop() (uint32, bool) {
 	if q.n == 0 {
-		return types.Message{}, false
+		return 0, false
 	}
-	b := q.live[0]
-	m := b[q.head].M
+	st := q.st
+	b := st.live[0]
+	slot := b[q.head]
 	q.n--
 	if q.head++; q.head == len(b) {
 		q.head = 0
-		if len(q.live) > 1 {
-			q.retire(0)
+		if len(st.live) > 1 {
+			st.retire(0)
 		} else {
-			q.live[0] = b[:0] // drained: rewind instead of growing
+			st.live[0] = b[:0] // drained: rewind instead of growing
 		}
 	}
-	return m, true
+	return slot, true
 }
 
 func (q *fifoQueue) rewind() {
@@ -145,35 +169,38 @@ type FIFO struct{ fifoQueue }
 // at least half full on average however the removals fall.
 type blockQueue struct{ blocks }
 
-// take removes and returns the k-th live send in enqueue order, 0 ≤ k < n.
-func (q *blockQueue) take(k int) types.Message {
-	bi := len(q.live) - 1
+// take removes the k-th live send in enqueue order, 0 ≤ k < n, and returns
+// its slot.
+func (q *blockQueue) take(k int) uint32 {
+	live := q.st.live
+	bi := len(live) - 1
 	if k == q.n-1 {
-		k = len(q.live[bi]) - 1 // the newest send: no walk
+		k = len(live[bi]) - 1 // the newest send: no walk
 	} else {
-		for bi = 0; k >= len(q.live[bi]); bi++ {
-			k -= len(q.live[bi])
+		for bi = 0; k >= len(live[bi]); bi++ {
+			k -= len(live[bi])
 		}
 	}
-	b := q.live[bi]
-	m := b[k].M
-	q.live[bi] = b[:k+copy(b[k:], b[k+1:])]
+	b := live[bi]
+	slot := b[k]
+	live[bi] = b[:k+copy(b[k:], b[k+1:])]
 	q.n--
 	if !q.join(bi) {
 		q.join(bi - 1)
 	}
-	return m
+	return slot
 }
 
 // join folds block i+1 into block i when the two fit in one, and reports
 // whether it did. A join copies only the block it retires, and only a push
 // adds a block.
 func (q *blockQueue) join(i int) bool {
-	if i < 0 || i+1 >= len(q.live) || len(q.live[i])+len(q.live[i+1]) > blockLen {
+	st := q.st
+	if i < 0 || i+1 >= len(st.live) || len(st.live[i])+len(st.live[i+1]) > blockLen {
 		return false
 	}
-	q.live[i] = append(q.live[i], q.live[i+1]...)
-	q.retire(i + 1)
+	st.live[i] = append(st.live[i], st.live[i+1]...)
+	st.retire(i + 1)
 	return true
 }
 
@@ -190,9 +217,9 @@ func NewReorder(seed int64) *Reorder {
 	return &Reorder{rng: rand.New(rand.NewSource(seed))}
 }
 
-func (p *Reorder) pop() (types.Message, bool) {
+func (p *Reorder) pop() (uint32, bool) {
 	if p.n == 0 {
-		return types.Message{}, false
+		return 0, false
 	}
 	return p.take(p.rng.Intn(p.n)), true
 }
@@ -213,9 +240,9 @@ func NewAdversarial(seed int64) *Adversarial {
 	return &Adversarial{rng: rand.New(rand.NewSource(seed))}
 }
 
-func (p *Adversarial) pop() (types.Message, bool) {
+func (p *Adversarial) pop() (uint32, bool) {
 	if p.n == 0 {
-		return types.Message{}, false
+		return 0, false
 	}
 	k := p.n - 1
 	if p.rng.Intn(2) != 0 {
@@ -224,25 +251,29 @@ func (p *Adversarial) pop() (types.Message, bool) {
 	return p.take(k), true
 }
 
-// held is one Delay entry: a send and the position it is released at.
+// held is one Delay entry: a send's slot, its enqueue number and the
+// position it is released at.
 type held struct {
 	release uint64
-	p       Pending
+	seq     uint64
+	slot    uint32
 }
 
 func (a *held) before(b *held) bool {
-	return a.release < b.release || a.release == b.release && a.p.Seq < b.p.Seq
+	return a.release < b.release || a.release == b.release && a.seq < b.seq
 }
 
-// holdHeap is a binary min-heap on (release, Seq).
-type holdHeap []held
+// holdHeap is a binary min-heap on (release, seq), pooled like blockStore.
+type holdHeap struct{ s []held }
+
+var heapPool = sync.Pool{New: func() any { return new(holdHeap) }}
 
 func (h *holdHeap) push(e held) {
-	s := *h
+	s := h.s
 	if len(s) == cap(s) {
 		// Doubling: append's gentler growth past 256 entries would copy,
 		// and leave behind as garbage, twice as much on the way up.
-		s = append(make(holdHeap, 0, max(16, 2*len(s))), s...)
+		s = append(make([]held, 0, max(16, 2*len(s))), s...)
 	}
 	s = append(s, e)
 	i := len(s) - 1
@@ -254,14 +285,14 @@ func (h *holdHeap) push(e held) {
 		s[i], i = s[up], up
 	}
 	s[i] = e
-	*h = s
+	h.s = s
 }
 
 func (h *holdHeap) pop() held {
-	s := *h
+	s := h.s
 	top, e := s[0], s[len(s)-1]
 	s = s[:len(s)-1]
-	*h = s
+	h.s = s
 	if len(s) == 0 {
 		return top
 	}
@@ -304,7 +335,7 @@ type Delay struct {
 	// Max is the largest per-message hold in ticks (default 16).
 	Max uint64
 
-	heap holdHeap
+	heap *holdHeap // nil while nothing was pushed since the last rewind
 }
 
 // NewDelay returns a seeded bounded-hold delay policy.
@@ -320,20 +351,34 @@ func (p *Delay) hold(seq uint64) uint64 {
 	return splitmix(uint64(p.seed)^(seq*0x9e3779b97f4a7c15)) % (p.Max + 1)
 }
 
-func (p *Delay) push(pm Pending) {
-	p.heap.push(held{release: pm.Seq + p.hold(pm.Seq), p: pm})
-}
-
-func (p *Delay) pop() (types.Message, bool) {
-	if len(p.heap) == 0 {
-		return types.Message{}, false
+func (p *Delay) push(t ticket) {
+	if p.heap == nil {
+		p.heap = heapPool.Get().(*holdHeap)
 	}
-	return p.heap.pop().p.M, true
+	p.heap.push(held{release: t.seq + p.hold(t.seq), seq: t.seq, slot: t.slot})
 }
 
-func (p *Delay) len() int { return len(p.heap) }
+func (p *Delay) pop() (uint32, bool) {
+	if p.len() == 0 {
+		return 0, false
+	}
+	return p.heap.pop().slot, true
+}
 
-func (p *Delay) rewind() { p.heap = p.heap[:0] }
+func (p *Delay) len() int {
+	if p.heap == nil {
+		return 0
+	}
+	return len(p.heap.s)
+}
+
+func (p *Delay) rewind() {
+	if p.heap != nil {
+		p.heap.s = p.heap.s[:0]
+		heapPool.Put(p.heap)
+		p.heap = nil
+	}
+}
 
 // Starve targets one node: sends addressed to Target are withheld while
 // anything else is deliverable, and withheld forever once only they remain.
@@ -342,19 +387,19 @@ func (p *Delay) rewind() { p.heap = p.heap[:0] }
 // may certify and decide, the victim must simply never be forced into a
 // conflicting decision. The rule: take the oldest send not addressed to
 // Target. Target's sends can never be picked, so they are only counted
-// (len, and so Scheduler.Starved, still sees them), never stored.
+// (len, and so Scheduler.Starved, still sees them), never queued.
 type Starve struct {
 	Target types.NodeID
 	fifoQueue
 	withheld int
 }
 
-func (p *Starve) push(pm Pending) {
-	if pm.M.To == p.Target {
+func (p *Starve) push(t ticket) {
+	if t.to == p.Target {
 		p.withheld++
 		return
 	}
-	p.fifoQueue.push(pm)
+	p.fifoQueue.push(t)
 }
 
 func (p *Starve) len() int { return p.fifoQueue.len() + p.withheld }
@@ -447,72 +492,85 @@ func splitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Scheduler is a deterministic delivery queue threaded through the
-// Channel/Expander interposition, ordered by a Policy. The policy owns the
-// queue; the scheduler stamps each send with its enqueue ticket and routes
-// each pick through the channel. RunAsync pulls one policy-chosen delivery
-// at a time from it with no barrier at all. A seed fully determines the
-// delivery order, which is what makes asynchronous chaos scenarios
-// recordable, replayable, and shrinkable like every other axis.
+// msgSlab is the pooled message store behind one Scheduler: every queued send
+// sits in one slot from its Enqueue to its pick, and a picked send's slot is
+// the next one filled.
+type msgSlab struct {
+	msgs []types.Message
+	free []uint32
+}
+
+var slabPool = sync.Pool{New: func() any { return new(msgSlab) }}
+
+// Scheduler is a deterministic delivery queue ordered by a Policy. It keeps
+// each accepted send once, in a slot of its slab, and hands the policy a
+// pointer-free ticket for it; the policy owns the order. RunAsync pulls one
+// policy-chosen delivery at a time from it with no barrier at all. A seed
+// fully determines the delivery order, which is what makes asynchronous
+// chaos scenarios recordable, replayable, and shrinkable like every other
+// axis.
 //
 // A Scheduler is not safe for concurrent use; the async run serializes all
 // calls.
 type Scheduler struct {
-	policy   Policy
-	ch       Channel
-	expander Expander
-
-	seq uint64
+	policy Policy
+	slab   *msgSlab
+	seq    uint64
 }
 
-// NewScheduler builds a scheduler over the given policy and channel. A nil
-// policy means FIFO; a nil channel means PerfectChannel. The policy's
-// queue is emptied: whatever an earlier scheduler left on it is not this
-// one's to deliver.
-func NewScheduler(policy Policy, ch Channel) *Scheduler {
+// NewScheduler builds a scheduler over the given policy; nil means FIFO.
+// The policy's queue is emptied: whatever an earlier scheduler left on it is
+// not this one's to deliver.
+func NewScheduler(policy Policy) *Scheduler {
 	if policy == nil {
 		policy = &FIFO{}
 	}
-	if ch == nil {
-		ch = PerfectChannel{}
-	}
 	policy.rewind()
-	s := &Scheduler{policy: policy, ch: ch}
-	s.expander, _ = ch.(Expander)
-	return s
+	return &Scheduler{policy: policy, slab: slabPool.Get().(*msgSlab)}
 }
 
 // Enqueue queues one validated, stamped send for delivery.
 func (s *Scheduler) Enqueue(m types.Message) {
-	s.policy.push(Pending{M: m, Seq: s.seq})
+	sl := s.slab
+	var slot uint32
+	if k := len(sl.free) - 1; k >= 0 {
+		slot, sl.free = sl.free[k], sl.free[:k]
+		sl.msgs[slot] = m
+	} else {
+		slot = uint32(len(sl.msgs))
+		sl.msgs = append(sl.msgs, m)
+	}
+	s.policy.push(ticket{seq: s.seq, slot: slot, to: m.To})
 	s.seq++
 }
 
 // Len returns the number of queued sends.
 func (s *Scheduler) Len() int { return s.policy.len() }
 
-// Next asks the policy for one send, routes it through the channel, and
-// invokes deliver for every physical copy (an Expander may duplicate or
-// drop; a plain Channel delivers at most once). It returns false when the
+// Next removes the policy's pick and returns it. It returns false when the
 // queue is empty or the policy withholds every remaining send — Starved
-// distinguishes the two. The policy sees only the pushes and its own picks,
-// never what the channel did with one, so seeded schedules are insensitive
-// to channel behaviour.
-func (s *Scheduler) Next(deliver func(types.Message)) bool {
-	m, ok := s.policy.pop()
+// distinguishes the two.
+func (s *Scheduler) Next() (types.Message, bool) {
+	slot, ok := s.policy.pop()
 	if !ok {
-		return false
+		return types.Message{}, false
 	}
-	if s.expander != nil {
-		for _, dm := range s.expander.DeliverAll(m) {
-			deliver(dm)
-		}
-	} else if dm, ok := s.ch.Deliver(m); ok {
-		deliver(dm)
-	}
-	return true
+	s.slab.free = append(s.slab.free, slot)
+	return s.slab.msgs[slot], true
 }
 
 // Starved reports whether sends remain queued — after Next returns false,
 // it distinguishes a withholding policy (true) from an empty queue (false).
 func (s *Scheduler) Starved() bool { return s.policy.len() > 0 }
+
+// release ends the scheduler's run: the policy's storage and the slab go
+// back to their pools, every slot cleared first so that no pooled message
+// keeps a Path alive. The scheduler is unusable afterwards.
+func (s *Scheduler) release() {
+	s.policy.rewind()
+	sl := s.slab
+	clear(sl.msgs)
+	sl.msgs, sl.free = sl.msgs[:0], sl.free[:0]
+	slabPool.Put(sl)
+	s.slab = nil
+}

@@ -17,7 +17,7 @@ func steadyScheduler(tb testing.TB, spec string, q int) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s := NewScheduler(p, nil)
+	s := NewScheduler(p)
 	i := 0
 	enqueue := func() {
 		// starve:2 must always have something it may deliver: To cycles 1, 3.
@@ -27,10 +27,9 @@ func steadyScheduler(tb testing.TB, spec string, q int) func() {
 	for s.Len() < q {
 		enqueue()
 	}
-	deliver := func(types.Message) {}
 	step := func() {
 		enqueue()
-		if !s.Next(deliver) {
+		if _, ok := s.Next(); !ok {
 			tb.Fatalf("%s: Next refused at queue length %d", spec, s.Len())
 		}
 	}

@@ -16,15 +16,22 @@ import (
 // oracleScheduler removes that index in place, preserving order. Every
 // recorded schedule is a function of these bodies, so the disciplines in
 // sched.go are held to them step for step. Nothing here shares code with
-// sched.go beyond the Pending type, the Channel interfaces and splitmix.
+// sched.go beyond splitmix.
+
+// oraclePending is one queued send: the message itself and its enqueue
+// number.
+type oraclePending struct {
+	M   types.Message
+	Seq uint64
+}
 
 type oraclePolicy interface {
-	Next(tick uint64, queue []Pending) int
+	Next(tick uint64, queue []oraclePending) int
 }
 
 type oracleFIFO struct{}
 
-func (oracleFIFO) Next(_ uint64, queue []Pending) int {
+func (oracleFIFO) Next(_ uint64, queue []oraclePending) int {
 	if len(queue) == 0 {
 		return -1
 	}
@@ -33,7 +40,7 @@ func (oracleFIFO) Next(_ uint64, queue []Pending) int {
 
 type oracleReorder struct{ rng *rand.Rand }
 
-func (p *oracleReorder) Next(_ uint64, queue []Pending) int {
+func (p *oracleReorder) Next(_ uint64, queue []oraclePending) int {
 	if len(queue) == 0 {
 		return -1
 	}
@@ -49,7 +56,7 @@ func (p *oracleDelay) hold(seq uint64) uint64 {
 	return splitmix(uint64(p.seed)^(seq*0x9e3779b97f4a7c15)) % (p.max + 1)
 }
 
-func (p *oracleDelay) Next(tick uint64, queue []Pending) int {
+func (p *oracleDelay) Next(tick uint64, queue []oraclePending) int {
 	if len(queue) == 0 {
 		return -1
 	}
@@ -68,7 +75,7 @@ func (p *oracleDelay) Next(tick uint64, queue []Pending) int {
 
 type oracleAdversarial struct{ rng *rand.Rand }
 
-func (p *oracleAdversarial) Next(_ uint64, queue []Pending) int {
+func (p *oracleAdversarial) Next(_ uint64, queue []oraclePending) int {
 	if len(queue) == 0 {
 		return -1
 	}
@@ -80,7 +87,7 @@ func (p *oracleAdversarial) Next(_ uint64, queue []Pending) int {
 
 type oracleStarve struct{ target types.NodeID }
 
-func (p oracleStarve) Next(_ uint64, queue []Pending) int {
+func (p oracleStarve) Next(_ uint64, queue []oraclePending) int {
 	for i, pm := range queue {
 		if pm.M.To != p.target {
 			return i
@@ -113,23 +120,14 @@ func oracleParse(spec string, seed int64) oraclePolicy {
 }
 
 type oracleScheduler struct {
-	policy   oraclePolicy
-	ch       Channel
-	expander Expander
-
-	queue []Pending
-	seq   uint64
-	tick  uint64
-}
-
-func newOracleScheduler(policy oraclePolicy, ch Channel) *oracleScheduler {
-	s := &oracleScheduler{policy: policy, ch: ch}
-	s.expander, _ = ch.(Expander)
-	return s
+	policy oraclePolicy
+	queue  []oraclePending
+	seq    uint64
+	tick   uint64
 }
 
 func (s *oracleScheduler) Enqueue(m types.Message) {
-	s.queue = append(s.queue, Pending{M: m, Seq: s.seq})
+	s.queue = append(s.queue, oraclePending{M: m, Seq: s.seq})
 	s.seq++
 }
 
@@ -141,43 +139,18 @@ func (s *oracleScheduler) Reset() {
 	s.tick = 0
 }
 
-func (s *oracleScheduler) Next(deliver func(types.Message)) bool {
+func (s *oracleScheduler) Next() (types.Message, bool) {
 	idx := s.policy.Next(s.tick, s.queue)
 	if idx < 0 || idx >= len(s.queue) {
-		return false
+		return types.Message{}, false
 	}
 	m := s.queue[idx].M
 	s.queue = append(s.queue[:idx], s.queue[idx+1:]...)
 	s.tick++
-	if s.expander != nil {
-		for _, dm := range s.expander.DeliverAll(m) {
-			deliver(dm)
-		}
-	} else if dm, ok := s.ch.Deliver(m); ok {
-		deliver(dm)
-	}
-	return true
+	return m, true
 }
 
 func (s *oracleScheduler) Starved() bool { return len(s.queue) > 0 }
-
-// dupDropExpander drops, delivers or duplicates each send as a pure function
-// of the send, so two schedulers handed equal picks see equal copies.
-type dupDropExpander struct{}
-
-func (dupDropExpander) Deliver(m types.Message) (types.Message, bool) { return m, true }
-
-func (dupDropExpander) DeliverAll(m types.Message) []types.Message {
-	switch m.Value % 5 {
-	case 0:
-		return nil
-	case 1:
-		return []types.Message{m, m}
-	}
-	return []types.Message{m}
-}
-
-var _ Expander = dupDropExpander{}
 
 // schedPair drives the scheduler under test and the oracle with the same
 // operations and fails on the first observable difference.
@@ -185,7 +158,6 @@ type schedPair struct {
 	t      *testing.T
 	label  string
 	p      Policy
-	ch     Channel
 	s      *Scheduler
 	o      *oracleScheduler
 	step   int
@@ -194,20 +166,15 @@ type schedPair struct {
 	maxLen, drains, resets int
 }
 
-func newSchedPair(t *testing.T, spec string, seed int64, expand bool) *schedPair {
+func newSchedPair(t *testing.T, spec string, seed int64) *schedPair {
 	t.Helper()
 	p, err := ParsePolicy(spec, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ch, och Channel = nil, PerfectChannel{}
-	if expand {
-		ch, och = dupDropExpander{}, dupDropExpander{}
-	}
 	return &schedPair{
-		t: t, label: fmt.Sprintf("sched=%q seed=%d expand=%v", spec, seed, expand),
-		p: p, ch: ch,
-		s: NewScheduler(p, ch), o: newOracleScheduler(oracleParse(spec, seed), och),
+		t: t, label: fmt.Sprintf("sched=%q seed=%d", spec, seed),
+		p: p, s: NewScheduler(p), o: &oracleScheduler{policy: oracleParse(spec, seed)},
 	}
 }
 
@@ -223,19 +190,13 @@ func (sp *schedPair) enqueue(burst int) {
 
 // next reports whether a pick was made.
 func (sp *schedPair) next() bool {
-	var got, want []types.Message
-	ok := sp.s.Next(func(m types.Message) { got = append(got, m) })
-	wantOK := sp.o.Next(func(m types.Message) { want = append(want, m) })
+	got, ok := sp.s.Next()
+	want, wantOK := sp.o.Next()
 	if ok != wantOK {
 		sp.t.Fatalf("%s step %d: Next = %v, oracle %v", sp.label, sp.step, ok, wantOK)
 	}
-	same := len(got) == len(want)
-	for i := 0; same && i < len(got); i++ {
-		// enqueue stamps Round with a serial number and leaves Path nil.
-		g, w := got[i], want[i]
-		same = g.From == w.From && g.To == w.To && g.Round == w.Round && g.Value == w.Value
-	}
-	if !same {
+	// enqueue stamps Round with a serial number and leaves Path nil.
+	if got.From != want.From || got.To != want.To || got.Round != want.Round || got.Value != want.Value {
 		sp.t.Fatalf("%s step %d: delivered %v, oracle %v", sp.label, sp.step, got, want)
 	}
 	sp.check("next")
@@ -247,8 +208,13 @@ func (sp *schedPair) next() bool {
 
 // reset hands the live policy to a fresh Scheduler, which must empty its
 // queue and restart the tickets while the policy keeps its rng stream.
+// Every other reset first releases the old scheduler, as a finished run
+// does, so the next one is built from storage that went through the pools.
 func (sp *schedPair) reset() {
-	sp.s = NewScheduler(sp.p, sp.ch)
+	if sp.resets%2 == 0 {
+		sp.s.release()
+	}
+	sp.s = NewScheduler(sp.p)
 	sp.o.Reset()
 	sp.resets++
 	sp.check("reset")
@@ -275,8 +241,7 @@ var oracleSpecs = []string{"fifo", "reorder", "delay", "delay:3", "delay:200", "
 // Reset): same message, same ok, same Len and Starved after every step.
 // The walk alternates growing the queue past several blockQueue blocks and
 // draining it until Next refuses, so block boundaries, the empty rewind and
-// the refill after it are all crossed, with and without an Expander that
-// duplicates and drops.
+// the refill after it are all crossed.
 func TestSchedulerMatchesOracle(t *testing.T) {
 	seeds, steps := 300, 3000
 	if testing.Short() {
@@ -289,7 +254,7 @@ func TestSchedulerMatchesOracle(t *testing.T) {
 			maxLen, drains, resets := 0, 0, 0
 			for seed := 0; seed < seeds; seed++ {
 				rng := rand.New(rand.NewSource(int64(seed)*7919 + 1))
-				sp := newSchedPair(t, spec, int64(seed), seed%3 == 0)
+				sp := newSchedPair(t, spec, int64(seed))
 				grow, target := true, 1+rng.Intn(5*blockLen)
 				for i := 0; i < steps; i++ {
 					switch r := rng.Float64(); {
@@ -329,12 +294,12 @@ func TestSchedulerMatchesOracle(t *testing.T) {
 // the policy, the seed and the operation stream: each op byte is an Enqueue
 // burst of 0–40 (high bit set), a reset (0x7f) or a Next.
 func FuzzSchedulerVsOracle(f *testing.F) {
-	f.Add(uint8(0), int64(1), false, []byte{0xa8, 0xa8, 0, 0, 0, 0x7f, 0x90, 0, 0})
-	f.Add(uint8(1), int64(42), true, []byte("\xa8\xa8\xa8\xa8\xa8\xa8\xa8\xa8\xa8\xa8\xa8\xa8\x00\x00\x00\x00\x00\x00\x00\x00"))
-	f.Add(uint8(4), int64(-7), false, []byte("\xff\x01\x02\xff\x03\x7f\xff\x04\x05\x06"))
-	f.Add(uint8(6), int64(9), true, []byte("\x85\x00\x00\x00\x00\x00\x00\x85\x00"))
-	f.Fuzz(func(t *testing.T, specRaw uint8, seed int64, expand bool, ops []byte) {
-		sp := newSchedPair(t, oracleSpecs[int(specRaw)%len(oracleSpecs)], seed, expand)
+	f.Add(uint8(0), int64(1), []byte{0xa8, 0xa8, 0, 0, 0, 0x7f, 0x90, 0, 0})
+	f.Add(uint8(1), int64(42), []byte("\xa8\xa8\xa8\xa8\xa8\xa8\xa8\xa8\xa8\xa8\xa8\xa8\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add(uint8(4), int64(-7), []byte("\xff\x01\x02\xff\x03\x7f\xff\x04\x05\x06"))
+	f.Add(uint8(6), int64(9), []byte("\x85\x00\x00\x00\x00\x00\x00\x85\x00"))
+	f.Fuzz(func(t *testing.T, specRaw uint8, seed int64, ops []byte) {
+		sp := newSchedPair(t, oracleSpecs[int(specRaw)%len(oracleSpecs)], seed)
 		for _, op := range ops {
 			switch {
 			case op >= 0x80:

@@ -11,12 +11,13 @@ import (
 // returns the delivery order.
 func drainOrder(t *testing.T, p Policy, sends []types.Message) []types.Message {
 	t.Helper()
-	s := NewScheduler(p, nil)
+	s := NewScheduler(p)
 	for _, m := range sends {
 		s.Enqueue(m)
 	}
 	var got []types.Message
-	for s.Next(func(m types.Message) { got = append(got, m) }) {
+	for m, ok := s.Next(); ok; m, ok = s.Next() {
+		got = append(got, m)
 	}
 	return got
 }
@@ -66,12 +67,13 @@ func TestSeededPoliciesReplayIdentically(t *testing.T) {
 
 func TestStarveWithholdsOnlyTheTarget(t *testing.T) {
 	in := sends(12) // recipients cycle 1,2,3
-	s := NewScheduler(&Starve{Target: 2}, nil)
+	s := NewScheduler(&Starve{Target: 2})
 	for _, m := range in {
 		s.Enqueue(m)
 	}
 	var got []types.Message
-	for s.Next(func(m types.Message) { got = append(got, m) }) {
+	for m, ok := s.Next(); ok; m, ok = s.Next() {
+		got = append(got, m)
 	}
 	for _, m := range got {
 		if m.To == 2 {

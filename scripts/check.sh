@@ -93,6 +93,9 @@ go run ./cmd/chaos -seed 7 -async-sweep "$scratch/async.json" -async-runs 200 |
 # and no stale reads.
 go test -run 'Oracle|AllocsPerRun' ./internal/acast ./internal/round
 go test -run '^$' -fuzz FuzzOutboxVsOracle -fuzztime 10s ./internal/acast
+# Every policy's queue discipline against the slice-scanning scheduler
+# oracle, with the fuzzer choosing policy, seed and operation stream.
+go test -run '^$' -fuzz FuzzSchedulerVsOracle -fuzztime 10s ./internal/round
 
 echo "== cluster mode smoke (one OS process per node) =="
 # The paper's running example as 7 real processes over loopback TCP, then a
