@@ -17,7 +17,7 @@ import (
 
 // ---------------------------------------------------------------------------
 // One benchmark per paper table/figure: each regenerates the experiment via
-// the harness (the same code cmd/experiments uses) and fails if any of the
+// the harness (the same code `degradable experiments` uses) and fails if any of the
 // paper's qualitative claims stop holding.
 // ---------------------------------------------------------------------------
 

@@ -11,7 +11,7 @@
 //	cluster -n 7 -m 1 -u 2 -campaign 25 -seed 7               # chaos campaign
 //	cluster -n 7 -m 1 -u 2 -campaign 25 -crashes 2            # + crash schedules
 //
-// Fault syntax matches cmd/degrade: node:kind[:value][:seed] with kinds
+// Fault syntax is chaos.ParseFaults' node:kind[:value][:seed] with kinds
 // silent, crash, lie, twofaced, random. Crash schedules (-kill) are
 // node:round[:phase][:mod] — phase "sent" or "closed", mod one of bitflip,
 // truncate, stale (damage the victim's checkpoint before the respawn) or
@@ -38,7 +38,6 @@ import (
 	"syscall"
 	"time"
 
-	"degradable/internal/adversary"
 	"degradable/internal/chaos"
 	"degradable/internal/cluster"
 	"degradable/internal/obs"
@@ -96,7 +95,7 @@ func run(args []string, out io.Writer) error {
 		})
 	}
 
-	flts, err := parseFaults(*faults)
+	flts, err := chaos.ParseFaults(*faults)
 	if err != nil {
 		return err
 	}
@@ -292,51 +291,6 @@ func parseKills(s string) ([]chaos.CrashSpec, error) {
 			}
 		}
 		out = append(out, cr)
-	}
-	return out, nil
-}
-
-// parseFaults parses node:kind[:value][:seed] entries (cmd/degrade syntax)
-// into the chaos vocabulary.
-func parseFaults(s string) ([]chaos.FaultSpec, error) {
-	if s == "" {
-		return nil, nil
-	}
-	kinds := map[string]adversary.Kind{
-		"silent": adversary.KindSilent, "crash": adversary.KindCrash,
-		"lie": adversary.KindLie, "twofaced": adversary.KindTwoFaced,
-		"random": adversary.KindRandom,
-	}
-	var out []chaos.FaultSpec
-	for _, entry := range strings.Split(s, ",") {
-		parts := strings.Split(entry, ":")
-		if len(parts) < 2 {
-			return nil, fmt.Errorf("bad fault %q: want node:kind[:value][:seed]", entry)
-		}
-		node, err := strconv.Atoi(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad fault node %q: %v", parts[0], err)
-		}
-		kind, ok := kinds[parts[1]]
-		if !ok {
-			return nil, fmt.Errorf("unknown fault kind %q", parts[1])
-		}
-		f := chaos.FaultSpec{Node: types.NodeID(node), Kind: kind}
-		if len(parts) > 2 {
-			v, err := strconv.ParseInt(parts[2], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad fault value %q: %v", parts[2], err)
-			}
-			f.Value = types.Value(v)
-		}
-		if len(parts) > 3 {
-			seed, err := strconv.ParseInt(parts[3], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad fault seed %q: %v", parts[3], err)
-			}
-			f.Seed = seed
-		}
-		out = append(out, f)
 	}
 	return out, nil
 }

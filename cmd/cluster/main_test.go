@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"degradable/internal/adversary"
 	"degradable/internal/chaos"
 	"degradable/internal/cluster"
 )
@@ -41,28 +40,20 @@ func TestClusterHelpListsEveryFlag(t *testing.T) {
 	}
 }
 
-// TestParseFaults covers the node:kind[:value][:seed] syntax shared with
-// cmd/degrade.
+// TestParseFaults checks that -faults reads chaos.ParseFaults'
+// node:kind[:value][:seed] grammar before any process is spawned: a good
+// fault list gets past the fault parser (the bad -kill behind it is what
+// stops the run) and every bad one is reported as a fault error.
 func TestParseFaults(t *testing.T) {
-	got, err := parseFaults("2:twofaced:999,4:silent,1:random:0:42")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("parsed %d faults, want 3", len(got))
-	}
-	if got[0].Node != 2 || got[0].Kind != adversary.KindTwoFaced || got[0].Value != 999 {
-		t.Errorf("fault 0 = %+v", got[0])
-	}
-	if got[1].Node != 4 || got[1].Kind != adversary.KindSilent {
-		t.Errorf("fault 1 = %+v", got[1])
-	}
-	if got[2].Kind != adversary.KindRandom || got[2].Seed != 42 {
-		t.Errorf("fault 2 = %+v", got[2])
+	var out bytes.Buffer
+	err := run([]string{"-faults", "2:twofaced:999,4:silent,1:random:0:42", "-kill", "x"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "bad kill") {
+		t.Fatalf("good -faults with bad -kill: got %v, want the kill error", err)
 	}
 	for _, bad := range []string{"2", "2:nope", "x:silent", "2:lie:x", "2:random:0:x"} {
-		if _, err := parseFaults(bad); err == nil {
-			t.Errorf("parseFaults(%q) accepted", bad)
+		err := run([]string{"-faults", bad}, &out)
+		if err == nil || !strings.Contains(err.Error(), "fault") {
+			t.Errorf("-faults %q: got %v, want a fault error", bad, err)
 		}
 	}
 }

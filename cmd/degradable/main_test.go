@@ -1,0 +1,295 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"flag"
+	"os"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+
+	"degradable/internal/cliflags"
+)
+
+// runSub runs one subcommand the way dispatch does and returns its output.
+func runSub(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	for _, c := range commands {
+		if c.name == args[0] {
+			var out bytes.Buffer
+			err := c.run(args[1:], &out)
+			return out.String(), err
+		}
+	}
+	t.Fatalf("no subcommand %q", args[0])
+	return "", nil
+}
+
+// TestHelpListsEveryFlag pins each subcommand's flag surface and checks -h
+// documents all of it.
+func TestHelpListsEveryFlag(t *testing.T) {
+	want := map[string][]string{
+		"experiments": {"list", "markdown", "only", "seed"},
+		"degrade":     {"explain", "faults", "m", "n", "trace", "u", "value"},
+		"netinfo":     {"graph"},
+		"longhaul":    {"fail", "m", "n", "repair", "seed", "steps", "u"},
+	}
+	for _, c := range commands {
+		fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
+		c.flags(fs)
+		names := cliflags.Names(fs)
+		if !slices.Equal(names, want[c.name]) {
+			t.Errorf("%s flags = %v, want %v", c.name, names, want[c.name])
+		}
+		out, err := runSub(t, c.name, "-h")
+		if !errors.Is(err, flag.ErrHelp) {
+			t.Fatalf("%s -h: got %v, want flag.ErrHelp", c.name, err)
+		}
+		for _, name := range names {
+			if !strings.Contains(out, "-"+name) {
+				t.Errorf("%s -h output missing flag -%s:\n%s", c.name, name, out)
+			}
+		}
+	}
+	if len(want) != len(commands) {
+		t.Errorf("%d subcommands, want %d", len(commands), len(want))
+	}
+}
+
+// TestDispatch checks the exit statuses: 2 and the subcommand list for a
+// missing or unknown subcommand, 0 for -h, 1 for a failing run.
+func TestDispatch(t *testing.T) {
+	for _, tt := range []struct {
+		args []string
+		want int
+	}{
+		{nil, 2},
+		{[]string{"minnodes"}, 2},
+		{[]string{"netinfo", "-h"}, 0},
+		{[]string{"netinfo", "-graph", "nope:1"}, 1},
+	} {
+		var out, errOut bytes.Buffer
+		if got := dispatch(tt.args, &out, &errOut); got != tt.want {
+			t.Errorf("dispatch(%q) = %d, want %d (stderr %q)", tt.args, got, tt.want, errOut.String())
+		}
+		if tt.want == 2 {
+			for _, c := range commands {
+				if !strings.Contains(errOut.String(), c.name) {
+					t.Errorf("dispatch(%q) usage missing %s:\n%s", tt.args, c.name, errOut.String())
+				}
+			}
+		}
+	}
+}
+
+func TestExperimentsSingleText(t *testing.T) {
+	out, err := runSub(t, "experiments", "-only", "E3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"=== E3", "Figure 2", "[PASS]"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q", want)
+		}
+	}
+	if strings.Contains(out, "E1") {
+		t.Error("-only E3 should not run E1")
+	}
+}
+
+func TestExperimentsSingleMarkdown(t *testing.T) {
+	out, err := runSub(t, "experiments", "-markdown", "-only", "E5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"## E5", "```text", "- [x]"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("markdown output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestExperimentsUnknownIDErrors checks a typo'd -only fails, names the
+// valid IDs, and runs nothing.
+func TestExperimentsUnknownIDErrors(t *testing.T) {
+	out, err := runSub(t, "experiments", "-only", "E99")
+	if err == nil {
+		t.Fatal("unknown -only accepted")
+	}
+	for _, want := range []string{`"E99"`, "E1, E2", "E16"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q missing %q", err, want)
+		}
+	}
+	if out != "" {
+		t.Errorf("unknown -only printed output:\n%s", out)
+	}
+}
+
+// TestExperimentsMarkdownMatchesDoc holds EXPERIMENTS.md, from its first
+// "## E1" line on, to the -markdown output at the default seed 42.
+func TestExperimentsMarkdownMatchesDoc(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(doc, []byte("\n## E1 "))
+	if i < 0 {
+		t.Fatal("EXPERIMENTS.md has no ## E1 section")
+	}
+	out, err := runSub(t, "experiments", "-markdown")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.TrimRight(out, "\n")
+	want := strings.TrimRight(string(doc[i+1:]), "\n")
+	if got != want {
+		t.Errorf("EXPERIMENTS.md is stale: regenerate it with `go run ./cmd/degradable experiments -markdown`\n"+
+			"(first difference at byte %d)", firstDiff(got, want))
+	}
+}
+
+func firstDiff(a, b string) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+func TestDegradeEndToEnd(t *testing.T) {
+	out, err := runSub(t, "degrade", "-n", "5", "-m", "1", "-u", "2", "-faults", "3:silent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"node 3 [receiver] (FAULTY)", "condition D.1: SATISFIED", "graceful"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestDegradeErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-n", "4", "-m", "1", "-u", "2"}, // undersized system
+		{"-faults", "bogus"},              // bad fault syntax
+		{"-faults", "3:silent,3:lie:9"},   // node armed twice
+		{"-faults", "7:silent"},           // fault node out of range
+		{"-explain", "x"},                 // bad -explain
+		{"-notaflag"},
+	} {
+		if _, err := runSub(t, append([]string{"degrade"}, args...)...); err == nil {
+			t.Errorf("degrade %q accepted", args)
+		}
+	}
+}
+
+// TestDegradeExplainsTheTracedRun checks -explain renders the execution
+// -trace printed: a random fault draws from its own rng, so a second run of
+// the same strategies would replay a different execution. Every traced
+// last-round claim delivered to an explained receiver must appear with the
+// same value in that receiver's resolution.
+func TestDegradeExplainsTheTracedRun(t *testing.T) {
+	out, err := runSub(t, "degrade", "-n", "5", "-m", "1", "-u", "2",
+		"-faults", "3:random:5:7,4:random:9:3", "-explain", "all", "-trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := map[string]string{} // receiver → its resolution block
+	for _, b := range strings.Split(out, "resolution for receiver ")[1:] {
+		id, _, _ := strings.Cut(b, " ")
+		blocks[id] = b
+	}
+	if len(blocks) != 2 {
+		t.Fatalf("explained %d receivers, want the 2 fault-free ones:\n%s", len(blocks), out)
+	}
+	delivery := regexp.MustCompile(`(?m)^  round 2  \d+ → (\d+)  claim \[([^\]]+)\] = (\S+)$`)
+	checked := 0
+	for _, d := range delivery.FindAllStringSubmatch(out, -1) {
+		block, ok := blocks[d[1]]
+		if !ok {
+			continue // the sender and faulty receivers are not explained
+		}
+		leaf := "[" + d[2] + "] = " + d[3]
+		if !regexp.MustCompile(`(?m)^ +` + regexp.QuoteMeta(leaf) + `( \(absent\))?$`).MatchString(block) {
+			t.Errorf("receiver %s was delivered %s, but its resolution says otherwise:\n%s", d[1], leaf, block)
+		}
+		checked++
+	}
+	if checked != 6 {
+		t.Errorf("checked %d deliveries, want 6 (3 relayers into each of 2 receivers):\n%s", checked, out)
+	}
+}
+
+func TestNetinfoHarary(t *testing.T) {
+	out, err := runSub(t, "netinfo", "-graph", "harary:4:9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "κ=4") {
+		t.Errorf("missing connectivity:\n%s", out)
+	}
+	if !strings.Contains(out, "sample disjoint paths") {
+		t.Error("missing path section")
+	}
+}
+
+func TestNetinfoBridge(t *testing.T) {
+	out, err := runSub(t, "netinfo", "-graph", "bridge:3:4:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "κ=4") {
+		t.Errorf("bridge connectivity wrong:\n%s", out)
+	}
+}
+
+func TestNetinfoAllFamilies(t *testing.T) {
+	for _, graph := range []string{"complete:6", "ring:6", "hypercube:3"} {
+		if _, err := runSub(t, "netinfo", "-graph", graph); err != nil {
+			t.Errorf("%s: %v", graph, err)
+		}
+	}
+}
+
+func TestNetinfoErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-graph", "nope:1"},     // unknown family
+		{"-graph", "harary:3:7"}, // infeasible harary
+		{"-bogus"},
+	} {
+		if _, err := runSub(t, append([]string{"netinfo"}, args...)...); err == nil {
+			t.Errorf("netinfo %q accepted", args)
+		}
+	}
+}
+
+func TestLonghaulMission(t *testing.T) {
+	out, err := runSub(t, "longhaul", "-steps", "50", "-seed", "3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"Mission: 50 steps",
+		"condition violations within bounds",
+		"All paper conditions held",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestLonghaulErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-n", "3"},      // undersized system
+		{"-fail", "2.0"}, // bad rate
+		{"-bogus"},
+	} {
+		if _, err := runSub(t, append([]string{"longhaul"}, args...)...); err == nil {
+			t.Errorf("longhaul %q accepted", args)
+		}
+	}
+}

@@ -28,9 +28,10 @@
 //	// res.Decisions holds every node's decision; res.OK reports whether
 //	// the applicable paper condition (D.1–D.4) held.
 //
-// The examples/ directory contains runnable programs, cmd/experiments
-// regenerates every table and figure of the paper, and DESIGN.md maps each
-// paper artifact to the module that reproduces it.
+// The examples/ directory contains runnable programs, `degradable
+// experiments` (cmd/degradable) regenerates every table and figure of the
+// paper, and DESIGN.md maps each paper artifact to the module that
+// reproduces it.
 package degradable
 
 import (
@@ -125,8 +126,8 @@ type Fault struct {
 }
 
 // Strategy converts the fault into its Byzantine behaviour for an N-node
-// system — the same conversion Agree applies, exported for callers (such as
-// cmd/degrade) that compose AgreeObserved or AgreeCustom themselves.
+// system — the same conversion Agree applies, exported for callers that
+// compose AgreeObserved or AgreeCustom themselves.
 func (f Fault) Strategy(n int) (Strategy, error) { return f.strategy(n) }
 
 func (f Fault) strategy(n int) (adversary.Strategy, error) {

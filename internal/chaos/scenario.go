@@ -3,6 +3,8 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"degradable/internal/adversary"
 	"degradable/internal/core"
@@ -20,6 +22,53 @@ type FaultSpec struct {
 	Kind  adversary.Kind `json:"kind"`
 	Value types.Value    `json:"value,omitempty"`
 	Seed  int64          `json:"seed,omitempty"`
+}
+
+// ParseFaults parses the command-line fault grammar: comma-separated
+// node:kind[:value][:seed] entries, where kind is an adversary.Kind name
+// (silent, crash, lie, twofaced, random), value parameterizes lie and
+// twofaced, and seed makes a random fault reproducible. The empty string
+// arms nothing.
+func ParseFaults(s string) ([]FaultSpec, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var out []FaultSpec
+	for _, entry := range strings.Split(s, ",") {
+		parts := strings.Split(entry, ":")
+		if len(parts) < 2 {
+			return nil, fmt.Errorf("bad fault %q: want node:kind[:value][:seed]", entry)
+		}
+		node, err := strconv.Atoi(parts[0])
+		if err != nil {
+			return nil, fmt.Errorf("bad fault node %q: %v", parts[0], err)
+		}
+		f := FaultSpec{Node: types.NodeID(node)}
+		for _, k := range faultKinds {
+			if k.String() == parts[1] {
+				f.Kind = k
+			}
+		}
+		if f.Kind == 0 {
+			return nil, fmt.Errorf("unknown fault kind %q", parts[1])
+		}
+		if len(parts) > 2 {
+			v, err := strconv.ParseInt(parts[2], 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("bad fault value %q: %v", parts[2], err)
+			}
+			f.Value = types.Value(v)
+		}
+		if len(parts) > 3 {
+			seed, err := strconv.ParseInt(parts[3], 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("bad fault seed %q: %v", parts[3], err)
+			}
+			f.Seed = seed
+		}
+		out = append(out, f)
+	}
+	return out, nil
 }
 
 // Level is the guarantee a scenario is expected to meet.

@@ -14,7 +14,7 @@ import (
 // the sub-protocol size; it may be nil.
 //
 // The output is the paper's step-3 computation made visible — useful for
-// teaching and for debugging adversary scenarios (cmd/degrade -explain).
+// teaching and for debugging adversary scenarios (`degradable degrade -explain`).
 func (t *Tree) ExplainResolve(self types.NodeID, rule Rule, label func(nSub int) string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "resolution for receiver %d (N=%d, %d relay rounds):\n", int(self), t.n, t.depth)

@@ -15,7 +15,7 @@ import (
 // Extensions returns the experiments beyond the paper's own tables and
 // figures: the §2 Bhandari discussion made executable (E9), the §6.2
 // witness-clock example (E10), and design ablations for the algorithm's
-// voting rule (E11). cmd/experiments runs them after E1–E8.
+// voting rule (E11). `degradable experiments` runs them after E1–E8.
 func Extensions() []Experiment {
 	return []Experiment{
 		{ID: "E9", Title: "Interactive consistency and the Bhandari boundary (§2)", Run: BhandariTable},

@@ -1,9 +1,9 @@
 // Package harness defines one runnable experiment per table and figure of
 // the paper (the E1–E8 index in DESIGN.md). Every experiment produces a
 // rendered table — the artifact the paper reports — plus machine-checkable
-// assertions on the qualitative shape the paper claims. cmd/experiments
-// regenerates EXPERIMENTS.md from this package, and the repository-level
-// benchmarks time each experiment.
+// assertions on the qualitative shape the paper claims. `degradable
+// experiments -markdown` (cmd/degradable) regenerates EXPERIMENTS.md from
+// this package, and the repository-level benchmarks time each experiment.
 package harness
 
 import (

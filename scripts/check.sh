@@ -37,6 +37,13 @@ echo "== go benchmark smoke =="
 # bench/ at the end is the repo's one measurement.
 go test -run XXX -bench . -benchtime 1x . ./internal/eig/ ./internal/service/ ./internal/round/
 
+echo "== examples smoke =="
+# Every examples/ program runs to completion (set -e fails the script on a
+# non-zero exit); examples/flybywire is the one Figure-1 mission program.
+for ex in examples/*/; do
+	go run "./$ex" >/dev/null
+done
+
 echo "== chaos campaign smoke =="
 go run ./cmd/chaos -seed 42 -runs 250 >/dev/null
 
