@@ -18,6 +18,7 @@ import (
 
 	"degradable/internal/eig"
 	"degradable/internal/protocol/relay"
+	"degradable/internal/rng"
 	"degradable/internal/round"
 	"degradable/internal/types"
 )
@@ -249,8 +250,33 @@ type RandomLie struct {
 // NewRandomLie returns a RandomLie strategy over the given domain. The
 // domain always implicitly includes V_d.
 func NewRandomLie(seed int64, domain []types.Value) *RandomLie {
-	d := append([]types.Value{types.Default}, domain...)
-	return &RandomLie{rng: rand.New(rand.NewSource(seed)), domain: d}
+	return &RandomLie{rng: rng.New(seed), domain: withDefault(nil, domain)}
+}
+
+// BorrowRandomLie is NewRandomLie over a generator borrowed from the shared
+// rng pool, for an owner that ends the strategy's life at a known point:
+// Release hands the generator back.
+func BorrowRandomLie(seed int64, domain []types.Value) *RandomLie {
+	return &RandomLie{rng: rng.Get(seed), domain: withDefault(nil, domain)}
+}
+
+// Release returns a borrowed generator to the pool; r must not be used
+// afterwards.
+func (r *RandomLie) Release() {
+	rng.Put(r.rng)
+	r.rng = nil
+}
+
+// Reseed restarts r exactly as NewRandomLie(seed, domain) would start,
+// reusing r's generator and domain storage.
+func (r *RandomLie) Reseed(seed int64, domain []types.Value) {
+	r.rng.Seed(seed)
+	r.domain = withDefault(r.domain[:0], domain)
+}
+
+// withDefault appends V_d and then domain to dst.
+func withDefault(dst, domain []types.Value) []types.Value {
+	return append(append(dst, types.Default), domain...)
 }
 
 // Corrupt implements Strategy.

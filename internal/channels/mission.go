@@ -2,9 +2,9 @@ package channels
 
 import (
 	"fmt"
-	"math/rand"
 
 	"degradable/internal/adversary"
+	"degradable/internal/rng"
 	"degradable/internal/types"
 )
 
@@ -46,7 +46,7 @@ func RunMission(cfg Config, m Mission) (*MissionResult, error) {
 	if m.Steps < 1 {
 		return nil, fmt.Errorf("channels: mission needs at least one step")
 	}
-	rng := rand.New(rand.NewSource(m.Seed))
+	rng := rng.New(m.Seed)
 	res := &MissionResult{}
 	for step := 0; step < m.Steps; step++ {
 		input := types.Value(rng.Intn(1000) + 1)

@@ -7,6 +7,7 @@ import (
 	"degradable/internal/acast"
 	"degradable/internal/adversary"
 	"degradable/internal/obs"
+	"degradable/internal/rng"
 	"degradable/internal/round"
 	"degradable/internal/stats"
 	"degradable/internal/types"
@@ -217,7 +218,7 @@ func newAsyncByzantine(inner *acast.Node, f FaultSpec, n int, scSeed int64) *asy
 		if seed == 0 {
 			seed = mix(scSeed, int64(f.Node)+1)
 		}
-		b.rng = rand.New(rand.NewSource(seed))
+		b.rng = rng.New(seed)
 	}
 	return b
 }

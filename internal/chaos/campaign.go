@@ -8,6 +8,7 @@ import (
 
 	"degradable/internal/adversary"
 	"degradable/internal/obs"
+	"degradable/internal/rng"
 	"degradable/internal/types"
 )
 
@@ -364,7 +365,7 @@ func worse(a, b *Outcome) bool {
 // and so external executors (the cluster launcher) can regenerate the exact
 // scenario sequence without running it.
 func (c Campaign) Generate(i int) Scenario {
-	rng := rand.New(rand.NewSource(mix(c.Seed, int64(i)+0x10001)))
+	rng := rng.New(mix(c.Seed, int64(i)+0x10001))
 	gp := c.Grid[rng.Intn(len(c.Grid))]
 	// Async track: a wholly different scenario shape (no rounds, no
 	// injector stack). The branch sits after the grid draw so both tracks

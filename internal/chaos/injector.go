@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"degradable/internal/rng"
 	"degradable/internal/round"
 	"degradable/internal/types"
 )
@@ -176,9 +177,10 @@ func (c *Counters) Add(other Counters) {
 }
 
 // layer is one built injector: declaration + seeded randomness + group index.
-// The source is seeded at the layer's first draw, so a layer that never
-// draws — a Partition, or a faulty-scope layer that sees no faulty traffic —
-// never pays for seeding.
+// The layer borrows its generator from the rng pool at its first draw, so a
+// layer that never draws — a Partition, or a faulty-scope layer that sees no
+// faulty traffic — never touches the pool; the run that built the chain
+// hands borrowed generators back through release.
 type layer struct {
 	spec     Injector
 	seed     int64
@@ -200,7 +202,7 @@ func (l *layer) eligible(m types.Message) bool {
 // hit draws the layer's per-message coin.
 func (l *layer) hit() bool {
 	if l.rng == nil {
-		l.rng = rand.New(rand.NewSource(l.seed))
+		l.rng = rng.Get(l.seed)
 	}
 	return l.rng.Float64() < l.spec.P
 }
@@ -292,6 +294,18 @@ func (c *chain) DeliverAll(m types.Message) []types.Message {
 	return cur
 }
 
+// release returns the layers' borrowed generators to the rng pool once the
+// run is over; a chain that delivered again would restart every layer's
+// stream.
+func (c *chain) release() {
+	for _, l := range c.layers {
+		if l.rng != nil {
+			rng.Put(l.rng)
+			l.rng = nil
+		}
+	}
+}
+
 // Deliver implements round.Channel for callers that cannot expand; the
 // first surviving copy wins.
 func (c *chain) Deliver(m types.Message) (types.Message, bool) {
@@ -345,7 +359,7 @@ func buildChannel(injectors []Injector, faulty types.NodeSet, seed int64, counte
 func validateInjector(in Injector) error {
 	switch in.Kind {
 	case Drop, DelayToAbsence, Duplicate, CorruptValue:
-		if in.P < 0 || in.P > 1 {
+		if !(in.P >= 0 && in.P <= 1) { // NaN included
 			return fmt.Errorf("probability %v out of [0,1]", in.P)
 		}
 	case Partition:

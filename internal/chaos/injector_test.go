@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"degradable/internal/types"
@@ -201,6 +202,11 @@ func TestInjectorValidation(t *testing.T) {
 	cases := []Injector{
 		{Kind: Drop, P: -0.1},
 		{Kind: Duplicate, P: 1.5},
+		{Kind: Drop, P: math.NaN()}, // would never fire: Float64() < NaN is false
+		{Kind: DelayToAbsence, P: math.NaN()},
+		{Kind: Duplicate, P: math.NaN()},
+		{Kind: CorruptValue, P: math.NaN()},
+		{Kind: Drop, P: math.Inf(1)},
 		{Kind: Partition, Groups: [][]types.NodeID{{0, 1}}},         // one group
 		{Kind: Partition, Groups: [][]types.NodeID{{0, 1}, {1, 2}}}, // overlap
 		{Kind: InjectorKind(99), P: 0.5},                            // unknown

@@ -463,8 +463,26 @@ func inProcess(sc Scenario) (*ExecOutcome, error) {
 	default:
 		return nil, fmt.Errorf("chaos: unknown driver %q", sc.Driver)
 	}
+	// The run's random sources — RandomLie faults and injector layers — are
+	// borrowed from the rng pool and handed back when the run ends.
+	var lies []*adversary.RandomLie
+	var ch *chain
+	defer func() {
+		for _, lie := range lies {
+			lie.Release()
+		}
+		if ch != nil {
+			ch.release()
+		}
+	}()
 	strategies := make(map[types.NodeID]adversary.Strategy, len(sc.Faults))
 	for _, f := range sc.Faults {
+		if f.Kind == adversary.KindRandom {
+			lie := adversary.BorrowRandomLie(f.Seed, []types.Value{f.Value})
+			lies = append(lies, lie)
+			strategies[f.Node] = lie
+			continue
+		}
 		s, err := f.Kind.Build(sc.N, f.Value, f.Seed)
 		if err != nil {
 			return nil, err
@@ -494,8 +512,8 @@ func inProcess(sc Scenario) (*ExecOutcome, error) {
 	if len(sc.Injectors) > 0 || topo != nil {
 		var inj round.Expander
 		if len(sc.Injectors) > 0 {
-			ch, err := buildChannel(sc.Injectors, sc.Faulty(), sc.Seed, &eo.Counters)
-			if err != nil {
+			var err error
+			if ch, err = buildChannel(sc.Injectors, sc.Faulty(), sc.Seed, &eo.Counters); err != nil {
 				return nil, err
 			}
 			inj = ch

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"degradable/internal/adversary"
+	"degradable/internal/rng"
 	"degradable/internal/types"
 )
 
@@ -117,7 +118,7 @@ func TopologySweep(seed int64, runsPerCell int) (*TopoBench, error) {
 				}
 				var hops, messages int
 				for r := 0; r < runsPerCell; r++ {
-					rng := rand.New(rand.NewSource(mix(seed, int64(cellIdx)*1000+int64(r)+1)))
+					rng := rng.New(mix(seed, int64(cellIdx)*1000+int64(r)+1))
 					sc := Scenario{
 						N: n, M: m, U: u,
 						SenderValue: harnessValue,

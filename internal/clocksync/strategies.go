@@ -1,8 +1,7 @@
 package clocksync
 
 import (
-	"math/rand"
-
+	"degradable/internal/rng"
 	"degradable/internal/types"
 )
 
@@ -35,11 +34,13 @@ func EdgePullClock(pull float64) ReadFunc {
 }
 
 // RandomClock shows uniformly random values in [t−amp, t+amp],
-// deterministically per seed and reader.
+// deterministically per seed, reader and read time. The ReadFunc re-seeds
+// one source per read, so it is not safe for concurrent use.
 func RandomClock(seed int64, amp float64) ReadFunc {
+	r := rng.New(seed)
 	return func(reader types.NodeID, t float64) float64 {
-		rng := rand.New(rand.NewSource(seed ^ int64(reader)*2654435761 ^ int64(t*1e6)))
-		return t + (rng.Float64()*2-1)*amp
+		r.Seed(seed ^ int64(reader)*2654435761 ^ int64(t*1e6))
+		return t + (r.Float64()*2-1)*amp
 	}
 }
 
@@ -94,7 +95,7 @@ func (s *System) RunMission(m Mission) (*MissionReport, error) {
 // DriftedClocks builds n fault-free clocks with deterministic pseudo-random
 // offsets in [0, offAmp] and drifts in [−driftAmp, driftAmp].
 func DriftedClocks(n int, seed int64, offAmp, driftAmp float64) []Clock {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rng.New(seed)
 	clocks := make([]Clock, n)
 	for i := range clocks {
 		clocks[i] = Clock{

@@ -2,13 +2,13 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 
 	"degradable/internal/adversary"
 	"degradable/internal/channels"
 	"degradable/internal/core"
 	"degradable/internal/protocol/om"
 	"degradable/internal/protocol/sm"
+	"degradable/internal/rng"
 	"degradable/internal/runner"
 	"degradable/internal/stats"
 	"degradable/internal/types"
@@ -190,7 +190,7 @@ func ReliabilityTable(seed int64) (*Result, error) {
 	for _, q := range []float64{0.05, 0.15, 0.30} {
 		rates := make(map[channels.Kind][3]int)
 		for _, cfg := range []channels.Config{channels.OMConfig(1), channels.DegradableConfig(1, 2)} {
-			rng := rand.New(rand.NewSource(seed + int64(q*1000)))
+			rng := rng.New(seed + int64(q*1000))
 			var correct, def, unsafe, c2bad int
 			for trial := 0; trial < trials; trial++ {
 				// Sample the fault set.

@@ -6,6 +6,7 @@ import (
 
 	"degradable/internal/adversary"
 	"degradable/internal/channels"
+	"degradable/internal/rng"
 	"degradable/internal/stats"
 	"degradable/internal/types"
 )
@@ -61,7 +62,7 @@ func PipelineTable(seed int64) (*Result, error) {
 
 	cfg := channels.DegradableConfig(1, 2)
 	for _, plan := range plans {
-		rng := rand.New(rand.NewSource(seed))
+		rng := rng.New(seed)
 		pl, err := channels.NewPipeline(cfg)
 		if err != nil {
 			return nil, err

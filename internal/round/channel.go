@@ -3,6 +3,7 @@ package round
 import (
 	"math/rand"
 
+	"degradable/internal/rng"
 	"degradable/internal/types"
 )
 
@@ -39,15 +40,16 @@ type RelaxedChannel struct {
 }
 
 // NewRelaxedChannel returns a channel that drops each non-exempt message
-// with probability prob, deterministically per seed.
+// with probability prob, deterministically per seed. prob is clamped to
+// [0,1], and NaN reads as 0.
 func NewRelaxedChannel(prob float64, seed int64, exempt types.NodeSet) *RelaxedChannel {
-	if prob < 0 {
+	if !(prob >= 0) { // NaN included
 		prob = 0
 	}
 	if prob > 1 {
 		prob = 1
 	}
-	return &RelaxedChannel{prob: prob, rng: rand.New(rand.NewSource(seed)), exempt: exempt}
+	return &RelaxedChannel{prob: prob, rng: rng.New(seed), exempt: exempt}
 }
 
 // Deliver implements Channel.

@@ -1,6 +1,7 @@
 package round
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -345,13 +346,28 @@ func TestRelaxedChannelDeterministic(t *testing.T) {
 }
 
 func TestRelaxedChannelProbClamp(t *testing.T) {
-	c := NewRelaxedChannel(-0.5, 1, 0)
-	if _, ok := c.Deliver(types.Message{From: 1}); !ok {
-		t.Error("prob<0 should clamp to 0 (never drop)")
-	}
-	c = NewRelaxedChannel(1.5, 1, 0)
-	if _, ok := c.Deliver(types.Message{From: 1}); ok {
-		t.Error("prob>1 should clamp to 1 (always drop)")
+	for _, tc := range []struct {
+		prob, want float64
+	}{
+		{-0.5, 0},
+		{math.NaN(), 0},
+		{math.Inf(-1), 0},
+		{0.25, 0.25},
+		{1.5, 1},
+		{math.Inf(1), 1},
+	} {
+		c := NewRelaxedChannel(tc.prob, 1, 0)
+		if c.prob != tc.want {
+			t.Errorf("prob %v clamps to %v, want %v", tc.prob, c.prob, tc.want)
+		}
+		if tc.want != 0 && tc.want != 1 {
+			continue
+		}
+		for i := 0; i < 50; i++ {
+			if _, ok := c.Deliver(types.Message{From: 1}); ok != (tc.want == 0) {
+				t.Fatalf("prob %v: delivery %d ok=%v", tc.prob, i, ok)
+			}
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"degradable/internal/rng"
 	"degradable/internal/types"
 )
 
@@ -214,7 +215,7 @@ type Reorder struct {
 
 // NewReorder returns a seeded uniform-reordering policy.
 func NewReorder(seed int64) *Reorder {
-	return &Reorder{rng: rand.New(rand.NewSource(seed))}
+	return &Reorder{rng: rng.New(seed)}
 }
 
 func (p *Reorder) pop() (uint32, bool) {
@@ -237,7 +238,7 @@ type Adversarial struct {
 
 // NewAdversarial returns a seeded adversarial (LIFO-biased) policy.
 func NewAdversarial(seed int64) *Adversarial {
-	return &Adversarial{rng: rand.New(rand.NewSource(seed))}
+	return &Adversarial{rng: rng.New(seed)}
 }
 
 func (p *Adversarial) pop() (uint32, bool) {

@@ -25,6 +25,12 @@ type pool struct {
 	// wrapper substituted when a request arms node i.
 	honest []*relay.Node
 	byz    []*adversary.Node
+	// lies[k] is the random strategy of a request's k-th fault, built by
+	// the first request with a KindRandom fault there and re-seeded by
+	// every one after. Keyed by fault position, not node, so a pool holds
+	// as many 4.9 kB sources as its requests have faults, not one per node;
+	// admission caps the faults at one per node.
+	lies []*adversary.RandomLie
 	// nodes is the arming scratch passed to the engine each run.
 	nodes []round.Node
 	// eng is the pooled round engine, built on the first full run and
@@ -50,6 +56,7 @@ func newPool(k shape) (*pool, error) {
 		depth:  params.Depth(),
 		honest: make([]*relay.Node, k.n),
 		byz:    make([]*adversary.Node, k.n),
+		lies:   make([]*adversary.RandomLie, k.n),
 		nodes:  make([]round.Node, k.n),
 		recv:   make([]types.Value, k.n-1),
 	}
@@ -129,9 +136,9 @@ func conditionStat(condition string) int {
 // Any other configuration — a non-sender fault that can still act in rounds
 // ≥ 2, or an equivocating sender — falls back to the full VOTE path, which
 // also serves as the differential oracle in the equivalence tests. The
-// fallback rebuilds the strategy from the request (Kind.Build is
-// deterministic per seed), so a probed-then-fallen-back run is
-// byte-identical to one that never probed.
+// fallback re-arms the strategy from the request (every kind is
+// deterministic per seed, and a random one restarts its stream), so a
+// probed-then-fallen-back run is byte-identical to one that never probed.
 func (p *pool) run(t *task, sh *shard) (Response, error) {
 	req := &t.req
 	n := p.params.N
@@ -223,7 +230,7 @@ func (p *pool) run(t *task, sh *shard) (Response, error) {
 func (p *pool) probeSender(req *Request, dec []types.Value) bool {
 	f := req.Faults[0]
 	n := p.params.N
-	strat, err := f.Kind.Build(n, f.Value, f.Seed)
+	strat, err := p.strategy(0, f)
 	if err != nil {
 		return false // the full path surfaces the same error to the caller
 	}
@@ -266,8 +273,8 @@ func (p *pool) runFull(req *Request, dec []types.Value) error {
 		p.honest[i].Reset(req.Value)
 		p.nodes[i] = p.honest[i]
 	}
-	for _, f := range req.Faults {
-		strat, err := f.Kind.Build(n, f.Value, f.Seed)
+	for k, f := range req.Faults {
+		strat, err := p.strategy(k, f)
 		if err != nil {
 			return err
 		}
@@ -292,6 +299,25 @@ func (p *pool) runFull(req *Request, dec []types.Value) error {
 		dec[i] = p.nodes[i].Decide()
 	}
 	return nil
+}
+
+// strategy builds the strategy of the request's k-th fault. A random fault
+// re-seeds the pool's RandomLie for position k rather than building one,
+// which draws the same stream as Kind.Build without allocating a source per
+// request.
+func (p *pool) strategy(k int, f FaultSpec) (adversary.Strategy, error) {
+	if f.Kind != adversary.KindRandom {
+		return f.Kind.Build(p.params.N, f.Value, f.Seed)
+	}
+	domain := []types.Value{f.Value}
+	lie := p.lies[k]
+	if lie == nil {
+		lie = adversary.NewRandomLie(f.Seed, domain)
+		p.lies[k] = lie
+	} else {
+		lie.Reseed(f.Seed, domain)
+	}
+	return lie, nil
 }
 
 // floorMargin computes the §2 Observation slack of a checked verdict: the

@@ -162,3 +162,32 @@ func TestSenderProbeAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestRandomFaultReseedZeroAlloc pins the random-fault path at zero
+// allocations once warm: the pool's RandomLie is re-seeded per request, not
+// rebuilt, so a new seed each run costs no source. The fault sits on a
+// receiver, so every run takes the full exchange.
+func TestRandomFaultReseedZeroAlloc(t *testing.T) {
+	svc := New(Config{Shards: 1, SpecSample: -1})
+	defer svc.Close()
+	ctx := context.Background()
+	sl := svc.NewSlot()
+	req := Request{N: 7, M: 1, U: 2, Value: 42,
+		Faults: []FaultSpec{{Node: 3, Kind: adversary.KindRandom, Value: 99}}}
+	for i := 0; i < 100; i++ {
+		req.Faults[0].Seed = int64(i)
+		if _, err := sl.Do(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seed := int64(1000)
+	if allocs := testing.AllocsPerRun(200, func() {
+		seed++
+		req.Faults[0].Seed = seed
+		if _, err := sl.Do(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm random-fault path allocates %.1f times per op, want 0", allocs)
+	}
+}

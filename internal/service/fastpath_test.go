@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"degradable/internal/adversary"
@@ -206,4 +207,63 @@ func FuzzFastVsFull(f *testing.F) {
 		}
 		checkAgainstOracle(t, svc, req)
 	})
+}
+
+// TestRandomSlotReuseIsInvisible holds a pool's re-seeded RandomLies to
+// freshly built strategies: a stream of random-fault requests, where the
+// same fault positions are armed again and again with new seeds, values and
+// nodes, and with other kinds in between, must decide exactly what the
+// oracle decides with a new RandomLie per request. Four slots drive the
+// stream at once so the race detector sees the shards' pools under load.
+func TestRandomSlotReuseIsInvisible(t *testing.T) {
+	svc := New(Config{Shards: 2, SpecSample: 1})
+	defer svc.Close()
+
+	var reqs []Request
+	for i := 0; i < 48; i++ {
+		seed := int64(i*7919 - 100)
+		node := types.NodeID(i % 7)
+		req := Request{N: 7, M: 1, U: 2, Sender: types.NodeID(i % 2), Value: types.Value(40 + i%5),
+			Faults: []FaultSpec{{Node: node, Kind: adversary.KindRandom, Value: types.Value(90 + i%3), Seed: seed}}}
+		switch i % 4 {
+		case 1: // a second random slot
+			req.Faults = append(req.Faults, FaultSpec{Node: (node + 3) % 7, Kind: adversary.KindRandom, Value: 77, Seed: seed + 1})
+		case 2: // the slot's node armed with another kind in between
+			req.Faults[0].Kind = adversary.KindTwoFaced
+		}
+		reqs = append(reqs, req)
+	}
+	want := make([][]types.Value, len(reqs))
+	for i, req := range reqs {
+		want[i] = runOracle(t, req)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sl := svc.NewSlot()
+			for pass := 0; pass < 3; pass++ {
+				for k := range reqs {
+					i := (k + w*11) % len(reqs)
+					resp, err := sl.Do(context.Background(), reqs[i])
+					if err != nil {
+						t.Errorf("worker %d req %d: %v", w, i, err)
+						return
+					}
+					for id, d := range want[i] {
+						if resp.Decisions[id] != d {
+							t.Errorf("worker %d pass %d req %d node %d: decided %s, fresh strategy decides %s",
+								w, pass, i, id, resp.Decisions[id], d)
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := svc.Stats(); st.SpecViolations != 0 {
+		t.Fatalf("spec violations: %d", st.SpecViolations)
+	}
 }

@@ -2,10 +2,10 @@ package topology
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 
+	"degradable/internal/rng"
 	"degradable/internal/types"
 )
 
@@ -94,7 +94,7 @@ func ParseSpec(def string) (Spec, error) {
 			return Spec{}, fmt.Errorf("topology: bad gnp N %q", parts[1])
 		}
 		p, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil || p <= 0 || p > 1 {
+		if err != nil || !(p > 0 && p <= 1) { // NaN included
 			return Spec{}, fmt.Errorf("topology: bad gnp P %q (want a float in (0,1])", parts[2])
 		}
 		seed, err := strconv.ParseInt(parts[3], 10, 64)
@@ -247,18 +247,19 @@ const gnpAttempts = 64
 // present independently with probability p, and disconnected draws are
 // rejected (up to gnpAttempts derived re-draws, all deterministic in seed).
 func Gnp(n int, p float64, seed int64) (*Graph, error) {
-	if n < 2 || p <= 0 || p > 1 {
+	if n < 2 || !(p > 0 && p <= 1) { // NaN included
 		return nil, fmt.Errorf("topology: gnp needs n >= 2 and p in (0,1], got n=%d p=%v", n, p)
 	}
+	r := rng.New(seed)
 	for attempt := 0; attempt < gnpAttempts; attempt++ {
-		rng := rand.New(rand.NewSource(seed + int64(attempt)*6364136223846793005))
+		r.Seed(seed + int64(attempt)*6364136223846793005)
 		g, err := NewGraph(n)
 		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if rng.Float64() < p {
+				if r.Float64() < p {
 					if err := g.AddEdge(types.NodeID(i), types.NodeID(j)); err != nil {
 						return nil, err
 					}

@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"degradable/internal/types"
@@ -48,9 +50,18 @@ func TestParseSpecRejectsMalformed(t *testing.T) {
 		"", "nosuch:5", "complete", "complete:x", "harary:4", "harary:9:4",
 		"harary:3:9", "gnp:5:0.5", "gnp:5:1.5:1", "gnp:5:zz:1", "bridge:0:2:2",
 		"hypercube:7", "ring:2", "cliquering:2:3",
+		"gnp:8:NaN:1", "gnp:8:Inf:1", "gnp:8:-Inf:1", "gnp:8:0:1",
 	} {
 		if _, err := ParseSpec(def); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", def)
+		}
+	}
+}
+
+func TestGnpRejectsBadProbability(t *testing.T) {
+	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.1, 1.01} {
+		if _, err := Gnp(8, p, 1); err == nil || !strings.Contains(err.Error(), "p in (0,1]") {
+			t.Errorf("Gnp(8, %v, 1) = %v, want a range error", p, err)
 		}
 	}
 }

@@ -8,10 +8,10 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"degradable/internal/adversary"
 	"degradable/internal/core"
+	"degradable/internal/rng"
 	"degradable/internal/runner"
 	"degradable/internal/spec"
 	"degradable/internal/types"
@@ -82,7 +82,7 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Steps < 1 {
 		return nil, fmt.Errorf("workload: need at least one step")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rng.New(cfg.Seed)
 	p := cfg.Params
 	faulty := make([]bool, p.N)
 	rep := &Report{Steps: cfg.Steps}

@@ -19,6 +19,16 @@ fi
 echo "== go vet =="
 go vet ./...
 
+echo "== one RNG idiom =="
+# Every seeded source outside bench/ comes from internal/rng, whose stream
+# equals math/rand's but seeds in O(1) and can be re-seeded or pooled; a
+# rand.NewSource elsewhere would bring back a 4.9 kB eager seeding per use.
+if grep -rl --include='*.go' 'rand\.NewSource' . |
+  grep -v -e '_test\.go$' -e '^\./internal/rng/' -e '^\./bench/'; then
+	echo "non-test rand.NewSource outside internal/rng/ and bench/: use rng.New, rng.Get or Seed"
+	exit 1
+fi
+
 echo "== go test =="
 # Includes TestBenchModule, which runs go vet and go test in the bench/
 # module (its own go.mod, so ./... alone stops at it).
@@ -71,6 +81,10 @@ fi
 go test -race ./internal/topology/... ./internal/transport/... ./internal/chaos/...
 go test -run '^$' -fuzz FuzzTransportVsRouted -fuzztime 10s ./internal/transport
 go test -run '^$' -fuzz FuzzChainVsEager -fuzztime 10s ./internal/chaos
+# Every campaign coin, fault and schedule draws from internal/rng's lazily
+# seeded source: fuzz it against math/rand (every Rand method, mid-stream
+# re-seeds, runs past the 607-word register wrap).
+go test -run '^$' -fuzz FuzzSourceVsMathRand -fuzztime 10s ./internal/rng
 # The Theorem 3 boundary table: graph family x fault placement x f, with
 # the classic-BA baseline column. The grep gates the paper's headline —
 # at least one classic-refused-but-degradable cell — and zero violations
