@@ -43,7 +43,8 @@ type (
 	ChaosMarginTally = chaos.MarginTally
 	// ChaosAsyncAxis switches a campaign onto the asynchronous track:
 	// scenarios become A-Cast runs under drawn scheduling policies, judged by
-	// quorum-certificate safety with termination as a verdict.
+	// the spec's D.1/D.2 at the n > 3f tolerance with termination as a
+	// verdict.
 	ChaosAsyncAxis = chaos.AsyncAxis
 	// ChaosAsyncTally is the asynchronous block of a campaign report: the
 	// Terminated/NotTerminated verdict split, starvation count, and the

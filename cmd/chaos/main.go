@@ -70,7 +70,7 @@ func run(args []string, out io.Writer) error {
 		placement  = cliflags.Placement(fs)
 		topoSweep  = fs.String("topo-sweep", "", "write the Theorem 3 topology boundary table to this path and exit")
 		topoRuns   = fs.Int("topo-runs", 4, "seeded runs per topology-sweep cell")
-		async      = fs.Bool("async", false, "run the campaign on the asynchronous track: A-Cast under drawn scheduling policies, safety judged under every schedule")
+		async      = fs.Bool("async", false, "run the campaign on the asynchronous track: A-Cast under drawn scheduling policies, D.1/D.2 at the n > 3f tolerance judged under every schedule")
 		sched      = fs.String("sched", "", "scheduling-policy pool for -async, comma separated (fifo, reorder, delay[:K], adversarial, starve; default: all)")
 		asyncSweep = fs.String("async-sweep", "", "write the FIFO-vs-adversarial scheduling benchmark to this path and exit")
 		asyncRuns  = fs.Int("async-runs", 200, "seeded runs per scheduler in the -async-sweep benchmark")
@@ -325,8 +325,8 @@ func parseAsyncAxis(async bool, sched string) (*chaos.AsyncAxis, error) {
 
 // runAsyncSweep executes the FIFO-versus-adversarial scheduling benchmark
 // and writes it to path (testdata/async_sweep_seed7.json is the seed-7
-// golden). Any safety violation makes the run exit non-zero:
-// quorum-certificate safety covers every schedule.
+// golden). Any safety violation makes the run exit non-zero: D.1 at the
+// n > 3f tolerance must hold under every schedule.
 func runAsyncSweep(out io.Writer, path string, seed int64, runs int) error {
 	bench, err := degradable.ChaosAsyncSweep(seed, runs)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"degradable/internal/obs"
 	"degradable/internal/rng"
 	"degradable/internal/round"
+	"degradable/internal/spec"
 	"degradable/internal/stats"
 	"degradable/internal/types"
 )
@@ -16,15 +17,16 @@ import (
 // The asynchronous chaos axis: DriverAsync scenarios run Bracha A-Cast of
 // the sender's value under a seeded scheduling policy (the Sched field),
 // with the scenario's Byzantine nodes perverting their certificate traffic.
-// There are no rounds and no deadlines, so the judging vocabulary changes:
+// There are no rounds and no deadlines, but the judge is the synchronous
+// drivers' one (Scenario.RunWith), with m = u = the n > 3f tolerance:
 //
-//   - safety (agreement + validity under the n > 3f tolerance) must hold
-//     under EVERY schedule, including adversarial reordering and targeted
-//     starvation — any breach within tolerance is Violated;
+//   - safety — D.1 or D.2 over the fault-free nodes that decided — must
+//     hold under EVERY schedule, including adversarial reordering and
+//     targeted starvation;
 //   - termination is only a verdict, never a requirement: a run that ends
-//     with certificates withheld is classified
-//     "NotTerminated" (beside the synchronous D.1–D.4 conditions), and a
-//     completed one "Terminated-after-k-deliveries".
+//     with certificates withheld is labelled "NotTerminated" (in place of
+//     the synchronous D.1–D.4 condition label) and is not held to the §2
+//     floor, and a completed one "Terminated-after-k-deliveries".
 //
 // Scenarios are generated, recorded, replayed, and shrunk exactly like
 // every other axis; the scenario seed drives both the policy's coin flips
@@ -47,7 +49,8 @@ type AsyncInfo struct {
 	Verdict string `json:"verdict"`
 	// Sched echoes the scheduling policy the run used ("" = fifo).
 	Sched string `json:"sched,omitempty"`
-	// Tolerance is the n > 3f bound the scenario was judged under.
+	// Tolerance is the n > 3f bound the scenario was judged under (its m
+	// and u; see Scenario.bounds).
 	Tolerance int `json:"tolerance"`
 	// Deliveries is the total number of message deliveries performed.
 	Deliveries int `json:"deliveries"`
@@ -55,8 +58,10 @@ type AsyncInfo struct {
 	Decided int `json:"decided"`
 	// Starved marks a run ended by the policy withholding queued sends.
 	Starved bool `json:"starved,omitempty"`
-	// SafetyViolations counts agreement/validity breaches among fault-free
-	// decisions. Within tolerance this must be zero under any schedule.
+	// SafetyViolations is 1 when the spec condition failed — D.1 or D.2 at
+	// m = u = Tolerance, over the fault-free nodes that decided — and 0
+	// otherwise. Within tolerance it must be 0 under any schedule; beyond
+	// it nothing is promised and it reads 0, as OK reads true.
 	SafetyViolations int `json:"safetyViolations"`
 	// DTDMax is the largest deliveries-to-decision among decided nodes.
 	DTDMax int `json:"dtdMax,omitempty"`
@@ -67,29 +72,35 @@ type AsyncInfo struct {
 	CertTotal  uint64 `json:"certTotal"`
 }
 
-// runAsync executes and judges a DriverAsync scenario.
-func (sc Scenario) runAsync() (*Outcome, error) {
-	out := &Outcome{Scenario: sc, Level: "async"}
-	fTol := asyncTolerance(sc.N)
+// notTerminated is the termination verdict of a run that ended before
+// every fault-free node decided.
+const notTerminated = "NotTerminated"
+
+// validateAsync rejects DriverAsync scenarios the A-Cast track cannot run.
+func (sc Scenario) validateAsync() error {
 	if sc.N <= 0 || sc.N > int(types.MaxNodeSetID) {
-		return nil, fmt.Errorf("chaos: async scenario needs 0 < n ≤ %d, got %d", int(types.MaxNodeSetID), sc.N)
+		return fmt.Errorf("chaos: async scenario needs 0 < n ≤ %d, got %d", int(types.MaxNodeSetID), sc.N)
 	}
 	if len(sc.Injectors) > 0 || len(sc.Crashes) > 0 || sc.Topology != nil {
-		return nil, fmt.Errorf("chaos: async scenarios support faults and scheds only (injectors/crashes/topology are round-shaped axes)")
+		return fmt.Errorf("chaos: async scenarios support faults and scheds only (injectors/crashes/topology are round-shaped axes)")
 	}
 	if sc.Sender < 0 || int(sc.Sender) >= sc.N {
-		return nil, fmt.Errorf("chaos: sender %d out of range [0,%d)", int(sc.Sender), sc.N)
+		return fmt.Errorf("chaos: sender %d out of range [0,%d)", int(sc.Sender), sc.N)
 	}
-	if err := sc.validateFaults(); err != nil {
-		return nil, err
-	}
+	return sc.validateFaults()
+}
+
+// runAsync executes a (validated) DriverAsync scenario: Bracha A-Cast of
+// the sender's value under the scenario's scheduling policy. RunWith judges
+// the decisions like every other driver's.
+func runAsync(sc Scenario) (*ExecOutcome, error) {
 	policy, err := round.ParsePolicy(sc.Sched, sc.Seed)
 	if err != nil {
 		return nil, err
 	}
-
 	// asyncTolerance keeps n > 3f by construction, so the quorum
 	// parameters are always instantiable.
+	fTol, _ := sc.bounds()
 	p := acast.Params{N: sc.N, F: fTol}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -119,73 +130,31 @@ func (sc Scenario) runAsync() (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Safety judging: every pair of fault-free deliveries must agree, and
-	// when the broadcaster is fault-free they must equal its input.
 	info := &AsyncInfo{
-		Sched: sc.Sched, Tolerance: fTol,
+		Verdict: notTerminated,
+		Sched:   sc.Sched, Tolerance: fTol,
 		Deliveries: res.Delivered,
 		Starved:    res.Starved,
 		EchoTotal:  counters.Get(acast.CounterEcho),
 		ReadyTotal: counters.Get(acast.CounterReady),
 		CertTotal:  counters.Get(acast.CounterCert),
 	}
-	decisions := make(map[types.NodeID]types.Value)
-	var first types.Value
-	senderFaulty := faulty.Contains(sc.Sender)
-	for _, id := range honest.IDs() {
-		v, ok := nodes[int(id)].(*acast.Node).Decided()
-		if !ok {
-			continue
-		}
-		decisions[id] = v
-		info.Decided++
-		if dtd := res.DeliveriesToDecision[id]; dtd > info.DTDMax {
-			info.DTDMax = dtd
-		}
-		if info.Decided == 1 {
-			first = v
-		} else if v != first {
-			info.SafetyViolations++ // agreement breach
-		}
-		if !senderFaulty && v != sc.SenderValue {
-			info.SafetyViolations++ // validity breach
-		}
-	}
 	if res.Terminated {
 		info.Verdict = fmt.Sprintf("Terminated-after-%d-deliveries", res.Delivered)
-	} else {
-		info.Verdict = "NotTerminated"
 	}
-
-	out.Async = info
-	out.Condition = info.Verdict
-	out.OK = info.SafetyViolations == 0
-	out.Graceful = out.OK
-	out.Messages = res.Messages
-	out.Delivered = res.Delivered
-	beyond := sc.F() > fTol
-	if beyond {
-		out.Regime = "async-beyond"
-	} else {
-		out.Regime = "async"
+	for id := range res.Decisions {
+		if faulty.Contains(id) {
+			continue
+		}
+		info.Decided++
+		info.DTDMax = max(info.DTDMax, res.DeliveriesToDecision[id])
 	}
-	switch {
-	case out.OK, beyond:
-		// Within tolerance and safe (termination is never required), or
-		// beyond n/3 where nothing is promised — the same posture as the
-		// synchronous beyond-u regime.
-		out.class = SpecHeld
-	default:
-		out.class = Violated
-		out.Reason = fmt.Sprintf("async safety violated %d times within tolerance f=%d ≤ %d", info.SafetyViolations, sc.F(), fTol)
-	}
-	out.Class = out.class.String()
-	out.ExpectationMet = out.class == SpecHeld
-	if !out.ExpectationMet {
-		out.ExpectReason = out.Reason
-	}
-	return out, nil
+	return &ExecOutcome{
+		Decisions: res.Decisions,
+		Messages:  res.Messages,
+		Delivered: res.Delivered,
+		Async:     info,
+	}, nil
 }
 
 // faultFor returns node id's fault spec (zero value when unarmed).
@@ -370,8 +339,9 @@ type AsyncTally struct {
 	Terminated    int `json:"terminated"`
 	NotTerminated int `json:"notTerminated"`
 	Starved       int `json:"starved,omitempty"`
-	// SafetyViolations totals agreement/validity breaches across all
-	// scenarios — zero for any within-tolerance campaign.
+	// SafetyViolations counts the scenarios whose spec condition failed
+	// (see AsyncInfo.SafetyViolations) — zero for any within-tolerance
+	// campaign.
 	SafetyViolations int `json:"safetyViolations"`
 	// CertTotal accumulates delivery certificates across the campaign.
 	CertTotal uint64 `json:"certTotal"`
@@ -390,7 +360,8 @@ type AsyncSweepRow struct {
 	EchoTotal  uint64 `json:"echo_total"`
 	ReadyTotal uint64 `json:"ready_total"`
 	CertTotal  uint64 `json:"cert_total"`
-	// Terminated/NotTerminated verdict counts and the safety gate.
+	// Terminated/NotTerminated verdict counts and the safety gate: the
+	// runs whose decisions failed spec.Check's D.1.
 	Terminated       int `json:"terminated"`
 	NotTerminated    int `json:"not_terminated"`
 	SafetyViolations int `json:"safety_violations"`
@@ -443,19 +414,11 @@ func AsyncSweep(seed int64, runs int) (*AsyncBench, error) {
 			} else {
 				row.NotTerminated++
 			}
-			var first types.Value
-			decided := 0
-			for id, v := range res.Decisions {
+			for id := range res.Decisions {
 				dtd = append(dtd, float64(res.DeliveriesToDecision[id]))
-				decided++
-				if decided == 1 {
-					first = v
-				} else if v != first {
-					row.SafetyViolations++
-				}
-				if v != harnessValue {
-					row.SafetyViolations++
-				}
+			}
+			if !spec.Check(spec.Execution{M: p.F, U: p.F, SenderValue: harnessValue, Decisions: res.Decisions}).OK {
+				row.SafetyViolations++
 			}
 		}
 		s := stats.Summarize(dtd)

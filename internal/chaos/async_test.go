@@ -91,6 +91,12 @@ func TestAsyncScenarioByzantine(t *testing.T) {
 			if out.Regime != "async" {
 				t.Errorf("%v@%d: regime %q, want async", kind, node, out.Regime)
 			}
+			// A silent broadcaster leaves nobody decided: SpecHeld above
+			// pins the floor rule, which exempts an unterminated run from
+			// the §2 floor because the floor counts nodes that decided.
+			if kind == adversary.KindSilent && node == 0 && (out.Async.Verdict != "NotTerminated" || out.Async.Decided != 0) {
+				t.Errorf("silent@0: verdict %q decided=%d, want NotTerminated with no decision", out.Async.Verdict, out.Async.Decided)
+			}
 		}
 	}
 }
@@ -227,5 +233,85 @@ func TestAsyncSweep(t *testing.T) {
 	// only the schedule (and hence the latency) differs.
 	if bench.Rows[0].CertTotal != bench.Rows[1].CertTotal {
 		t.Errorf("cert totals differ across schedulers: %d vs %d", bench.Rows[0].CertTotal, bench.Rows[1].CertTotal)
+	}
+}
+
+// TestAsyncExpectation: async scenarios are held to their expectation like
+// every other driver's — a pinned condition is checked, and a level
+// overrides the one the tolerance resolves.
+func TestAsyncExpectation(t *testing.T) {
+	lyingSender := []FaultSpec{{Node: 0, Kind: adversary.KindLie, Value: 2002}}
+	for _, tc := range []struct {
+		name   string
+		expect Expectation
+		met    bool
+		reason string
+	}{
+		{"pinned D.1 missed", Expectation{Condition: "D.1"}, false,
+			"pinned condition D.1 failed: D.1: node 1 decided 2002, want sender's 1001"},
+		{"level none met", Expectation{Level: LevelNone}, true, ""},
+	} {
+		sc := Scenario{N: 4, Seed: 5, Driver: DriverAsync, Sched: "adversarial", Faults: lyingSender, Expect: tc.expect}
+		out, err := sc.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if out.ExpectationMet != tc.met || out.ExpectReason != tc.reason {
+			t.Errorf("%s: met=%v reason %q, want met=%v reason %q", tc.name, out.ExpectationMet, out.ExpectReason, tc.met, tc.reason)
+		}
+		if out.Level != "async" {
+			t.Errorf("%s: level %q, want async", tc.name, out.Level)
+		}
+	}
+}
+
+// TestOneJudgeCatchesMutation flips fault-free receiver 2's decision after
+// an honest run: the synchronous and the asynchronous track must miss
+// their expectation through the same spec path, with one class and one
+// reason.
+func TestOneJudgeCatchesMutation(t *testing.T) {
+	flip := func(sc Scenario) (*ExecOutcome, error) {
+		eo, err := inProcess(sc)
+		if err == nil {
+			eo.Decisions[2] = harnessValue + 1
+		}
+		return eo, err
+	}
+	const want = "D.1: node 2 decided 1002, want sender's 1001"
+	for _, sc := range []Scenario{
+		{N: 4, M: 1, U: 1, Seed: 3},
+		{N: 4, Seed: 3, Driver: DriverAsync},
+		{N: 7, Seed: 3, Driver: DriverAsync, Sched: "adversarial"},
+	} {
+		out, err := sc.RunWith(flip)
+		if err != nil {
+			t.Fatalf("%s n=%d: %v", sc.Driver, sc.N, err)
+		}
+		if out.ExpectationMet || out.ClassValue() != GracefulOnly || out.Reason != want {
+			t.Errorf("%q n=%d: met=%v class=%s reason %q, want missed GracefulOnly %q",
+				sc.Driver, sc.N, out.ExpectationMet, out.Class, out.Reason, want)
+		}
+		if sc.Driver == DriverAsync && out.Async.SafetyViolations != 1 {
+			t.Errorf("async n=%d: safetyViolations=%d, want 1", sc.N, out.Async.SafetyViolations)
+		}
+	}
+}
+
+// TestAsyncBeyondTolerance: past n > 3f nothing is promised, so a run with
+// two two-faced nodes at n=4 holds the (empty) spec whatever it decides.
+func TestAsyncBeyondTolerance(t *testing.T) {
+	sc := Scenario{
+		N: 4, Seed: 7, Driver: DriverAsync, Sched: "adversarial",
+		Faults: []FaultSpec{
+			{Node: 0, Kind: adversary.KindTwoFaced, Value: 2002},
+			{Node: 3, Kind: adversary.KindTwoFaced, Value: 3003},
+		},
+	}
+	out, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Regime != "async-beyond" || out.ClassValue() != SpecHeld || !out.OK || !out.ExpectationMet {
+		t.Errorf("regime %q class=%s ok=%v met=%v, want async-beyond SpecHeld ok met", out.Regime, out.Class, out.OK, out.ExpectationMet)
 	}
 }

@@ -77,8 +77,9 @@ type Campaign struct {
 	Topology *TopoAxis `json:"topology,omitempty"`
 	// Async, when non-nil, switches the campaign onto the asynchronous
 	// track: every scenario becomes a DriverAsync A-Cast run under a drawn
-	// scheduling policy (see AsyncAxis), judged by quorum-certificate
-	// safety with termination as a verdict, not a requirement. Nil — the
+	// scheduling policy (see AsyncAxis), judged by the spec's D.1/D.2 at
+	// the n > 3f tolerance with termination as a verdict, not a
+	// requirement. Nil — the
 	// default — keeps the scenario stream of synchronous campaigns
 	// byte-identical to earlier releases.
 	Async *AsyncAxis `json:"async,omitempty"`

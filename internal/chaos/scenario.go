@@ -194,6 +194,17 @@ func (sc Scenario) Faulty() types.NodeSet {
 	return s
 }
 
+// bounds returns the (m, u) the scenario is judged under: its own for the
+// synchronous drivers, and for the asynchronous track the n > 3f tolerance
+// at both, so A-Cast is held to D.1/D.2 wherever it promises agreement.
+func (sc Scenario) bounds() (m, u int) {
+	if sc.Driver == DriverAsync {
+		t := asyncTolerance(sc.N)
+		return t, t
+	}
+	return sc.M, sc.U
+}
+
 // relaxed reports whether any injector can suppress fault-free traffic,
 // i.e. whether the run leaves the strict §4 assumptions for the §6.1
 // relaxed message model.
@@ -212,19 +223,20 @@ func (sc Scenario) ResolveLevel() Level {
 	if sc.Expect.Level != LevelAuto {
 		return sc.Expect.Level
 	}
+	m, u := sc.bounds()
 	if sc.Topology != nil && sc.Topology.Loose {
 		// Below the Theorem 3 bound κ ≥ m+u+1, faulty relays can forge
 		// values between fault-free nodes — outside every assumption the
 		// paper's conditions rest on, so nothing is promised.
-		if an, err := sc.Topology.analyze(); err == nil && an.Kappa < sc.M+sc.U+1 {
+		if an, err := sc.Topology.analyze(); err == nil && an.Kappa < m+u+1 {
 			return LevelNone
 		}
 	}
 	f := sc.F()
 	switch {
-	case f > sc.U:
+	case f > u:
 		return LevelNone
-	case sc.relaxed() && f <= sc.M:
+	case sc.relaxed() && f <= m:
 		// Spurious absences below the degraded regime: D.1/D.2 are no
 		// longer guaranteed, the m+1 observation still is.
 		return LevelGraceful
@@ -341,13 +353,17 @@ type ExecOutcome struct {
 	// Recovery carries crash-recovery observations from executors that can
 	// kill and respawn real processes; in-process drivers leave it nil.
 	Recovery *RecoveryInfo
+	// Async carries the asynchronous track's observations; only the
+	// in-process DriverAsync executor sets it.
+	Async *AsyncInfo
 }
 
 // Executor runs a (validated, feasible) scenario's agreement instance and
-// returns the raw outcome. The in-process drivers are built in; the
-// cluster driver in internal/cluster provides an Executor that spawns one
-// OS process per node, which is how chaos campaigns run cross-process
-// without this package importing a concrete driver.
+// returns the raw outcome. The in-process drivers, DriverAsync included,
+// are built in; the cluster driver in internal/cluster provides an
+// Executor that spawns one OS process per node (synchronous scenarios
+// only), which is how chaos campaigns run cross-process without this
+// package importing a concrete driver.
 type Executor func(Scenario) (*ExecOutcome, error)
 
 // Run executes the scenario in process and judges the outcome. Invalid
@@ -364,18 +380,9 @@ func (sc Scenario) RunWith(exec Executor) (*Outcome, error) {
 	if sc.SenderValue == 0 {
 		sc.SenderValue = harnessValue
 	}
-	if sc.Driver == DriverAsync {
-		// The asynchronous track has its own execution and judging path:
-		// no rounds, no deadline semantics, quorum-certificate safety
-		// judged under the n > 3f tolerance instead of the m/u ladder.
-		return sc.runAsync()
-	}
 	out := &Outcome{Scenario: sc, Level: sc.ResolveLevel().String()}
-	p := core.Params{N: sc.N, M: sc.M, U: sc.U, Sender: sc.Sender}
-	if err := p.Validate(); err != nil {
-		if !errors.Is(err, core.ErrInfeasible) && !errors.Is(err, core.ErrTooFewNodes) {
-			return nil, err // out-of-range sender etc.: a malformed scenario
-		}
+	switch err := sc.validate(); {
+	case errors.Is(err, core.ErrInfeasible) || errors.Is(err, core.ErrTooFewNodes):
 		out.class = Infeasible
 		out.Class = Infeasible.String()
 		out.Regime = "invalid"
@@ -383,12 +390,8 @@ func (sc Scenario) RunWith(exec Executor) (*Outcome, error) {
 		// Rejecting an infeasible instance is the expected behaviour.
 		out.ExpectationMet = true
 		return out, nil
-	}
-	if err := sc.validateFaults(); err != nil {
-		return nil, err
-	}
-	if err := sc.ValidateCrashes(); err != nil {
-		return nil, err
+	case err != nil:
+		return nil, err // out-of-range sender etc.: a malformed scenario
 	}
 	if sc.Topology != nil {
 		rep, err := sc.Topology.Report(sc.N, sc.M, sc.U, sc.F())
@@ -405,8 +408,9 @@ func (sc Scenario) RunWith(exec Executor) (*Outcome, error) {
 		return nil, err
 	}
 
+	m, u := sc.bounds()
 	execution := spec.Execution{
-		M: sc.M, U: sc.U,
+		M: m, U: u,
 		Sender:      sc.Sender,
 		SenderValue: sc.SenderValue,
 		Faulty:      sc.Faulty(),
@@ -415,6 +419,23 @@ func (sc Scenario) RunWith(exec Executor) (*Outcome, error) {
 	verdict := spec.Check(execution)
 	out.Regime = verdict.Regime.String()
 	out.Condition = verdict.Condition
+	if a := eo.Async; a != nil {
+		// The §2 floor counts nodes that decided, so a run that ended
+		// before every fault-free node decided is not held to it.
+		if a.Verdict == notTerminated {
+			verdict.Graceful = true
+		}
+		if !verdict.OK {
+			a.SafetyViolations = 1
+		}
+		out.Async = a
+		out.Level = "async"
+		out.Regime = "async"
+		if verdict.Regime == spec.RegimeBeyond {
+			out.Regime = "async-beyond"
+		}
+		out.Condition = a.Verdict
+	}
 	out.OK = verdict.OK
 	out.Graceful = verdict.Graceful
 	out.Reason = verdict.Reason
@@ -432,10 +453,26 @@ func (sc Scenario) RunWith(exec Executor) (*Outcome, error) {
 		out.Recovery = eo.Recovery
 		out.Convergence = eo.Recovery.Label()
 	}
-	out.class = classify(verdict, sc.F(), sc.U)
+	out.class = classify(verdict, sc.F(), u)
 	out.Class = out.class.String()
 	out.ExpectationMet, out.ExpectReason = sc.judge(out, execution)
 	return out, nil
+}
+
+// validate rejects malformed scenarios identically for every executor; an
+// infeasible parameter set is reported as core.ErrInfeasible or
+// core.ErrTooFewNodes.
+func (sc Scenario) validate() error {
+	if sc.Driver == DriverAsync {
+		return sc.validateAsync()
+	}
+	if err := (core.Params{N: sc.N, M: sc.M, U: sc.U, Sender: sc.Sender}).Validate(); err != nil {
+		return err
+	}
+	if err := sc.validateFaults(); err != nil {
+		return err
+	}
+	return sc.ValidateCrashes()
 }
 
 // validateFaults rejects malformed fault sets early, identically for every
@@ -456,10 +493,12 @@ func (sc Scenario) validateFaults() error {
 
 // inProcess is the built-in executor: every synchronous driver name runs
 // the reference schedule (a "cluster" scenario replayed here included — see
-// the Driver field's doc).
+// the Driver field's doc), and DriverAsync runs A-Cast (runAsync).
 func inProcess(sc Scenario) (*ExecOutcome, error) {
 	switch sc.Driver {
 	case "", DriverGoroutine, DriverSequential, DriverCluster:
+	case DriverAsync:
+		return runAsync(sc)
 	default:
 		return nil, fmt.Errorf("chaos: unknown driver %q", sc.Driver)
 	}

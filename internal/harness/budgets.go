@@ -10,6 +10,7 @@ import (
 	"degradable/internal/protocol/sm"
 	"degradable/internal/rng"
 	"degradable/internal/runner"
+	"degradable/internal/spec"
 	"degradable/internal/stats"
 	"degradable/internal/types"
 )
@@ -110,24 +111,8 @@ func smVerified(m int, seed int64) bool {
 				ok = false
 				return false
 			}
-			senderFaulty := faulty.Contains(0)
-			var ref types.Value
-			first := true
-			for i := 0; i < p.N; i++ {
-				id := types.NodeID(i)
-				if id == 0 || faulty.Contains(id) {
-					continue
-				}
-				d := runRes.Decisions[id]
-				if !senderFaulty && d != Alpha {
-					ok = false
-				}
-				if first {
-					ref, first = d, false
-				} else if d != ref {
-					ok = false
-				}
-			}
+			// f ≤ m, so this is exactly D.1/D.2.
+			ok = spec.Check(spec.Execution{M: m, U: m, SenderValue: Alpha, Faulty: faulty, Decisions: runRes.Decisions}).OK
 			return ok
 		})
 	}

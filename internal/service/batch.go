@@ -172,11 +172,12 @@ func (p *pool) run(t *task, sh *shard) (Response, error) {
 	}
 
 	deciders, vdDeciders, degraded := receiverTally(dec, req.Sender, faulty)
+	_, cond := spec.Select(req.M, req.U, len(req.Faults), faulty.Contains(req.Sender))
 	sh.stats.Add(statDeciders, uint64(deciders))
 	sh.stats.Add(statVdDeciders, uint64(vdDeciders))
 	resp := Response{
 		Decisions: dec,
-		Condition: condition(req.M, req.U, len(req.Faults), faulty.Contains(req.Sender)),
+		Condition: cond,
 		Degraded:  degraded,
 		OK:        true,
 	}
@@ -212,7 +213,7 @@ func (p *pool) run(t *task, sh *shard) (Response, error) {
 				sh.stats.Inc(statSpecViolations)
 			}
 			if v.Condition != "none" { // the floor is only promised for f ≤ u
-				sh.svc.floor.Observe(floorMargin(v, req.M, req.Value, faulty.Contains(req.Sender)))
+				sh.svc.floor.Observe(int64(v.Margin))
 			}
 			if sink := sh.svc.cfg.Sink; sink != nil {
 				sink.Emit(obs.VerdictEvent(v.Condition, v.OK, v.Graceful))
@@ -318,45 +319,6 @@ func (p *pool) strategy(k int, f FaultSpec) (adversary.Strategy, error) {
 		lie.Reseed(f.Seed, domain)
 	}
 	return lie, nil
-}
-
-// floorMargin computes the §2 Observation slack of a checked verdict: the
-// size of the largest fault-free agreement class minus the guaranteed floor
-// m+1, counting the fault-free sender for its own value exactly as the
-// spec's graceful check does. Negative means the Observation was violated
-// (margin ≥ 0 ⟺ Verdict.Graceful).
-func floorMargin(v spec.Verdict, m int, senderValue types.Value, senderFaulty bool) int64 {
-	largest := 0
-	if !senderFaulty {
-		largest = 1 // the sender holds its own value even with no receivers
-	}
-	for d, size := range v.Classes {
-		if !senderFaulty && d == senderValue {
-			size++
-		}
-		if size > largest {
-			largest = size
-		}
-	}
-	return int64(largest - (m + 1))
-}
-
-// condition selects the applicable paper condition from the fault count —
-// the same selection spec.Check performs, reproduced here so unsampled
-// responses still carry it without paying for the full verdict.
-func condition(m, u, f int, senderFaulty bool) string {
-	switch {
-	case f <= m && !senderFaulty:
-		return "D.1"
-	case f <= m:
-		return "D.2"
-	case f <= u && !senderFaulty:
-		return "D.3"
-	case f <= u:
-		return "D.4"
-	default:
-		return "none"
-	}
 }
 
 // receiverTally classifies the fault-free receivers' decisions in one

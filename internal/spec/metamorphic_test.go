@@ -59,7 +59,8 @@ func TestCheckPermutationInvariantQuick(t *testing.T) {
 		}
 		got := Check(mapped)
 		return got.OK == base.OK && got.Condition == base.Condition &&
-			got.Graceful == base.Graceful && got.Regime == base.Regime
+			got.Graceful == base.Graceful && got.Regime == base.Regime &&
+			got.Margin == base.Margin && marginMatchesFloor(base)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -106,9 +107,15 @@ func TestCheckValueRenamingQuick(t *testing.T) {
 			mapped.Decisions[id] = rename(d)
 		}
 		got := Check(mapped)
-		return got.OK == base.OK && got.Graceful == base.Graceful
+		return got.OK == base.OK && got.Graceful == base.Graceful &&
+			got.Margin == base.Margin && marginMatchesFloor(base)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// marginMatchesFloor: within u, Margin ≥ 0 ⟺ Graceful.
+func marginMatchesFloor(v Verdict) bool {
+	return v.Regime == RegimeBeyond || (v.Margin >= 0) == v.Graceful
 }

@@ -169,6 +169,40 @@ func TestGracefulDegradation(t *testing.T) {
 	if !v3.Graceful {
 		t.Error("two fault-free receivers on V_d should be graceful")
 	}
+	for i, tc := range []struct {
+		v      Verdict
+		margin int
+	}{{v, 0}, {v2, -1}, {v3, 0}} {
+		if tc.v.Margin != tc.margin || (tc.v.Margin >= 0) != tc.v.Graceful {
+			t.Errorf("case %d: margin %d graceful %v, want margin %d ⟺ graceful", i, tc.v.Margin, tc.v.Graceful, tc.margin)
+		}
+	}
+}
+
+// TestSelect pins the condition choice at the regime edges f = m, m+1, u
+// and u+1, with a fault-free and a faulty sender.
+func TestSelect(t *testing.T) {
+	const m, u = 1, 3
+	for _, tc := range []struct {
+		f            int
+		senderFaulty bool
+		regime       Regime
+		condition    string
+	}{
+		{m, false, RegimeClassic, "D.1"},
+		{m, true, RegimeClassic, "D.2"},
+		{m + 1, false, RegimeDegraded, "D.3"},
+		{m + 1, true, RegimeDegraded, "D.4"},
+		{u, false, RegimeDegraded, "D.3"},
+		{u, true, RegimeDegraded, "D.4"},
+		{u + 1, false, RegimeBeyond, "none"},
+		{u + 1, true, RegimeBeyond, "none"},
+	} {
+		r, c := Select(m, u, tc.f, tc.senderFaulty)
+		if r != tc.regime || c != tc.condition {
+			t.Errorf("Select(%d, %d, %d, %v) = %v %s, want %v %s", m, u, tc.f, tc.senderFaulty, r, c, tc.regime, tc.condition)
+		}
+	}
 }
 
 func TestSenderDecisionIgnored(t *testing.T) {

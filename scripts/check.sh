@@ -97,8 +97,9 @@ go run ./cmd/chaos -seed 9 -topo-sweep "$scratch/topo.json" -topo-runs 2 |
 echo "== async smoke (A-Cast + ABA under adversarial schedulers) =="
 # A ≥200-scenario asynchronous campaign over the full scheduler pool
 # (FIFO, reorder, unbounded delay, adversarial LIFO-bias, targeted
-# starvation): the binary exits non-zero on any agreement/validity
-# violation, and the grep gates that quorum safety held under every
+# starvation): the binary exits non-zero on any Violated outcome or missed
+# expectation, judged by internal/spec (D.1/D.2 at the n > 3f tolerance)
+# as the sync drivers are, and the grep gates that safety held under every
 # schedule while starvation produced its NotTerminated verdicts. Then the
 # FIFO-vs-adversarial scheduling sweep, which exits non-zero on any safety
 # violation; its table is the golden cmd/chaos/testdata/async_sweep_seed7.json,
@@ -107,6 +108,16 @@ go run ./cmd/chaos -seed 42 -runs 250 -async |
   grep -E 'async: terminated=[1-9][0-9]* notTerminated=[1-9][0-9]* \(starved=[1-9][0-9]*\) certificates=[1-9][0-9]* safety_violations=0'
 go run ./cmd/chaos -seed 7 -async-sweep "$scratch/async.json" -async-runs 200 |
   grep -E 'async sweep adversarial: .* safety_violations=0'
+# Two replays through the same judge: two two-faced nodes at n=4 are past
+# the tolerance, where nothing is promised (exit 0, regime async-beyond);
+# a pinned D.1 with a lying broadcaster must be missed (exit non-zero).
+go run ./cmd/chaos -replay '{"n":4,"seed":7,"driver":"async","sched":"adversarial","faults":[{"node":0,"kind":4,"value":2002},{"node":3,"kind":4,"value":3003}]}' |
+  grep -E 'regime async-beyond'
+if missed=$(go run ./cmd/chaos -shrink=false -replay '{"n":4,"seed":5,"driver":"async","sched":"adversarial","faults":[{"node":0,"kind":3,"value":2002}],"expect":{"condition":"D.1"}}' 2>&1); then
+	echo "pinned-D.1 async replay met its expectation; want missed"
+	exit 1
+fi
+grep -E 'pinned condition D.1 failed' <<<"$missed"
 # The A-Cast/ABA handlers emit into a node-owned outbox; the order they emit
 # in is schedule. Hold it to the slice-returning oracle (transcript and result
 # over n x policy x fault wrapper, then a short fuzz of the same differential)
