@@ -56,6 +56,12 @@ func degradeFlags(fs *flag.FlagSet) func(io.Writer) error {
 			if explainID, err = strconv.Atoi(*explain); err != nil || explainID < 0 || explainID >= p.N {
 				return fmt.Errorf("bad -explain %q: want 'all' or a node ID in [0,%d)", *explain, p.N)
 			}
+			if types.NodeID(explainID) == p.Sender {
+				return fmt.Errorf("bad -explain %d: the sender resolves nothing", explainID)
+			}
+			if _, bad := strategies[types.NodeID(explainID)]; bad {
+				return fmt.Errorf("bad -explain %d: node %d is faulty", explainID, explainID)
+			}
 		}
 		if err := adversary.Wrap(nodes, p.N, p.Depth(), p.Sender, v, strategies); err != nil {
 			return err

@@ -173,11 +173,13 @@ func TestDegradeEndToEnd(t *testing.T) {
 
 func TestDegradeErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-n", "4", "-m", "1", "-u", "2"}, // undersized system
-		{"-faults", "bogus"},              // bad fault syntax
-		{"-faults", "3:silent,3:lie:9"},   // node armed twice
-		{"-faults", "7:silent"},           // fault node out of range
-		{"-explain", "x"},                 // bad -explain
+		{"-n", "4", "-m", "1", "-u", "2"},        // undersized system
+		{"-faults", "bogus"},                     // bad fault syntax
+		{"-faults", "3:silent,3:lie:9"},          // node armed twice
+		{"-faults", "7:silent"},                  // fault node out of range
+		{"-explain", "x"},                        // bad -explain
+		{"-faults", "3:lie:99", "-explain", "3"}, // a faulty node resolves nothing
+		{"-explain", "0"},                        // nor does the sender
 		{"-notaflag"},
 	} {
 		if _, err := runSub(t, append([]string{"degrade"}, args...)...); err == nil {
@@ -220,6 +222,50 @@ func TestDegradeExplainsTheTracedRun(t *testing.T) {
 	}
 	if checked != 6 {
 		t.Errorf("checked %d deliveries, want 6 (3 relayers into each of 2 receivers):\n%s", checked, out)
+	}
+	// Each explained outcome is the decision the run reported.
+	for id, block := range blocks {
+		decided := regexp.MustCompile(`(?m)^node ` + id + ` \[receiver\] decided (\S+)$`).FindStringSubmatch(out)
+		outcome := regexp.MustCompile(`→ (\S+)$`).FindStringSubmatch(strings.TrimRight(block, "\n"))
+		if decided == nil || outcome == nil || outcome[1] != decided[1] {
+			t.Errorf("receiver %s: explained outcome %v, decision %v:\n%s", id, outcome, decided, block)
+		}
+	}
+}
+
+// TestAlgorithmDocTrace holds the documented -explain text to the CLI:
+// docs/ALGORITHM.md's worked-trace block must appear verbatim in the output
+// of the command the doc gives for it, and README's traced -explain run
+// must equal its golden.
+func TestAlgorithmDocTrace(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/ALGORITHM.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile("(?s)`go run ./cmd/degradable (degrade [^`]*)`:\n\n```\n.*?\n(resolution for receiver 1 .*?)```").
+		FindSubmatch(doc)
+	if m == nil {
+		t.Fatal("docs/ALGORITHM.md has no worked trace with a resolution for receiver 1")
+	}
+	out, err := runSub(t, strings.Fields(string(m[1]))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, string(m[2])) {
+		t.Errorf("docs/ALGORITHM.md's worked trace is stale; `%s` prints:\n%s", m[1], out)
+	}
+
+	golden, err := os.ReadFile("testdata/explain_lie99_trace.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = runSub(t, "degrade", "-n", "5", "-m", "1", "-u", "2", "-faults", "3:lie:99", "-explain", "1", "-trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(golden) {
+		t.Errorf("README's -explain run drifted from testdata/explain_lie99_trace.golden (first difference at byte %d):\n%s",
+			firstDiff(out, string(golden)), out)
 	}
 }
 

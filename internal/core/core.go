@@ -159,28 +159,3 @@ func (p Params) Nodes(value types.Value) ([]round.Node, error) {
 	}
 	return nodes, nil
 }
-
-// Run executes the instance on the synchronous round engine with the given
-// node complement (honest nodes from Nodes, possibly with Byzantine
-// substitutes) under the given driver (nil selects the reference schedule;
-// the protocol layer never names a concrete driver).
-func (p Params) Run(nodes []round.Node, cfg round.Config, d round.Driver) (*round.Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if len(nodes) != p.N {
-		return nil, fmt.Errorf("core: %d nodes for N=%d", len(nodes), p.N)
-	}
-	if d == nil {
-		d = round.Reference{}
-	}
-	cfg.Rounds = p.Depth()
-	return round.Run(nodes, cfg, d)
-}
-
-// Evaluate resolves a fully materialized EIG tree for receiver self using
-// the degradable rule — the functional core of the algorithm, usable without
-// the message engine (the lower-bound scenario checks use it directly).
-func (p Params) Evaluate(tree *eig.Tree, self types.NodeID) types.Value {
-	return tree.Resolve(self, p.Rule())
-}

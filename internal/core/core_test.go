@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"degradable/internal/adversary"
-	"degradable/internal/round"
 	"degradable/internal/runner"
 	"degradable/internal/spec"
 	"degradable/internal/types"
@@ -308,17 +307,6 @@ func TestNodesErrorsOnInvalidParams(t *testing.T) {
 	}
 	if _, err := p.NewNode(0, alpha); err == nil {
 		t.Error("NewNode should fail validation")
-	}
-}
-
-func TestRunChecksNodeCount(t *testing.T) {
-	p := Params{N: 5, M: 1, U: 2}
-	nodes, err := p.Nodes(alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(nodes[:3], round.Config{}, nil); err == nil {
-		t.Error("Run with wrong node count should error")
 	}
 }
 

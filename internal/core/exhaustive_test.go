@@ -98,7 +98,7 @@ func evalFunctional(t *testing.T, p Params, faulty types.NodeSet, bhv map[types.
 				t.Fatal(err)
 			}
 		}
-		decisions[self] = p.Evaluate(tree, self)
+		decisions[self] = tree.Resolve(self, p.Rule())
 	}
 	return decisions
 }

@@ -13,51 +13,52 @@ import (
 // outcome. label names the rule applied at a level (e.g. "VOTE(3,4)") given
 // the sub-protocol size; it may be nil.
 //
-// The output is the paper's step-3 computation made visible — useful for
-// teaching and for debugging adversary scenarios (`degradable degrade -explain`).
+// The values shown are the record of one Resolve sweep (see resolve): this
+// function applies no rule itself, so the explanation cannot disagree with
+// the decision. The output is the paper's step-3 computation made visible —
+// useful for teaching and for debugging adversary scenarios
+// (`degradable degrade -explain`).
 func (t *Tree) ExplainResolve(self types.NodeID, rule Rule, label func(nSub int) string) string {
+	rec := append([]types.Value(nil), t.vals...)
+	t.resolve(self, rule, rec)
 	var b strings.Builder
 	fmt.Fprintf(&b, "resolution for receiver %d (N=%d, %d relay rounds):\n", int(self), t.n, t.depth)
-	t.explain(&b, types.Path{t.sender}, self, rule, label, 1)
+	t.explain(&b, rec, types.Path{t.sender}, self, label, 1)
 	return b.String()
 }
 
-func (t *Tree) explain(b *strings.Builder, p types.Path, self types.NodeID, rule Rule,
-	label func(nSub int) string, indent int) types.Value {
+// explain prints the subtree at p from rec: a leaf's value, or an inner
+// path's direct value, its children in ascending node-ID order (skipping
+// self) and the vote vector — the direct value, then each child's entry —
+// with p's outcome. The walk only fixes the output order.
+func (t *Tree) explain(b *strings.Builder, rec []types.Value, p types.Path, self types.NodeID,
+	label func(nSub int) string, indent int) {
 	pad := strings.Repeat("  ", indent)
-	if len(p) == t.depth {
-		v := t.Get(p)
-		status := ""
-		if !t.Has(p) {
-			status = " (absent)"
-		}
-		fmt.Fprintf(b, "%s[%s] = %s%s\n", pad, p, v, status)
-		return v
-	}
-	own := t.Get(p)
-	ownStatus := ""
+	idx, _ := t.rk.Index(p)
+	status := ""
 	if !t.Has(p) {
-		ownStatus = " (absent)"
+		status = " (absent)"
 	}
-	fmt.Fprintf(b, "%s[%s] direct = %s%s\n", pad, p, own, ownStatus)
-	nSub := t.n - (len(p) - 1)
-	vals := []types.Value{own}
+	if len(p) == t.depth {
+		fmt.Fprintf(b, "%s[%s] = %s%s\n", pad, p, rec[idx], status)
+		return
+	}
+	fmt.Fprintf(b, "%s[%s] direct = %s%s\n", pad, p, t.vals[idx], status)
+	votes := []string{t.vals[idx].String()}
 	for j := 0; j < t.n; j++ {
 		id := types.NodeID(j)
 		if id == self || p.Contains(id) {
 			continue
 		}
-		vals = append(vals, t.explain(b, p.Append(id), self, rule, label, indent+1))
+		child := p.Append(id)
+		t.explain(b, rec, child, self, label, indent+1)
+		ci, _ := t.rk.Index(child)
+		votes = append(votes, rec[ci].String())
 	}
-	out := rule(nSub, vals)
+	nSub := t.n - (len(p) - 1)
 	name := "rule"
 	if label != nil {
 		name = label(nSub)
 	}
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = v.String()
-	}
-	fmt.Fprintf(b, "%s[%s] %s over [%s] → %s\n", pad, p, name, strings.Join(parts, " "), out)
-	return out
+	fmt.Fprintf(b, "%s[%s] %s over [%s] → %s\n", pad, p, name, strings.Join(votes, " "), rec[idx])
 }

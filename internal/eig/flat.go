@@ -128,6 +128,17 @@ func sharedRanker(n, depth int, sender types.NodeID) (*types.PathRanker, error) 
 // lockstep with the rank counter, so no path is ever materialized, no
 // recursion happens, and after the scratch warms up nothing allocates.
 func (t *Tree) Resolve(self types.NodeID, rule Rule) types.Value {
+	return t.resolve(self, rule, nil)
+}
+
+// resolve is Resolve's sweep. A non-nil rec (length rk.Total(), a copy of
+// the value segment) is the record of the walk: each inner level writes
+// its resolved values into rec at the level's flat indices instead of the
+// level scratch, so afterwards rec holds every path's resolved value by
+// index — a leaf's stored-or-default value, an inner path's rule outcome.
+// A path through self keeps its copied value, as no ancestor reads it.
+// ExplainResolve renders this record; the decision path passes nil.
+func (t *Tree) resolve(self types.NodeID, rule Rule, rec []types.Value) types.Value {
 	if t.depth == 1 {
 		return t.vals[0] // the root is a leaf: stored value or default
 	}
@@ -157,9 +168,13 @@ func (t *Tree) Resolve(self types.NodeID, rule Rule) types.Value {
 	for l := t.depth - 1; l >= 1; l-- {
 		k := l - 1 // relayers on a length-l path
 		cnt := t.rk.Count(l)
-		cur := t.level[l&1][:cnt]
-		stride := n - l // children per path, and the child-block width
 		base := t.rk.Offset(l)
+		cur := t.level[l&1]
+		if rec != nil {
+			cur = rec[base:]
+		}
+		cur = cur[:cnt]
+		stride := n - l // children per path, and the child-block width
 		c := t.odo[:k]
 		for i := range c {
 			c[i] = i // rank 0 is the lexicographically first permutation

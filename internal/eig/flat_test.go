@@ -126,13 +126,16 @@ func differentialWorkload(t *testing.T, flatT *Tree, mapT *mapTree, paths []type
 	// DFS post-order vs level sweep — which is immaterial: each call's
 	// inputs are fully determined by its path, so equal multisets mean
 	// every path was resolved from identical vote vectors.)
-	m := 1
+	const m = 1
+	rule := func(nSub int, vals []types.Value) types.Value {
+		return vote.Vote(nSub-1-m, vals)
+	}
 	for self := 0; self < n; self++ {
 		var flatLog, mapLog []string
 		logging := func(log *[]string) Rule {
 			return func(nSub int, vals []types.Value) types.Value {
 				*log = append(*log, fmt.Sprintf("%d:%v", nSub, vals))
-				return vote.Vote(nSub-1-m, vals)
+				return rule(nSub, vals)
 			}
 		}
 		fv := flatT.Resolve(types.NodeID(self), logging(&flatLog))
@@ -140,6 +143,7 @@ func differentialWorkload(t *testing.T, flatT *Tree, mapT *mapTree, paths []type
 		if fv != mv {
 			t.Fatalf("Resolve(self=%d): flat %v, map %v", self, fv, mv)
 		}
+		checkRecord(t, flatT, mapT, paths, types.NodeID(self), rule)
 		sort.Strings(flatLog)
 		sort.Strings(mapLog)
 		if len(flatLog) != len(mapLog) {
@@ -151,6 +155,29 @@ func differentialWorkload(t *testing.T, flatT *Tree, mapT *mapTree, paths []type
 				t.Fatalf("Resolve(self=%d) rule call %d (sorted): flat %s, map %s",
 					self, i, flatLog[i], mapLog[i])
 			}
+		}
+	}
+}
+
+// checkRecord holds the record a resolve sweep fills to the paper's
+// definition at every path, not just the root: each path's entry must equal
+// the oracle's recursive resolution of that path. Paths through self are
+// skipped (no ancestor reads them, so the sweep leaves them unwritten)
+// unless self is the sender, which every path contains.
+func checkRecord(t *testing.T, flatT *Tree, mapT *mapTree, paths []types.Path, self types.NodeID, rule Rule) {
+	t.Helper()
+	rec := append([]types.Value(nil), flatT.vals...)
+	root := flatT.resolve(self, rule, rec)
+	if want := flatT.Resolve(self, rule); root != want {
+		t.Fatalf("resolve(self=%d) with a record: %v, without: %v", self, root, want)
+	}
+	for _, p := range paths {
+		if self != flatT.Sender() && p.Contains(self) {
+			continue
+		}
+		idx, _ := flatT.rk.Index(p)
+		if got, want := rec[idx], mapT.resolve(p, self, rule); got != want {
+			t.Fatalf("record(self=%d)[%s] = %v, oracle resolves %v", self, p, got, want)
 		}
 	}
 }
@@ -209,6 +236,7 @@ func FuzzFlatVsMap(f *testing.F) {
 			if fv, mv := flatT.Resolve(types.NodeID(self), rule), mapT.Resolve(types.NodeID(self), rule); fv != mv {
 				t.Fatalf("Resolve(self=%d): flat %v, map %v", self, fv, mv)
 			}
+			checkRecord(t, flatT, mapT, paths, types.NodeID(self), rule)
 		}
 	})
 }

@@ -228,3 +228,14 @@ func TestEntryConditionsRecorded(t *testing.T) {
 	}
 	_ = fmt.Sprintf
 }
+
+func BenchmarkRun(b *testing.B) {
+	p := Params{N: 5, M: 1, U: 2, Degradable: true}
+	vals := values(5)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(p, vals, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

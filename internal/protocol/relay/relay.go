@@ -96,8 +96,8 @@ func (nd *Node) Reset(value types.Value) {
 	nd.tree.Reset()
 }
 
-// Tree exposes the node's EIG tree (read-only use by tests and the
-// adversary's schedule generator).
+// Tree exposes the node's EIG tree (read-only use by tests and by
+// `degradable degrade -explain`).
 func (nd *Node) Tree() *eig.Tree { return nd.tree }
 
 // EnableFastResolve lets Finish decide via the tree's O(1) unanimity
@@ -325,43 +325,4 @@ func (nd *Node) Decide() types.Value {
 		return types.Default
 	}
 	return nd.decision
-}
-
-// Schedule enumerates the message templates an arbitrary (possibly faulty)
-// node of the given identity is *expected* to send in the given round,
-// with the honest value filled in from tree (Default when absent). Byzantine
-// wrappers corrupt this schedule rather than inventing their own, which
-// keeps adversarial traffic well-formed enough to be accepted by honest
-// validators while leaving values (and omissions) fully adversarial.
-func Schedule(tree *eig.Tree, self types.NodeID, value types.Value, round int) []types.Message {
-	n := tree.N()
-	if round == 1 {
-		if self != tree.Sender() {
-			return nil
-		}
-		out := make([]types.Message, 0, n-1)
-		for j := 0; j < n; j++ {
-			if types.NodeID(j) == self {
-				continue
-			}
-			out = append(out, types.Message{To: types.NodeID(j), Round: round, Path: types.Path{self}, Value: value})
-		}
-		return out
-	}
-	if round > tree.Depth() {
-		return nil
-	}
-	out := make([]types.Message, 0, tree.PathCount(round-1)*(n-1))
-	tree.ForEachPath(round-1, self, func(p types.Path) bool {
-		v := tree.Get(p)
-		lbl := p.Append(self)
-		for j := 0; j < n; j++ {
-			if types.NodeID(j) == self {
-				continue
-			}
-			out = append(out, types.Message{To: types.NodeID(j), Round: round, Path: lbl, Value: v})
-		}
-		return true
-	})
-	return out
 }

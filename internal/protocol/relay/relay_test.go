@@ -162,30 +162,3 @@ func TestEndToEndHonest(t *testing.T) {
 		}
 	}
 }
-
-func TestScheduleMatchesOutbox(t *testing.T) {
-	nd, err := New(5, 3, 0, 2, 0, majorityRule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nd.Step(1, nil)
-	nd.Step(2, []types.Message{{From: 0, Round: 1, Path: types.Path{0}, Value: 9}})
-	want := nd.Outbox(3)
-	got := Schedule(nd.Tree(), 2, 0, 3)
-	if len(got) != len(want) {
-		t.Fatalf("Schedule len %d, Outbox len %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].To != want[i].To || got[i].Value != want[i].Value || got[i].Path.Key() != want[i].Path.Key() {
-			t.Errorf("Schedule[%d] = %v, Outbox = %v", i, got[i], want[i])
-		}
-	}
-	// Round past depth: nothing.
-	if out := Schedule(nd.Tree(), 2, 0, 4); out != nil {
-		t.Error("Schedule past depth should be nil")
-	}
-	// Non-sender in round 1: nothing.
-	if out := Schedule(nd.Tree(), 2, 0, 1); out != nil {
-		t.Error("non-sender round-1 Schedule should be nil")
-	}
-}

@@ -85,6 +85,9 @@ go test -run '^$' -fuzz FuzzChainVsEager -fuzztime 10s ./internal/chaos
 # seeded source: fuzz it against math/rand (every Rand method, mid-stream
 # re-seeds, runs past the 607-word register wrap).
 go test -run '^$' -fuzz FuzzSourceVsMathRand -fuzztime 10s ./internal/rng
+# The EIG tree against its string-map oracle: stores, and every path's
+# entry in the record the resolve sweep fills (what -explain prints).
+go test -run '^$' -fuzz FuzzFlatVsMap -fuzztime 10s ./internal/eig
 # The Theorem 3 boundary table: graph family x fault placement x f, with
 # the classic-BA baseline column. The grep gates the paper's headline —
 # at least one classic-refused-but-degradable cell — and zero violations
