@@ -76,8 +76,8 @@ func (b *Node) ID() types.NodeID { return b.honest.ID() }
 
 // Reset returns the node to its pre-run state and re-arms it with a new
 // strategy (and sender input, relevant only when the node is the sender).
-// The serving runtime pools Byzantine wrappers alongside honest complements;
-// a Reset node behaves identically to one built by NewNode.
+// A warm instance (runner.Warm) keeps its wrappers alongside its honest
+// complement; a Reset node behaves identically to one built by NewNode.
 func (b *Node) Reset(value types.Value, strat Strategy) {
 	b.honest.Reset(value)
 	b.strat = strat
@@ -251,20 +251,6 @@ type RandomLie struct {
 // domain always implicitly includes V_d.
 func NewRandomLie(seed int64, domain []types.Value) *RandomLie {
 	return &RandomLie{rng: rng.New(seed), domain: withDefault(nil, domain)}
-}
-
-// BorrowRandomLie is NewRandomLie over a generator borrowed from the shared
-// rng pool, for an owner that ends the strategy's life at a known point:
-// Release hands the generator back.
-func BorrowRandomLie(seed int64, domain []types.Value) *RandomLie {
-	return &RandomLie{rng: rng.Get(seed), domain: withDefault(nil, domain)}
-}
-
-// Release returns a borrowed generator to the pool; r must not be used
-// afterwards.
-func (r *RandomLie) Release() {
-	rng.Put(r.rng)
-	r.rng = nil
 }
 
 // Reseed restarts r exactly as NewRandomLie(seed, domain) would start,

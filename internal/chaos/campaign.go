@@ -364,32 +364,34 @@ func worse(a, b *Outcome) bool {
 // Generate derives scenario i of the campaign. Every choice flows from one
 // per-scenario source so campaigns replay identically at any Runs count —
 // and so external executors (the cluster launcher) can regenerate the exact
-// scenario sequence without running it.
+// scenario sequence without running it. The source is borrowed from the rng
+// pool: every draw happens here, and nothing generated keeps it.
 func (c Campaign) Generate(i int) Scenario {
-	rng := rng.New(mix(c.Seed, int64(i)+0x10001))
-	gp := c.Grid[rng.Intn(len(c.Grid))]
+	r := rng.Get(mix(c.Seed, int64(i)+0x10001))
+	defer rng.Put(r)
+	gp := c.Grid[r.Intn(len(c.Grid))]
 	// Async track: a wholly different scenario shape (no rounds, no
 	// injector stack). The branch sits after the grid draw so both tracks
 	// share the per-scenario rng discipline, and runs only when the axis
 	// is on, so synchronous campaigns replay their historical scenario
 	// streams unchanged.
 	if c.Async != nil {
-		return c.generateAsync(rng, gp)
+		return c.generateAsync(r, gp)
 	}
 	// Topology draw (only when the axis is on, so flat campaigns replay
 	// their historical scenario streams unchanged): may replace gp.N with
 	// the graph's order and clamp gp.U to the Theorem 3 boundary.
 	var tp *topoPick
 	if c.Topology != nil {
-		tp = c.Topology.pick(rng, &gp)
+		tp = c.Topology.pick(r, &gp)
 	}
 	sc := Scenario{
 		N: gp.N, M: gp.M, U: gp.U,
 		SenderValue: harnessValue,
-		Seed:        rng.Int63(),
+		Seed:        r.Int63(),
 		Driver:      c.Driver,
 	}
-	if c.IncludeInfeasible && rng.Intn(20) == 0 {
+	if c.IncludeInfeasible && r.Intn(20) == 0 {
 		sc.N = 2*gp.M + gp.U // one below the Theorem-2 bound
 		return sc
 	}
@@ -398,25 +400,25 @@ func (c Campaign) Generate(i int) Scenario {
 	// step beyond the promised bounds; the sender is as arming-eligible as
 	// any receiver. Cut-set placement reorders the permutation so the fault
 	// draws hit the graph's minimum vertex cut first.
-	f := rng.Intn(gp.U + 2)
+	f := r.Intn(gp.U + 2)
 	if f > gp.N {
 		f = gp.N
 	}
-	perm := rng.Perm(gp.N)
+	perm := r.Perm(gp.N)
 	if tp != nil && tp.placement == PlacementCutset && len(tp.cut) > 0 {
 		perm = cutFirst(perm, tp.cut)
 	}
 	for _, node := range perm[:f] {
 		fault := FaultSpec{
 			Node: types.NodeID(node),
-			Kind: faultKinds[rng.Intn(len(faultKinds))],
+			Kind: faultKinds[r.Intn(len(faultKinds))],
 		}
 		switch fault.Kind {
 		case adversary.KindLie, adversary.KindTwoFaced:
-			fault.Value = lieValues[rng.Intn(len(lieValues))]
+			fault.Value = lieValues[r.Intn(len(lieValues))]
 		case adversary.KindRandom:
-			fault.Value = lieValues[rng.Intn(len(lieValues))]
-			fault.Seed = rng.Int63()
+			fault.Value = lieValues[r.Intn(len(lieValues))]
+			fault.Seed = r.Int63()
 		}
 		sc.Faults = append(sc.Faults, fault)
 	}
@@ -424,8 +426,8 @@ func (c Campaign) Generate(i int) Scenario {
 	// Injector stack: 0..MaxInjectors layers. Absence-type injectors may
 	// touch fault-free traffic (the §6.1 relaxed model); value corruption
 	// is confined to faulty senders' traffic by construction.
-	for k := rng.Intn(c.MaxInjectors + 1); k > 0; k-- {
-		sc.Injectors = append(sc.Injectors, c.generateInjector(rng, gp, sc.Faults))
+	for k := r.Intn(c.MaxInjectors + 1); k > 0; k-- {
+		sc.Injectors = append(sc.Injectors, c.generateInjector(r, gp, sc.Faults))
 	}
 
 	// Crash schedule: victims drawn from fault-free non-sender nodes, kept
@@ -433,7 +435,7 @@ func (c Campaign) Generate(i int) Scenario {
 	// extra rng draws happen only when the knob is on, so crash-free
 	// campaigns replay their historical scenario streams unchanged.
 	if c.Crashes > 0 {
-		sc.Crashes = c.generateCrashes(rng, gp, sc)
+		sc.Crashes = c.generateCrashes(r, gp, sc)
 	}
 	if tp != nil {
 		sc.Topology = &TopoSpec{
@@ -448,6 +450,7 @@ func (c Campaign) Generate(i int) Scenario {
 
 // generateCrashes draws scenario sc's crash schedule.
 func (c Campaign) generateCrashes(rng *rand.Rand, gp GridPoint, sc Scenario) []CrashSpec {
+	// m+1, not core.Params.Depth: drawing the m = 0 echo round would shift the goldens.
 	depth := gp.M + 1
 	armed := sc.Faulty()
 	var pool []types.NodeID
@@ -491,6 +494,7 @@ func (c Campaign) generateCrashes(rng *rand.Rand, gp GridPoint, sc Scenario) []C
 // generateInjector draws one injector layer.
 func (c Campaign) generateInjector(rng *rand.Rand, gp GridPoint, faults []FaultSpec) Injector {
 	prob := func() float64 { return c.Probs[rng.Intn(len(c.Probs))] }
+	// Not core.Params.Depth either (N = 2 runs one round): the goldens pin this draw.
 	depth := gp.M + 1
 	if gp.M < 1 {
 		depth = 2

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 
+	"degradable/internal/core"
 	"degradable/internal/types"
 )
 
@@ -108,7 +109,7 @@ func (sc Scenario) ValidateCrashes() error {
 	if len(sc.Crashes) == 0 {
 		return nil
 	}
-	depth := sc.M + 1
+	depth := core.Params{N: sc.N, M: sc.M, U: sc.U, Sender: sc.Sender}.Depth()
 	armed := make(map[types.NodeID]bool, len(sc.Faults))
 	for _, f := range sc.Faults {
 		armed[f.Node] = true

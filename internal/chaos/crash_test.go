@@ -41,6 +41,36 @@ func TestCrashValidation(t *testing.T) {
 	}
 }
 
+// TestCrashInEchoRound validates crash rounds against the protocol's depth,
+// not m+1: the m = 0 protocol for N ≥ 3 runs a second, echo round, so a
+// crash there is a schedule to run and a crash past it is still rejected.
+func TestCrashInEchoRound(t *testing.T) {
+	for _, tc := range []struct {
+		replay  string
+		wantErr string
+	}{
+		{`{"n":3,"m":0,"u":1,"crashes":[{"node":2,"round":2}]}`, ""},
+		{`{"n":3,"m":0,"u":1,"crashes":[{"node":2,"round":3}]}`, "crash round 3 outside [1,2]"},
+	} {
+		var sc Scenario
+		if err := json.Unmarshal([]byte(tc.replay), &sc); err != nil {
+			t.Fatal(err)
+		}
+		out, err := sc.Run()
+		switch {
+		case tc.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: error %v, want %q", tc.replay, err, tc.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.replay, err)
+		case out.ClassValue() != SpecHeld || out.Condition != "D.3" || !out.ExpectationMet:
+			t.Errorf("%s: %s under %s (expectation met %v), want SpecHeld under D.3",
+				tc.replay, out.Class, out.Condition, out.ExpectationMet)
+		}
+	}
+}
+
 // TestCrashCountsTowardFaultBudget checks a crash victim is part of the
 // scenario's fault set: it shifts the regime and is excluded from the spec's
 // fault-free decisions, while the run still holds the full spec (a crash is

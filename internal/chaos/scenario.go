@@ -3,8 +3,10 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
+	"sync"
 
 	"degradable/internal/adversary"
 	"degradable/internal/core"
@@ -502,76 +504,70 @@ func inProcess(sc Scenario) (*ExecOutcome, error) {
 	default:
 		return nil, fmt.Errorf("chaos: unknown driver %q", sc.Driver)
 	}
-	// The run's random sources — RandomLie faults and injector layers — are
-	// borrowed from the rng pool and handed back when the run ends.
-	var lies []*adversary.RandomLie
+	// The run borrows a warm instance of its shape and its injector layers'
+	// random sources and hands them back on every return path.
+	shape := core.Params{N: sc.N, M: sc.M, U: sc.U, Sender: sc.Sender}
+	v, ok := warmPools.Load(shape)
+	if !ok {
+		v, _ = warmPools.LoadOrStore(shape, new(sync.Pool))
+	}
+	wp := v.(*sync.Pool)
+	w, _ := wp.Get().(*runner.Warm)
+	var err error
+	if w == nil {
+		if w, err = runner.NewWarm(shape); err != nil {
+			return nil, err
+		}
+	}
 	var ch *chain
 	defer func() {
-		for _, lie := range lies {
-			lie.Release()
-		}
 		if ch != nil {
 			ch.release()
 		}
+		wp.Put(w)
 	}()
-	strategies := make(map[types.NodeID]adversary.Strategy, len(sc.Faults))
-	for _, f := range sc.Faults {
-		if f.Kind == adversary.KindRandom {
-			lie := adversary.BorrowRandomLie(f.Seed, []types.Value{f.Value})
-			lies = append(lies, lie)
-			strategies[f.Node] = lie
-			continue
-		}
-		s, err := f.Kind.Build(sc.N, f.Value, f.Seed)
+	faults := make([]runner.Fault, 0, sc.F())
+	for k, f := range sc.Faults {
+		s, err := w.Strategy(k, f.Kind, f.Value, f.Seed)
 		if err != nil {
 			return nil, err
 		}
-		strategies[f.Node] = s
+		faults = append(faults, runner.Fault{Node: f.Node, Strategy: s})
 	}
 	// Crash victims: honest through the kill round's sends, silent after —
 	// the in-process surrogate for a SIGKILLed process whose recovery the
 	// surrogate cannot observe (see Scenario.Driver).
 	for _, cr := range sc.Crashes {
-		strategies[cr.Node] = adversary.Crash{After: cr.Round}
+		faults = append(faults, runner.Fault{Node: cr.Node, Strategy: adversary.Crash{After: cr.Round}})
 	}
 	eo := &ExecOutcome{}
-	in := runner.Instance{
-		Protocol:    core.Params{N: sc.N, M: sc.M, U: sc.U, Sender: sc.Sender},
-		SenderValue: sc.SenderValue,
-		Strategies:  strategies,
-	}
+	var channel round.Channel
 	var topo TopoChannel
 	if sc.Topology != nil {
-		var err error
-		topo, err = sc.Topology.NewChannel(sc.N, sc.M, sc.U, sc.Faults, sc.Faulty())
-		if err != nil {
+		if topo, err = sc.Topology.NewChannel(sc.N, sc.M, sc.U, sc.Faults, sc.Faulty()); err != nil {
 			return nil, err
 		}
 	}
-	if len(sc.Injectors) > 0 || topo != nil {
-		var inj round.Expander
-		if len(sc.Injectors) > 0 {
-			var err error
-			if ch, err = buildChannel(sc.Injectors, sc.Faulty(), sc.Seed, &eo.Counters); err != nil {
-				return nil, err
-			}
-			inj = ch
+	var inj round.Expander
+	if len(sc.Injectors) > 0 {
+		if ch, err = buildChannel(sc.Injectors, sc.Faulty(), sc.Seed, &eo.Counters); err != nil {
+			return nil, err
 		}
-		if topo != nil {
-			// Injectors first (a node's own egress faults), then the sparse
-			// network — the same composition the cluster driver applies per
-			// node process.
-			in.Channel = ComposeEgress(inj, topo)
-		} else {
-			in.Channel = inj
-		}
+		inj, channel = ch, ch
 	}
-	// RunWith judges the result, so the instance is executed, not checked.
-	res, err := in.Execute()
+	if topo != nil {
+		// Injectors first (a node's own egress faults), then the sparse
+		// network — the same composition the cluster driver applies per
+		// node process.
+		channel = ComposeEgress(inj, topo)
+	}
+	res, err := w.Run(sc.SenderValue, faults, channel)
 	if err != nil {
 		return nil, err
 	}
-	eo.Decisions = res.Decisions
+	// The result is the warm instance's until its next run: RunWith judges
+	// a copy.
+	eo.Decisions = maps.Clone(res.Decisions)
 	eo.Messages = res.Messages
 	eo.Delivered = res.Delivered
 	if topo != nil {
@@ -579,6 +575,12 @@ func inProcess(sc Scenario) (*ExecOutcome, error) {
 	}
 	return eo, nil
 }
+
+// warmPools holds the in-process executor's idle warm instances, one
+// sync.Pool per shape (core.Params → *sync.Pool), so concurrent
+// Scenario.Run calls each borrow their own and a shape's complement is
+// built once, not once per run.
+var warmPools sync.Map
 
 // classify maps a verdict to an outcome class. Beyond u the spec promises
 // nothing, so any outcome is SpecHeld; within bounds a condition that held

@@ -123,9 +123,9 @@ func New(n, depth int, sender types.NodeID) (*Tree, error) {
 	return t, nil
 }
 
-// Reset empties the tree for reuse, retaining its allocated storage. The
-// serving runtime pools node complements across agreement instances; Reset
-// is what makes a pooled tree indistinguishable from a fresh one. It runs in
+// Reset empties the tree for reuse, retaining its allocated storage. A warm
+// instance reuses its complement across agreement instances; Reset is what
+// makes a reused tree indistinguishable from a fresh one. It runs in
 // time proportional to the values actually recorded: each present slot is
 // restored to the default value and its bit cleared.
 func (t *Tree) Reset() {

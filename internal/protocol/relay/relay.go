@@ -86,9 +86,9 @@ func New(n, depth int, sender, id types.NodeID, value types.Value, rule eig.Rule
 func (nd *Node) ID() types.NodeID { return nd.id }
 
 // Reset returns the node to its pre-run state with a (possibly new) sender
-// input, retaining the tree's allocated storage. The serving runtime pools
-// node complements across agreement instances of the same shape; a Reset
-// node behaves identically to a freshly constructed one.
+// input, retaining the tree's allocated storage. A warm instance
+// (runner.Warm) reuses its complement across runs of the same shape; a
+// Reset node behaves identically to a freshly constructed one.
 func (nd *Node) Reset(value types.Value) {
 	nd.value = value
 	nd.decision = types.Default

@@ -251,11 +251,10 @@ type Engine struct {
 	// them into the counters when the round they belong to opens.
 	delivered, bytes int
 
-	// lane is nil unless the configuration lets the bulk lane run: no
-	// Trace, no RecordViews and a nil or PerfectChannel, the settings under
-	// which a message is never seen, dropped or rewritten on its own. Then
-	// lane[i] holds node i and its peers while it is a lane member, and
-	// slabs the (relayer, round) pairs Collect recorded for Deliver to apply.
+	// lane is empty unless the configuration lets the bulk lane run (see
+	// RestartOn). Then lane[i] holds node i and its peers while it is a
+	// lane member, and slabs the (relayer, round) pairs Collect recorded for
+	// Deliver to apply.
 	lane  []laneSlot
 	slabs []slab
 }
@@ -288,20 +287,9 @@ func NewEngine(nodes []Node, cfg Config) (*Engine, error) {
 	if cfg.Rounds < 1 {
 		return nil, fmt.Errorf("round: rounds must be >= 1, got %d", cfg.Rounds)
 	}
-	byID := make([]Node, n)
-	for _, nd := range nodes {
-		id := nd.ID()
-		if id < 0 || int(id) >= n {
-			return nil, fmt.Errorf("round: node ID %d out of range [0,%d)", int(id), n)
-		}
-		if byID[int(id)] != nil {
-			return nil, fmt.Errorf("round: duplicate node ID %d", int(id))
-		}
-		byID[int(id)] = nd
-	}
 	e := &Engine{
 		cfg:  cfg,
-		byID: byID,
+		byID: make([]Node, n),
 		res: &Result{
 			Decisions: make(map[types.NodeID]types.Value, n),
 			PerRound:  make([]int, cfg.Rounds),
@@ -316,18 +304,12 @@ func NewEngine(nodes []Node, cfg Config) (*Engine, error) {
 		next:     make([]inbox, n),
 		counters: obs.NewCounterSet(CounterNames...),
 	}
-	e.expander, _ = cfg.Channel.(Expander)
 	if cfg.RecordViews {
 		e.res.Views = make(map[types.NodeID][]types.Message, n)
 	}
-	switch cfg.Channel.(type) {
-	case nil, PerfectChannel:
-		if cfg.Trace == nil && !cfg.RecordViews && n <= types.MaxNodeSetID+1 {
-			e.lane = make([]laneSlot, n)
-			e.slabs = make([]slab, 0, n)
-		}
+	if err := e.RestartOn(nodes, cfg.Channel); err != nil {
+		return nil, err
 	}
-	e.armLane()
 	return e, nil
 }
 
@@ -336,7 +318,7 @@ func NewEngine(nodes []Node, cfg Config) (*Engine, error) {
 // a node that was a member under an earlier engine or run stops leaving
 // recipients out.
 func (e *Engine) armLane() {
-	if e.lane == nil {
+	if len(e.lane) == 0 {
 		for _, nd := range e.byID {
 			if ln, ok := nd.(LaneNode); ok {
 				ln.SetLanePeers(0)
@@ -371,22 +353,24 @@ func (e *Engine) armLane() {
 	}
 }
 
-// Restart rearms the engine for a fresh run on the same configuration,
-// retaining every allocated buffer (both inbox sets, result maps).
-// nodes replaces the complement — it must have the same count, since the
-// shape (and Rounds) is fixed at construction; entries may differ from the
-// previous run (the serving runtime swaps honest nodes for Byzantine
-// wrappers per instance). A restarted engine is observationally identical
-// to a newly constructed one, which is what lets the batch hot loop run
+// Restart is RestartOn with the engine's current channel.
+func (e *Engine) Restart(nodes []Node) error { return e.RestartOn(nodes, e.cfg.Channel) }
+
+// RestartOn rearms the engine for a fresh run over channel ch, retaining
+// every allocated buffer (both inbox sets, result maps, the lane's). nodes
+// replaces the complement — it must have the same count, since the shape
+// (and Rounds) is fixed at construction; entries may differ from the
+// previous run (a warm instance swaps honest nodes for Byzantine wrappers
+// per run). NewEngine arms its first run here too, so the bulk lane goes on
+// or off by one rule. A restarted engine is observationally identical to
+// one newly constructed with ch, which is what lets a warm instance run
 // instance after instance without allocating.
-func (e *Engine) Restart(nodes []Node) error {
+func (e *Engine) RestartOn(nodes []Node, ch Channel) error {
 	n := len(e.byID)
 	if len(nodes) != n {
 		return fmt.Errorf("round: restart with %d nodes, engine built for %d", len(nodes), n)
 	}
-	for i := range e.byID {
-		e.byID[i] = nil
-	}
+	clear(e.byID)
 	for _, nd := range nodes {
 		id := nd.ID()
 		if id < 0 || int(id) >= n {
@@ -399,12 +383,8 @@ func (e *Engine) Restart(nodes []Node) error {
 	}
 	clear(e.res.Decisions)
 	e.res.Messages, e.res.Delivered, e.res.Bytes = 0, 0, 0
-	for i := range e.res.PerRound {
-		e.res.PerRound[i] = 0
-	}
-	if e.res.Views != nil {
-		clear(e.res.Views)
-	}
+	clear(e.res.PerRound)
+	clear(e.res.Views)
 	e.counters.Reset()
 	e.curRound = 0
 	e.delivered, e.bytes = 0, 0
@@ -413,6 +393,23 @@ func (e *Engine) Restart(nodes []Node) error {
 		e.next[i].reset()
 	}
 	e.slabs = e.slabs[:0]
+	// The bulk lane's one rule: it runs on a nil or PerfectChannel with no
+	// Trace and no RecordViews — the settings under which a message is
+	// never seen, dropped or rewritten on its own — over a complement that
+	// fits a NodeSet. Turning it off keeps its buffer.
+	e.cfg.Channel = ch
+	e.expander, _ = ch.(Expander)
+	_, perfect := ch.(PerfectChannel)
+	on := (ch == nil || perfect) && e.cfg.Trace == nil && !e.cfg.RecordViews && n <= types.MaxNodeSetID+1
+	switch {
+	case !on:
+		e.lane = e.lane[:0]
+	case cap(e.lane) < n:
+		e.lane = make([]laneSlot, n)
+		e.slabs = make([]slab, 0, n)
+	default:
+		e.lane = e.lane[:n]
+	}
 	e.armLane()
 	return nil
 }
@@ -522,7 +519,7 @@ func (e *Engine) Collect(i, round int, out []types.Message) {
 			e.route(&m)
 		}
 	}
-	if e.lane != nil && e.lane[i].nd != nil {
+	if len(e.lane) > 0 && e.lane[i].nd != nil {
 		if k := e.lane[i].nd.LaneClaims(round) * e.lane[i].peers.Len(); k > 0 {
 			sent += k
 			e.delivered += k

@@ -1,7 +1,7 @@
 // Package runner composes a protocol, a fault set armed with adversary
-// strategies, the synchronous engine, and the executable specification into
-// one-call experiment instances. Every experiment and most integration tests
-// go through this package.
+// strategies and the synchronous engine into runs: Instance, built fresh and
+// judged by the executable specification for experiments and tests, and
+// Warm, the reusable BYZ(m,m) instance the service and chaos run on.
 package runner
 
 import (

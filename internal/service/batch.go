@@ -1,41 +1,21 @@
 package service
 
 import (
-	"degradable/internal/adversary"
 	"degradable/internal/core"
 	"degradable/internal/obs"
-	"degradable/internal/protocol/relay"
-	"degradable/internal/round"
+	"degradable/internal/runner"
 	"degradable/internal/spec"
 	"degradable/internal/types"
 	"degradable/internal/vote"
 )
 
-// pool is the reusable per-shape instance: one honest node complement, one
-// Byzantine wrapper per node, a pooled round engine, and the arming and
-// response scratch, all owned by a single shard. Resetting a pooled node is
-// an O(stored) tree sweep; constructing one is a tree allocation — and the
-// engine, outbox templates, and path-ranker tables are likewise built once
-// per shape and recycled, so a warm pool executes an instance with zero
-// allocations.
+// pool is one shard's per-shape state: the warm instance the full path runs
+// on, the fast path's receipt vector, and the arming and spec-sample
+// scratch. A warm pool executes an instance with zero allocations.
 type pool struct {
-	params core.Params
-	depth  int
-	// honest[i] is node i's honest implementation; byz[i] is the Byzantine
-	// wrapper substituted when a request arms node i.
-	honest []*relay.Node
-	byz    []*adversary.Node
-	// lies[k] is the random strategy of a request's k-th fault, built by
-	// the first request with a KindRandom fault there and re-seeded by
-	// every one after. Keyed by fault position, not node, so a pool holds
-	// as many 4.9 kB sources as its requests have faults, not one per node;
-	// admission caps the faults at one per node.
-	lies []*adversary.RandomLie
-	// nodes is the arming scratch passed to the engine each run.
-	nodes []round.Node
-	// eng is the pooled round engine, built on the first full run and
-	// Restarted for every one after.
-	eng *round.Engine
+	inst *runner.Warm
+	// armed is the full path's fault list, rebuilt in place per request.
+	armed []runner.Fault
 	// recv is the fast path's round-1 receipt vector: one slot per
 	// non-sender receiver, absences mapped to V_d per §4.
 	recv []types.Value
@@ -46,33 +26,12 @@ type pool struct {
 // newPool builds the reusable instance for one shape. The shape was
 // validated at admission, so construction cannot fail on a well-formed
 // request; any residual error is returned per-request by run.
-func newPool(k shape) (*pool, error) {
-	params := core.Params{N: k.n, M: k.m, U: k.u, Sender: k.sender}
-	if err := params.Validate(); err != nil {
+func newPool(k core.Params) (*pool, error) {
+	inst, err := runner.NewWarm(k)
+	if err != nil {
 		return nil, err
 	}
-	p := &pool{
-		params: params,
-		depth:  params.Depth(),
-		honest: make([]*relay.Node, k.n),
-		byz:    make([]*adversary.Node, k.n),
-		lies:   make([]*adversary.RandomLie, k.n),
-		nodes:  make([]round.Node, k.n),
-		recv:   make([]types.Value, k.n-1),
-	}
-	for i := 0; i < k.n; i++ {
-		nd, err := params.NewNode(types.NodeID(i), types.Default)
-		if err != nil {
-			return nil, err
-		}
-		p.honest[i] = nd
-		bn, err := adversary.NewNode(k.n, p.depth, k.sender, types.NodeID(i), types.Default, adversary.Honest{})
-		if err != nil {
-			return nil, err
-		}
-		p.byz[i] = bn
-	}
-	return p, nil
+	return &pool{inst: inst, recv: make([]types.Value, k.N-1)}, nil
 }
 
 // runOne executes one task on the shard's pooled instance for its shape,
@@ -141,7 +100,7 @@ func conditionStat(condition string) int {
 // probed-then-fallen-back run is byte-identical to one that never probed.
 func (p *pool) run(t *task, sh *shard) (Response, error) {
 	req := &t.req
-	n := p.params.N
+	n := req.N
 	if cap(t.dec) < n {
 		t.dec = make([]types.Value, n)
 	}
@@ -230,12 +189,15 @@ func (p *pool) run(t *task, sh *shard) (Response, error) {
 // re-arms the node with a freshly built strategy.
 func (p *pool) probeSender(req *Request, dec []types.Value) bool {
 	f := req.Faults[0]
-	n := p.params.N
-	strat, err := p.strategy(0, f)
+	n := req.N
+	strat, err := p.inst.Strategy(0, f.Kind, f.Value, f.Seed)
 	if err != nil {
 		return false // the full path surfaces the same error to the caller
 	}
-	bn := p.byz[int(f.Node)]
+	bn, err := p.inst.Byzantine(f.Node)
+	if err != nil {
+		return false
+	}
 	bn.Reset(req.Value, strat)
 
 	// Receipt vector: one slot per non-sender receiver in ID order,
@@ -265,60 +227,26 @@ func (p *pool) probeSender(req *Request, dec []types.Value) bool {
 	return true
 }
 
-// runFull resets the pooled complement, arms the request's fault set, and
-// executes the instance on the pooled engine under the reference schedule,
-// reading each node's decision directly into dec.
+// runFull arms the request's fault set and executes the instance on the
+// warm complement under the reference schedule, reading each node's
+// decision into dec.
 func (p *pool) runFull(req *Request, dec []types.Value) error {
-	n := p.params.N
-	for i := 0; i < n; i++ {
-		p.honest[i].Reset(req.Value)
-		p.nodes[i] = p.honest[i]
-	}
+	p.armed = p.armed[:0]
 	for k, f := range req.Faults {
-		strat, err := p.strategy(k, f)
+		strat, err := p.inst.Strategy(k, f.Kind, f.Value, f.Seed)
 		if err != nil {
 			return err
 		}
-		bn := p.byz[int(f.Node)]
-		bn.Reset(req.Value, strat)
-		p.nodes[int(f.Node)] = bn
+		p.armed = append(p.armed, runner.Fault{Node: f.Node, Strategy: strat})
 	}
-
-	if p.eng == nil {
-		eng, err := round.NewEngine(p.nodes, round.Config{Rounds: p.depth})
-		if err != nil {
-			return err
-		}
-		p.eng = eng
-	} else if err := p.eng.Restart(p.nodes); err != nil {
+	res, err := p.inst.Run(req.Value, p.armed, nil)
+	if err != nil {
 		return err
 	}
-	if err := (round.Reference{}).Drive(p.eng); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		dec[i] = p.nodes[i].Decide()
+	for i := range dec {
+		dec[i] = res.Decisions[types.NodeID(i)]
 	}
 	return nil
-}
-
-// strategy builds the strategy of the request's k-th fault. A random fault
-// re-seeds the pool's RandomLie for position k rather than building one,
-// which draws the same stream as Kind.Build without allocating a source per
-// request.
-func (p *pool) strategy(k int, f FaultSpec) (adversary.Strategy, error) {
-	if f.Kind != adversary.KindRandom {
-		return f.Kind.Build(p.params.N, f.Value, f.Seed)
-	}
-	domain := []types.Value{f.Value}
-	lie := p.lies[k]
-	if lie == nil {
-		lie = adversary.NewRandomLie(f.Seed, domain)
-		p.lies[k] = lie
-	} else {
-		lie.Reseed(f.Seed, domain)
-	}
-	return lie, nil
 }
 
 // receiverTally classifies the fault-free receivers' decisions in one

@@ -7,7 +7,7 @@
 // rejection (never blocking) and executed by the round engine's inline
 // Reference driver, so the hot path takes no locks. Identically-shaped instances (same N, m,
 // u, sender) are batched: the shard drains its queue up to the batch size
-// and runs each shape group on a pooled, reusable node complement, so
+// and runs each shape group on the shape's warm instance (runner.Warm), so
 // per-instance setup (strategy construction, spec condition selection,
 // engine wiring) is amortized across the batch.
 //
@@ -122,12 +122,7 @@ type Request struct {
 
 // shape is the batching key: requests with equal shapes run on the same
 // pooled instance.
-type shape struct {
-	n, m, u int
-	sender  types.NodeID
-}
-
-func (r Request) shape() shape { return shape{n: r.N, m: r.M, u: r.U, sender: r.Sender} }
+func (r Request) shape() core.Params { return core.Params{N: r.N, M: r.M, U: r.U, Sender: r.Sender} }
 
 // Validate checks the request against the Theorem-2 feasibility bounds and
 // the fault list for range and duplicates. Strategy construction is
@@ -298,7 +293,7 @@ func newUnstarted(cfg Config) *Service {
 			stats: s.stats.Shard(i),
 			in:    make(chan *task, cfg.QueueDepth),
 			stop:  make(chan struct{}),
-			pools: make(map[shape]*pool),
+			pools: make(map[core.Params]*pool),
 		}
 	}
 	return s
@@ -559,12 +554,12 @@ type shard struct {
 	stats *obs.Block // this shard's padded counter block
 	in    chan *task
 	stop  chan struct{}
-	pools map[shape]*pool
+	pools map[core.Params]*pool
 	// sinceCheck counts instances since the last spec sample.
 	sinceCheck int
 	// batch and groups are reusable scheduling scratch.
 	batch  []*task
-	groups map[shape][]*task
+	groups map[core.Params][]*task
 }
 
 // run is the shard loop: block for one task, drain opportunistically up to
@@ -616,7 +611,7 @@ func (sh *shard) execute() {
 		return
 	}
 	if sh.groups == nil {
-		sh.groups = make(map[shape][]*task)
+		sh.groups = make(map[core.Params][]*task)
 	}
 	for _, t := range sh.batch {
 		k := t.req.shape()

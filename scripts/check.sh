@@ -37,8 +37,8 @@ go test ./...
 echo "== go test -race (short) =="
 go test -race -short ./...
 
-echo "== go test -race (full, service + wire + proc + cluster + fleet) =="
-go test -race ./internal/service/... ./internal/wire/... ./internal/proc/... ./internal/cluster/... ./internal/fleet/...
+echo "== go test -race (full, service + wire + proc + cluster + fleet + chaos) =="
+go test -race ./internal/service/... ./internal/wire/... ./internal/proc/... ./internal/cluster/... ./internal/fleet/... ./internal/chaos/...
 
 echo "== go benchmark smoke =="
 # One iteration of every go benchmark in the paper tables, the EIG engines,
