@@ -35,7 +35,7 @@ type (
 	// placement; it round-trips through the scenario's JSON.
 	ChaosTopoSpec = chaos.TopoSpec
 	// ChaosTopoBench is the Theorem 3 connectivity-boundary table that
-	// cmd/chaos -topo-sweep writes.
+	// degradable chaos -topo-sweep writes.
 	ChaosTopoBench = chaos.TopoBench
 	// ChaosGridPoint is one (N, M, U) sweep point of a campaign grid.
 	ChaosGridPoint = chaos.GridPoint
@@ -50,7 +50,7 @@ type (
 	// Terminated/NotTerminated verdict split, starvation count, and the
 	// safety-violation total (zero for any within-tolerance campaign).
 	ChaosAsyncTally = chaos.AsyncTally
-	// ChaosAsyncBench is the cmd/chaos -async-sweep document: FIFO-versus-
+	// ChaosAsyncBench is the degradable chaos -async-sweep document: FIFO-versus-
 	// adversarial scheduling over identical seeded A-Cast workloads.
 	ChaosAsyncBench = chaos.AsyncBench
 )

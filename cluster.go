@@ -2,7 +2,6 @@ package degradable
 
 import (
 	"context"
-	"io"
 
 	"degradable/internal/cluster"
 )
@@ -27,8 +26,8 @@ type (
 // missed deadline is the detectable absence of §4 assumption (b) and the
 // protocol substitutes V_d. The calling binary must invoke ClusterHijack
 // first thing in main (node processes are spawned by re-executing it), or
-// set cfg.Command to a dedicated node binary such as cmd/node. A node that
-// prints no listen line within 10 s fails the run.
+// set cfg.Command to a node process's argv, such as {"degradable", "node"}.
+// A node that prints no listen line within 10 s fails the run.
 func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterReport, error) {
 	return cluster.Run(ctx, cfg)
 }
@@ -38,11 +37,3 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (*ClusterReport, error) 
 // (re-exec) command must call it before anything else; it returns
 // immediately in the parent process and never returns in a node process.
 func ClusterHijack() { cluster.Hijack() }
-
-// ClusterNodeMain runs one cluster node end to end over the given stdio:
-// read the node-config line, listen on listenAddr, print the listen line,
-// read the roster line, run the protocol, print the report line. It is the
-// whole body of a dedicated node binary (see cmd/node).
-func ClusterNodeMain(in io.Reader, out io.Writer, listenAddr string) error {
-	return cluster.NodeMain(in, out, listenAddr)
-}

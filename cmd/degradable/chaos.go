@@ -1,28 +1,3 @@
-// Command chaos runs seeded fault-injection campaigns against the
-// m/u-degradable agreement protocol and classifies every scenario outcome
-// (SpecHeld, GracefulOnly, Violated, Infeasible). Campaigns are fully
-// deterministic: equal seeds and settings produce byte-identical reports.
-//
-// Usage:
-//
-//	chaos -seed 42 -runs 1000                # sweep the default grid
-//	chaos -seed 42 -grid 5:1:2,7:2:2 -json   # pinned grid, JSON report
-//	chaos -replay '<scenario json>'          # re-run one counterexample
-//	chaos -graph harary:4:9 -placement cutset # campaign over a sparse graph
-//	chaos -topo-sweep topo.json              # Theorem 3 boundary table
-//	chaos -async -runs 500                   # asynchronous A-Cast campaign
-//	chaos -async -sched adversarial,starve   # pin the scheduler pool
-//	chaos -async-sweep async.json            # FIFO vs adversarial benchmark
-//
-// Grid syntax: comma-separated n:m:u triples. With -shrink, every scenario
-// that misses its expected verdict is delta-debugged to a locally minimal
-// counterexample and rendered as a copy-pasteable reproduction. -replay
-// exits non-zero when the scenario misses its expectation, so shrunk
-// counterexamples keep failing when replayed. A scenario's JSON carries its
-// whole crash schedule ("crashes": mid-round kills, restarts, checkpoint
-// corruption), so kill/restart counterexamples replay deterministically too:
-//
-//	chaos -replay '{"n":5,"m":1,"u":2,"seed":11,"driver":"cluster","crashes":[{"node":2,"round":2,"phase":"sent"}]}'
 package main
 
 import (
@@ -44,19 +19,30 @@ import (
 	"degradable/internal/stats"
 )
 
-func main() {
-	// Replaying a cluster-driver counterexample spawns node processes by
-	// re-executing this binary; those children divert here.
-	degradable.ClusterHijack()
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "chaos:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
-	fs.SetOutput(out)
+// chaosFlags runs seeded fault-injection campaigns against the
+// m/u-degradable agreement protocol and classifies every scenario outcome
+// (SpecHeld, GracefulOnly, Violated, Infeasible). Campaigns are fully
+// deterministic: equal seeds and settings produce byte-identical reports.
+//
+//	degradable chaos -seed 42 -runs 1000                # sweep the default grid
+//	degradable chaos -seed 42 -grid 5:1:2,7:2:2 -json   # pinned grid, JSON report
+//	degradable chaos -replay '<scenario json>'          # re-run one counterexample
+//	degradable chaos -graph harary:4:9 -placement cutset # campaign over a sparse graph
+//	degradable chaos -topo-sweep topo.json              # Theorem 3 boundary table
+//	degradable chaos -async -runs 500                   # asynchronous A-Cast campaign
+//	degradable chaos -async -sched adversarial,starve   # pin the scheduler pool
+//	degradable chaos -async-sweep async.json            # FIFO vs adversarial benchmark
+//
+// Grid syntax: comma-separated n:m:u triples. With -shrink, every scenario
+// that misses its expected verdict is delta-debugged to a locally minimal
+// counterexample and rendered as a copy-pasteable reproduction. -replay
+// exits non-zero when the scenario misses its expectation, so shrunk
+// counterexamples keep failing when replayed. A scenario's JSON carries its
+// whole crash schedule ("crashes": mid-round kills, restarts, checkpoint
+// corruption), so kill/restart counterexamples replay deterministically too:
+//
+//	degradable chaos -replay '{"n":5,"m":1,"u":2,"seed":11,"driver":"cluster","crashes":[{"node":2,"round":2,"phase":"sent"}]}'
+func chaosFlags(fs *flag.FlagSet) func(io.Writer) error {
 	var (
 		seed       = fs.Int64("seed", 1, "campaign seed (drives every scenario and coin flip)")
 		runs       = fs.Int("runs", 1000, "number of scenarios to generate")
@@ -76,83 +62,88 @@ func run(args []string, out io.Writer) error {
 		asyncRuns  = fs.Int("async-runs", 200, "seeded runs per scheduler in the -async-sweep benchmark")
 		tracePath  = cliflags.Trace(fs)
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *replay != "" {
-		return replayScenario(out, *replay, *asJSON, *shrink)
-	}
-	if *topoSweep != "" {
-		return runTopoSweep(out, *topoSweep, *seed, *topoRuns)
-	}
-	if *asyncSweep != "" {
-		return runAsyncSweep(out, *asyncSweep, *seed, *asyncRuns)
-	}
+	return func(out io.Writer) error {
+		// Campaign's zero values mean "use the default"; on the command line a
+		// count below 1 is a mistake, not a request for the default.
+		for _, c := range []struct {
+			name string
+			v    int
+		}{{"runs", *runs}, {"max-injectors", *maxInj}, {"topo-runs", *topoRuns}, {"async-runs", *asyncRuns}} {
+			if c.v < 1 {
+				return fmt.Errorf("-%s %d: want at least 1", c.name, c.v)
+			}
+		}
+		if *replay != "" {
+			return replayScenario(out, *replay, *asJSON, *shrink)
+		}
+		if *topoSweep != "" {
+			return runTopoSweep(out, *topoSweep, *seed, *topoRuns)
+		}
+		if *asyncSweep != "" {
+			return runAsyncSweep(out, *asyncSweep, *seed, *asyncRuns)
+		}
 
-	c := degradable.ChaosCampaign{
-		Seed: *seed, Runs: *runs,
-		MaxInjectors:      *maxInj,
-		IncludeInfeasible: *infeasible,
-		Shrink:            *shrink,
-	}
-	var err error
-	if c.Grid, err = parseGrid(*grid); err != nil {
-		return err
-	}
-	if c.Topology, err = parseTopoAxis(*graphDef, *placement); err != nil {
-		return err
-	}
-	if c.Async, err = parseAsyncAxis(*async, *sched); err != nil {
-		return err
-	}
-	if c.Async != nil && c.Topology != nil {
-		return fmt.Errorf("-async and -graph are mutually exclusive: the asynchronous track has no topology dimension")
-	}
-	var tracer *obs.Tracer
-	if *tracePath != "" {
-		// One verdict event per scenario: size the ring to hold the whole
-		// campaign so the JSONL dump is complete, not a tail.
-		capHint := *runs
-		if capHint < 1 {
-			capHint = 1024
+		c := degradable.ChaosCampaign{
+			Seed: *seed, Runs: *runs,
+			MaxInjectors:      *maxInj,
+			IncludeInfeasible: *infeasible,
+			Shrink:            *shrink,
 		}
-		tracer = obs.NewTracer(capHint)
-		c.Sink = tracer
-	}
-	// SIGINT cancels between scenarios: the partial tallies are still
-	// printed (marked interrupted) rather than thrown away.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	rep, err := degradable.ChaosContext(ctx, degradable.Config{}, c)
-	if err != nil {
-		return err
-	}
-	if tracer != nil {
-		// Dump before the health checks so the event stream survives an
-		// unhealthy campaign — that is exactly when it is most wanted.
-		if err := obs.WriteJSONLFile(*tracePath, tracer.Events()); err != nil {
+		var err error
+		if c.Grid, err = parseGrid(*grid); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "chaos: wrote %d events to %s\n", len(tracer.Events()), *tracePath)
-	}
-	if *asJSON {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
+		if c.Topology, err = parseTopoAxis(*graphDef, *placement); err != nil {
 			return err
 		}
-	} else {
-		writeReport(out, rep)
+		if c.Async, err = parseAsyncAxis(*async, *sched); err != nil {
+			return err
+		}
+		if c.Async != nil && c.Topology != nil {
+			return fmt.Errorf("-async and -graph are mutually exclusive: the asynchronous track has no topology dimension")
+		}
+		var tracer *obs.Tracer
+		if *tracePath != "" {
+			// One verdict event per scenario: size the ring to hold the whole
+			// campaign so the JSONL dump is complete, not a tail.
+			tracer = obs.NewTracer(*runs)
+			c.Sink = tracer
+		}
+		// SIGINT cancels between scenarios: the partial tallies are still
+		// printed (marked interrupted) rather than thrown away.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		rep, err := degradable.ChaosContext(ctx, degradable.Config{}, c)
+		if err != nil {
+			return err
+		}
+		if tracer != nil {
+			// Dump before the health checks so the event stream survives an
+			// unhealthy campaign — that is exactly when it is most wanted.
+			if err := obs.WriteJSONLFile(*tracePath, tracer.Events()); err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "chaos: wrote %d events to %s\n", len(tracer.Events()), *tracePath)
+		}
+		if *asJSON {
+			enc := json.NewEncoder(out)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(rep); err != nil {
+				return err
+			}
+		} else {
+			writeReport(out, rep)
+		}
+		if !rep.Healthy() {
+			return fmt.Errorf("campaign unhealthy: %d violated, %d missed expectations",
+				rep.Violated, len(rep.Failures))
+		}
+		if rep.Interrupted {
+			return fmt.Errorf("interrupted after %d/%d scenarios (partial tallies above)",
+				rep.Completed, rep.Runs)
+		}
+		return nil
 	}
-	if !rep.Healthy() {
-		return fmt.Errorf("campaign unhealthy: %d violated, %d missed expectations",
-			rep.Violated, len(rep.Failures))
-	}
-	if rep.Interrupted {
-		return fmt.Errorf("interrupted after %d/%d scenarios (partial tallies above)",
-			rep.Completed, rep.Runs)
-	}
-	return nil
 }
 
 // replayScenario re-runs one scenario and reports its judged outcome,

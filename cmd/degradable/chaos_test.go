@@ -3,8 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,11 +15,10 @@ import (
 	degradable "degradable"
 )
 
-// TestMain mirrors main(): cluster-driver replays re-execute this binary as
-// the node executable, and those children must divert into the node loop.
-func TestMain(m *testing.M) {
-	degradable.ClusterHijack()
-	os.Exit(m.Run())
+// chaosRun runs `degradable chaos` with args, writing to out.
+func chaosRun(t *testing.T, args []string, out io.Writer) error {
+	t.Helper()
+	return runTo(t, out, append([]string{"chaos"}, args...)...)
 }
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden campaign report")
@@ -41,7 +40,7 @@ func TestJSONReportDeterministicAndGolden(t *testing.T) {
 	} {
 		emit := func() string {
 			var buf bytes.Buffer
-			if err := run(tc.args, &buf); err != nil {
+			if err := chaosRun(t, tc.args, &buf); err != nil {
 				t.Fatal(err)
 			}
 			return buf.String()
@@ -75,19 +74,6 @@ func matchGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-func firstDiff(a, b string) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
-}
-
 // TestReplayFailingScenario feeds a mis-bounded counterexample (f = 3 > u
 // lying nodes, D.1 pinned) through -replay and expects the run to fail, the
 // way a shrunk reproduction must keep failing when re-executed.
@@ -106,7 +92,7 @@ func TestReplayFailingScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	err = run([]string{"-replay", string(enc)}, &buf)
+	err = chaosRun(t, []string{"-replay", string(enc)}, &buf)
 	if err == nil {
 		t.Fatalf("mis-bounded replay exited clean:\n%s", buf.String())
 	}
@@ -117,7 +103,7 @@ func TestReplayFailingScenario(t *testing.T) {
 
 func TestReplayHealthyScenario(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-replay", `{"n":5,"m":1,"u":2,"seed":1}`}, &buf); err != nil {
+	if err := chaosRun(t, []string{"-replay", `{"n":5,"m":1,"u":2,"seed":1}`}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "expectation met") {
@@ -136,7 +122,7 @@ func TestReplayCrashScenario(t *testing.T) {
 	sc := `{"n":5,"m":1,"u":2,"seed":11,"driver":"cluster",` +
 		`"crashes":[{"node":2,"round":2,"phase":"sent"}]}`
 	var buf bytes.Buffer
-	if err := run([]string{"-replay", sc, "-json"}, &buf); err != nil {
+	if err := chaosRun(t, []string{"-replay", sc, "-json"}, &buf); err != nil {
 		t.Fatalf("crash replay: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
@@ -163,7 +149,7 @@ func TestReplayCrashScenario(t *testing.T) {
 
 func TestHumanSummary(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-seed", "7", "-runs", "60", "-grid", "5:1:2"}, &buf); err != nil {
+	if err := chaosRun(t, []string{"-seed", "7", "-runs", "60", "-grid", "5:1:2"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -189,25 +175,6 @@ func TestParseGridErrors(t *testing.T) {
 	}
 }
 
-// TestChaosHelpListsEveryFlag checks -h documents the binary's full flag
-// surface, topology axis included.
-func TestChaosHelpListsEveryFlag(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{"-h"}, &buf)
-	if !errors.Is(err, flag.ErrHelp) {
-		t.Fatalf("-h: got %v, want flag.ErrHelp", err)
-	}
-	for _, name := range []string{
-		"seed", "runs", "grid", "max-injectors", "infeasible", "shrink",
-		"json", "replay", "graph", "placement", "topo-sweep", "topo-runs",
-		"async", "sched", "async-sweep", "async-runs", "trace",
-	} {
-		if !strings.Contains(buf.String(), "-"+name) {
-			t.Errorf("-h output missing flag -%s:\n%s", name, buf.String())
-		}
-	}
-}
-
 // TestTopologyFlagErrors covers the -graph/-placement surface's rejection
 // paths: placement without a graph, unknown families, unknown placements,
 // and a graph that parses but cannot be built.
@@ -222,9 +189,9 @@ func TestTopologyFlagErrors(t *testing.T) {
 		{[]string{"-seed", "11", "-runs", "20", "-graph", "gnp:9:0.05:1"}, "no connected graph"},
 	} {
 		var buf bytes.Buffer
-		err := run(tc.args, &buf)
+		err := chaosRun(t, tc.args, &buf)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("run(%v) = %v, want error containing %q", tc.args, err, tc.want)
+			t.Errorf("chaos %v = %v, want error containing %q", tc.args, err, tc.want)
 		}
 	}
 }
@@ -236,7 +203,7 @@ func TestTopologyCampaignDeterministic(t *testing.T) {
 	args := []string{"-seed", "5", "-runs", "50", "-graph", "harary:4:9", "-placement", "cutset", "-json"}
 	emit := func() string {
 		var buf bytes.Buffer
-		if err := run(args, &buf); err != nil {
+		if err := chaosRun(t, args, &buf); err != nil {
 			t.Fatalf("%v\n%s", err, buf.String())
 		}
 		return buf.String()
@@ -263,7 +230,7 @@ func TestTopologyCampaignDeterministic(t *testing.T) {
 		}
 	}
 	var human bytes.Buffer
-	if err := run([]string{"-seed", "5", "-runs", "50", "-graph", "harary:4:9"}, &human); err != nil {
+	if err := chaosRun(t, []string{"-seed", "5", "-runs", "50", "-graph", "harary:4:9"}, &human); err != nil {
 		t.Fatalf("%v\n%s", err, human.String())
 	}
 	if !strings.Contains(human.String(), "topology margin=+0:") {
@@ -290,7 +257,7 @@ func TestReplayTopologyScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := run([]string{"-replay", string(enc)}, &buf); err != nil {
+	if err := chaosRun(t, []string{"-replay", string(enc)}, &buf); err != nil {
 		t.Fatalf("topology replay: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
@@ -358,7 +325,7 @@ func runSweepGolden(t *testing.T, golden string, v any, args ...string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), golden)
 	var buf bytes.Buffer
-	if err := run(append(args, path), &buf); err != nil {
+	if err := chaosRun(t, append(args, path), &buf); err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
 	}
 	got, err := os.ReadFile(path)
@@ -380,7 +347,7 @@ func TestAsyncCampaignCLI(t *testing.T) {
 	args := []string{"-seed", "42", "-runs", "250", "-async", "-json"}
 	emit := func() string {
 		var buf bytes.Buffer
-		if err := run(args, &buf); err != nil {
+		if err := chaosRun(t, args, &buf); err != nil {
 			t.Fatalf("%v\n%s", err, buf.String())
 		}
 		return buf.String()
@@ -408,7 +375,7 @@ func TestAsyncCampaignCLI(t *testing.T) {
 	}
 
 	var human bytes.Buffer
-	if err := run([]string{"-seed", "42", "-runs", "60", "-async", "-sched", "adversarial,starve"}, &human); err != nil {
+	if err := chaosRun(t, []string{"-seed", "42", "-runs", "60", "-async", "-sched", "adversarial,starve"}, &human); err != nil {
 		t.Fatalf("%v\n%s", err, human.String())
 	}
 	if !strings.Contains(human.String(), "async: terminated=") {
@@ -431,7 +398,7 @@ func TestReplayAsyncScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := run([]string{"-replay", string(enc)}, &buf); err != nil {
+	if err := chaosRun(t, []string{"-replay", string(enc)}, &buf); err != nil {
 		t.Fatalf("async replay: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
@@ -440,6 +407,28 @@ func TestReplayAsyncScenario(t *testing.T) {
 	}
 	if !strings.Contains(out, "expectation met") {
 		t.Errorf("recorded async scenario missed its expectation:\n%s", out)
+	}
+}
+
+// TestCountFlagErrors checks a count flag below 1 is rejected by name
+// instead of falling back to the campaign's default.
+func TestCountFlagErrors(t *testing.T) {
+	sweep := filepath.Join(t.TempDir(), "sweep.json") // written only if a row is accepted
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-runs", "0"}, "-runs 0"},
+		{[]string{"-runs", "-5"}, "-runs -5"},
+		{[]string{"-max-injectors", "0", "-runs", "5"}, "-max-injectors 0"},
+		{[]string{"-topo-runs", "0", "-topo-sweep", sweep}, "-topo-runs 0"},
+		{[]string{"-async-runs", "0", "-async-sweep", sweep}, "-async-runs 0"},
+	} {
+		var buf bytes.Buffer
+		err := chaosRun(t, tc.args, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("chaos %v = %v, want error containing %q", tc.args, err, tc.want)
+		}
 	}
 }
 
@@ -453,9 +442,9 @@ func TestAsyncFlagErrors(t *testing.T) {
 		{[]string{"-async", "-graph", "harary:4:9", "-runs", "1"}, "mutually exclusive"},
 	} {
 		var buf bytes.Buffer
-		err := run(tc.args, &buf)
+		err := chaosRun(t, tc.args, &buf)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("run(%v) = %v, want error containing %q", tc.args, err, tc.want)
+			t.Errorf("chaos %v = %v, want error containing %q", tc.args, err, tc.want)
 		}
 	}
 }
@@ -485,24 +474,24 @@ func TestAsyncSweepWritesBench(t *testing.T) {
 }
 
 // TestInterruptPrintsPartialTallies delivers SIGINT mid-campaign and checks
-// the CLI prints the partial report instead of discarding it, and exits
+// the CLI prints the partial report instead of discarding it, and exits 1
 // with the interrupted error.
 func TestInterruptPrintsPartialTallies(t *testing.T) {
-	var buf bytes.Buffer
-	done := make(chan error, 1)
+	var buf, errBuf bytes.Buffer
+	done := make(chan int, 1)
 	go func() {
 		// A large campaign so the signal lands mid-run; the runs count only
 		// bounds the sweep, interruption cuts it short.
-		done <- run([]string{"-seed", "3", "-runs", "200000"}, &buf)
+		done <- dispatch([]string{"chaos", "-seed", "3", "-runs", "200000"}, &buf, &errBuf)
 	}()
 	time.Sleep(200 * time.Millisecond)
 	if err := syscall.Kill(syscall.Getpid(), syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "interrupted") {
-			t.Fatalf("interrupted campaign returned %v", err)
+	case code := <-done:
+		if code != 1 || !strings.Contains(errBuf.String(), "interrupted") {
+			t.Fatalf("interrupted campaign exited %d: %s", code, errBuf.String())
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("campaign did not stop on SIGINT")

@@ -1,28 +1,3 @@
-// Command cluster runs m/u-degradable agreement as a true distributed
-// system: one OS process per node on loopback TCP, round-tagged frames,
-// per-round hold-back deadlines (§4 assumption b), and decisions judged
-// against the executable spec.
-//
-// Usage:
-//
-//	cluster -n 7 -m 1 -u 2 -faults 2:twofaced:999,4:silent    # one instance
-//	cluster -n 7 -m 1 -u 2 -kill 3:1:sent                     # SIGKILL + restart mid-round
-//	cluster -n 7 -m 1 -u 2 -kill 3:2:sent:bitflip             # + corrupted checkpoint
-//	cluster -n 7 -m 1 -u 2 -campaign 25 -seed 7               # chaos campaign
-//	cluster -n 7 -m 1 -u 2 -campaign 25 -crashes 2            # + crash schedules
-//
-// Fault syntax is chaos.ParseFaults' node:kind[:value][:seed] with kinds
-// silent, crash, lie, twofaced, random. Crash schedules (-kill) are
-// node:round[:phase][:mod] — phase "sent" or "closed", mod one of bitflip,
-// truncate, stale (damage the victim's checkpoint before the respawn) or
-// norestart (leave it dead: NeverConverged by construction). The run's
-// convergence taxonomy (Converged-in-k-rounds / NeverConverged) and the
-// restore counters land in the report. In campaign mode every generated
-// scenario executes across real processes and is classified by the chaos
-// engine (SpecHeld / GracefulOnly / Violated / Infeasible); the command
-// exits non-zero on any violation or missed expectation. Node processes are
-// spawned by re-executing this binary (-node-bin substitutes another node
-// binary, e.g. cmd/node).
 package main
 
 import (
@@ -45,17 +20,31 @@ import (
 	"degradable/internal/types"
 )
 
-func main() {
-	cluster.Hijack() // node processes re-execute this binary
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "cluster:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("cluster", flag.ContinueOnError)
-	fs.SetOutput(out)
+// clusterFlags runs m/u-degradable agreement as a true distributed
+// system: one OS process per node on loopback TCP, round-tagged frames,
+// per-round hold-back deadlines (§4 assumption b), and decisions judged
+// against the executable spec.
+//
+//	degradable cluster -n 7 -m 1 -u 2 -faults 2:twofaced:999,4:silent    # one instance
+//	degradable cluster -n 7 -m 1 -u 2 -kill 3:1:sent                     # SIGKILL + restart mid-round
+//	degradable cluster -n 7 -m 1 -u 2 -kill 3:2:sent:bitflip             # + corrupted checkpoint
+//	degradable cluster -n 7 -m 1 -u 2 -campaign 25 -seed 7               # chaos campaign
+//	degradable cluster -n 7 -m 1 -u 2 -campaign 25 -crashes 2            # + crash schedules
+//
+// Fault syntax is chaos.ParseFaults' node:kind[:value][:seed] with kinds
+// silent, crash, lie, twofaced, random. Crash schedules (-kill) are
+// node:round[:phase][:mod] — phase "sent" or "closed", mod one of bitflip,
+// truncate, stale (damage the victim's checkpoint before the respawn) or
+// norestart (leave it dead: NeverConverged by construction). The run's
+// convergence taxonomy (Converged-in-k-rounds / NeverConverged) and the
+// restore counters land in the report. In campaign mode every generated
+// scenario executes across real processes and is classified by the chaos
+// engine (SpecHeld / GracefulOnly / Violated / Infeasible); the command
+// fails on any violation or missed expectation. A campaign draws each
+// scenario's sender, value, faults and crashes, so -sender, -value, -faults
+// and -kill are errors with -campaign, and -crashes is one without it.
+// Node processes are spawned by re-executing this binary.
+func clusterFlags(fs *flag.FlagSet) func(io.Writer) error {
 	var (
 		n        = fs.Int("n", 7, "number of nodes (one process each)")
 		m        = fs.Int("m", 1, "full-agreement fault threshold")
@@ -72,80 +61,85 @@ func run(args []string, out io.Writer) error {
 		grace    = fs.Duration("grace", 0, "recovery grace: how long a respawned victim may take to rejoin (default deadline*(m+3)+5s)")
 		trace    = fs.String("trace", "", "dump the structured round-event stream to this JSONL file")
 		asJSON   = fs.Bool("json", false, "emit the full report as JSON")
-		nodeBin  = fs.String("node-bin", "", "spawn this node binary instead of re-executing (e.g. a cmd/node build)")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var command []string
-	if *nodeBin != "" {
-		command = []string{*nodeBin}
-	}
+	return func(out io.Writer) error {
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if *campaign > 0 {
+			for _, name := range []string{"faults", "kill", "sender", "value"} {
+				if set[name] {
+					return fmt.Errorf("-%s does not apply with -campaign: every scenario draws its own", name)
+				}
+			}
+		} else if set["crashes"] {
+			return fmt.Errorf("-crashes %d requires -campaign", *crashes)
+		}
 
-	// SIGINT cancels the run; node processes are killed with it.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+		// SIGINT cancels the run; node processes are killed with it.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
 
-	if *campaign > 0 {
-		return runCampaign(ctx, out, campaignConfig{
-			n: *n, m: *m, u: *u, seed: *seed, runs: *campaign,
-			crashes:  *crashes,
-			deadline: *deadline, trace: *trace,
-			asJSON: *asJSON, command: command,
+		if *campaign > 0 {
+			return runCampaign(ctx, out, campaignConfig{
+				n: *n, m: *m, u: *u, seed: *seed, runs: *campaign,
+				crashes:  *crashes,
+				deadline: *deadline, grace: *grace, ckptDir: *ckptDir,
+				trace: *trace, asJSON: *asJSON,
+			})
+		}
+
+		flts, err := chaos.ParseFaults(*faults)
+		if err != nil {
+			return err
+		}
+		kills, err := parseKills(*kill)
+		if err != nil {
+			return err
+		}
+		rep, err := cluster.Run(ctx, cluster.Config{
+			N: *n, M: *m, U: *u,
+			Sender: types.NodeID(*sender), SenderValue: types.Value(*value),
+			Faults: flts, Seed: *seed, Deadline: *deadline,
+			Crashes: kills, CheckpointDir: *ckptDir, RecoveryGrace: *grace,
+			Trace: *trace != "",
 		})
-	}
-
-	flts, err := chaos.ParseFaults(*faults)
-	if err != nil {
-		return err
-	}
-	kills, err := parseKills(*kill)
-	if err != nil {
-		return err
-	}
-	rep, err := cluster.Run(ctx, cluster.Config{
-		N: *n, M: *m, U: *u,
-		Sender: types.NodeID(*sender), SenderValue: types.Value(*value),
-		Faults: flts, Seed: *seed, Deadline: *deadline, Command: command,
-		Crashes: kills, CheckpointDir: *ckptDir, RecoveryGrace: *grace,
-		Trace: *trace != "",
-	})
-	if err != nil {
-		return err
-	}
-	if *trace != "" {
-		if err := obs.WriteJSONLFile(*trace, rep.Events()); err != nil {
+		if err != nil {
 			return err
 		}
+		if *trace != "" {
+			if err := obs.WriteJSONLFile(*trace, rep.Events()); err != nil {
+				return err
+			}
+		}
+		if *asJSON {
+			enc := json.NewEncoder(out)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(rep); err != nil {
+				return err
+			}
+		} else {
+			fmt.Fprintf(out, "cluster: N=%d m=%d u=%d f=%d — %d processes over loopback TCP\n",
+				*n, *m, *u, len(flts), *n)
+			for i := 0; i < *n; i++ {
+				fmt.Fprintf(out, "  node %d decided %s\n", i, rep.Result.Decisions[types.NodeID(i)])
+			}
+			fmt.Fprintf(out, "verdict: %s — ok=%v graceful=%v", rep.Verdict.Condition, rep.Verdict.OK, rep.Verdict.Graceful)
+			if rep.Verdict.Reason != "" {
+				fmt.Fprintf(out, " (%s)", rep.Verdict.Reason)
+			}
+			fmt.Fprintf(out, "\nround waits: max %v, p99 %v, total %v; late batches: %d\n",
+				rep.RoundWaitMax(), time.Duration(rep.RoundWait.P99), rep.RoundWaitTotal(), rep.Late())
+			if rep.Recovery != nil {
+				fmt.Fprintf(out, "recovery: %s — %d restart(s), %d unrecovered, %d corrupt / %d stale checkpoint(s) rejected\n",
+					rep.Convergence, rep.Recovery.Restarts, rep.Recovery.Unrecovered,
+					rep.Recovery.CorruptRejected, rep.Recovery.StaleRejected)
+			}
+		}
+		if !rep.Verdict.OK {
+			return fmt.Errorf("spec violated: %s", rep.Verdict.Reason)
+		}
+		return nil
 	}
-	if *asJSON {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-	} else {
-		fmt.Fprintf(out, "cluster: N=%d m=%d u=%d f=%d — %d processes over loopback TCP\n",
-			*n, *m, *u, len(flts), *n)
-		for i := 0; i < *n; i++ {
-			fmt.Fprintf(out, "  node %d decided %s\n", i, rep.Result.Decisions[types.NodeID(i)])
-		}
-		fmt.Fprintf(out, "verdict: %s — ok=%v graceful=%v", rep.Verdict.Condition, rep.Verdict.OK, rep.Verdict.Graceful)
-		if rep.Verdict.Reason != "" {
-			fmt.Fprintf(out, " (%s)", rep.Verdict.Reason)
-		}
-		fmt.Fprintf(out, "\nround waits: max %v, p99 %v, total %v; late batches: %d\n",
-			rep.RoundWaitMax(), time.Duration(rep.RoundWait.P99), rep.RoundWaitTotal(), rep.Late())
-		if rep.Recovery != nil {
-			fmt.Fprintf(out, "recovery: %s — %d restart(s), %d unrecovered, %d corrupt / %d stale checkpoint(s) rejected\n",
-				rep.Convergence, rep.Recovery.Restarts, rep.Recovery.Unrecovered,
-				rep.Recovery.CorruptRejected, rep.Recovery.StaleRejected)
-		}
-	}
-	if !rep.Verdict.OK {
-		return fmt.Errorf("spec violated: %s", rep.Verdict.Reason)
-	}
-	return nil
 }
 
 // campaignConfig carries the campaign-mode parameters.
@@ -155,9 +149,10 @@ type campaignConfig struct {
 	runs     int
 	crashes  int
 	deadline time.Duration
+	grace    time.Duration
+	ckptDir  string
 	trace    string
 	asJSON   bool
-	command  []string
 }
 
 // runCampaign sweeps a seeded chaos campaign where every scenario runs as
@@ -176,7 +171,8 @@ func runCampaign(ctx context.Context, out io.Writer, cc campaignConfig) error {
 			Sender: sc.Sender, SenderValue: sc.SenderValue,
 			Faults: sc.Faults, Injectors: sc.Injectors,
 			Crashes: sc.Crashes,
-			Seed:    sc.Seed, Deadline: cc.deadline, Command: cc.command,
+			Seed:    sc.Seed, Deadline: cc.deadline,
+			CheckpointDir: cc.ckptDir, RecoveryGrace: cc.grace,
 			Trace: cc.trace != "",
 		})
 		if err != nil {

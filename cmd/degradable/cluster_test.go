@@ -3,8 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"flag"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -13,48 +12,65 @@ import (
 	"degradable/internal/cluster"
 )
 
-// TestMain lets the test binary serve as the node executable: the launcher
-// re-executes os.Executable(), and spawned children divert into the node
-// main loop here instead of running the tests again.
-func TestMain(m *testing.M) {
-	cluster.Hijack()
-	os.Exit(m.Run())
-}
-
-// TestClusterHelpListsEveryFlag checks -h documents the binary's full flag
-// surface.
-func TestClusterHelpListsEveryFlag(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-h"}, &out)
-	if !errors.Is(err, flag.ErrHelp) {
-		t.Fatalf("-h: got %v, want flag.ErrHelp", err)
-	}
-	for _, name := range []string{
-		"n", "m", "u", "sender", "value", "faults", "seed",
-		"deadline", "campaign", "crashes", "kill", "ckpt-dir", "grace",
-		"trace", "json", "node-bin",
-	} {
-		if !strings.Contains(out.String(), "-"+name) {
-			t.Errorf("-h output missing flag -%s:\n%s", name, out.String())
-		}
-	}
-}
-
 // TestParseFaults checks that -faults reads chaos.ParseFaults'
 // node:kind[:value][:seed] grammar before any process is spawned: a good
 // fault list gets past the fault parser (the bad -kill behind it is what
 // stops the run) and every bad one is reported as a fault error.
 func TestParseFaults(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-faults", "2:twofaced:999,4:silent,1:random:0:42", "-kill", "x"}, &out)
+	err := clusterRun(t, []string{"-faults", "2:twofaced:999,4:silent,1:random:0:42", "-kill", "x"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "bad kill") {
 		t.Fatalf("good -faults with bad -kill: got %v, want the kill error", err)
 	}
 	for _, bad := range []string{"2", "2:nope", "x:silent", "2:lie:x", "2:random:0:x"} {
-		err := run([]string{"-faults", bad}, &out)
+		err := clusterRun(t, []string{"-faults", bad}, &out)
 		if err == nil || !strings.Contains(err.Error(), "fault") {
 			t.Errorf("-faults %q: got %v, want a fault error", bad, err)
 		}
+	}
+}
+
+// TestClusterFlagConflicts checks the flags that describe one instance are
+// rejected with -campaign, and -crashes without it, before any process is
+// spawned.
+func TestClusterFlagConflicts(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-campaign", "1", "-faults", "2:silent"}, "-faults does not apply with -campaign"},
+		{[]string{"-campaign", "1", "-kill", "2:1"}, "-kill does not apply with -campaign"},
+		{[]string{"-campaign", "1", "-sender", "1"}, "-sender does not apply with -campaign"},
+		{[]string{"-campaign", "1", "-value", "7"}, "-value does not apply with -campaign"},
+		{[]string{"-crashes", "2"}, "-crashes 2 requires -campaign"},
+		{[]string{"-crashes", "0"}, "-crashes 0 requires -campaign"},
+	} {
+		var out bytes.Buffer
+		err := clusterRun(t, append([]string{"-n", "4", "-m", "1", "-u", "1"}, tc.args...), &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("cluster %v = %v, want error containing %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestClusterCampaignCheckpointDir checks a campaign's scenarios write their
+// checkpoints under -ckpt-dir instead of ignoring it.
+func TestClusterCampaignCheckpointDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns OS processes")
+	}
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := clusterRun(t, []string{"-n", "4", "-m", "1", "-u", "1", "-campaign", "1",
+		"-ckpt-dir", dir, "-deadline", "2s"}, &out); err != nil {
+		t.Fatalf("campaign: %v\n%s", err, out.String())
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Errorf("campaign wrote no checkpoints under -ckpt-dir:\n%s", out.String())
 	}
 }
 
@@ -118,11 +134,17 @@ func TestClusterCommandEndToEnd(t *testing.T) {
 	}
 }
 
-// runJSON runs the binary with -json and decodes its report.
+// clusterRun runs `degradable cluster` with args, writing to out.
+func clusterRun(t *testing.T, args []string, out io.Writer) error {
+	t.Helper()
+	return runTo(t, out, append([]string{"cluster"}, args...)...)
+}
+
+// runJSON runs the subcommand with -json and decodes its report.
 func runJSON(t *testing.T, args []string) *cluster.Report {
 	t.Helper()
 	var out bytes.Buffer
-	if err := run(append(args, "-json"), &out); err != nil {
+	if err := clusterRun(t, append(args, "-json"), &out); err != nil {
 		t.Fatalf("run -json: %v\n%s", err, out.String())
 	}
 	var rep cluster.Report

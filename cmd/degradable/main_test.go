@@ -4,42 +4,75 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"regexp"
 	"slices"
 	"strings"
 	"testing"
 
-	"degradable/internal/cliflags"
+	"degradable/internal/cluster"
 )
 
-// runSub runs one subcommand the way dispatch does and returns its output.
-func runSub(t *testing.T, args ...string) (string, error) {
+// TestMain mirrors main(): the cluster launcher re-executes this test
+// binary as the node executable (cluster runs and cluster-driver chaos
+// replays), and those children must divert into the node loop.
+func TestMain(m *testing.M) {
+	cluster.Hijack()
+	os.Exit(m.Run())
+}
+
+// runTo runs one subcommand the way dispatch does, writing to out.
+func runTo(t *testing.T, out io.Writer, args ...string) error {
 	t.Helper()
 	for _, c := range commands {
 		if c.name == args[0] {
-			var out bytes.Buffer
-			err := c.run(args[1:], &out)
-			return out.String(), err
+			return c.run(args[1:], out)
 		}
 	}
 	t.Fatalf("no subcommand %q", args[0])
-	return "", nil
+	return nil
+}
+
+// runSub runs one subcommand and returns its output.
+func runSub(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	var out bytes.Buffer
+	err := runTo(t, &out, args...)
+	return out.String(), err
+}
+
+// flagNames returns every flag name registered on fs, in sorted order.
+func flagNames(fs *flag.FlagSet) []string {
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	return names
 }
 
 // TestHelpListsEveryFlag pins each subcommand's flag surface and checks -h
-// documents all of it.
+// documents all of it: a flag added without usage text, or renamed in one
+// subcommand only, fails here.
 func TestHelpListsEveryFlag(t *testing.T) {
 	want := map[string][]string{
 		"experiments": {"list", "markdown", "only", "seed"},
 		"degrade":     {"explain", "faults", "m", "n", "trace", "u", "value"},
 		"netinfo":     {"graph"},
 		"longhaul":    {"fail", "m", "n", "repair", "seed", "steps", "u"},
+		"chaos": {"async", "async-runs", "async-sweep", "graph", "grid", "infeasible", "json",
+			"max-injectors", "placement", "replay", "runs", "sched", "seed", "shrink",
+			"topo-runs", "topo-sweep", "trace"},
+		"cluster": {"campaign", "ckpt-dir", "crashes", "deadline", "faults", "grace", "json",
+			"kill", "m", "n", "seed", "sender", "trace", "u", "value"},
+		"node": {"listen", "pprof"},
+		"serve": {"addr", "batch", "grace", "idle-timeout", "pprof", "queue", "read-timeout",
+			"shards", "spec-sample", "trace", "write-timeout"},
+		"router": {"addr", "backends", "conns-per-backend", "grace", "load-factor", "pprof",
+			"quota", "trace", "vnodes"},
 	}
 	for _, c := range commands {
 		fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
 		c.flags(fs)
-		names := cliflags.Names(fs)
+		names := flagNames(fs)
 		if !slices.Equal(names, want[c.name]) {
 			t.Errorf("%s flags = %v, want %v", c.name, names, want[c.name])
 		}
@@ -61,6 +94,9 @@ func TestHelpListsEveryFlag(t *testing.T) {
 // TestDispatch checks the exit statuses: 2 and the subcommand list for a
 // missing or unknown subcommand, 0 for -h, 1 for a failing run.
 func TestDispatch(t *testing.T) {
+	// A lying broadcaster with D.1 pinned: the replay misses its expectation.
+	const failing = `{"n":4,"seed":5,"driver":"async","sched":"adversarial",` +
+		`"faults":[{"node":0,"kind":3,"value":2002}],"expect":{"condition":"D.1"}}`
 	for _, tt := range []struct {
 		args []string
 		want int
@@ -69,6 +105,12 @@ func TestDispatch(t *testing.T) {
 		{[]string{"minnodes"}, 2},
 		{[]string{"netinfo", "-h"}, 0},
 		{[]string{"netinfo", "-graph", "nope:1"}, 1},
+		{[]string{"chaos", "-h"}, 0},
+		{[]string{"cluster", "-h"}, 0},
+		{[]string{"node", "-h"}, 0},
+		{[]string{"serve", "-h"}, 0},
+		{[]string{"router", "-h"}, 0},
+		{[]string{"chaos", "-shrink=false", "-replay", failing}, 1},
 	} {
 		var out, errOut bytes.Buffer
 		if got := dispatch(tt.args, &out, &errOut); got != tt.want {

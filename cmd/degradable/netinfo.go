@@ -15,7 +15,7 @@ import (
 // netinfoFlags analyzes a network topology for degradable agreement: its
 // vertex connectivity, the (m, u) pairs it supports per Theorem 3
 // (connectivity ≥ m+u+1), and a sample disjoint-path routing. The graph is
-// one topology.ParseSpec family:params string, as for cmd/chaos -graph.
+// one topology.ParseSpec family:params string, as for degradable chaos -graph.
 func netinfoFlags(fs *flag.FlagSet) func(io.Writer) error {
 	graph := fs.String("graph", "harary:4:9",
 		"graph as family:params ("+strings.Join(topology.Families(), ", ")+"; see topology.Spec)")

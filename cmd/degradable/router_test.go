@@ -1,16 +1,13 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -19,25 +16,6 @@ import (
 	"degradable/internal/service"
 	"degradable/internal/wire"
 )
-
-// syncBuf is a mutex-guarded buffer for tests that read the router's
-// output while it is still running.
-type syncBuf struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (s *syncBuf) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuf) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
-}
 
 // startDaemon boots an in-process serve daemon for the router to front.
 func startDaemon(t *testing.T) string {
@@ -57,35 +35,16 @@ func startDaemon(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// TestRouterHelpListsEveryFlag checks -h documents the router's full flag
-// surface, including the shared cliflags ones.
-func TestRouterHelpListsEveryFlag(t *testing.T) {
-	var out bytes.Buffer
-	err := fleet.RouterMain([]string{"-h"}, &out, nil)
-	if !errors.Is(err, flag.ErrHelp) {
-		t.Fatalf("-h: got %v, want flag.ErrHelp", err)
-	}
-	for _, name := range []string{
-		"addr", "backends", "conns-per-backend", "vnodes", "load-factor",
-		"quota", "grace", "pprof", "trace",
-	} {
-		if !strings.Contains(out.String(), "-"+name) {
-			t.Errorf("-h output missing flag -%s:\n%s", name, out.String())
-		}
-	}
-}
-
 // TestRouterBadFlags checks configuration errors surface instead of
 // hanging: missing backends, malformed quota, bad listen address.
 func TestRouterBadFlags(t *testing.T) {
-	var out bytes.Buffer
-	if err := fleet.RouterMain([]string{"-addr", "127.0.0.1:0"}, &out, nil); err == nil {
+	if _, err := runSub(t, "router", "-addr", "127.0.0.1:0"); err == nil {
 		t.Fatal("missing -backends accepted")
 	}
-	if err := fleet.RouterMain([]string{"-addr", "127.0.0.1:0", "-backends", "x:1", "-quota", "7:-1"}, &out, nil); err == nil {
+	if _, err := runSub(t, "router", "-addr", "127.0.0.1:0", "-backends", "x:1", "-quota", "7:-1"); err == nil {
 		t.Fatal("negative quota rate accepted")
 	}
-	if err := fleet.RouterMain([]string{"-addr", "not-an-address", "-backends", "x:1"}, &out, nil); err == nil {
+	if _, err := runSub(t, "router", "-addr", "not-an-address", "-backends", "x:1"); err == nil {
 		t.Fatal("bad listen address accepted")
 	}
 }
@@ -101,7 +60,7 @@ func TestRouterMetricsScrape(t *testing.T) {
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- fleet.RouterMain([]string{
+		done <- runDaemon(fleet.RouterFlags, []string{
 			"-addr", "127.0.0.1:0",
 			"-backends", backend,
 			"-pprof", "127.0.0.1:0",

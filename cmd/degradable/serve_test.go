@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
 	"flag"
 	"io"
 	"net/http"
@@ -37,15 +36,27 @@ func (s *syncBuf) String() string {
 	return s.b.String()
 }
 
+// runDaemon parses args over a daemon subcommand's flags and runs its
+// action, as dispatch does, with ready receiving the bound address.
+func runDaemon(flags func(*flag.FlagSet, chan<- string) func(io.Writer) error, args []string, out io.Writer, ready chan<- string) error {
+	fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
+	fs.SetOutput(out)
+	act := flags(fs, ready)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return act(out)
+}
+
 // TestServeSignalShutdown boots the daemon on an ephemeral port, serves a
 // request over real TCP, then delivers SIGTERM and checks the graceful
-// path: ServeMain returns nil and the final counters are printed.
+// path: the action returns nil and the final counters are printed.
 func TestServeSignalShutdown(t *testing.T) {
 	var out bytes.Buffer
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- fleet.ServeMain([]string{"-addr", "127.0.0.1:0", "-shards", "2"}, &out, ready)
+		done <- runDaemon(fleet.ServeFlags, []string{"-addr", "127.0.0.1:0", "-shards", "2"}, &out, ready)
 	}()
 	var addr string
 	select {
@@ -77,7 +88,7 @@ func TestServeSignalShutdown(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("ServeMain: %v", err)
+			t.Fatalf("serve: %v", err)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not shut down on SIGTERM")
@@ -87,32 +98,12 @@ func TestServeSignalShutdown(t *testing.T) {
 	}
 }
 
-// TestServeHelpListsEveryFlag checks -h documents the daemon's full flag
-// surface, including the shared cliflags ones — a flag added without usage
-// text (or renamed in one binary only) fails here.
-func TestServeHelpListsEveryFlag(t *testing.T) {
-	var out bytes.Buffer
-	err := fleet.ServeMain([]string{"-h"}, &out, nil)
-	if !errors.Is(err, flag.ErrHelp) {
-		t.Fatalf("-h: got %v, want flag.ErrHelp", err)
-	}
-	for _, name := range []string{
-		"addr", "shards", "queue", "batch", "spec-sample", "grace",
-		"pprof", "trace", "read-timeout", "write-timeout", "idle-timeout",
-	} {
-		if !strings.Contains(out.String(), "-"+name) {
-			t.Errorf("-h output missing flag -%s:\n%s", name, out.String())
-		}
-	}
-}
-
 // TestServeBadFlags checks flag errors surface instead of hanging.
 func TestServeBadFlags(t *testing.T) {
-	var out bytes.Buffer
-	if err := fleet.ServeMain([]string{"-addr", "not-an-address"}, &out, nil); err == nil {
+	if _, err := runSub(t, "serve", "-addr", "not-an-address"); err == nil {
 		t.Fatal("bad listen address accepted")
 	}
-	if err := fleet.ServeMain([]string{"-addr", "127.0.0.1:0", "-pprof", "not-an-address"}, &out, nil); err == nil {
+	if _, err := runSub(t, "serve", "-addr", "127.0.0.1:0", "-pprof", "not-an-address"); err == nil {
 		t.Fatal("bad pprof address accepted")
 	}
 }
@@ -125,7 +116,7 @@ func TestServePprof(t *testing.T) {
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- fleet.ServeMain([]string{"-addr", "127.0.0.1:0", "-shards", "1", "-pprof", "127.0.0.1:0"}, &out, ready)
+		done <- runDaemon(fleet.ServeFlags, []string{"-addr", "127.0.0.1:0", "-shards", "1", "-pprof", "127.0.0.1:0"}, &out, ready)
 	}()
 	select {
 	case <-ready:
@@ -176,7 +167,7 @@ func TestServePprof(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("ServeMain: %v", err)
+			t.Fatalf("serve: %v", err)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not shut down")

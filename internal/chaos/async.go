@@ -367,7 +367,7 @@ type AsyncSweepRow struct {
 	SafetyViolations int `json:"safety_violations"`
 }
 
-// AsyncBench is the cmd/chaos -async-sweep document: FIFO versus adversarial
+// AsyncBench is the degradable chaos -async-sweep document: FIFO versus adversarial
 // scheduling over identical seeded fault-free A-Cast workloads — how much
 // latency (in deliveries) the worst-case schedule costs, and the evidence
 // that safety never paid for it.

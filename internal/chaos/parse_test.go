@@ -8,7 +8,7 @@ import (
 )
 
 // TestParseFaults is the one table for the node:kind[:value][:seed] fault
-// grammar that cmd/cluster and `degradable degrade` read.
+// grammar that degradable cluster and degradable degrade read.
 func TestParseFaults(t *testing.T) {
 	tests := []struct {
 		name string

@@ -160,7 +160,7 @@ type Scenario struct {
 	// its deterministic in-process surrogate (the judged semantics are
 	// identical when round deadlines cause no false absences) — replay
 	// across real processes goes through internal/cluster's Executor, as
-	// cmd/chaos -replay does when the driver field says "cluster". Crash
+	// degradable chaos -replay does when the driver field says "cluster". Crash
 	// schedules replay under the surrogate as adversary.Crash strategies
 	// (honest through the kill round, silent after): the judged verdict
 	// matches the cluster's because victims count as faulty either way,

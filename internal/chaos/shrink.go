@@ -177,13 +177,14 @@ func shaveNode(sc Scenario) (Scenario, bool) {
 }
 
 // ReproCommand renders a shell command that replays the scenario through
-// cmd/chaos and exits non-zero when it still misses its expectation.
+// degradable chaos and exits non-zero when it still misses its
+// expectation.
 func ReproCommand(sc Scenario) string {
 	b, err := json.Marshal(sc)
 	if err != nil {
 		return fmt.Sprintf("chaos: unencodable scenario: %v", err)
 	}
-	return fmt.Sprintf("go run ./cmd/chaos -replay '%s'", b)
+	return fmt.Sprintf("go run ./cmd/degradable chaos -replay '%s'", b)
 }
 
 // ReproGo renders the scenario as a copy-pasteable reproduction against the

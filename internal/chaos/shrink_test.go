@@ -84,7 +84,7 @@ func TestShrinkMisboundedScenario(t *testing.T) {
 
 	// The rendered reproductions replay the counterexample.
 	cmd := ReproCommand(min)
-	if !strings.Contains(cmd, "go run ./cmd/chaos -replay") {
+	if !strings.Contains(cmd, "go run ./cmd/degradable chaos -replay") {
 		t.Errorf("repro command unusable: %s", cmd)
 	}
 	code := ReproGo(min)

@@ -40,7 +40,7 @@ type TopoCell struct {
 	HopsPerLogicalMsg float64 `json:"hops_per_logical_msg"`
 }
 
-// TopoBench is the Theorem 3 boundary table cmd/chaos -topo-sweep writes:
+// TopoBench is the Theorem 3 boundary table degradable chaos -topo-sweep writes:
 // every cell plus the aggregates its summary line reports.
 type TopoBench struct {
 	Seed        int64      `json:"seed"`

@@ -1,7 +1,7 @@
-// Package cliflags holds the flag definitions shared by the repo's network
-// binaries (cmd/serve, cmd/node, cmd/cluster), so an address, profiling, or
-// timeout flag spells and behaves identically everywhere — and so each
-// binary's -h test can assert the shared surface without duplicating it.
+// Package cliflags holds the flag definitions shared by the subcommands of
+// cmd/degradable (serve, router, node, chaos), so an address,
+// profiling, trace or timeout flag spells and behaves identically
+// everywhere.
 package cliflags
 
 import (
@@ -14,8 +14,8 @@ import (
 	"degradable/internal/wire"
 )
 
-// Addr registers the listen-address flag under the given name (cmd/serve
-// uses "addr", cmd/node uses "listen" — same semantics, different habit).
+// Addr registers the listen-address flag under the given name (serve uses
+// "addr", node uses "listen" — same semantics, different habit).
 func Addr(fs *flag.FlagSet, name, def string) *string {
 	return fs.String(name, def, "listen address")
 }
@@ -30,14 +30,14 @@ func Shards(fs *flag.FlagSet) *int {
 	return fs.Int("shards", 0, "worker shards (default: GOMAXPROCS-aware service default)")
 }
 
-// Quota registers the per-tenant admission-quota flag of cmd/router.
+// Quota registers the per-tenant admission-quota flag of router.
 func Quota(fs *flag.FlagSet) *string {
 	return fs.String("quota", "",
 		"per-tenant token-bucket quotas as tenant:rate[:burst] comma-separated; unlisted tenants are unlimited")
 }
 
-// Trace registers the round-event trace dump flag, shared by cmd/serve,
-// cmd/cluster, and cmd/chaos.
+// Trace registers the round-event trace dump flag, shared by serve, router
+// and chaos.
 func Trace(fs *flag.FlagSet) *string {
 	return fs.String("trace", "", "dump the structured round-event stream to this JSONL file; empty disables")
 }
@@ -104,11 +104,4 @@ func ServeDebug(addr string, reg *obs.Registry) (func() error, string, error) {
 	mux.Handle("/", http.DefaultServeMux) // the pprof handlers register there
 	go http.Serve(ln, mux)
 	return ln.Close, ln.Addr().String(), nil
-}
-
-// Names returns every flag name registered on fs, for -h coverage tests.
-func Names(fs *flag.FlagSet) []string {
-	var names []string
-	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	return names
 }

@@ -28,8 +28,10 @@ func TestSharedFlagSurface(t *testing.T) {
 		t.Errorf("timeouts = %+v", got)
 	}
 	want := []string{"addr", "idle-timeout", "pprof", "read-timeout", "shards", "trace", "write-timeout"}
-	if got := Names(fs); !reflect.DeepEqual(got, want) {
-		t.Errorf("Names = %v, want %v", got, want)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flags = %v, want %v", got, want)
 	}
 }
 

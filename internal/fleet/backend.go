@@ -53,7 +53,7 @@ type beConn struct {
 	dead    bool
 }
 
-// backend is one cmd/serve daemon behind the router: a small pool of
+// backend is one degradable serve daemon behind the router: a small pool of
 // pipelined connections, a health bit, an in-flight gauge for bounded-load
 // placement, and a maintenance goroutine that keeps the pool dialed.
 type backend struct {

@@ -1,6 +1,6 @@
 // Package fleet is the horizontal scale-out tier: a stateless L7 router
 // that speaks the wire protocol on both sides, placing agreement instances
-// on a set of cmd/serve backends by consistent hashing, multiplexing many
+// on a set of degradable serve backends by consistent hashing, multiplexing many
 // client connections onto a few pipelined backend connections, shedding
 // per-tenant overload with an explicit RESOURCE_EXHAUSTED-style status,
 // and keeping the backend set health-checked with jittered-backoff
@@ -11,7 +11,8 @@
 // landing a shape consistently on the same backend is what makes that
 // amortization survive scale-out.
 //
-// ServeMain and RouterMain are the whole of cmd/serve and cmd/router.
+// ServeFlags and RouterFlags are the whole of the serve and router
+// subcommands of cmd/degradable.
 package fleet
 
 import (

@@ -3,7 +3,9 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -20,16 +22,22 @@ import (
 // roles, so TestLaunchFleet runs the shipped serve and router entry points
 // as real processes.
 func TestMain(m *testing.M) {
-	var err error
+	var flags func(*flag.FlagSet, chan<- string) func(io.Writer) error
 	switch proc.Role() {
 	case "":
 		os.Exit(m.Run())
 	case "serve":
-		err = ServeMain(os.Args[1:], os.Stdout, nil)
+		flags = ServeFlags
 	case "router":
-		err = RouterMain(os.Args[1:], os.Stdout, nil)
-	default:
-		err = fmt.Errorf("unknown role %q", proc.Role())
+		flags = RouterFlags
+	}
+	err := fmt.Errorf("unknown role %q", proc.Role())
+	if flags != nil {
+		fs := flag.NewFlagSet(proc.Role(), flag.ContinueOnError)
+		act := flags(fs, nil)
+		if err = fs.Parse(os.Args[1:]); err == nil {
+			err = act(os.Stdout)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, proc.Role()+":", err)
@@ -91,7 +99,7 @@ func (mb *member) scrape() (obs.Snapshot, error) {
 }
 
 // TestLaunchFleet spawns a real 2-daemon fleet behind a router (process
-// per member, re-exec'd from this binary into ServeMain and RouterMain),
+// per member, re-exec'd from this binary into ServeFlags and RouterFlags),
 // routes requests through it over TCP, scrapes the router's telemetry,
 // and stops everything. The admission story is the gate: the capped
 // tenant sheds with resource_exhausted, and the uncapped tenant never

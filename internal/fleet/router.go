@@ -63,7 +63,7 @@ type Config struct {
 	Quotas map[uint32]Quota
 	// Sink, when non-nil, receives an obs.EvVerdict event for every
 	// spec-checked response relayed through the router — the same trace
-	// taxonomy cmd/serve emits, observed in transit (-trace parity).
+	// taxonomy degradable serve emits, observed in transit (-trace parity).
 	Sink obs.Sink
 }
 

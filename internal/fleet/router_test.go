@@ -14,7 +14,7 @@ import (
 	"degradable/internal/wire"
 )
 
-// startDaemon runs an in-process wire server (a stand-in for cmd/serve)
+// startDaemon runs an in-process wire server (a stand-in for degradable serve)
 // and returns its address and a shutdown func.
 func startDaemon(t *testing.T) (string, func()) {
 	t.Helper()

@@ -419,7 +419,7 @@ var (
 )
 
 // Policy spec names accepted by ParsePolicy (scenario JSON's "sched" field
-// and cmd/chaos -sched use this grammar).
+// and degradable chaos -sched use this grammar).
 const (
 	SchedFIFO        = "fifo"
 	SchedReorder     = "reorder"

@@ -54,21 +54,26 @@ for ex in examples/*/; do
 	go run "./$ex" >/dev/null
 done
 
+echo "== build the binary =="
+# Every smoke below runs the one command, cmd/degradable, built once.
+go build -o "$scratch/degradable" ./cmd/degradable
+degradable="$scratch/degradable"
+
 echo "== chaos campaign smoke =="
-go run ./cmd/chaos -seed 42 -runs 250 >/dev/null
+"$degradable" chaos -seed 42 -runs 250 >/dev/null
 
 echo "== topology smoke (sparse graphs under the round engine) =="
 # A Harary-graph campaign with liars pinned on a minimum vertex cut, then
 # a bridged-cut-set campaign; the binary already exits non-zero on any
 # spec violation, and the greps gate that the sparse axis was actually
 # exercised (per-margin tally lines present with live scenario counts).
-go run ./cmd/chaos -seed 11 -runs 150 -graph harary:4:9 -placement cutset |
+"$degradable" chaos -seed 11 -runs 150 -graph harary:4:9 -placement cutset |
   grep -E 'topology margin=\+[0-9]+: scenarios=[1-9]'
-go run ./cmd/chaos -seed 12 -runs 150 -graph bridge:3:4:3 -placement mixed |
+"$degradable" chaos -seed 12 -runs 150 -graph bridge:3:4:3 -placement mixed |
   grep -E 'topology margin='
 # A graph that parses but cannot be built (no connected G(9, 0.05) draw)
 # must fail the campaign, not run it flat.
-if go run ./cmd/chaos -seed 11 -runs 20 -graph gnp:9:0.05:1 >/dev/null 2>&1; then
+if "$degradable" chaos -seed 11 -runs 20 -graph gnp:9:0.05:1 >/dev/null 2>&1; then
   echo "an unbuildable -graph ran as a flat campaign"
   exit 1
 fi
@@ -92,9 +97,9 @@ go test -run '^$' -fuzz FuzzFlatVsMap -fuzztime 10s ./internal/eig
 # the classic-BA baseline column. The grep gates the paper's headline —
 # at least one classic-refused-but-degradable cell — and zero violations
 # above the bound (the sweep itself exits non-zero on any). The table is
-# a golden (cmd/chaos/testdata/topo_sweep_seed9.json, pinned byte for byte
+# a golden (cmd/degradable/testdata/topo_sweep_seed9.json, pinned byte for byte
 # by go test), so this run writes to the scratch directory.
-go run ./cmd/chaos -seed 9 -topo-sweep "$scratch/topo.json" -topo-runs 2 |
+"$degradable" chaos -seed 9 -topo-sweep "$scratch/topo.json" -topo-runs 2 |
   grep -E 'classic_refused_degradable_ok=[1-9][0-9]* bound_violations=0'
 
 echo "== async smoke (A-Cast + ABA under adversarial schedulers) =="
@@ -105,18 +110,18 @@ echo "== async smoke (A-Cast + ABA under adversarial schedulers) =="
 # as the sync drivers are, and the grep gates that safety held under every
 # schedule while starvation produced its NotTerminated verdicts. Then the
 # FIFO-vs-adversarial scheduling sweep, which exits non-zero on any safety
-# violation; its table is the golden cmd/chaos/testdata/async_sweep_seed7.json,
+# violation; its table is the golden cmd/degradable/testdata/async_sweep_seed7.json,
 # so this run writes to the scratch directory.
-go run ./cmd/chaos -seed 42 -runs 250 -async |
+"$degradable" chaos -seed 42 -runs 250 -async |
   grep -E 'async: terminated=[1-9][0-9]* notTerminated=[1-9][0-9]* \(starved=[1-9][0-9]*\) certificates=[1-9][0-9]* safety_violations=0'
-go run ./cmd/chaos -seed 7 -async-sweep "$scratch/async.json" -async-runs 200 |
+"$degradable" chaos -seed 7 -async-sweep "$scratch/async.json" -async-runs 200 |
   grep -E 'async sweep adversarial: .* safety_violations=0'
 # Two replays through the same judge: two two-faced nodes at n=4 are past
 # the tolerance, where nothing is promised (exit 0, regime async-beyond);
 # a pinned D.1 with a lying broadcaster must be missed (exit non-zero).
-go run ./cmd/chaos -replay '{"n":4,"seed":7,"driver":"async","sched":"adversarial","faults":[{"node":0,"kind":4,"value":2002},{"node":3,"kind":4,"value":3003}]}' |
+"$degradable" chaos -replay '{"n":4,"seed":7,"driver":"async","sched":"adversarial","faults":[{"node":0,"kind":4,"value":2002},{"node":3,"kind":4,"value":3003}]}' |
   grep -E 'regime async-beyond'
-if missed=$(go run ./cmd/chaos -shrink=false -replay '{"n":4,"seed":5,"driver":"async","sched":"adversarial","faults":[{"node":0,"kind":3,"value":2002}],"expect":{"condition":"D.1"}}' 2>&1); then
+if missed=$("$degradable" chaos -shrink=false -replay '{"n":4,"seed":5,"driver":"async","sched":"adversarial","faults":[{"node":0,"kind":3,"value":2002}],"expect":{"condition":"D.1"}}' 2>&1); then
 	echo "pinned-D.1 async replay met its expectation; want missed"
 	exit 1
 fi
@@ -137,17 +142,17 @@ echo "== cluster mode smoke (one OS process per node) =="
 # short chaos campaign where every scenario runs cross-process. Exits
 # non-zero on any D.1-D.4 / m+1-floor violation; writes the structured
 # round-event stream TRACE_cluster.jsonl at the repo root.
-go run ./cmd/cluster -n 7 -m 1 -u 2 -faults 2:twofaced:999,5:silent -deadline 10s -trace TRACE_cluster.jsonl >/dev/null
-go run ./cmd/cluster -n 7 -m 1 -u 2 -campaign 10 -seed 7 -deadline 10s >/dev/null
+"$degradable" cluster -n 7 -m 1 -u 2 -faults 2:twofaced:999,5:silent -deadline 10s -trace TRACE_cluster.jsonl >/dev/null
+"$degradable" cluster -n 7 -m 1 -u 2 -campaign 10 -seed 7 -deadline 10s >/dev/null
 
 echo "== crash-recovery smoke (mid-round SIGKILL + checkpoint restore) =="
 # The paper's running example again, but node 2 is SIGKILLed right after its
 # round-2 send, restarts from its checkpoint, and rejoins. The grep is the
 # gate: the run must land in the Converged-in-k taxonomy with k <= m+1 (= 2)
-# and a clean verdict — cmd/cluster already exits non-zero on any spec
+# and a clean verdict — `degradable cluster` already exits non-zero on any spec
 # violation. Writes the recovery round-event stream to TRACE_recovery.jsonl
 # at the repo root.
-go run ./cmd/cluster -n 7 -m 1 -u 2 -kill 2:2:sent -deadline 10s \
+"$degradable" cluster -n 7 -m 1 -u 2 -kill 2:2:sent -deadline 10s \
   -trace TRACE_recovery.jsonl |
   grep -E 'recovery: Converged-in-[0-2]-rounds'
 
@@ -157,8 +162,8 @@ echo "== benchmark (bench/, the repo's one measurement instrument) =="
 # violation, simulator digest mismatch). The report is BENCH.json at the
 # repo root (gitignored; CI uploads it). The real-process fleet smoke —
 # quota sheds for a capped tenant, none for an uncapped one — is
-# TestLaunchFleet in go test above: it spawns the shipped ServeMain and
-# RouterMain as child processes through internal/proc.
+# TestLaunchFleet in go test above: it spawns the shipped ServeFlags and
+# RouterFlags as child processes through internal/proc.
 go run -C bench degradable/bench -seconds 2 -out "$PWD/BENCH.json"
 
 echo "all checks passed"

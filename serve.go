@@ -45,7 +45,7 @@ var (
 // NewService starts an in-process agreement service.
 func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 
-// Serve exposes svc on ln and blocks accepting connections (the cmd/serve
+// Serve exposes svc on ln and blocks accepting connections (the degradable serve
 // daemon in one call). Shut down with (*Server).Shutdown; Serve then
 // returns net.ErrClosed.
 func Serve(ln net.Listener, svc *Service) (*Server, error) {
