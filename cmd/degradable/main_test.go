@@ -49,32 +49,38 @@ func flagNames(fs *flag.FlagSet) []string {
 	return names
 }
 
-// TestHelpListsEveryFlag pins each subcommand's flag surface and checks -h
-// documents all of it: a flag added without usage text, or renamed in one
-// subcommand only, fails here.
-func TestHelpListsEveryFlag(t *testing.T) {
-	want := map[string][]string{
-		"experiments": {"list", "markdown", "only", "seed"},
-		"degrade":     {"explain", "faults", "m", "n", "trace", "u", "value"},
-		"netinfo":     {"graph"},
-		"longhaul":    {"fail", "m", "n", "repair", "seed", "steps", "u"},
-		"chaos": {"async", "async-runs", "async-sweep", "graph", "grid", "infeasible", "json",
-			"max-injectors", "placement", "replay", "runs", "sched", "seed", "shrink",
-			"topo-runs", "topo-sweep", "trace"},
-		"cluster": {"campaign", "ckpt-dir", "crashes", "deadline", "faults", "grace", "json",
-			"kill", "m", "n", "seed", "sender", "trace", "u", "value"},
-		"node": {"listen", "pprof"},
-		"serve": {"addr", "batch", "grace", "idle-timeout", "pprof", "queue", "read-timeout",
-			"shards", "spec-sample", "trace", "write-timeout"},
-		"router": {"addr", "backends", "conns-per-backend", "grace", "load-factor", "pprof",
-			"quota", "trace", "vnodes"},
-	}
+// helpFlags pins each subcommand's flag surface.
+var helpFlags = map[string][]string{
+	"experiments": {"list", "markdown", "only", "seed"},
+	"degrade":     {"explain", "faults", "m", "n", "trace", "u", "value"},
+	"netinfo":     {"graph"},
+	"longhaul":    {"fail", "m", "n", "repair", "seed", "steps", "u"},
+	"chaos": {"async", "async-runs", "async-sweep", "graph", "grid", "infeasible", "json",
+		"max-injectors", "placement", "replay", "runs", "sched", "seed", "shrink",
+		"topo-runs", "topo-sweep", "trace"},
+	"cluster": {"campaign", "ckpt-dir", "crashes", "deadline", "faults", "grace", "json",
+		"kill", "m", "n", "seed", "sender", "trace", "u", "value"},
+	"node": {"listen", "pprof"},
+	"serve": {"addr", "batch", "grace", "idle-timeout", "pprof", "queue", "read-timeout",
+		"shards", "spec-sample", "trace", "write-timeout"},
+	"router": {"addr", "backends", "conns-per-backend", "grace", "load-factor", "pprof",
+		"quota", "trace", "vnodes"},
+}
+
+// checkHelp checks that subcommand name registers exactly its pinned flags
+// and that -h documents all of them: a flag added without usage text, or
+// renamed in one subcommand only, fails here.
+func checkHelp(t *testing.T, name string) {
+	t.Helper()
 	for _, c := range commands {
+		if c.name != name {
+			continue
+		}
 		fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
 		c.flags(fs)
 		names := flagNames(fs)
-		if !slices.Equal(names, want[c.name]) {
-			t.Errorf("%s flags = %v, want %v", c.name, names, want[c.name])
+		if !slices.Equal(names, helpFlags[c.name]) {
+			t.Errorf("%s flags = %v, want %v", c.name, names, helpFlags[c.name])
 		}
 		out, err := runSub(t, c.name, "-h")
 		if !errors.Is(err, flag.ErrHelp) {
@@ -85,11 +91,33 @@ func TestHelpListsEveryFlag(t *testing.T) {
 				t.Errorf("%s -h output missing flag -%s:\n%s", c.name, name, out)
 			}
 		}
+		return
 	}
-	if len(want) != len(commands) {
-		t.Errorf("%d subcommands, want %d", len(commands), len(want))
+	t.Fatalf("no subcommand %q", name)
+}
+
+// TestHelpListsEveryFlag checks the analysis subcommands' -h and that every
+// subcommand has a pinned flag surface; the service and campaign
+// subcommands have a test each below.
+func TestHelpListsEveryFlag(t *testing.T) {
+	for _, name := range []string{"experiments", "degrade", "netinfo", "longhaul"} {
+		checkHelp(t, name)
+	}
+	for _, c := range commands {
+		if _, ok := helpFlags[c.name]; !ok {
+			t.Errorf("subcommand %s has no pinned flag surface", c.name)
+		}
+	}
+	if len(helpFlags) != len(commands) {
+		t.Errorf("%d subcommands, want %d", len(commands), len(helpFlags))
 	}
 }
+
+func TestChaosHelpListsEveryFlag(t *testing.T)   { checkHelp(t, "chaos") }
+func TestClusterHelpListsEveryFlag(t *testing.T) { checkHelp(t, "cluster") }
+func TestNodeHelpListsEveryFlag(t *testing.T)    { checkHelp(t, "node") }
+func TestServeHelpListsEveryFlag(t *testing.T)   { checkHelp(t, "serve") }
+func TestRouterHelpListsEveryFlag(t *testing.T)  { checkHelp(t, "router") }
 
 // TestDispatch checks the exit statuses: 2 and the subcommand list for a
 // missing or unknown subcommand, 0 for -h, 1 for a failing run.

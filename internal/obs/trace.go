@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -207,11 +208,12 @@ type Sink interface {
 }
 
 // traceSlot is one ring entry. Payload words are atomics so concurrent
-// Emit/Events never race; seq is a per-slot seqlock: a reader accepts the
-// slot only when seq carries the same ticket before and after reading the
-// payload, so a wrapped-over slot is skipped rather than read torn.
+// Emit/Events never race; seq is a per-slot seqlock: 2*ticket once the
+// ticket's write is complete, 2*ticket-1 while it is in progress. A reader
+// accepts the slot only when seq reads 2*ticket before and after reading
+// the payload, so a wrapped-over slot is skipped rather than read torn.
 type traceSlot struct {
-	seq atomic.Uint64 // ticket (1-based) that last completed this slot
+	seq atomic.Uint64 // 2*ticket (1-based) of the last completed write
 	hdr atomic.Uint64 // kind<<48 | uint16(node)<<32 | uint32(round)
 	a   atomic.Int64
 	b   atomic.Int64
@@ -229,11 +231,15 @@ func unpackHdr(h uint64) Event {
 	}
 }
 
-// Tracer is a fixed-capacity, lock-free ring buffer of round events: the
-// always-on flight recorder behind -trace. Emit is allocation-free and
-// wait-free (one atomic ticket plus four atomic stores); when the ring
-// wraps, the oldest events are overwritten. The zero value is not usable;
-// construct with NewTracer.
+// Tracer is a fixed-capacity ring buffer of round events: the always-on
+// flight recorder behind -trace. When the ring wraps, the oldest events
+// are overwritten. The zero value is not usable; construct with NewTracer.
+//
+// Emit is allocation-free and takes no lock: one atomic ticket, a check
+// that the slot's previous occupant (the ticket one ring lap earlier) has
+// finished, and five atomic stores. Writes to one slot land in ticket
+// order, so a writer descheduled for a whole lap cannot stamp its older
+// event over a newer one; the newer writer yields until it finishes.
 type Tracer struct {
 	mask  uint64
 	next  atomic.Uint64 // tickets issued (1-based)
@@ -257,11 +263,18 @@ func (t *Tracer) Cap() int { return len(t.slots) }
 func (t *Tracer) Emit(e Event) {
 	ticket := t.next.Add(1)
 	s := &t.slots[(ticket-1)&t.mask]
-	s.seq.Store(0) // mark in-progress so readers skip the half-written slot
+	var prev uint64 // the previous lap's completed seq; 0 on the first lap
+	if size := uint64(len(t.slots)); ticket > size {
+		prev = 2 * (ticket - size)
+	}
+	for s.seq.Load() != prev {
+		runtime.Gosched() // the previous lap's writer is still mid-write
+	}
+	s.seq.Store(2*ticket - 1) // mark in-progress so readers skip the half-written slot
 	s.hdr.Store(packHdr(e))
 	s.a.Store(e.A)
 	s.b.Store(e.B)
-	s.seq.Store(ticket)
+	s.seq.Store(2 * ticket)
 }
 
 // Total returns the number of events ever emitted (including overwritten
@@ -282,13 +295,13 @@ func (t *Tracer) Events() []Event {
 	events := make([]Event, 0, issued-first+1)
 	for ticket := first; ticket <= issued; ticket++ {
 		s := &t.slots[(ticket-1)&t.mask]
-		if s.seq.Load() != ticket {
+		if s.seq.Load() != 2*ticket {
 			continue // being rewritten (or not yet complete)
 		}
 		e := unpackHdr(s.hdr.Load())
 		e.A = s.a.Load()
 		e.B = s.b.Load()
-		if s.seq.Load() != ticket {
+		if s.seq.Load() != 2*ticket {
 			continue // overwritten mid-read; drop the torn payload
 		}
 		events = append(events, e)
