@@ -32,6 +32,7 @@ package acast
 
 import (
 	"fmt"
+	"sync"
 
 	"degradable/internal/obs"
 	"degradable/internal/round"
@@ -173,13 +174,18 @@ type instance struct {
 	readies votes
 }
 
-// outbox is the node-owned send buffer the handlers emit into: the external
+// outbox is the node's send buffer the handlers emit into: the external
 // sends of one Start/OnDeliver call in emit order, and a FIFO of
 // self-addressed copies awaiting local application. Broadcast protocols count
 // their own echo/ready toward quorums and the scheduler core drops
 // self-addressed messages, so the self copies are applied here, synchronously
-// and deterministically. Both buffers are reused across calls; ext is what the
-// call returns, which is why round.AsyncNode's result is only borrowed.
+// and deterministically. Both buffers are reused across calls; the external
+// sends are what the call returns, which is why round.AsyncNode's result is
+// only borrowed.
+//
+// The buffers are borrowed from sendPool at the first broadcast, kept across
+// calls and handed back by release, which the node's Release calls at the end
+// of a run: a run's outboxes cost nothing once the pool is warm.
 //
 // Emit order is part of the schedule contract (enqueue order is the Seq every
 // seeded policy's picks are a function of): breadth-first — the externals the
@@ -188,40 +194,84 @@ type instance struct {
 type outbox struct {
 	self types.NodeID
 	n    int
+	buf  *sendBuf // nil until the first broadcast since construction or release
+}
+
+// sendBuf is the pooled storage of one outbox.
+type sendBuf struct {
 	ext  []types.Message
 	loop []types.Message // self copies; loop[head:] are still to be applied
 	head int
+	// usedExt and usedLoop are the longest ext and loop since the buffer
+	// was borrowed, up to the last begin: the part release clears.
+	usedExt, usedLoop int
 }
 
+var sendPool = sync.Pool{New: func() any { return new(sendBuf) }}
+
 func newOutbox(self types.NodeID, n int) outbox {
-	return outbox{self: self, n: n, ext: make([]types.Message, 0, n-1)}
+	return outbox{self: self, n: n}
 }
 
 // begin empties the outbox for the next call.
 func (o *outbox) begin() {
-	o.ext, o.loop, o.head = o.ext[:0], o.loop[:0], 0
+	if b := o.buf; b != nil {
+		b.usedExt, b.usedLoop = max(b.usedExt, len(b.ext)), max(b.usedLoop, len(b.loop))
+		b.ext, b.loop, b.head = b.ext[:0], b.loop[:0], 0
+	}
 }
 
 // broadcast emits m to every node in ID order, the self copy stamped From
 // self the way the engine stamps the external ones.
 func (o *outbox) broadcast(m types.Message) {
+	b := o.buf
+	if b == nil {
+		b = sendPool.Get().(*sendBuf)
+		o.buf = b
+	}
 	for m.To = 0; int(m.To) < o.n; m.To++ {
 		if m.To != o.self {
-			o.ext = append(o.ext, m)
+			b.ext = append(b.ext, m)
 		}
 	}
 	m.From, m.To = o.self, o.self
-	o.loop = append(o.loop, m)
+	b.loop = append(b.loop, m)
 }
 
 // next pops the oldest self copy still to be applied. A call is finished
 // when there is none: applying one may queue more.
 func (o *outbox) next() (types.Message, bool) {
-	if o.head == len(o.loop) {
+	b := o.buf
+	if b == nil || b.head == len(b.loop) {
 		return types.Message{}, false
 	}
-	o.head++
-	return o.loop[o.head-1], true
+	b.head++
+	return b.loop[b.head-1], true
+}
+
+// sends returns the call's external sends, in emit order.
+func (o *outbox) sends() []types.Message {
+	if o.buf == nil {
+		return nil
+	}
+	return o.buf.ext
+}
+
+// release hands the buffer back to sendPool, the part this borrow wrote
+// cleared first so that no pooled message keeps the node's paths alive. The
+// slice the last call returned is invalid afterwards, and the next broadcast
+// borrows again.
+func (o *outbox) release() {
+	b := o.buf
+	if b == nil {
+		return
+	}
+	o.begin()
+	clear(b.ext[:b.usedExt])
+	clear(b.loop[:b.usedLoop])
+	b.usedExt, b.usedLoop = 0, 0
+	sendPool.Put(b)
+	o.buf = nil
 }
 
 // Node is one A-Cast participant, implementing round.AsyncNode. It runs one
@@ -255,6 +305,10 @@ func NewNode(cfg Config) *Node {
 
 // ID implements round.AsyncNode.
 func (n *Node) ID() types.NodeID { return n.cfg.ID }
+
+// Release implements round.Releaser: the node's send buffers go back to
+// their pool. The node stays usable; its next broadcast borrows again.
+func (n *Node) Release() { n.out.release() }
 
 // instance returns broadcaster b's instance, or nil if b is not a configured
 // broadcaster.
@@ -309,7 +363,7 @@ func (n *Node) flush() []types.Message {
 	for m, ok := n.out.next(); ok; m, ok = n.out.next() {
 		n.handle(m)
 	}
-	return n.out.ext
+	return n.out.sends()
 }
 
 // handle ingests one message and emits the resulting broadcasts into the
@@ -409,4 +463,7 @@ func (n *Node) observe(kind obs.EventKind, b types.NodeID, v types.Value) {
 	}
 }
 
-var _ round.AsyncNode = (*Node)(nil)
+var (
+	_ round.AsyncNode = (*Node)(nil)
+	_ round.Releaser  = (*Node)(nil)
+)

@@ -79,21 +79,24 @@ func FuzzAsyncSchedulerDeterminism(f *testing.F) {
 // FuzzOutboxVsOracle holds the node-owned outbox to the slice-returning
 // oracle (oracle_test.go) on drawn cells of the differential: system size up
 // to 31, every policy family, every fault wrapper, both protocols. The
-// delivery transcript and the result must be identical.
+// delivery transcript and the result must be identical, nodes released
+// mid-run or not.
 func FuzzOutboxVsOracle(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(42), uint8(3), uint8(3), uint8(0x80|faultTwoFaced))
 	f.Add(int64(-7), uint8(27), uint8(4), uint8(faultRandom))
 	f.Add(int64(1<<40+5), uint8(12), uint8(1), uint8(0x80|faultCrash))
+	f.Add(int64(9), uint8(27), uint8(3), uint8(0x80|0x40|faultRandom))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, polRaw, faultRaw uint8) {
 		n := 4 + int(nRaw)%28 // 4..31
 		scheds := diffScheds(n, seed)
 		diffCase{
-			aba:   faultRaw&0x80 != 0,
-			n:     n,
-			sched: scheds[int(polRaw)%len(scheds)],
-			fault: int(faultRaw&0x7f) % faultKinds,
-			seed:  seed,
+			aba:     faultRaw&0x80 != 0,
+			n:       n,
+			sched:   scheds[int(polRaw)%len(scheds)],
+			fault:   int(faultRaw&0x3f) % faultKinds,
+			seed:    seed,
+			release: faultRaw&0x40 != 0,
 		}.check(t)
 	})
 }

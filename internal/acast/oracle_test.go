@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"degradable/internal/obs"
+	"degradable/internal/rng"
 	"degradable/internal/round"
 	"degradable/internal/types"
 )
@@ -360,7 +363,8 @@ var faultNames = [faultKinds]string{"none", "lie", "twofaced", "random", "silent
 
 // byzantine perverts what leaves an honest participant. Like the chaos
 // wrapper it rewrites values in place in the slice the inner node returned,
-// which is what the borrowed-slice rule has to allow.
+// which is what the borrowed-slice rule has to allow, borrows its source from
+// internal/rng's pool and forwards Release.
 type byzantine struct {
 	inner  round.AsyncNode
 	kind   int
@@ -371,7 +375,17 @@ type byzantine struct {
 }
 
 func newByzantine(inner round.AsyncNode, kind, n int, forged types.Value, seed int64) *byzantine {
-	return &byzantine{inner: inner, kind: kind, n: n, forged: forged, rng: rand.New(rand.NewSource(seed))}
+	return &byzantine{inner: inner, kind: kind, n: n, forged: forged, rng: rng.Get(seed)}
+}
+
+func (b *byzantine) Release() {
+	if r, ok := b.inner.(round.Releaser); ok {
+		r.Release()
+	}
+	if b.rng != nil {
+		rng.Put(b.rng)
+		b.rng = nil
+	}
 }
 
 func (b *byzantine) ID() types.NodeID             { return b.inner.ID() }
@@ -410,13 +424,17 @@ func (b *byzantine) mutate(out []types.Message) []types.Message {
 	return out
 }
 
-// diffCase is one cell of the outbox-versus-oracle differential.
+// diffCase is one cell of the outbox-versus-oracle differential. With
+// release set, the production run also holds the Release contract: before
+// every third delivery it releases the recipient and poisons the send pool,
+// and the resumed node must still match the oracle, which never releases.
 type diffCase struct {
-	aba   bool
-	n     int
-	sched string
-	fault int
-	seed  int64
+	aba     bool
+	n       int
+	sched   string
+	fault   int
+	seed    int64
+	release bool
 }
 
 func (c diffCase) String() string {
@@ -424,7 +442,27 @@ func (c diffCase) String() string {
 	if c.aba {
 		proto = "aba"
 	}
-	return fmt.Sprintf("%s/n=%d/%s/%s/seed=%d", proto, c.n, c.sched, faultNames[c.fault], c.seed)
+	s := fmt.Sprintf("%s/n=%d/%s/%s/seed=%d", proto, c.n, c.sched, faultNames[c.fault], c.seed)
+	if c.release {
+		s += "/release"
+	}
+	return s
+}
+
+// poisonPool fills pooled send buffers with another node's sends and puts
+// them back emptied but uncleared, the way a concurrent run's outbox would
+// leave them if release did not clear: a node that borrows one must not read
+// what is in it.
+func poisonPool(n int) {
+	for k := 0; k < 3; k++ {
+		o := newOutbox(types.NodeID(n-1-k%n), n)
+		for v := 0; v < 3; v++ {
+			o.broadcast(types.Message{Round: KindReady, Path: types.Path{types.NodeID(k)}, Value: types.Value(-1 - v)})
+		}
+		o.next()
+		o.begin()
+		sendPool.Put(o.buf)
+	}
 }
 
 // transcript is everything a run exposes: the delivery transcript, the
@@ -484,10 +522,27 @@ func (c diffCase) run(t testing.TB, oracle bool) transcript {
 		t.Fatal(err)
 	}
 	var tr transcript
+	deliveries := 0
 	tr.res, err = round.RunAsync(nodes, round.AsyncConfig{
 		Policy:  policy,
 		WaitFor: honest,
-		Trace:   func(m types.Message) { tr.trace = append(tr.trace, m.String()) },
+		Trace: func(m types.Message) {
+			tr.trace = append(tr.trace, m.String())
+			// The run copied the recipient's last sends out, so releasing
+			// it here is what RunAsync does at the end of a run. A Byzantine
+			// wrapper's source serves one run, so the node it wraps is the
+			// one released.
+			if deliveries++; c.release && !oracle && deliveries%3 == 0 {
+				nd := nodes[m.To]
+				if b, ok := nd.(*byzantine); ok {
+					nd = b.inner
+				}
+				if r, ok := nd.(round.Releaser); ok {
+					r.Release()
+				}
+				poisonPool(c.n)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -527,7 +582,8 @@ func diffScheds(n int, seed int64) []string {
 // TestOutboxMatchesOracle holds the outbox flow to the slice-returning
 // oracle over system size × policy × fault kind for both protocols: the
 // full delivery transcript and the AsyncResult must be identical, which pins
-// the emit order every seeded schedule is a function of.
+// the emit order every seeded schedule is a function of. Half the cells,
+// alternating fault kinds by seed, also release nodes mid-run (diffCase).
 func TestOutboxMatchesOracle(t *testing.T) {
 	seeds := int64(3)
 	if testing.Short() {
@@ -538,12 +594,50 @@ func TestOutboxMatchesOracle(t *testing.T) {
 			for seed := int64(1); seed <= seeds; seed++ {
 				for _, sched := range diffScheds(n, seed) {
 					for fault := faultNone; fault < faultKinds; fault++ {
-						diffCase{aba: aba, n: n, sched: sched, fault: fault, seed: seed*7919 + int64(n)}.check(t)
+						release := (int64(fault)+seed)%2 == 1
+						diffCase{aba: aba, n: n, sched: sched, fault: fault, seed: seed*7919 + int64(n), release: release}.check(t)
 					}
 				}
 			}
 		}
 	}
+}
+
+// goroutineTB lets a differential cell run off the test goroutine: a fatal
+// failure is reported and ends only the calling goroutine.
+type goroutineTB struct{ testing.TB }
+
+func (g goroutineTB) Fatal(args ...any) { g.Error(args...); runtime.Goexit() }
+func (g goroutineTB) Fatalf(format string, args ...any) {
+	g.Errorf(format, args...)
+	runtime.Goexit()
+}
+
+// TestOutboxConcurrentRuns: runs on several goroutines at once share the
+// send pool and rng's pool, releasing nodes mid-run and poisoning the send
+// pool as they go; every cell, each goroutine walking them from a different
+// start, must still match the oracle.
+func TestOutboxConcurrentRuns(t *testing.T) {
+	const workers = 4
+	var cells []diffCase
+	for _, aba := range []bool{false, true} {
+		for _, n := range []int{4, 7, 16} {
+			for _, sched := range diffScheds(n, int64(n)) {
+				cells = append(cells, diffCase{aba: aba, n: n, sched: sched, fault: faultRandom, seed: int64(n), release: true})
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range cells {
+				cells[(i+w)%len(cells)].check(goroutineTB{t})
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestOutboxEmitOrderMatchesPump pins the outbox's order on its own, with a
@@ -589,11 +683,48 @@ func TestOutboxEmitOrderMatchesPump(t *testing.T) {
 		for m, ok := o.next(); ok; m, ok = o.next() {
 			emit(m)
 		}
-		if !reflect.DeepEqual(o.ext, want) {
-			t.Fatalf("call %d: outbox emitted\n %v\npump\n %v", call, o.ext, want)
+		if !reflect.DeepEqual(o.sends(), want) {
+			t.Fatalf("call %d: outbox emitted\n %v\npump\n %v", call, o.sends(), want)
 		}
 	}
 	if len(want) != 14*(n-1) {
 		t.Fatalf("pump produced %d sends, want %d: the tree did not unfold", len(want), 14*(n-1))
+	}
+}
+
+// TestOutboxReleaseClears: release hands back a buffer with nothing left in
+// it — not the last call's sends, nor a longer earlier call's — so the pool
+// keeps no node's paths alive; and the released outbox borrows again.
+func TestOutboxReleaseClears(t *testing.T) {
+	const n = 5
+	o := newOutbox(1, n)
+	path := types.Path{3}
+	for _, sends := range []int{3, 1} { // the longer call first
+		o.begin()
+		for i := 0; i < sends; i++ {
+			o.broadcast(types.Message{Round: KindEcho, Path: path, Value: types.Value(i)})
+		}
+		for _, ok := o.next(); ok; _, ok = o.next() {
+		}
+	}
+	b := o.buf
+	o.release()
+	for _, buf := range [][]types.Message{b.ext, b.loop} {
+		if len(buf) != 0 {
+			t.Fatalf("released buffer holds %d sends, want an empty one", len(buf))
+		}
+		for i, m := range buf[:cap(buf)] {
+			if !reflect.DeepEqual(m, types.Message{}) {
+				t.Fatalf("released buffer keeps %v at %d", m, i)
+			}
+		}
+	}
+	if o.buf != nil || o.sends() != nil {
+		t.Fatal("a released outbox still holds its buffer")
+	}
+	o.begin()
+	o.broadcast(types.Message{Round: KindReady, Path: path})
+	if got := len(o.sends()); got != n-1 {
+		t.Fatalf("after release a broadcast emits %d sends, want %d", got, n-1)
 	}
 }

@@ -187,12 +187,22 @@ func newAsyncByzantine(inner *acast.Node, f FaultSpec, n int, scSeed int64) *asy
 		if seed == 0 {
 			seed = mix(scSeed, int64(f.Node)+1)
 		}
-		b.rng = rng.New(seed)
+		b.rng = rng.Get(seed)
 	}
 	return b
 }
 
 func (b *asyncByzantine) ID() types.NodeID { return b.inner.ID() }
+
+// Release implements round.Releaser: the inner node's buffers and the
+// random kind's pooled source go back. The wrapper serves one run.
+func (b *asyncByzantine) Release() {
+	b.inner.Release()
+	if b.rng != nil {
+		rng.Put(b.rng)
+		b.rng = nil
+	}
+}
 
 // Decided always reports true: a Byzantine node never gates termination
 // (the run's WaitFor set is the honest complement anyway).
@@ -249,7 +259,10 @@ func (b *asyncByzantine) mutate(out []types.Message) []types.Message {
 	return out
 }
 
-var _ round.AsyncNode = (*asyncByzantine)(nil)
+var (
+	_ round.AsyncNode = (*asyncByzantine)(nil)
+	_ round.Releaser  = (*asyncByzantine)(nil)
+)
 
 // AsyncAxis switches a campaign onto the asynchronous track: every
 // generated scenario becomes a DriverAsync A-Cast run under a policy drawn

@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -228,6 +230,30 @@ func TestRunFailsFastOnSilentNode(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed >= 15*time.Second {
 		t.Fatalf("Run failed after %v (%v), want within the startup deadline", elapsed, err)
+	}
+}
+
+// TestRunRejectsUnwritableCheckpointDir: an explicit checkpoint directory
+// that cannot be written fails the launch before any node process starts
+// (the command would fail differently if one did), with an error naming the
+// directory. A path under a regular file fails even for root. A writable
+// directory passes and is left as it was.
+func TestRunRejectsUnwritableCheckpointDir(t *testing.T) {
+	tmp := t.TempDir()
+	file := filepath.Join(tmp, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(file, "ckpt")
+	_, err := Run(context.Background(), Config{N: 4, M: 1, U: 1, CheckpointDir: dir, Command: []string{"/nonexistent/node"}})
+	if err == nil || !strings.Contains(err.Error(), "checkpoint dir "+dir+" is not writable") {
+		t.Fatalf("Run with checkpoint dir under a file: %v, want the directory named as not writable", err)
+	}
+	if err := probeDir(tmp); err != nil {
+		t.Fatalf("writable dir: %v", err)
+	}
+	if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 1 {
+		t.Fatalf("the probe left %v behind (%v)", ents, err)
 	}
 }
 

@@ -134,6 +134,24 @@ func (c Config) Faulty() types.NodeSet {
 	return s
 }
 
+// probeDir checks, before any node starts, that checkpoints can be written
+// into dir by creating and removing a file there. It creates no directory.
+// A node's own write failures stay non-fatal (saveCheckpoint); this catches
+// the directory that would fail every one of them.
+func probeDir(dir string) error {
+	f, err := os.CreateTemp(dir, ".probe-*")
+	if err == nil {
+		err = f.Close()
+		if rmErr := os.Remove(f.Name()); err == nil {
+			err = rmErr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: checkpoint dir %s is not writable: %w", dir, err)
+	}
+	return nil
+}
+
 // Run executes one agreement instance as cfg.N separate OS processes over
 // loopback TCP and aggregates their reports. ctx bounds the whole run; on
 // expiry the node processes are killed.
@@ -174,7 +192,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 	}
 	ckptDir := cfg.CheckpointDir
-	if ckptDir == "" && len(cfg.Crashes) > 0 {
+	if ckptDir != "" {
+		if err := probeDir(ckptDir); err != nil {
+			return nil, err
+		}
+	} else if len(cfg.Crashes) > 0 {
 		dir, err := os.MkdirTemp("", "degradable-ckpt-")
 		if err != nil {
 			return nil, err

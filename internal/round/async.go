@@ -34,6 +34,9 @@ import (
 // sends changes every recorded schedule. internal/acast emits breadth-first —
 // what the delivered message produced, then what applying each of the node's
 // own self-addressed copies produced, oldest copy first.
+//
+// A node may also implement Releaser to hand back what it borrowed for the
+// run.
 type AsyncNode interface {
 	ID() types.NodeID
 	Start() []types.Message
@@ -41,10 +44,21 @@ type AsyncNode interface {
 	Decided() (types.Value, bool)
 }
 
+// Releaser is the optional part of the AsyncNode contract, for a node that
+// borrows pooled storage while it runs (internal/acast's send buffers). At
+// the end of a run, after its last call into the node, RunAsync calls Release
+// once on every node that implements it; the slice the node last returned is
+// invalid afterwards. A wrapping node forwards Release to the node it wraps.
+type Releaser interface {
+	Release()
+}
+
 // AsyncConfig controls an asynchronous run.
 type AsyncConfig struct {
 	// Policy orders deliveries; nil means FIFO. Seeded policies make the
-	// whole run a deterministic function of (nodes, config).
+	// whole run a deterministic function of (nodes, config). A policy
+	// serves one RunAsync: the run hands its seeded source back to
+	// internal/rng's pool when it ends, so build a fresh policy per run.
 	Policy Policy
 	// MaxDeliveries bounds the run (asynchronous protocols have no round
 	// count to bound them). Zero means 64·n² — far above any terminating
@@ -128,7 +142,6 @@ func RunAsync(nodes []AsyncNode, cfg AsyncConfig) (*AsyncResult, error) {
 	}
 
 	sched := NewScheduler(cfg.Policy)
-	defer sched.release()
 	res := &AsyncResult{
 		Decisions:            make(map[types.NodeID]types.Value, n),
 		DeliveriesToDecision: make(map[types.NodeID]int, n),
@@ -184,5 +197,15 @@ func RunAsync(nodes []AsyncNode, cfg AsyncConfig) (*AsyncResult, error) {
 		note(m.To)
 	}
 	res.Terminated = awaiting == 0
+
+	// The run owns what it borrowed: the scheduler's storage, the policy's
+	// seeded source and the nodes' send buffers go back to their pools.
+	sched.release()
+	sched.policy.releaseSource()
+	for _, nd := range byID {
+		if r, ok := nd.(Releaser); ok {
+			r.Release()
+		}
+	}
 	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"degradable/internal/rng"
 	"degradable/internal/types"
 )
 
@@ -326,6 +327,41 @@ func TestRunAsyncReusedBufferMatchesOracle(t *testing.T) {
 		}
 		if len(gotTrace) < (n-1)*budget {
 			t.Errorf("%s: only %d deliveries, the flood never got going", spec, len(gotTrace))
+		}
+	}
+}
+
+// TestRunAsyncPooledSourceMatchesFresh: Reorder and Adversarial borrow
+// their source from internal/rng's pool and RunAsync hands it back when the
+// run ends, so back-to-back runs re-seed one pooled source. Over 100 seeds,
+// their picks must equal those of twins holding a fresh rng.New source.
+func TestRunAsyncPooledSourceMatchesFresh(t *testing.T) {
+	const n, budget = 5, 6
+	run := func(p Policy) []types.Message {
+		var trace []types.Message
+		if _, err := RunAsync(gossipFleet(n, budget, true), AsyncConfig{
+			Policy: p,
+			Trace:  func(m types.Message) { trace = append(trace, m) },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return trace
+	}
+	for seed := int64(1); seed <= 100; seed++ {
+		reorder, adversarial := NewReorder(seed), NewAdversarial(seed)
+		for _, tc := range []struct {
+			name          string
+			pooled, fresh Policy
+		}{
+			{SchedReorder, reorder, &Reorder{rng: rng.New(seed)}},
+			{SchedAdversarial, adversarial, &Adversarial{rng: rng.New(seed)}},
+		} {
+			if got, want := run(tc.pooled), run(tc.fresh); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: pooled-source picks differ from a fresh source's", tc.name, seed)
+			}
+		}
+		if reorder.rng != nil || adversarial.rng != nil {
+			t.Fatalf("seed %d: RunAsync kept the policy's source", seed)
 		}
 	}
 }

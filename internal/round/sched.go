@@ -42,8 +42,8 @@ type ticket struct {
 // — scenario strings name them through ParsePolicy — and a policy value
 // serves one Scheduler at a time.
 //
-// Policies may be stateful (seeded rngs); a fresh policy plus an equal seed
-// replays the identical schedule.
+// Policies may be stateful (seeded rngs, borrowed from internal/rng's pool);
+// a fresh policy plus an equal seed replays the identical schedule.
 type Policy interface {
 	// push queues one send; calls arrive in ascending seq order.
 	push(t ticket)
@@ -64,6 +64,12 @@ type Policy interface {
 	// eig's inlined reset methods in the binary and moved the code of
 	// packages this one does not touch.
 	rewind()
+	// releaseSource hands a seeded policy's source back to internal/rng's
+	// pool; the policy cannot draw again. RunAsync calls it once, when its
+	// run ends (a policy serves one run); a Scheduler never does, so a
+	// policy handed to a second NewScheduler continues its stream. The name
+	// is one no other package uses, for rewind's reason.
+	releaseSource()
 }
 
 // blockLen is the most sends one block of a queue holds.
@@ -159,6 +165,8 @@ func (q *fifoQueue) rewind() {
 	q.head = 0
 }
 
+func (q *fifoQueue) releaseSource() {}
+
 // FIFO delivers in enqueue order with no barrier: the kindest asynchronous
 // scheduler, and the baseline the adversarial ones are benchmarked against.
 type FIFO struct{ fifoQueue }
@@ -215,8 +223,10 @@ type Reorder struct {
 
 // NewReorder returns a seeded uniform-reordering policy.
 func NewReorder(seed int64) *Reorder {
-	return &Reorder{rng: rng.New(seed)}
+	return &Reorder{rng: rng.Get(seed)}
 }
+
+func (p *Reorder) releaseSource() { putSource(&p.rng) }
 
 func (p *Reorder) pop() (uint32, bool) {
 	if p.n == 0 {
@@ -238,7 +248,17 @@ type Adversarial struct {
 
 // NewAdversarial returns a seeded adversarial (LIFO-biased) policy.
 func NewAdversarial(seed int64) *Adversarial {
-	return &Adversarial{rng: rng.New(seed)}
+	return &Adversarial{rng: rng.Get(seed)}
+}
+
+func (p *Adversarial) releaseSource() { putSource(&p.rng) }
+
+// putSource hands a policy's pooled source back, once.
+func putSource(r **rand.Rand) {
+	if *r != nil {
+		rng.Put(*r)
+		*r = nil
+	}
 }
 
 func (p *Adversarial) pop() (uint32, bool) {
@@ -372,6 +392,8 @@ func (p *Delay) len() int {
 	}
 	return len(p.heap.s)
 }
+
+func (p *Delay) releaseSource() {}
 
 func (p *Delay) rewind() {
 	if p.heap != nil {
