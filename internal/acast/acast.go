@@ -135,10 +135,13 @@ type tally struct {
 // votes tallies one vote kind (echo or ready) of one instance. Only a
 // sender's first vote counts (Bracha's rule), so however many values a
 // Byzantine sender invents the tally holds at most n entries; honest senders
-// vote once per instance, so the rule costs them nothing.
+// vote once per instance, so the rule costs them nothing. The first value
+// voted for is counted inline, so an instance whose votes all name one
+// value — every instance of an honest broadcaster — never allocates.
 type votes struct {
-	from   types.NodeSet // senders whose vote has been counted
-	counts []tally
+	from  types.NodeSet // senders whose vote has been counted
+	first tally         // the first value voted for; count 0 until a vote
+	more  []tally       // every other value, in first-vote order
 }
 
 // add counts sender's vote for v and returns v's new count, or 0 if sender
@@ -148,13 +151,18 @@ func (t *votes) add(v types.Value, sender types.NodeID) int {
 		return 0
 	}
 	t.from = t.from.Add(sender)
-	for i := range t.counts {
-		if t.counts[i].value == v {
-			t.counts[i].count++
-			return t.counts[i].count
+	if t.first.count == 0 || t.first.value == v {
+		t.first.value = v
+		t.first.count++
+		return t.first.count
+	}
+	for i := range t.more {
+		if t.more[i].value == v {
+			t.more[i].count++
+			return t.more[i].count
 		}
 	}
-	t.counts = append(t.counts, tally{value: v, count: 1})
+	t.more = append(t.more, tally{value: v, count: 1})
 	return 1
 }
 

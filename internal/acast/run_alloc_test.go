@@ -29,8 +29,8 @@ func presize(nd round.AsyncNode, n int) {
 	switch nd := nd.(type) {
 	case *Node:
 		for i := range nd.inst {
-			nd.inst[i].echoes.counts = make([]tally, 0, n)
-			nd.inst[i].readies.counts = make([]tally, 0, n)
+			nd.inst[i].echoes.more = make([]tally, 0, n)
+			nd.inst[i].readies.more = make([]tally, 0, n)
 		}
 	case *ABA:
 		nd.rounds = make([]abaRound, 0, 4*abaRoundWindow)

@@ -39,13 +39,12 @@ type call struct {
 
 // beConn is one pipelined connection to a backend, with its own request-ID
 // space and pending map. Many client connections' requests interleave on
-// it; responses are demultiplexed by ID back to their calls.
+// it, their frames coalesced into bursts by its BurstWriter; responses are
+// demultiplexed by ID back to their calls.
 type beConn struct {
 	b    *backend
 	conn net.Conn
-
-	wmu sync.Mutex // serializes frame writes
-	bw  *bufio.Writer
+	w    *wire.BurstWriter
 
 	mu      sync.Mutex
 	pending map[uint64]*call
@@ -69,8 +68,9 @@ type backend struct {
 	draining bool
 	closed   bool
 
-	kick chan struct{} // nudges maintain after a conn death or state change
-	done chan struct{} // closed when maintain exits
+	kick  chan struct{}  // nudges maintain after a conn death or state change
+	done  chan struct{}  // closed when maintain exits
+	loops sync.WaitGroup // one per pooled conn: its read loop, which stops its write loop
 }
 
 func newBackend(rt *Router, addr string) *backend {
@@ -147,18 +147,22 @@ func (b *backend) maintain() {
 			}
 			continue
 		}
-		bc := &beConn{b: b, conn: conn, bw: bufio.NewWriter(conn), pending: make(map[uint64]*call)}
 		b.mu.Lock()
 		if b.closed || b.draining {
 			b.mu.Unlock()
 			conn.Close()
 			return
 		}
+		bc := &beConn{b: b, conn: conn, w: wire.NewBurstWriter(conn), pending: make(map[uint64]*call)}
 		b.conns = append(b.conns, bc)
+		b.loops.Add(1)
 		b.mu.Unlock()
 		b.healthy.Store(true)
 		backoff = dialBackoff
-		go bc.readLoop()
+		go func() {
+			defer b.loops.Done()
+			bc.readLoop()
+		}()
 	}
 }
 
@@ -185,31 +189,21 @@ func (b *backend) send(c *call, req service.Request) error {
 	bc.nextID++
 	id := bc.nextID
 	bc.pending[id] = c
+	idle := len(bc.pending) == 1
 	bc.mu.Unlock()
 
-	buf, err := wire.AppendTaggedRequest(nil, id, wire.Tag{Tenant: req.Tenant, Corr: c.cc.id}, req)
-	if err != nil {
-		if !bc.forget(id) {
-			return nil // fail() already completed the call
-		}
-		return err
-	}
-	bc.wmu.Lock()
-	_, werr := bc.bw.Write(buf)
-	if werr == nil {
-		werr = bc.bw.Flush()
-	}
-	bc.wmu.Unlock()
-	if werr != nil {
-		// A write error races the readLoop noticing the same conn death:
-		// fail() may have drained pending and completed this call already.
-		// Only report the error (and let the caller complete the call) if
-		// the call was still ours to forget — otherwise completing it twice
-		// would double-Done the client conn's WaitGroup.
+	// A write that fails after Send returns closes the conn, and readLoop's
+	// fail() answers the call. An error here (an unencodable request, or a
+	// write error already recorded) races the readLoop noticing the same
+	// conn death: fail() may have drained pending and completed this call
+	// already. Only report the error (and let the caller complete the call)
+	// if the call was still ours to forget — otherwise completing it twice
+	// would double-Done the client conn's WaitGroup.
+	if err := bc.w.Send(id, wire.Tag{Tenant: req.Tenant, Corr: c.cc.id}, true, req, idle); err != nil {
 		if !bc.forget(id) {
 			return nil
 		}
-		return werr
+		return err
 	}
 	return nil
 }
@@ -271,7 +265,7 @@ func (bc *beConn) fail() {
 		orphans = append(orphans, c)
 	}
 	bc.mu.Unlock()
-	bc.conn.Close()
+	bc.w.Close()
 
 	b := bc.b
 	b.mu.Lock()
@@ -340,7 +334,8 @@ wait:
 	return err
 }
 
-// close severs every connection and stops maintenance.
+// close severs every connection, stops maintenance and waits for every
+// connection's read and write loops to exit.
 func (b *backend) close() {
 	b.mu.Lock()
 	b.closed = true
@@ -352,4 +347,5 @@ func (b *backend) close() {
 		bc.conn.Close() // readLoop fails pending and removes the conn
 	}
 	<-b.done
+	b.loops.Wait()
 }

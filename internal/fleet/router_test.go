@@ -359,7 +359,7 @@ func TestForgetAfterFail(t *testing.T) {
 	close(b.done) // no maintain goroutine for this hand-built backend
 	cli, srv := net.Pipe()
 	srv.Close()
-	bc := &beConn{b: b, conn: cli, bw: nil, pending: make(map[uint64]*call)}
+	bc := &beConn{b: b, conn: cli, w: wire.NewBurstWriter(cli), pending: make(map[uint64]*call)}
 	b.conns = []*beConn{bc}
 
 	cc := &clientConn{rt: rt, id: 9, out: make(chan outFrame, 2)}

@@ -40,12 +40,21 @@ go test -race -short ./...
 echo "== go test -race (full, service + wire + proc + cluster + fleet + chaos) =="
 go test -race ./internal/service/... ./internal/wire/... ./internal/proc/... ./internal/cluster/... ./internal/fleet/... ./internal/chaos/...
 
+echo "== burst writes (race, repeated) =="
+# The pipelined connections' coalescing write side, in the client and in the
+# router's backend pool: 16 frames queued behind a blocked write reach the
+# conn in two writes, an idle send writes inline, a failed write fails every
+# pending request exactly once, and an encode error leaves no partial frame.
+# The tests drive a gated fake conn, so repeating them under the race
+# detector covers the interleavings the loopback tests rarely hit.
+go test -race -count=20 -run 'Burst' ./internal/wire/ ./internal/fleet/
+
 echo "== go benchmark smoke =="
 # One iteration of every go benchmark in the paper tables, the EIG engines,
-# the service hot path and the round scheduler: a benchmark that stops
-# building or starts erroring fails here. The numbers are not the point;
-# bench/ at the end is the repo's one measurement.
-go test -run XXX -bench . -benchtime 1x . ./internal/eig/ ./internal/service/ ./internal/round/
+# the service hot path, the round scheduler and the pipelined wire client:
+# a benchmark that stops building or starts erroring fails here. The numbers
+# are not the point; bench/ at the end is the repo's one measurement.
+go test -run XXX -bench . -benchtime 1x . ./internal/eig/ ./internal/service/ ./internal/round/ ./internal/wire/
 
 echo "== examples smoke =="
 # Every examples/ program runs to completion (set -e fails the script on a
