@@ -639,7 +639,10 @@ func sendRound(m *mesh, cfg NodeConfig, r int, out []types.Message, egress round
 // readPeer assembles one peer's frames into complete per-round batches. It
 // exits on any read error; the peer's subsequent rounds then simply miss
 // their deadlines — a crashed process is a detectable absence, not a hang.
-func readPeer(id types.NodeID, conn net.Conn, recv chan<- peerBatch) {
+// A peer whose unfinished batch names a round outside the run, or outgrows
+// maxUnfinished, is Byzantine: its connection is dropped, so what it sends
+// can never grow this node's memory without bound.
+func (m *mesh) readPeer(id types.NodeID, conn net.Conn) {
 	br := bufio.NewReader(conn)
 	partial := make(map[int][]types.Message)
 	var frame []byte
@@ -657,13 +660,32 @@ func readPeer(id types.NodeID, conn net.Conn, recv chan<- peerBatch) {
 			msgs[i].From = id // assumption (c): identity comes from the connection
 		}
 		if !last {
+			if r < 1 || r > m.rounds || len(partial[r])+len(msgs) > maxUnfinished(m.n, r) {
+				conn.Close()
+				return
+			}
 			partial[r] = append(partial[r], msgs...)
 			continue
 		}
 		batch := append(partial[r], msgs...)
 		delete(partial, r)
-		recv <- peerBatch{peer: id, round: r, msgs: batch}
+		m.recv <- peerBatch{peer: id, round: r, msgs: batch}
 	}
+}
+
+// maxUnfinished bounds the messages one peer's round-r batch may hold
+// before its last chunk. An honest relay sends this node one message per
+// path of r nodes from the sender to the relay, at most P(n-2, r-2) of
+// them; the bound allows n copies of each (routing over disjoint paths and
+// duplicating injectors hand over several) and never less than one full
+// frame carries (a message is at least 10 bytes after the 13-byte chunk
+// header).
+func maxUnfinished(n, r int) int {
+	paths := 1
+	for k := 0; k < r-2 && paths < 1<<30; k++ {
+		paths *= n - 2 - k
+	}
+	return max(n*paths, (wire.MaxFrame-13)/10)
 }
 
 // holdback buffers future-round batches and closes each round at its
@@ -813,9 +835,10 @@ const (
 // peer re-dials with a higher Hello incarnation and its slot is rebound;
 // the incarnation comparison makes stale or duplicate hellos inert.
 type mesh struct {
-	self types.NodeID
-	n    int
-	recv chan peerBatch
+	self   types.NodeID
+	n      int
+	rounds int
+	recv   chan peerBatch
 
 	mu     sync.Mutex
 	conns  map[types.NodeID]net.Conn
@@ -859,7 +882,7 @@ func (m *mesh) bindAccepted(id types.NodeID, inc int, conn net.Conn) bool {
 	}
 	m.conns[id] = conn
 	m.incs[id] = inc
-	go readPeer(id, conn, m.recv)
+	go m.readPeer(id, conn)
 	select {
 	case m.bound <- struct{}{}:
 	default:
@@ -880,7 +903,7 @@ func (m *mesh) bindDialed(id types.NodeID, conn net.Conn) {
 		old.Close()
 	}
 	m.conns[id] = conn
-	go readPeer(id, conn, m.recv)
+	go m.readPeer(id, conn)
 	select {
 	case m.bound <- struct{}{}:
 	default:
@@ -973,7 +996,7 @@ func dialPeer(addr string, self types.NodeID, inc, attempts int) (net.Conn, erro
 func connectMesh(cfg NodeConfig, ln net.Listener, peers []string, rounds int) (*mesh, error) {
 	self := cfg.ID
 	m := &mesh{
-		self: self, n: len(peers),
+		self: self, n: len(peers), rounds: rounds,
 		// recv is sized for every batch of the whole run (with slack for
 		// rebound connections re-delivering) so reader goroutines never
 		// block on a slow main loop.

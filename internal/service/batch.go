@@ -10,17 +10,15 @@ import (
 )
 
 // pool is one shard's per-shape state: the warm instance the full path runs
-// on, the fast path's receipt vector, and the arming and spec-sample
-// scratch. A warm pool executes an instance with zero allocations.
+// on, the sender probe's receipt vector, and the arming scratch. A warm pool
+// executes an instance with zero allocations.
 type pool struct {
 	inst *runner.Warm
 	// armed is the full path's fault list, rebuilt in place per request.
 	armed []runner.Fault
-	// recv is the fast path's round-1 receipt vector: one slot per
+	// recv is the sender probe's round-1 receipt vector: one slot per
 	// non-sender receiver, absences mapped to V_d per §4.
 	recv []types.Value
-	// decMap is the reusable spec.Execution decision map for sampled checks.
-	decMap map[types.NodeID]types.Value
 }
 
 // newPool builds the reusable instance for one shape. The shape was
@@ -47,15 +45,31 @@ func (sh *shard) runOne(t *task) (Response, error) {
 		}
 		sh.pools[k] = p
 	}
-	resp, err := p.run(t, sh)
-	if err == nil {
-		sh.stats.Inc(statCompleted)
-		if resp.Degraded {
-			sh.stats.Inc(statDegraded)
-		}
-		sh.stats.Inc(conditionStat(resp.Condition))
+	return p.run(t, sh)
+}
+
+// decideForced answers a fault-free request on the submitting goroutine.
+// With no armed fault every node is honest, so the sender distributes
+// req.Value, every tree is unanimous and complete, and every node — sender
+// included — decides req.Value: D.1 forces the whole vector, and there is no
+// exchange to run and nothing to queue. The outcome is on t.done when it
+// returns.
+func (sh *shard) decideForced(t *task) {
+	sh.stats.Inc(statAccepted)
+	dec := t.decisions()
+	for i := range dec {
+		dec[i] = t.req.Value
 	}
-	return resp, err
+	t.done <- Outcome{Resp: sh.complete(t, true)}
+}
+
+// decisions returns the task's decision buffer sized to the request.
+func (t *task) decisions() []types.Value {
+	if cap(t.dec) < t.req.N {
+		t.dec = make([]types.Value, t.req.N)
+	}
+	t.dec = t.dec[:t.req.N]
+	return t.dec
 }
 
 // conditionStat maps a selected condition to its counter index.
@@ -74,23 +88,17 @@ func conditionStat(condition string) int {
 	}
 }
 
-// run executes one instance on the pooled complement and classifies the
-// outcome into the task's decision buffer.
+// run executes one armed instance on the pooled complement into the
+// task's decision buffer and classifies it.
 //
-// The optimistic fast path decides without materializing the EIG exchange
-// when the decision vector is forced:
-//
-//   - No armed fault: every node is honest, so the sender distributes
-//     req.Value, every tree is unanimous and complete, and every node —
-//     sender included — decides req.Value.
-//   - Only the sender armed: the sender is the only node that ever deviates
-//     (a faulty sender has no relay schedule — every valid path starts with
-//     it, so its outbox past round 1 is empty), which means the entire run
-//     is determined by its round-1 egress. Probe exactly that egress; if the
-//     receipt vector (absences mapped to V_d per §4) is unanimous, every
-//     receiver's tree ends unanimous-and-complete (or all-default) and
-//     resolves to the common value w: receivers decide w, the faulty sender
-//     reports V_d.
+// The sender probe decides without materializing the EIG exchange when only
+// the sender is armed: the sender is the only node that ever deviates (a
+// faulty sender has no relay schedule — every valid path starts with it, so
+// its outbox past round 1 is empty), which means the entire run is
+// determined by its round-1 egress. Probe exactly that egress; if the
+// receipt vector (absences mapped to V_d per §4) is unanimous, every
+// receiver's tree ends unanimous-and-complete (or all-default) and resolves
+// to the common value w: receivers decide w, the faulty sender reports V_d.
 //
 // Any other configuration — a non-sender fault that can still act in rounds
 // ≥ 2, or an equivocating sender — falls back to the full VOTE path, which
@@ -100,42 +108,42 @@ func conditionStat(condition string) int {
 // probed-then-fallen-back run is byte-identical to one that never probed.
 func (p *pool) run(t *task, sh *shard) (Response, error) {
 	req := &t.req
-	n := req.N
-	if cap(t.dec) < n {
-		t.dec = make([]types.Value, n)
-	}
-	dec := t.dec[:n]
-
-	var faulty types.NodeSet
-	for _, f := range req.Faults {
-		faulty = faulty.Add(f.Node)
-	}
-
-	fast := false
-	switch {
-	case len(req.Faults) == 0:
-		for i := range dec {
-			dec[i] = req.Value
-		}
-		fast = true
-	case len(req.Faults) == 1 && req.Faults[0].Node == req.Sender:
-		fast = p.probeSender(req, dec)
-	}
-	if fast {
-		sh.stats.Inc(statFastHit)
-	} else {
-		sh.stats.Inc(statFastFallback)
+	dec := t.decisions()
+	fast := len(req.Faults) == 1 && req.Faults[0].Node == req.Sender && p.probeSender(req, dec)
+	if !fast {
 		if err := p.runFull(req, dec); err != nil {
 			return Response{}, err
 		}
 	}
+	return sh.complete(t, fast), nil
+}
 
-	deciders, vdDeciders, degraded := receiverTally(dec, req.Sender, faulty)
+// complete classifies the decided task into its Response and the shard's
+// counters; fast reports a decision made without the full VOTE path. It is
+// the one classification for the shard and for a submitting goroutine, so
+// it touches only atomics and the task.
+func (sh *shard) complete(t *task, fast bool) Response {
+	if fast {
+		sh.stats.Inc(statFastHit)
+	} else {
+		sh.stats.Inc(statFastFallback)
+	}
+	req := &t.req
+	var faulty types.NodeSet
+	for _, f := range req.Faults {
+		faulty = faulty.Add(f.Node)
+	}
+	deciders, vdDeciders, degraded := receiverTally(t.dec, req.Sender, faulty)
 	_, cond := spec.Select(req.M, req.U, len(req.Faults), faulty.Contains(req.Sender))
 	sh.stats.Add(statDeciders, uint64(deciders))
 	sh.stats.Add(statVdDeciders, uint64(vdDeciders))
+	sh.stats.Inc(statCompleted)
+	if degraded {
+		sh.stats.Inc(statDegraded)
+	}
+	sh.stats.Inc(conditionStat(cond))
 	resp := Response{
-		Decisions: dec,
+		Decisions: t.dec,
 		Condition: cond,
 		Degraded:  degraded,
 		OK:        true,
@@ -144,42 +152,38 @@ func (p *pool) run(t *task, sh *shard) (Response, error) {
 	// Sampling mode: every SpecSample-th instance per shard goes through
 	// the full executable spec, so serving never drifts from D.1–D.4
 	// unnoticed — fast-path decisions included.
-	if rate := sh.svc.cfg.SpecSample; rate > 0 {
-		sh.sinceCheck++
-		if sh.sinceCheck >= rate {
-			sh.sinceCheck = 0
-			if p.decMap == nil {
-				p.decMap = make(map[types.NodeID]types.Value, n)
-			} else {
-				clear(p.decMap)
-			}
-			for i := 0; i < n; i++ {
-				p.decMap[types.NodeID(i)] = dec[i]
-			}
-			v := spec.Check(spec.Execution{
-				M: req.M, U: req.U,
-				Sender:      req.Sender,
-				SenderValue: req.Value,
-				Faulty:      faulty,
-				Decisions:   p.decMap,
-			})
-			resp.Checked = true
-			resp.OK = v.OK
-			resp.Graceful = v.Graceful
-			resp.Reason = v.Reason
-			sh.stats.Inc(statSpecChecked)
-			if !v.OK {
-				sh.stats.Inc(statSpecViolations)
-			}
-			if v.Condition != "none" { // the floor is only promised for f ≤ u
-				sh.svc.floor.Observe(int64(v.Margin))
-			}
-			if sink := sh.svc.cfg.Sink; sink != nil {
-				sink.Emit(obs.VerdictEvent(v.Condition, v.OK, v.Graceful))
-			}
+	if rate := sh.svc.cfg.SpecSample; rate > 0 && sh.completions.Add(1)%uint64(rate) == 0 {
+		if t.decMap == nil {
+			t.decMap = make(map[types.NodeID]types.Value, req.N)
+		} else {
+			clear(t.decMap)
+		}
+		for i, d := range t.dec {
+			t.decMap[types.NodeID(i)] = d
+		}
+		v := spec.Check(spec.Execution{
+			M: req.M, U: req.U,
+			Sender:      req.Sender,
+			SenderValue: req.Value,
+			Faulty:      faulty,
+			Decisions:   t.decMap,
+		})
+		resp.Checked = true
+		resp.OK = v.OK
+		resp.Graceful = v.Graceful
+		resp.Reason = v.Reason
+		sh.stats.Inc(statSpecChecked)
+		if !v.OK {
+			sh.stats.Inc(statSpecViolations)
+		}
+		if v.Condition != "none" { // the floor is only promised for f ≤ u
+			sh.svc.floor.Observe(int64(v.Margin))
+		}
+		if sink := sh.svc.cfg.Sink; sink != nil {
+			sink.Emit(obs.VerdictEvent(v.Condition, v.OK, v.Graceful))
 		}
 	}
-	return resp, nil
+	return resp
 }
 
 // probeSender runs the armed sender's round-1 egress and, when the receipt

@@ -7,9 +7,10 @@ import (
 	"degradable/internal/adversary"
 )
 
-// BenchmarkDo measures the full submit→shard→pool→respond path for the
-// acceptance shape (N=7, m=1, u=2), fault-free. The per-op time bounds the
-// closed-loop throughput one in-flight worker can sustain.
+// BenchmarkDo measures the one-shot submit→decide→respond path for the
+// acceptance shape (N=7, m=1, u=2), fault-free: decided at submission, so
+// no shard is involved. The per-op time bounds the closed-loop throughput
+// one in-flight worker can sustain.
 func BenchmarkDo(b *testing.B) {
 	svc := New(Config{})
 	defer svc.Close()
@@ -62,7 +63,7 @@ func BenchmarkDoSpecEveryInstance(b *testing.B) {
 }
 
 // BenchmarkSlotDoFast is the zero-alloc hot loop: a reusable Slot driving
-// fault-free requests, decided entirely by the optimistic fast path.
+// fault-free requests, decided at submission.
 func BenchmarkSlotDoFast(b *testing.B) {
 	svc := New(Config{Shards: 1, SpecSample: -1})
 	defer svc.Close()
@@ -130,10 +131,13 @@ func BenchmarkSlotDoFallback(b *testing.B) {
 
 // BenchmarkDoPipelined keeps a window of requests in flight through Submit,
 // letting the shard batch instead of ping-ponging one request at a time.
+// The sender is armed silent, so every request queues and the shard's
+// sender probe decides it.
 func BenchmarkDoPipelined(b *testing.B) {
 	svc := New(Config{QueueDepth: 4096})
 	defer svc.Close()
-	req := Request{N: 7, M: 1, U: 2, Value: 42}
+	req := Request{N: 7, M: 1, U: 2, Value: 42,
+		Faults: []FaultSpec{{Node: 0, Kind: adversary.KindSilent}}}
 	const window = 64
 	pending := make([]<-chan Outcome, 0, window)
 	b.ReportAllocs()

@@ -2,10 +2,15 @@
 // stream of m/u-degradable agreement requests and executes them on a sharded
 // worker pool.
 //
-// Each shard is one goroutine that owns its protocol instances end-to-end —
-// requests are admitted through a bounded per-shard queue with explicit
-// rejection (never blocking) and executed by the round engine's inline
-// Reference driver, so the hot path takes no locks. Identically-shaped instances (same N, m,
+// A fault-free request needs no exchange: D.1 forces every node's decision
+// to the sender's value. It is decided at submission, on the submitting
+// goroutine, and never queues, so it is never shed with ErrOverloaded.
+//
+// Every other request runs on a shard. Each shard is one goroutine that owns
+// its protocol instances end-to-end — requests are admitted through a
+// bounded per-shard queue with explicit rejection (never blocking) and
+// executed by the round engine's inline Reference driver, so the hot path
+// takes no locks. Identically-shaped instances (same N, m,
 // u, sender) are batched: the shard drains its queue up to the batch size
 // and runs each shape group on the shape's warm instance (runner.Warm), so
 // per-instance setup (strategy construction, spec condition selection,
@@ -58,14 +63,17 @@ type Config struct {
 	// is no benefit in exceeding it).
 	Shards int
 	// QueueDepth is the per-shard admission queue bound (default 1024).
-	// A full queue rejects with ErrOverloaded rather than blocking.
+	// A full queue rejects with ErrOverloaded rather than blocking. Only
+	// requests with an armed fault queue: a fault-free one is decided at
+	// submission.
 	QueueDepth int
 	// Batch is the maximum number of requests a shard drains per scheduling
 	// round (default 64). Identically-shaped requests within a batch share
 	// one pooled instance.
 	Batch int
 	// SpecSample routes every SpecSample-th completed instance per shard
-	// through the full executable spec (default 8; 1 checks every
+	// (fault-free ones decided at submission count toward their slot's
+	// shard) through the full executable spec (default 8; 1 checks every
 	// instance, negative disables sampling).
 	SpecSample int
 	// Sink, when non-nil, receives a structured verdict event for every
@@ -175,7 +183,8 @@ type Response struct {
 
 // Stats is a point-in-time snapshot of service counters.
 type Stats struct {
-	// Accepted counts requests admitted to a shard queue.
+	// Accepted counts admitted requests: queued on a shard, or decided at
+	// submission.
 	Accepted uint64
 	// Rejected counts requests refused with ErrOverloaded.
 	Rejected uint64
@@ -195,14 +204,15 @@ type Stats struct {
 	FastFallbacks uint64
 }
 
-// task is one queued request with its completion slot. dec is the
-// task-owned decision buffer the executing shard fills; Response.Decisions
+// task is one submitted request with its completion slot. dec is the
+// task-owned decision buffer the deciding goroutine fills; Response.Decisions
 // aliases it, which is what lets a reused Slot serve a request without a
-// single allocation.
+// single allocation. decMap is the spec sampler's reusable decision map.
 type task struct {
-	req  Request
-	done chan Outcome
-	dec  []types.Value
+	req    Request
+	done   chan Outcome
+	dec    []types.Value
+	decMap map[types.NodeID]types.Value
 }
 
 // Outcome is one answered request: the response, or the error that stopped
@@ -257,9 +267,9 @@ type Service struct {
 	wg     sync.WaitGroup
 
 	// stats shard i belongs to shards[i]: each shard writes only its own
-	// padded block (admission counts are bumped by the submitting
-	// goroutine, still on the target shard's block), and readers sum
-	// across shards.
+	// padded block (admission counts, and every count of a request decided
+	// at submission, are bumped by the submitting goroutine, still on the
+	// target shard's block), and readers sum across shards.
 	stats *obs.Sharded
 	// floor tracks the minimum observed §2 m+1-floor margin across all
 	// spec-checked instances: largest fault-free agreement class minus
@@ -386,28 +396,14 @@ func (s *Service) Register(r *obs.Registry) {
 		})
 }
 
-// Submit validates and enqueues one request, returning a channel that will
-// carry exactly one outcome. Admission is non-blocking: a full shard queue
-// rejects with ErrOverloaded immediately. Requests admitted before Close
-// are always answered (shutdown drains the queues).
+// Submit submits one request on a one-shot Slot, returning a channel that
+// will carry exactly one outcome; see Slot.Submit.
 func (s *Service) Submit(req Request) (<-chan Outcome, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	if err := req.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalid, err)
-	}
-	t := &task{req: req, done: make(chan Outcome, 1)}
-	if err := s.nextShard().enqueue(t); err != nil {
+	sl := s.NewSlot()
+	if err := sl.Submit(req); err != nil {
 		return nil, err
 	}
-	return t.done, nil
-}
-
-// nextShard deals the shards out round-robin: one per one-shot Submit, one
-// per Slot for the slot's lifetime.
-func (s *Service) nextShard() *shard {
-	return s.shards[(s.next.Add(1)-1)%uint64(len(s.shards))]
+	return sl.Outcome(), nil
 }
 
 // enqueue places a validated task on the shard's queue, non-blocking.
@@ -426,9 +422,14 @@ func (sh *shard) enqueue(t *task) error {
 // Slot is a reusable submission handle: one pre-allocated task, completion
 // channel, decision buffer, and fault scratch, recycled across requests so a
 // steady-state caller (the wire server's per-connection loop, a load-test
-// worker) submits without allocating. A Slot serves one request at a time —
-// Submit again only after the previous outcome was received — and is not
-// safe for concurrent use.
+// worker) submits without allocating; Service.Submit and Service.Do use a
+// fresh one per call. A Slot serves one request at a time — Submit again
+// only after the previous outcome was received — and is not safe for
+// concurrent use.
+//
+// A fault-free request is decided inside Submit and its outcome is ready
+// when Submit returns: it never queues, so it is never shed with
+// ErrOverloaded. Its counters still go to the slot's shard.
 //
 // A Slot submits to one shard for its whole life, and slots are dealt to the
 // shards round-robin as they are made, so callers that make them on demand
@@ -445,15 +446,20 @@ type Slot struct {
 	faults []FaultSpec
 }
 
-// NewSlot returns a reusable submission handle bound to the service.
+// NewSlot returns a reusable submission handle bound to the service, on
+// the next shard round-robin.
 func (s *Service) NewSlot() *Slot {
-	return &Slot{svc: s, sh: s.nextShard(), t: &task{done: make(chan Outcome, 1)}}
+	sh := s.shards[(s.next.Add(1)-1)%uint64(len(s.shards))]
+	return &Slot{svc: s, sh: sh, t: &task{done: make(chan Outcome, 1)}}
 }
 
-// Submit validates and enqueues req on the slot's recycled task. The slot
-// copies req.Faults into its own scratch, so callers may reuse their fault
-// buffer immediately. Exactly one outcome will arrive on Outcome() unless an
-// error is returned.
+// Submit validates req and decides it on the slot's recycled task: a
+// fault-free request at once, any other on the slot's shard. Admission is
+// non-blocking: a full shard queue rejects with ErrOverloaded immediately.
+// Requests admitted before Close are always answered (shutdown drains the
+// queues). The slot copies req.Faults into its own scratch, so callers may
+// reuse their fault buffer immediately. Exactly one outcome will arrive on
+// Outcome() unless an error is returned.
 func (sl *Slot) Submit(req Request) error {
 	if sl.svc.closed.Load() {
 		return ErrClosed
@@ -464,6 +470,10 @@ func (sl *Slot) Submit(req Request) error {
 	sl.faults = append(sl.faults[:0], req.Faults...)
 	req.Faults = sl.faults
 	sl.t.req = req
+	if len(req.Faults) == 0 {
+		sl.sh.decideForced(sl.t)
+		return nil
+	}
 	return sl.sh.enqueue(sl.t)
 }
 
@@ -472,8 +482,9 @@ func (sl *Slot) Submit(req Request) error {
 // rather than caching it across Submits.
 func (sl *Slot) Outcome() <-chan Outcome { return sl.t.done }
 
-// Do submits one request on the slot and waits for its response — the
-// allocation-free form of Service.Do.
+// Do submits one request on the slot and waits for its response. ctx
+// cancels the wait (not the execution: an admitted request still runs and
+// is accounted, its result discarded).
 func (sl *Slot) Do(ctx context.Context, req Request) (Response, error) {
 	if err := sl.Submit(req); err != nil {
 		return Response{}, err
@@ -507,29 +518,10 @@ func (sl *Slot) abandon() {
 	sl.faults = nil
 }
 
-// Do submits one request and waits for its response. ctx cancels the wait
-// (not the execution: an admitted request still runs and is accounted, its
-// result discarded).
+// Do submits one request on a one-shot Slot and waits for its response;
+// see Slot.Do.
 func (s *Service) Do(ctx context.Context, req Request) (Response, error) {
-	done, err := s.Submit(req)
-	if err != nil {
-		return Response{}, err
-	}
-	select {
-	case out := <-done:
-		return out.Resp, out.Err
-	case <-ctx.Done():
-		return Response{}, ctx.Err()
-	case <-s.term:
-		// Close raced the enqueue and the shard exited without seeing the
-		// task; one final non-blocking read settles the race.
-		select {
-		case out := <-done:
-			return out.Resp, out.Err
-		default:
-			return Response{}, ErrClosed
-		}
-	}
+	return s.NewSlot().Do(ctx, req)
 }
 
 // Close stops admission, drains every shard queue (all admitted requests
@@ -547,16 +539,17 @@ func (s *Service) Close() {
 }
 
 // shard is one worker goroutine and its private state. Everything below
-// runs on the shard goroutine only — no locks anywhere on the path from
-// dequeue to completion.
+// but the counters and the sampler's count runs on the shard goroutine only
+// — no locks anywhere on the path from dequeue to completion.
 type shard struct {
 	svc   *Service
 	stats *obs.Block // this shard's padded counter block
 	in    chan *task
 	stop  chan struct{}
 	pools map[core.Params]*pool
-	// sinceCheck counts instances since the last spec sample.
-	sinceCheck int
+	// completions counts the shard's completed instances for the spec
+	// sampler, those decided at submission included.
+	completions atomic.Uint64
 	// batch and groups are reusable scheduling scratch.
 	batch  []*task
 	groups map[core.Params][]*task

@@ -184,14 +184,20 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// armedReq is a request with a fault armed on a receiver: it queues on a
+// shard and runs the full exchange, where a fault-free one is decided at
+// submission.
+var armedReq = Request{N: 5, M: 1, U: 2, Value: 7, Faults: []FaultSpec{{Node: 3, Kind: adversary.KindSilent}}}
+
 // TestBackpressure pins the bounded-queue contract deterministically: with
 // the shard goroutine not yet running, admission succeeds exactly
 // QueueDepth times, then rejects with ErrOverloaded without blocking; a
-// drain answers everything that was admitted.
+// drain answers everything that was admitted. A fault-free request on the
+// full shard is still answered, since it never queues.
 func TestBackpressure(t *testing.T) {
 	const depth = 4
 	svc := newUnstarted(Config{Shards: 1, QueueDepth: depth, Batch: 2})
-	req := Request{N: 5, M: 1, U: 2, Value: 7}
+	req := armedReq
 
 	var admitted []<-chan Outcome
 	for i := 0; i < depth; i++ {
@@ -218,6 +224,18 @@ func TestBackpressure(t *testing.T) {
 	if st.Accepted != depth || st.Rejected != 1 {
 		t.Fatalf("accepted=%d rejected=%d, want %d/1", st.Accepted, st.Rejected, depth)
 	}
+	done, err := svc.Submit(Request{N: 5, M: 1, U: 2, Value: 7})
+	if err != nil {
+		t.Fatalf("fault-free request on a full queue: %v", err)
+	}
+	select {
+	case out := <-done:
+		if out.Err != nil || out.Resp.Decisions[1] != 7 {
+			t.Fatalf("fault-free request on a full queue: %+v", out)
+		}
+	default:
+		t.Fatal("fault-free request not decided at submission")
+	}
 
 	// Shutdown drain: run the shard loop with stop already signalled — it
 	// must answer every admitted request before exiting.
@@ -240,11 +258,12 @@ func TestBackpressure(t *testing.T) {
 
 // TestSlotKeepsItsShard pins admission's placement: slots are dealt to the
 // shards round-robin as they are made and then stay put, however the callers'
-// submissions interleave; one-shot Submits are dealt round-robin each. The
-// shard goroutines are not running, so the test reads the queues itself.
+// submissions interleave; one-shot Submits are dealt round-robin each. A
+// fault-free request never queues. The shard goroutines are not running, so
+// the test reads the queues itself.
 func TestSlotKeepsItsShard(t *testing.T) {
 	svc := newUnstarted(Config{Shards: 2, QueueDepth: 8})
-	req := Request{N: 5, M: 1, U: 2, Value: 7}
+	req := armedReq
 	queued := func() (at int, got *task) {
 		at = -1
 		for k, sh := range svc.shards {
@@ -291,13 +310,25 @@ func TestSlotKeepsItsShard(t *testing.T) {
 		}
 		last = at
 	}
+
+	for i, sl := range []*Slot{a, b, svc.NewSlot()} {
+		if err := sl.Submit(Request{N: 5, M: 1, U: 2, Value: 7}); err != nil {
+			t.Fatal(err)
+		}
+		if at, _ := queued(); at != -1 {
+			t.Fatalf("fault-free submit %d queued on shard %d", i, at)
+		}
+		if out := <-sl.Outcome(); out.Err != nil {
+			t.Fatalf("fault-free submit %d: %v", i, out.Err)
+		}
+	}
 }
 
 // TestCloseDrains exercises the live shutdown path: requests admitted
 // before Close are all answered.
 func TestCloseDrains(t *testing.T) {
 	svc := New(Config{Shards: 2, QueueDepth: 256})
-	req := Request{N: 5, M: 1, U: 2, Value: 7}
+	req := armedReq
 	var chans []<-chan Outcome
 	for i := 0; i < 100; i++ {
 		done, err := svc.Submit(req)
@@ -387,14 +418,20 @@ func TestConcurrentSubmitters(t *testing.T) {
 }
 
 // TestDoContextCancel confirms a cancelled waiter returns promptly while
-// the instance still executes and is accounted.
+// the instance still executes and is accounted. The request queues on a
+// shard that is not yet running, so its outcome cannot race the
+// cancellation.
 func TestDoContextCancel(t *testing.T) {
-	svc := New(Config{})
-	defer svc.Close()
+	svc := newUnstarted(Config{Shards: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := svc.Do(ctx, Request{N: 5, M: 1, U: 2, Value: 7}); !errors.Is(err, context.Canceled) {
+	if _, err := svc.Do(ctx, armedReq); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Do: %v, want context.Canceled", err)
+	}
+	svc.start()
+	svc.Close()
+	if st := svc.Stats(); st.Accepted != 1 || st.Completed != 1 {
+		t.Fatalf("accepted=%d completed=%d, want 1/1", st.Accepted, st.Completed)
 	}
 }
 
@@ -403,7 +440,7 @@ func TestDoContextCancel(t *testing.T) {
 // both the telemetry snapshot and the Sheds family.
 func TestPerTenantShedAccounting(t *testing.T) {
 	svc := newUnstarted(Config{Shards: 1, QueueDepth: 2, Batch: 2})
-	req := Request{N: 5, M: 1, U: 2, Value: 7}
+	req := armedReq
 	for i := 0; i < 2; i++ {
 		if _, err := svc.Submit(req); err != nil {
 			t.Fatalf("submit %d: %v", i, err)

@@ -158,9 +158,17 @@ func DecodeRoundBatch(payload []byte) (round int, msgs []types.Message, last boo
 	if len(b) < 3 {
 		return 0, nil, false, fmt.Errorf("wire: truncated batch body (%d bytes)", len(b))
 	}
+	if b[0]&^batchLast != 0 {
+		return 0, nil, false, fmt.Errorf("wire: unknown batch flags %#x", b[0])
+	}
 	last = b[0]&batchLast != 0
 	count := int(binary.BigEndian.Uint16(b[1:3]))
 	b = b[3:]
+	// A message is at least 10 bytes (to, path length, value): a count the
+	// body cannot hold is refused before it sizes anything.
+	if count > len(b)/10 {
+		return 0, nil, false, fmt.Errorf("wire: %d batch messages in %d bytes", count, len(b))
+	}
 	if count > 0 {
 		msgs = make([]types.Message, 0, count)
 	}

@@ -136,9 +136,11 @@ func (s *Server) Serve() error {
 
 // handle runs one connection: the reader parses frames and submits them,
 // handing (id, completion) pairs to the writer in arrival order; the writer
-// awaits each completion and answers. On server shutdown the reader stops
-// admitting, the writer flushes every in-flight response, and only then
-// does the connection close — no admitted request goes unanswered.
+// awaits each completion and answers, flushing before it waits on one that
+// is not decided yet. On server shutdown the reader stops admitting, the
+// writer flushes every in-flight response, and only then does the
+// connection close — no admitted request goes unanswered. A failed write
+// ends the connection: the writer closes it and the reader stops.
 func (s *Server) handle(conn net.Conn) {
 	defer s.active.Done()
 	defer func() {
@@ -157,10 +159,13 @@ func (s *Server) handle(conn net.Conn) {
 	// — one per pipelined in-flight request — and the read-submit-respond
 	// loop stops allocating entirely.
 	free := make(chan *service.Slot, cfg.Shards*cfg.QueueDepth+1)
-	var wg sync.WaitGroup
-	wg.Add(1)
+	// writerGone closes when the writer exits. After a failed write that is
+	// before pend is closed: the writer has closed the conn, and the reader
+	// stops instead of filling a queue no one drains.
+	writerGone := make(chan struct{})
 	go func() { // writer
-		defer wg.Done()
+		defer close(writerGone)
+		defer conn.Close()
 		var buf []byte
 		bw := bufio.NewWriter(conn)
 		flush := func() error {
@@ -174,7 +179,16 @@ func (s *Server) handle(conn net.Conn) {
 			if p.err != nil {
 				out.Err = p.err
 			} else {
-				out = <-p.slot.Outcome()
+				select {
+				case out = <-p.slot.Outcome():
+				default:
+					// Not decided yet: send what is encoded before waiting,
+					// so a finished response never waits on a slower one.
+					if err := flush(); err != nil {
+						return
+					}
+					out = <-p.slot.Outcome()
+				}
 			}
 			buf = buf[:0]
 			var err error
@@ -228,6 +242,7 @@ func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	var frame []byte                 // reused across frames
 	var fscratch []service.FaultSpec // reused fault decode buffer; Slot.Submit copies
+read:
 	for {
 		// Idle bounds the wait for the next frame to begin; once its length
 		// prefix has arrived, Read bounds the payload.
@@ -256,11 +271,15 @@ func (s *Server) handle(conn net.Conn) {
 			sl = s.svc.NewSlot()
 		}
 		err = sl.Submit(req)
-		pend <- pendingResp{id: id, tag: tag, tagged: tagged, slot: sl, err: err}
+		select {
+		case pend <- pendingResp{id: id, tag: tag, tagged: tagged, slot: sl, err: err}:
+		case <-writerGone:
+			break read // the writer failed: nothing read now can be answered
+		}
 	}
 	close(stopWatch)
 	close(pend)
-	wg.Wait()
+	<-writerGone
 }
 
 // errStatus maps an admission or execution error to its wire status.

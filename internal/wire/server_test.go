@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"degradable/internal/adversary"
+	"degradable/internal/obs"
 	"degradable/internal/service"
 	"degradable/internal/types"
 )
@@ -263,4 +264,132 @@ func awaitAccepted(t *testing.T, ch <-chan Result) Result {
 		t.Fatal("first request unanswered before the shutdown began")
 	}
 	panic("unreachable")
+}
+
+// pipeListener accepts the server ends of net.Pipe connections the test
+// hands it.
+type pipeListener struct {
+	conns  chan net.Conn
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), closed: make(chan struct{})}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// TestShutdownAfterFailedWrite pins the end of a connection whose peer
+// sends but never reads: the first response write trips Timeouts.Write,
+// and the reader must stop rather than block forever on a response queue
+// the failed writer no longer drains, so Shutdown returns within its
+// context.
+func TestShutdownAfterFailedWrite(t *testing.T) {
+	ln := newPipeListener()
+	srv := NewServer(ln, service.New(service.Config{Shards: 1, QueueDepth: 1}))
+	srv.SetTimeouts(Timeouts{Write: 20 * time.Millisecond})
+	go srv.Serve()
+	client, server := net.Pipe()
+	defer client.Close()
+	ln.conns <- server
+	go func() {
+		var buf []byte
+		for i := 0; i < 64; i++ {
+			buf, _ = AppendRequest(buf[:0], uint64(i), service.Request{N: 5, M: 1, U: 2, Value: types.Value(i)})
+			if _, err := client.Write(buf); err != nil {
+				return
+			}
+		}
+	}()
+	time.Sleep(100 * time.Millisecond) // past the write deadline: the writer has failed
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- srv.Shutdown(ctx) }()
+	select {
+	case <-done:
+	case <-time.After(1200 * time.Millisecond):
+		t.Fatal("Shutdown still blocked 1 s after its context expired")
+	}
+}
+
+// verdictGate is a service Sink that lets the first spec verdict through
+// and holds the second until the test releases it, holding the shard that
+// emits it.
+type verdictGate struct {
+	mu      sync.Mutex
+	n       int
+	release chan struct{}
+}
+
+func (g *verdictGate) Emit(obs.Event) {
+	g.mu.Lock()
+	g.n++
+	n := g.n
+	g.mu.Unlock()
+	if n == 2 {
+		<-g.release
+	}
+}
+
+// TestFlushesBeforeWaiting pins the writer's flush rule: a finished
+// response is sent before the writer waits on the next request's outcome,
+// not when that outcome arrives. The first request is fault-free, decided
+// at submission; the second runs on the shard, which the gate holds at
+// its spec verdict until the first response has been read.
+func TestFlushesBeforeWaiting(t *testing.T) {
+	gate := &verdictGate{release: make(chan struct{})}
+	srv, addr := startServer(t, service.Config{Shards: 1, SpecSample: 1, Sink: gate})
+	defer srv.Shutdown(context.Background())
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(gate.release)
+		}
+	}
+	defer release()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	fast, err := c.Send(service.Request{N: 5, M: 1, U: 2, Value: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := c.Send(service.Request{N: 5, M: 1, U: 2, Value: 2,
+		Faults: []service.FaultSpec{{Node: 3, Kind: adversary.KindSilent}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-fast:
+		if r.Status != StatusOK || r.Resp.Decisions[1] != 1 {
+			t.Fatalf("fault-free response: %v %+v", r.Status, r.Resp)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("fault-free response held back while the next request runs")
+	}
+	release()
+	if r := <-slow; r.Status != StatusOK || r.Resp.Decisions[1] != 2 {
+		t.Fatalf("armed response: %v %+v", r.Status, r.Resp)
+	}
 }

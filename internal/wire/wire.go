@@ -458,6 +458,9 @@ func decodeResponseBody(b []byte) (st Status, resp service.Response, errmsg stri
 	if int(code) >= len(condNames) {
 		return st, resp, "", fmt.Errorf("wire: unknown condition code %d", code)
 	}
+	if flags&^(flagDegraded|flagChecked|flagOK|flagGraceful) != 0 {
+		return st, resp, "", fmt.Errorf("wire: unknown response flags %#x", flags)
+	}
 	resp.Condition = condNames[code]
 	resp.Degraded = flags&flagDegraded != 0
 	resp.Checked = flags&flagChecked != 0

@@ -49,6 +49,15 @@ echo "== burst writes (race, repeated) =="
 # detector covers the interleavings the loopback tests rarely hit.
 go test -race -count=20 -run 'Burst' ./internal/wire/ ./internal/fleet/
 
+echo "== forced decisions and the server's writer (race, repeated) =="
+# A fault-free request is decided on the submitting goroutine: Slot.Do,
+# Service.Do and the wire server answer it as the shard did, with the same
+# per-shard counters and spec samples. The server's writer flushes before it
+# waits on an undecided outcome, and a failed write ends the connection
+# without wedging its reader, so Shutdown returns.
+go test -race -count=20 -run 'ForcedParity' ./internal/service/
+go test -race -count=20 -run 'ShutdownAfterFailedWrite|FlushesBeforeWaiting' ./internal/wire/
+
 echo "== go benchmark smoke =="
 # One iteration of every go benchmark in the paper tables, the EIG engines,
 # the service hot path, the round scheduler and the pipelined wire client:
@@ -102,6 +111,13 @@ go test -run '^$' -fuzz FuzzSourceVsMathRand -fuzztime 10s ./internal/rng
 # The EIG tree against its string-map oracle: stores, and every path's
 # entry in the record the resolve sweep fills (what -explain prints).
 go test -run '^$' -fuzz FuzzFlatVsMap -fuzztime 10s ./internal/eig
+# The wire decoders read what a peer sends: request (plain and tagged),
+# response and round batch. None may panic or allocate past a small
+# multiple of the frame, and an accepted frame must be what the encoder
+# writes for the decoded value.
+for target in FuzzDecodeRequest FuzzDecodeTaggedRequest FuzzDecodeResponse FuzzDecodeRoundBatch; do
+	go test -run '^$' -fuzz "^$target\$" -fuzztime 30s ./internal/wire
+done
 # The Theorem 3 boundary table: graph family x fault placement x f, with
 # the classic-BA baseline column. The grep gates the paper's headline —
 # at least one classic-refused-but-degradable cell — and zero violations
