@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 
+	"degradable/internal/adversary"
 	"degradable/internal/chaos"
 	"degradable/internal/cluster"
 )
@@ -21,8 +22,9 @@ type (
 	ChaosScenario = chaos.Scenario
 	// ChaosOutcome is one scenario's judged result.
 	ChaosOutcome = chaos.Outcome
-	// ChaosFault arms one node inside a ChaosScenario.
-	ChaosFault = chaos.FaultSpec
+	// ChaosFault arms one node inside a ChaosScenario: the same type as
+	// Fault.
+	ChaosFault = adversary.FaultSpec
 	// ChaosInjector is one channel-level fault-injection layer.
 	ChaosInjector = chaos.Injector
 	// ChaosCrash schedules one mid-round kill (and optional checkpoint

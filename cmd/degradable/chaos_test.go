@@ -101,6 +101,31 @@ func TestReplayFailingScenario(t *testing.T) {
 	}
 }
 
+// TestReplaySenderValueZero: 0 is an ordinary sender value, so a -replay
+// scenario that names it runs with it — the pinned D.1 failure wants the
+// sender's 0 — and the outcome's scenario still says 0.
+func TestReplaySenderValueZero(t *testing.T) {
+	const sc = `{"n":5,"m":1,"u":2,"senderValue":0,"seed":21,` +
+		`"faults":[{"node":1,"kind":3,"value":2002},{"node":2,"kind":3,"value":2002},{"node":3,"kind":3,"value":2002}],` +
+		`"expect":{"condition":"D.1"}}`
+	var buf bytes.Buffer
+	err := chaosRun(t, []string{"-replay", sc, "-json"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "want sender's 0") {
+		t.Fatalf("pinned D.1 replay: err = %v, want a miss naming the sender's 0", err)
+	}
+	var out struct {
+		Scenario struct {
+			SenderValue *int64 `json:"senderValue"`
+		} `json:"scenario"`
+	}
+	if err := json.NewDecoder(&buf).Decode(&out); err != nil {
+		t.Fatalf("outcome JSON: %v", err)
+	}
+	if v := out.Scenario.SenderValue; v == nil || *v != 0 {
+		t.Errorf("outcome scenario senderValue %v, want 0", v)
+	}
+}
+
 func TestReplayHealthyScenario(t *testing.T) {
 	var buf bytes.Buffer
 	if err := chaosRun(t, []string{"-replay", `{"n":5,"m":1,"u":2,"seed":1}`}, &buf); err != nil {

@@ -36,17 +36,11 @@ func degradeFlags(fs *flag.FlagSet) func(io.Writer) error {
 		if err != nil {
 			return err
 		}
-		strategies := make(map[types.NodeID]adversary.Strategy, len(flts))
-		for _, f := range flts {
-			if _, dup := strategies[f.Node]; dup {
-				return fmt.Errorf("node %d armed twice", int(f.Node))
-			}
-			s, err := f.Kind.Build(p.N, f.Value, f.Seed)
-			if err != nil {
-				return err
-			}
-			strategies[f.Node] = s
+		strategies, err := adversary.Strategies(p.N, flts)
+		if err != nil {
+			return err
 		}
+		faulty, _ := adversary.CheckFaults(p.N, flts) // Strategies checked it
 		nodes, err := p.Nodes(v)
 		if err != nil {
 			return err
@@ -59,16 +53,12 @@ func degradeFlags(fs *flag.FlagSet) func(io.Writer) error {
 			if types.NodeID(explainID) == p.Sender {
 				return fmt.Errorf("bad -explain %d: the sender resolves nothing", explainID)
 			}
-			if _, bad := strategies[types.NodeID(explainID)]; bad {
+			if faulty.Contains(types.NodeID(explainID)) {
 				return fmt.Errorf("bad -explain %d: node %d is faulty", explainID, explainID)
 			}
 		}
 		if err := adversary.Wrap(nodes, p.N, p.Depth(), p.Sender, v, strategies); err != nil {
 			return err
-		}
-		var faulty types.NodeSet // Wrap refused every ID outside [0,N)
-		for id := range strategies {
-			faulty = faulty.Add(id)
 		}
 		cfg := round.Config{Rounds: p.Depth()}
 		if *trace {

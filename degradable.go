@@ -94,49 +94,35 @@ func MinNodes(m, u int) (int, error) { return core.MinNodes(m, u) }
 // m/u-degradable agreement: m+u+1 (Theorem 3).
 func MinConnectivity(m, u int) (int, error) { return core.MinConnectivity(m, u) }
 
-// FaultKind selects a built-in Byzantine behaviour for a faulty node.
-type FaultKind int
+// Fault vocabulary: the repo's one fault record and its kinds, so a Fault
+// is a served request's FaultSpec and a chaos scenario's ChaosFault as it
+// stands.
+type (
+	// FaultKind selects a built-in Byzantine behaviour for a faulty node.
+	FaultKind = adversary.Kind
+	// Fault arms one node with a built-in Byzantine behaviour: Node (the
+	// sender may be faulty), Kind, Value (for FaultLie, FaultTwoFaced and
+	// FaultRandom) and Seed (for FaultRandom). Its Strategy(n) method is
+	// the conversion Agree applies, for callers that compose AgreeObserved
+	// or AgreeCustom themselves.
+	Fault = adversary.FaultSpec
+)
 
 // Built-in fault behaviours.
 const (
 	// FaultSilent never sends.
-	FaultSilent FaultKind = iota + 1
+	FaultSilent = adversary.KindSilent
 	// FaultCrash behaves honestly in round 1 then falls silent.
-	FaultCrash
+	FaultCrash = adversary.KindCrash
 	// FaultLie sends Fault.Value everywhere.
-	FaultLie
+	FaultLie = adversary.KindLie
 	// FaultTwoFaced tells even-numbered recipients the honest value and
 	// everyone else Fault.Value.
-	FaultTwoFaced
+	FaultTwoFaced = adversary.KindTwoFaced
 	// FaultRandom sends pseudo-random values (deterministic per
 	// Fault.Seed), occasionally omitting messages.
-	FaultRandom
+	FaultRandom = adversary.KindRandom
 )
-
-// Fault arms one node with a built-in Byzantine behaviour.
-type Fault struct {
-	// Node is the faulty node (the sender may be faulty).
-	Node NodeID
-	// Kind selects the behaviour.
-	Kind FaultKind
-	// Value parameterizes FaultLie and FaultTwoFaced.
-	Value Value
-	// Seed parameterizes FaultRandom.
-	Seed int64
-}
-
-// Strategy converts the fault into its Byzantine behaviour for an N-node
-// system — the same conversion Agree applies, exported for callers that
-// compose AgreeObserved or AgreeCustom themselves.
-func (f Fault) Strategy(n int) (Strategy, error) { return f.strategy(n) }
-
-func (f Fault) strategy(n int) (adversary.Strategy, error) {
-	s, err := adversary.Kind(f.Kind).Build(n, f.Value, f.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("degradable: unknown fault kind %d", int(f.Kind))
-	}
-	return s, nil
-}
 
 // Result reports one agreement run.
 type Result struct {
@@ -166,29 +152,11 @@ type Result struct {
 // Agree runs one m/u-degradable agreement instance with the given faults
 // armed and returns every node's decision together with the spec verdict.
 func Agree(cfg Config, senderValue Value, faults ...Fault) (*Result, error) {
-	strategies, err := buildStrategies(cfg.N, faults)
+	strategies, err := adversary.Strategies(cfg.N, faults)
 	if err != nil {
 		return nil, err
 	}
 	return AgreeCustom(cfg, senderValue, strategies)
-}
-
-// buildStrategies converts a fault list to its strategy map, rejecting a node
-// armed twice — silently overwriting an earlier fault would run a weaker
-// adversary than the caller asked for.
-func buildStrategies(n int, faults []Fault) (map[NodeID]Strategy, error) {
-	strategies := make(map[NodeID]Strategy, len(faults))
-	for _, f := range faults {
-		if _, dup := strategies[f.Node]; dup {
-			return nil, fmt.Errorf("degradable: node %d armed twice", int(f.Node))
-		}
-		s, err := f.strategy(n)
-		if err != nil {
-			return nil, err
-		}
-		strategies[f.Node] = s
-	}
-	return strategies, nil
 }
 
 // AgreeCustom is Agree with fully custom Byzantine strategies.
@@ -210,7 +178,7 @@ func AgreeObserved(cfg Config, senderValue Value, strategies map[NodeID]Strategy
 // AgreeOM runs the Lamport–Shostak–Pease OM(m) baseline (N > 3m) under the
 // same fault interface; the verdict checks the m/m (classic) conditions.
 func AgreeOM(n, m int, senderValue Value, faults ...Fault) (*Result, error) {
-	strategies, err := buildStrategies(n, faults)
+	strategies, err := adversary.Strategies(n, faults)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +193,7 @@ func AgreeOM(n, m int, senderValue Value, faults ...Fault) (*Result, error) {
 // same fault interface; the verdict checks the 0/f (degraded) conditions,
 // which correspond to Crusader's correct-or-detect guarantee.
 func AgreeCrusader(n, f int, senderValue Value, faults ...Fault) (*Result, error) {
-	strategies, err := buildStrategies(n, faults)
+	strategies, err := adversary.Strategies(n, faults)
 	if err != nil {
 		return nil, err
 	}
@@ -267,12 +235,11 @@ func AgreeSM(n, m int, senderValue Value, faults ...Fault) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var faultySet NodeSet
+	faultySet, err := adversary.CheckFaults(n, faults)
+	if err != nil {
+		return nil, err
+	}
 	for _, f := range faults {
-		if faultySet.Contains(f.Node) {
-			return nil, fmt.Errorf("degradable: node %d armed twice", int(f.Node))
-		}
-		faultySet = faultySet.Add(f.Node)
 		eg, err := smEgress(f)
 		if err != nil {
 			return nil, err

@@ -87,7 +87,8 @@ func (sc Scenario) validateAsync() error {
 	if sc.Sender < 0 || int(sc.Sender) >= sc.N {
 		return fmt.Errorf("chaos: sender %d out of range [0,%d)", int(sc.Sender), sc.N)
 	}
-	return sc.validateFaults()
+	_, err := adversary.CheckFaults(sc.N, sc.Faults)
+	return err
 }
 
 // runAsync executes a (validated) DriverAsync scenario: Bracha A-Cast of
@@ -158,13 +159,13 @@ func runAsync(sc Scenario) (*ExecOutcome, error) {
 }
 
 // faultFor returns node id's fault spec (zero value when unarmed).
-func (sc Scenario) faultFor(id types.NodeID) FaultSpec {
+func (sc Scenario) faultFor(id types.NodeID) adversary.FaultSpec {
 	for _, f := range sc.Faults {
 		if f.Node == id {
 			return f
 		}
 	}
-	return FaultSpec{Node: id}
+	return adversary.FaultSpec{Node: id}
 }
 
 // asyncByzantine perverts an A-Cast participant's certificate traffic
@@ -174,13 +175,13 @@ func (sc Scenario) faultFor(id types.NodeID) FaultSpec {
 // only what leaves the node is corrupted.
 type asyncByzantine struct {
 	inner *acast.Node
-	fault FaultSpec
+	fault adversary.FaultSpec
 	n     int
 	rng   *rand.Rand
 	seen  int // deliveries ingested (the crash clock)
 }
 
-func newAsyncByzantine(inner *acast.Node, f FaultSpec, n int, scSeed int64) *asyncByzantine {
+func newAsyncByzantine(inner *acast.Node, f adversary.FaultSpec, n int, scSeed int64) *asyncByzantine {
 	b := &asyncByzantine{inner: inner, fault: f, n: n}
 	if f.Kind == adversary.KindRandom {
 		seed := f.Seed
@@ -316,7 +317,7 @@ func (c Campaign) generateAsync(rng *rand.Rand, gp GridPoint) Scenario {
 	f := rng.Intn(maxF + 1)
 	perm := rng.Perm(n)
 	for _, node := range perm[:f] {
-		fault := FaultSpec{
+		fault := adversary.FaultSpec{
 			Node: types.NodeID(node),
 			Kind: faultKinds[rng.Intn(len(faultKinds))],
 		}

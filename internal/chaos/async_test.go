@@ -76,7 +76,7 @@ func TestAsyncScenarioByzantine(t *testing.T) {
 		for _, node := range []int{0, 2} { // faulty broadcaster and faulty receiver
 			sc := Scenario{
 				N: 4, Seed: 19, Driver: DriverAsync, Sched: "adversarial",
-				Faults: []FaultSpec{{Node: types.NodeID(node), Kind: kind, Value: 2002, Seed: 5}},
+				Faults: []adversary.FaultSpec{{Node: types.NodeID(node), Kind: kind, Value: 2002, Seed: 5}},
 			}
 			out, err := sc.Run()
 			if err != nil {
@@ -104,7 +104,7 @@ func TestAsyncScenarioByzantine(t *testing.T) {
 func TestAsyncScenarioReplaysFromJSON(t *testing.T) {
 	sc := Scenario{
 		N: 7, Seed: 23, Driver: DriverAsync, Sched: "adversarial",
-		Faults: []FaultSpec{{Node: 3, Kind: adversary.KindTwoFaced, Value: 3003}},
+		Faults: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindTwoFaced, Value: 3003}},
 	}
 	a, err := sc.Run()
 	if err != nil {
@@ -240,7 +240,7 @@ func TestAsyncSweep(t *testing.T) {
 // every other driver's — a pinned condition is checked, and a level
 // overrides the one the tolerance resolves.
 func TestAsyncExpectation(t *testing.T) {
-	lyingSender := []FaultSpec{{Node: 0, Kind: adversary.KindLie, Value: 2002}}
+	lyingSender := []adversary.FaultSpec{{Node: 0, Kind: adversary.KindLie, Value: 2002}}
 	for _, tc := range []struct {
 		name   string
 		expect Expectation
@@ -251,7 +251,7 @@ func TestAsyncExpectation(t *testing.T) {
 			"pinned condition D.1 failed: D.1: node 1 decided 2002, want sender's 1001"},
 		{"level none met", Expectation{Level: LevelNone}, true, ""},
 	} {
-		sc := Scenario{N: 4, Seed: 5, Driver: DriverAsync, Sched: "adversarial", Faults: lyingSender, Expect: tc.expect}
+		sc := Scenario{N: 4, SenderValue: harnessValue, Seed: 5, Driver: DriverAsync, Sched: "adversarial", Faults: lyingSender, Expect: tc.expect}
 		out, err := sc.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -279,9 +279,9 @@ func TestOneJudgeCatchesMutation(t *testing.T) {
 	}
 	const want = "D.1: node 2 decided 1002, want sender's 1001"
 	for _, sc := range []Scenario{
-		{N: 4, M: 1, U: 1, Seed: 3},
-		{N: 4, Seed: 3, Driver: DriverAsync},
-		{N: 7, Seed: 3, Driver: DriverAsync, Sched: "adversarial"},
+		{N: 4, M: 1, U: 1, SenderValue: harnessValue, Seed: 3},
+		{N: 4, SenderValue: harnessValue, Seed: 3, Driver: DriverAsync},
+		{N: 7, SenderValue: harnessValue, Seed: 3, Driver: DriverAsync, Sched: "adversarial"},
 	} {
 		out, err := sc.RunWith(flip)
 		if err != nil {
@@ -302,7 +302,7 @@ func TestOneJudgeCatchesMutation(t *testing.T) {
 func TestAsyncBeyondTolerance(t *testing.T) {
 	sc := Scenario{
 		N: 4, Seed: 7, Driver: DriverAsync, Sched: "adversarial",
-		Faults: []FaultSpec{
+		Faults: []adversary.FaultSpec{
 			{Node: 0, Kind: adversary.KindTwoFaced, Value: 2002},
 			{Node: 3, Kind: adversary.KindTwoFaced, Value: 3003},
 		},

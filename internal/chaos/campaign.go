@@ -409,7 +409,7 @@ func (c Campaign) Generate(i int) Scenario {
 		perm = cutFirst(perm, tp.cut)
 	}
 	for _, node := range perm[:f] {
-		fault := FaultSpec{
+		fault := adversary.FaultSpec{
 			Node: types.NodeID(node),
 			Kind: faultKinds[r.Intn(len(faultKinds))],
 		}
@@ -492,7 +492,7 @@ func (c Campaign) generateCrashes(rng *rand.Rand, gp GridPoint, sc Scenario) []C
 }
 
 // generateInjector draws one injector layer.
-func (c Campaign) generateInjector(rng *rand.Rand, gp GridPoint, faults []FaultSpec) Injector {
+func (c Campaign) generateInjector(rng *rand.Rand, gp GridPoint, faults []adversary.FaultSpec) Injector {
 	prob := func() float64 { return c.Probs[rng.Intn(len(c.Probs))] }
 	// Not core.Params.Depth either (N = 2 runs one round): the goldens pin this draw.
 	depth := gp.M + 1
@@ -538,7 +538,7 @@ func (c Campaign) generateInjector(rng *rand.Rand, gp GridPoint, faults []FaultS
 
 // randomScope picks faulty-only when there are faults to scope to, otherwise
 // anywhere (a faulty-only injector with no faults would be a no-op layer).
-func randomScope(rng *rand.Rand, faults []FaultSpec) Scope {
+func randomScope(rng *rand.Rand, faults []adversary.FaultSpec) Scope {
 	if len(faults) > 0 && rng.Intn(2) == 0 {
 		return ScopeFaultyOnly
 	}

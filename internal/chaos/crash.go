@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 
+	"degradable/internal/adversary"
 	"degradable/internal/core"
 	"degradable/internal/types"
 )
@@ -104,15 +105,16 @@ func (ri *RecoveryInfo) Label() string {
 }
 
 // ValidateCrashes rejects malformed crash schedules early, identically for
-// every executor.
+// every executor. A victim must not also be armed, so it checks the fault
+// list too (adversary.CheckFaults).
 func (sc Scenario) ValidateCrashes() error {
 	if len(sc.Crashes) == 0 {
 		return nil
 	}
 	depth := core.Params{N: sc.N, M: sc.M, U: sc.U, Sender: sc.Sender}.Depth()
-	armed := make(map[types.NodeID]bool, len(sc.Faults))
-	for _, f := range sc.Faults {
-		armed[f.Node] = true
+	armed, err := adversary.CheckFaults(sc.N, sc.Faults)
+	if err != nil {
+		return err
 	}
 	seen := make(map[types.NodeID]bool, len(sc.Crashes))
 	for _, cr := range sc.Crashes {
@@ -123,7 +125,7 @@ func (sc Scenario) ValidateCrashes() error {
 			return fmt.Errorf("chaos: node %d crash-scheduled twice", int(cr.Node))
 		}
 		seen[cr.Node] = true
-		if armed[cr.Node] {
+		if armed.Contains(cr.Node) {
 			return fmt.Errorf("chaos: node %d is both Byzantine and crash-scheduled", int(cr.Node))
 		}
 		if cr.Round < 1 || cr.Round > depth {

@@ -15,13 +15,13 @@ func TestCrashValidation(t *testing.T) {
 	cases := []struct {
 		name    string
 		crashes []CrashSpec
-		faults  []FaultSpec
+		faults  []adversary.FaultSpec
 		wantErr string
 	}{
 		{"node out of range", []CrashSpec{{Node: 5, Round: 1}}, nil, "out of range"},
 		{"duplicate victim", []CrashSpec{{Node: 2, Round: 1}, {Node: 2, Round: 2}}, nil, "twice"},
 		{"victim also Byzantine", []CrashSpec{{Node: 1, Round: 1}},
-			[]FaultSpec{{Node: 1, Kind: adversary.KindLie, Value: 2002}}, "Byzantine"},
+			[]adversary.FaultSpec{{Node: 1, Kind: adversary.KindLie, Value: 2002}}, "Byzantine"},
 		{"round zero", []CrashSpec{{Node: 2, Round: 0}}, nil, "outside"},
 		{"round beyond depth", []CrashSpec{{Node: 2, Round: 3}}, nil, "outside"},
 		{"unknown phase", []CrashSpec{{Node: 2, Round: 1, Phase: "mid"}}, nil, "phase"},
@@ -78,7 +78,7 @@ func TestCrashInEchoRound(t *testing.T) {
 func TestCrashCountsTowardFaultBudget(t *testing.T) {
 	sc := Scenario{
 		N: 5, M: 1, U: 2, Seed: 3,
-		Faults:  []FaultSpec{{Node: 1, Kind: adversary.KindLie, Value: 2002}},
+		Faults:  []adversary.FaultSpec{{Node: 1, Kind: adversary.KindLie, Value: 2002}},
 		Crashes: []CrashSpec{{Node: 2, Round: 1}},
 	}
 	if sc.F() != 2 {
@@ -108,7 +108,7 @@ func TestCrashCountsTowardFaultBudget(t *testing.T) {
 func TestCrashReplayByteIdentical(t *testing.T) {
 	sc := Scenario{
 		N: 7, M: 2, U: 2, Seed: 99, Driver: DriverCluster,
-		Faults:    []FaultSpec{{Node: 3, Kind: adversary.KindTwoFaced, Value: 3003}},
+		Faults:    []adversary.FaultSpec{{Node: 3, Kind: adversary.KindTwoFaced, Value: 3003}},
 		Crashes:   []CrashSpec{{Node: 5, Round: 2, Phase: CrashPhaseClosed, Corrupt: CorruptBitFlip}},
 		Injectors: []Injector{{Kind: Duplicate, P: 0.2}},
 	}

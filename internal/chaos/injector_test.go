@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"degradable/internal/adversary"
 	"degradable/internal/types"
 )
 
@@ -99,7 +100,7 @@ func TestCorruptValueConfinedToFaultyTraffic(t *testing.T) {
 	// With a faulty node, its traffic is corrupted and the spec still holds:
 	// a Byzantine node garbling its own messages is just another adversary.
 	sc = base(5)
-	sc.Faults = []FaultSpec{{Node: 3, Kind: 3 /* lie */, Value: 2002}}
+	sc.Faults = []adversary.FaultSpec{{Node: 3, Kind: 3 /* lie */, Value: 2002}}
 	sc.Injectors = Compose(Injector{Kind: CorruptValue, P: 1, Domain: []types.Value{3003}})
 	out, err = sc.Run()
 	if err != nil {
@@ -161,7 +162,7 @@ func TestPartitionRoundWindow(t *testing.T) {
 
 func TestComposeLayersAndCounters(t *testing.T) {
 	sc := base(8)
-	sc.Faults = []FaultSpec{{Node: 4, Kind: 1 /* silent */}}
+	sc.Faults = []adversary.FaultSpec{{Node: 4, Kind: 1 /* silent */}}
 	sc.Injectors = Compose(
 		Injector{Kind: Drop, P: 0.2},
 		Injector{Kind: Duplicate, P: 0.2},
@@ -181,7 +182,7 @@ func TestComposeLayersAndCounters(t *testing.T) {
 
 func TestScenarioReplaysByteIdentically(t *testing.T) {
 	sc := base(9)
-	sc.Faults = []FaultSpec{{Node: 2, Kind: 5 /* random */, Value: 2002, Seed: 77}}
+	sc.Faults = []adversary.FaultSpec{{Node: 2, Kind: 5 /* random */, Value: 2002, Seed: 77}}
 	sc.Injectors = Compose(Injector{Kind: Drop, P: 0.3}, Injector{Kind: Duplicate, P: 0.3})
 	a, err := sc.Run()
 	if err != nil {
@@ -238,7 +239,7 @@ func TestResolveLevel(t *testing.T) {
 	for _, c := range cases {
 		sc := base(11)
 		for i := 0; i < c.faults; i++ {
-			sc.Faults = append(sc.Faults, FaultSpec{Node: types.NodeID(i + 1), Kind: 1})
+			sc.Faults = append(sc.Faults, adversary.FaultSpec{Node: types.NodeID(i + 1), Kind: 1})
 		}
 		sc.Injectors = c.inj
 		if got := sc.ResolveLevel(); got != c.want {
@@ -249,7 +250,7 @@ func TestResolveLevel(t *testing.T) {
 
 func TestDuplicateFaultRejected(t *testing.T) {
 	sc := base(12)
-	sc.Faults = []FaultSpec{{Node: 3, Kind: 1}, {Node: 3, Kind: 3, Value: 2002}}
+	sc.Faults = []adversary.FaultSpec{{Node: 3, Kind: 1}, {Node: 3, Kind: 3, Value: 2002}}
 	if _, err := sc.Run(); err == nil {
 		t.Error("node armed twice was accepted")
 	}

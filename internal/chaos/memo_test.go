@@ -87,7 +87,7 @@ func TestMemoHammer(t *testing.T) {
 	sc := Scenario{
 		N: 9, M: 1, U: 2, Seed: 5,
 		Driver: DriverSequential,
-		Faults: []FaultSpec{
+		Faults: []adversary.FaultSpec{
 			{Node: 3, Kind: adversary.KindLie, Value: 2002},
 			{Node: 6, Kind: adversary.KindSilent},
 		},

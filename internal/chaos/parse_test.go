@@ -13,25 +13,25 @@ func TestParseFaults(t *testing.T) {
 	tests := []struct {
 		name string
 		in   string
-		want []FaultSpec // nil for the empty string and for every bad input
+		want []adversary.FaultSpec // nil for the empty string and for every bad input
 		bad  bool
 	}{
 		{name: "empty", in: ""},
-		{name: "single silent", in: "3:silent", want: []FaultSpec{{Node: 3, Kind: adversary.KindSilent}}},
-		{name: "lie with value", in: "3:lie:99", want: []FaultSpec{{Node: 3, Kind: adversary.KindLie, Value: 99}}},
+		{name: "single silent", in: "3:silent", want: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindSilent}}},
+		{name: "lie with value", in: "3:lie:99", want: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindLie, Value: 99}}},
 		{name: "random with seed", in: "3:random:99:7",
-			want: []FaultSpec{{Node: 3, Kind: adversary.KindRandom, Value: 99, Seed: 7}}},
-		{name: "multiple", in: "3:lie:99,4:silent,0:twofaced:7", want: []FaultSpec{
+			want: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindRandom, Value: 99, Seed: 7}}},
+		{name: "multiple", in: "3:lie:99,4:silent,0:twofaced:7", want: []adversary.FaultSpec{
 			{Node: 3, Kind: adversary.KindLie, Value: 99},
 			{Node: 4, Kind: adversary.KindSilent},
 			{Node: 0, Kind: adversary.KindTwoFaced, Value: 7},
 		}},
-		{name: "crash", in: "2:crash", want: []FaultSpec{{Node: 2, Kind: adversary.KindCrash}}},
-		{name: "values", in: "3:lie:99,0:random:5:42", want: []FaultSpec{
+		{name: "crash", in: "2:crash", want: []adversary.FaultSpec{{Node: 2, Kind: adversary.KindCrash}}},
+		{name: "values", in: "3:lie:99,0:random:5:42", want: []adversary.FaultSpec{
 			{Node: 3, Kind: adversary.KindLie, Value: 99},
 			{Node: 0, Kind: adversary.KindRandom, Value: 5, Seed: 42},
 		}},
-		{name: "cluster example", in: "2:twofaced:999,4:silent,1:random:0:42", want: []FaultSpec{
+		{name: "cluster example", in: "2:twofaced:999,4:silent,1:random:0:42", want: []adversary.FaultSpec{
 			{Node: 2, Kind: adversary.KindTwoFaced, Value: 999},
 			{Node: 4, Kind: adversary.KindSilent},
 			{Node: 1, Kind: adversary.KindRandom, Seed: 42},

@@ -16,26 +16,16 @@ import (
 	"degradable/internal/types"
 )
 
-// FaultSpec arms one node with a built-in Byzantine behaviour. It mirrors the
-// facade's Fault (the Kind values are shared via internal/adversary), in a
-// form the campaign generator and the JSON replay path can serialize.
-type FaultSpec struct {
-	Node  types.NodeID   `json:"node"`
-	Kind  adversary.Kind `json:"kind"`
-	Value types.Value    `json:"value,omitempty"`
-	Seed  int64          `json:"seed,omitempty"`
-}
-
 // ParseFaults parses the command-line fault grammar: comma-separated
 // node:kind[:value][:seed] entries, where kind is an adversary.Kind name
 // (silent, crash, lie, twofaced, random), value parameterizes lie and
 // twofaced, and seed makes a random fault reproducible. The empty string
 // arms nothing.
-func ParseFaults(s string) ([]FaultSpec, error) {
+func ParseFaults(s string) ([]adversary.FaultSpec, error) {
 	if s == "" {
 		return nil, nil
 	}
-	var out []FaultSpec
+	var out []adversary.FaultSpec
 	for _, entry := range strings.Split(s, ",") {
 		parts := strings.Split(entry, ":")
 		if len(parts) < 2 {
@@ -45,7 +35,7 @@ func ParseFaults(s string) ([]FaultSpec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad fault node %q: %v", parts[0], err)
 		}
-		f := FaultSpec{Node: types.NodeID(node)}
+		f := adversary.FaultSpec{Node: types.NodeID(node)}
 		for _, k := range faultKinds {
 			if k.String() == parts[1] {
 				f.Kind = k
@@ -124,10 +114,11 @@ type Scenario struct {
 	M      int          `json:"m"`
 	U      int          `json:"u"`
 	Sender types.NodeID `json:"sender,omitempty"`
-	// SenderValue is the fault-free sender's input (default harnessValue).
-	SenderValue types.Value `json:"senderValue,omitempty"`
-	Faults      []FaultSpec `json:"faults,omitempty"`
-	Injectors   []Injector  `json:"injectors,omitempty"`
+	// SenderValue is the sender's input. Every value is an ordinary one,
+	// 0 included: V_d is not 0.
+	SenderValue types.Value           `json:"senderValue"`
+	Faults      []adversary.FaultSpec `json:"faults,omitempty"`
+	Injectors   []Injector            `json:"injectors,omitempty"`
 	// Crashes schedules mid-round kill (and usually restart) events; see
 	// CrashSpec. Victims count toward the fault budget like Byzantine nodes
 	// — their silence is the detectable absence of §4 assumption (b) — and
@@ -176,8 +167,8 @@ const (
 	DriverAsync      = "async"
 )
 
-// harnessValue is the default honest sender value, matching the harness's
-// Alpha so rendered reproductions look like the rest of the repo.
+// harnessValue is the sender value of every generated scenario, matching the
+// harness's Alpha so rendered reproductions look like the rest of the repo.
 const harnessValue types.Value = 1001
 
 // F returns the node-fault count: armed Byzantine nodes plus crash victims
@@ -379,9 +370,6 @@ func (sc Scenario) Run() (*Outcome, error) { return sc.RunWith(nil) }
 // the executor's raw outcome against D.1–D.4, the §2 m+1 floor, and the
 // scenario's expectation are identical for every executor.
 func (sc Scenario) RunWith(exec Executor) (*Outcome, error) {
-	if sc.SenderValue == 0 {
-		sc.SenderValue = harnessValue
-	}
 	out := &Outcome{Scenario: sc, Level: sc.ResolveLevel().String()}
 	switch err := sc.validate(); {
 	case errors.Is(err, core.ErrInfeasible) || errors.Is(err, core.ErrTooFewNodes):
@@ -471,26 +459,10 @@ func (sc Scenario) validate() error {
 	if err := (core.Params{N: sc.N, M: sc.M, U: sc.U, Sender: sc.Sender}).Validate(); err != nil {
 		return err
 	}
-	if err := sc.validateFaults(); err != nil {
+	if _, err := adversary.CheckFaults(sc.N, sc.Faults); err != nil {
 		return err
 	}
 	return sc.ValidateCrashes()
-}
-
-// validateFaults rejects malformed fault sets early, identically for every
-// executor.
-func (sc Scenario) validateFaults() error {
-	var seen types.NodeSet
-	for _, f := range sc.Faults {
-		if f.Node < 0 || int(f.Node) >= sc.N {
-			return fmt.Errorf("chaos: fault node %d out of range [0,%d)", int(f.Node), sc.N)
-		}
-		if seen.Contains(f.Node) {
-			return fmt.Errorf("chaos: node %d armed twice", int(f.Node))
-		}
-		seen = seen.Add(f.Node)
-	}
-	return nil
 }
 
 // inProcess is the built-in executor: every synchronous driver name runs
@@ -526,19 +498,12 @@ func inProcess(sc Scenario) (*ExecOutcome, error) {
 		}
 		wp.Put(w)
 	}()
-	faults := make([]runner.Fault, 0, sc.F())
-	for k, f := range sc.Faults {
-		s, err := w.Strategy(k, f.Kind, f.Value, f.Seed)
-		if err != nil {
-			return nil, err
-		}
-		faults = append(faults, runner.Fault{Node: f.Node, Strategy: s})
-	}
 	// Crash victims: honest through the kill round's sends, silent after —
 	// the in-process surrogate for a SIGKILLed process whose recovery the
 	// surrogate cannot observe (see Scenario.Driver).
+	var crashed []runner.Fault
 	for _, cr := range sc.Crashes {
-		faults = append(faults, runner.Fault{Node: cr.Node, Strategy: adversary.Crash{After: cr.Round}})
+		crashed = append(crashed, runner.Fault{Node: cr.Node, Strategy: adversary.Crash{After: cr.Round}})
 	}
 	eo := &ExecOutcome{}
 	var channel round.Channel
@@ -561,7 +526,7 @@ func inProcess(sc Scenario) (*ExecOutcome, error) {
 		// node process.
 		channel = ComposeEgress(inj, topo)
 	}
-	res, err := w.Run(sc.SenderValue, faults, channel)
+	res, err := w.Run(sc.SenderValue, sc.Faults, crashed, channel)
 	if err != nil {
 		return nil, err
 	}

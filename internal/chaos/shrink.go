@@ -220,7 +220,7 @@ func ReproGo(sc Scenario) string {
 }
 
 // faultLiteral renders one fault as a degradable.Fault literal.
-func faultLiteral(f FaultSpec) string {
+func faultLiteral(f adversary.FaultSpec) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "degradable.Fault{Node: %d, Kind: degradable.%s", int(f.Node), facadeKind(f.Kind))
 	if f.Value != 0 {
@@ -234,7 +234,7 @@ func faultLiteral(f FaultSpec) string {
 }
 
 // facadeKind names the degradable.FaultKind constant for an adversary kind
-// (the enumerations are aligned by construction).
+// (FaultKind is adversary.Kind).
 func facadeKind(k adversary.Kind) string {
 	switch k {
 	case adversary.KindSilent:

@@ -17,7 +17,7 @@ func misbounded() Scenario {
 	return Scenario{
 		N: 7, M: 1, U: 2,
 		SenderValue: 1001,
-		Faults: []FaultSpec{
+		Faults: []adversary.FaultSpec{
 			{Node: 1, Kind: adversary.KindLie, Value: 2002},
 			{Node: 2, Kind: adversary.KindLie, Value: 2002},
 			{Node: 3, Kind: adversary.KindLie, Value: 2002},
@@ -104,7 +104,7 @@ func TestShrinkMisboundedScenario(t *testing.T) {
 
 func TestShrinkHealthyScenarioIsIdentity(t *testing.T) {
 	sc := base(30)
-	sc.Faults = []FaultSpec{{Node: 2, Kind: adversary.KindSilent}}
+	sc.Faults = []adversary.FaultSpec{{Node: 2, Kind: adversary.KindSilent}}
 	out, steps, err := Shrink(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestReproGoWithInjectors(t *testing.T) {
 func TestReproGoFaultLiterals(t *testing.T) {
 	sc := Scenario{
 		N: 5, M: 1, U: 2, SenderValue: 1001, Seed: 8,
-		Faults: []FaultSpec{
+		Faults: []adversary.FaultSpec{
 			{Node: 1, Kind: adversary.KindRandom, Value: types.Value(2002), Seed: 77},
 			{Node: 4, Kind: adversary.KindSilent},
 		},

@@ -205,7 +205,7 @@ func (ts *TopoSpec) Report(n, m, u, f int) (*TopoReport, error) {
 // forged value), and a silent or crashed node relays nothing. The projection
 // keeps the two fault planes consistent — a scenario's f Byzantine nodes are
 // the SAME f nodes the routing layer must tolerate.
-func corruptorFor(f FaultSpec) transport.RelayCorruptor {
+func corruptorFor(f adversary.FaultSpec) transport.RelayCorruptor {
 	switch f.Kind {
 	case adversary.KindLie, adversary.KindTwoFaced, adversary.KindRandom:
 		if f.Value != 0 {
@@ -217,11 +217,11 @@ func corruptorFor(f FaultSpec) transport.RelayCorruptor {
 
 // NewChannel materializes the topology channel for one run: the graph's
 // shared m+u+1 route table and relay corruptors derived from the scenario's
-// fault set (crash victims in faulty without a FaultSpec relay nothing).
+// fault set (crash victims in faulty without a fault spec relay nothing).
 // Strict channels (Loose unset) fail when the graph's pairwise connectivity
 // is below m+u+1. A malformed mode or placement is refused here too, since
 // the cluster node process builds its channel without calling Report.
-func (ts *TopoSpec) NewChannel(n, m, u int, faults []FaultSpec, faulty types.NodeSet) (TopoChannel, error) {
+func (ts *TopoSpec) NewChannel(n, m, u int, faults []adversary.FaultSpec, faulty types.NodeSet) (TopoChannel, error) {
 	if err := ts.validate(); err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@ import (
 func TestTopoScenarioBothModes(t *testing.T) {
 	base := Scenario{
 		N: 9, M: 1, U: 2,
-		Faults: []FaultSpec{{Node: 3, Kind: adversary.KindLie, Value: 2002}},
+		Faults: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindLie, Value: 2002}},
 		Seed:   7,
 		Driver: DriverSequential,
 	}
@@ -110,7 +110,7 @@ func TestTheorem3Necessity(t *testing.T) {
 			Topology: &TopoSpec{Graph: tc.graph, Placement: PlacementCutset, Loose: true},
 		}
 		for i := 0; i < tc.u; i++ { // u liars on the cut: the proof adversary
-			sc.Faults = append(sc.Faults, FaultSpec{
+			sc.Faults = append(sc.Faults, adversary.FaultSpec{
 				Node: tc.cut[i], Kind: adversary.KindLie, Value: 2002,
 			})
 		}
@@ -139,7 +139,7 @@ func TestTheorem3SufficiencyExhaustive(t *testing.T) {
 			sc := Scenario{
 				N: 9, M: 1, U: 2, Seed: 5,
 				Driver:   DriverSequential,
-				Faults:   []FaultSpec{faultOf(types.NodeID(node), kind)},
+				Faults:   []adversary.FaultSpec{faultOf(types.NodeID(node), kind)},
 				Topology: &TopoSpec{Graph: "harary:4:9"},
 			}
 			out, err := sc.Run()
@@ -159,7 +159,7 @@ func TestTheorem3SufficiencyExhaustive(t *testing.T) {
 					sc := Scenario{
 						N: 9, M: 2, U: 2, Seed: 5,
 						Driver: DriverSequential,
-						Faults: []FaultSpec{
+						Faults: []adversary.FaultSpec{
 							faultOf(types.NodeID(a), ka),
 							faultOf(types.NodeID(b), kb),
 						},
@@ -180,8 +180,8 @@ func TestTheorem3SufficiencyExhaustive(t *testing.T) {
 }
 
 // faultOf arms one node with a test fault (liars forge 2002).
-func faultOf(node types.NodeID, kind adversary.Kind) FaultSpec {
-	f := FaultSpec{Node: node, Kind: kind}
+func faultOf(node types.NodeID, kind adversary.Kind) adversary.FaultSpec {
+	f := adversary.FaultSpec{Node: node, Kind: kind}
 	if kind == adversary.KindLie {
 		f.Value = 2002
 	}
@@ -310,7 +310,7 @@ func TestShrinkReducesTopology(t *testing.T) {
 	sc := Scenario{
 		N: 6, M: 1, U: 1, Seed: 11,
 		Driver: DriverSequential,
-		Faults: []FaultSpec{{Node: 2, Kind: adversary.KindLie, Value: 2002}},
+		Faults: []adversary.FaultSpec{{Node: 2, Kind: adversary.KindLie, Value: 2002}},
 		// κ=2 = m+u: a lower-bound graph, pinned to LevelFull so the run
 		// counts as an expectation failure the shrinker can minimize.
 		Topology: &TopoSpec{Graph: "bridge:2:2:2", Placement: PlacementCutset, Loose: true},

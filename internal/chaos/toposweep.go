@@ -189,7 +189,7 @@ func TopologySweep(seed int64, runsPerCell int) (*TopoBench, error) {
 // or a seeded draw of lie/two-faced/silent behaviours anywhere (uniform).
 // The sender (node 0) is exempt so every cell row judges the same D
 // conditions.
-func sweepFaults(rng *rand.Rand, n, f int, placement string, cut []types.NodeID) []FaultSpec {
+func sweepFaults(rng *rand.Rand, n, f int, placement string, cut []types.NodeID) []adversary.FaultSpec {
 	var pool []types.NodeID
 	if placement == PlacementCutset {
 		for _, id := range cut {
@@ -218,9 +218,9 @@ func sweepFaults(rng *rand.Rand, n, f int, placement string, cut []types.NodeID)
 		f = len(pool)
 	}
 	kinds := []adversary.Kind{adversary.KindLie, adversary.KindTwoFaced, adversary.KindSilent}
-	faults := make([]FaultSpec, 0, f)
+	faults := make([]adversary.FaultSpec, 0, f)
 	for i := 0; i < f; i++ {
-		fs := FaultSpec{Node: pool[i], Kind: adversary.KindLie, Value: lieValues[0]}
+		fs := adversary.FaultSpec{Node: pool[i], Kind: adversary.KindLie, Value: lieValues[0]}
 		if placement != PlacementCutset {
 			fs.Kind = kinds[rng.Intn(len(kinds))]
 			if fs.Kind == adversary.KindSilent {

@@ -20,7 +20,7 @@ const maxWarmRunAllocs = 10
 // drops pooled objects.)
 func TestWarmRunAllocs(t *testing.T) {
 	sc := Scenario{N: 7, M: 2, U: 2, SenderValue: 1001,
-		Faults: []FaultSpec{{Node: 3, Kind: adversary.KindLie, Value: 9}}}
+		Faults: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindLie, Value: 9}}}
 	run := func() {
 		if _, err := sc.Run(); err != nil {
 			t.Fatal(err)

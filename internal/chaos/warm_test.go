@@ -24,7 +24,7 @@ func freshProcess(sc Scenario) (*ExecOutcome, error) {
 	}
 	strategies := make(map[types.NodeID]adversary.Strategy, sc.F())
 	for _, f := range sc.Faults {
-		s, err := f.Kind.Build(sc.N, f.Value, f.Seed)
+		s, err := f.Strategy(sc.N)
 		if err != nil {
 			return nil, err
 		}
@@ -155,7 +155,7 @@ func TestHeldOutcomeKeepsDecisions(t *testing.T) {
 	want := maps.Clone(held.Decisions)
 	second := first
 	second.SenderValue = 7
-	second.Faults = []FaultSpec{{Node: 2, Kind: adversary.KindLie, Value: 9}}
+	second.Faults = []adversary.FaultSpec{{Node: 2, Kind: adversary.KindLie, Value: 9}}
 	if _, err := inProcess(second); err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ type diffCase struct {
 	name    string
 	n, m, u int
 	sender  types.NodeID
-	faults  []chaos.FaultSpec
+	faults  []adversary.FaultSpec
 }
 
 // diffMatrix is the seeded matrix of (N, m, u, fault script) points the
@@ -41,28 +41,28 @@ func diffMatrix(short bool) []diffCase {
 	cases := []diffCase{
 		{name: "min-1-1-clean", n: 4, m: 1, u: 1},
 		{name: "paper-5-1-2-twofaced", n: 5, m: 1, u: 2,
-			faults: []chaos.FaultSpec{{Node: 2, Kind: adversary.KindTwoFaced, Value: 999}}},
+			faults: []adversary.FaultSpec{{Node: 2, Kind: adversary.KindTwoFaced, Value: 999}}},
 		{name: "echo-4-0-2-silent", n: 4, m: 0, u: 2,
-			faults: []chaos.FaultSpec{{Node: 3, Kind: adversary.KindSilent}}},
+			faults: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindSilent}}},
 	}
 	if short {
 		return cases
 	}
 	return append(cases,
 		diffCase{name: "faulty-sender-lie", n: 5, m: 1, u: 2, sender: 0,
-			faults: []chaos.FaultSpec{{Node: 0, Kind: adversary.KindLie, Value: 777}}},
+			faults: []adversary.FaultSpec{{Node: 0, Kind: adversary.KindLie, Value: 777}}},
 		diffCase{name: "degraded-7-1-2", n: 7, m: 1, u: 2,
-			faults: []chaos.FaultSpec{
+			faults: []adversary.FaultSpec{
 				{Node: 1, Kind: adversary.KindTwoFaced, Value: 999},
 				{Node: 4, Kind: adversary.KindRandom, Value: 888, Seed: 42},
 			}},
 		diffCase{name: "depth3-7-2-2", n: 7, m: 2, u: 2,
-			faults: []chaos.FaultSpec{
+			faults: []adversary.FaultSpec{
 				{Node: 2, Kind: adversary.KindCrash, Value: 0, Seed: 7},
 				{Node: 5, Kind: adversary.KindLie, Value: 777},
 			}},
 		diffCase{name: "beyond-u-5-1-2", n: 5, m: 1, u: 2,
-			faults: []chaos.FaultSpec{
+			faults: []adversary.FaultSpec{
 				{Node: 1, Kind: adversary.KindSilent},
 				{Node: 2, Kind: adversary.KindLie, Value: 777},
 				{Node: 3, Kind: adversary.KindTwoFaced, Value: 999},
@@ -76,7 +76,7 @@ func inProcessRun(t *testing.T, c diffCase) *runner.Instance {
 	t.Helper()
 	strategies := make(map[types.NodeID]adversary.Strategy, len(c.faults))
 	for _, f := range c.faults {
-		s, err := f.Kind.Build(c.n, f.Value, f.Seed)
+		s, err := f.Strategy(c.n)
 		if err != nil {
 			t.Fatal(err)
 		}

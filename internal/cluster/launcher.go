@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"degradable/internal/adversary"
 	"degradable/internal/chaos"
 	"degradable/internal/core"
 	"degradable/internal/obs"
@@ -28,7 +29,7 @@ type Config struct {
 	SenderValue types.Value
 	// Faults assigns Byzantine strategies to nodes; each runs inside its
 	// own process.
-	Faults []chaos.FaultSpec
+	Faults []adversary.FaultSpec
 	// Injectors is the scenario injector stack, applied at each node's
 	// egress with a per-node seed derived from Seed.
 	Injectors []chaos.Injector
@@ -163,16 +164,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 2 * time.Second
 	}
-	faultBy := make(map[types.NodeID]*chaos.FaultSpec, len(cfg.Faults))
+	if _, err := adversary.CheckFaults(cfg.N, cfg.Faults); err != nil {
+		return nil, err
+	}
+	faultBy := make(map[types.NodeID]*adversary.FaultSpec, len(cfg.Faults))
 	faulty := make([]types.NodeID, 0, len(cfg.Faults)+len(cfg.Crashes))
-	for i := range cfg.Faults {
-		f := cfg.Faults[i]
-		if f.Node < 0 || int(f.Node) >= cfg.N {
-			return nil, fmt.Errorf("cluster: fault node %d out of range [0,%d)", int(f.Node), cfg.N)
-		}
-		if _, dup := faultBy[f.Node]; dup {
-			return nil, fmt.Errorf("cluster: node %d armed twice", int(f.Node))
-		}
+	for i, f := range cfg.Faults {
 		faultBy[f.Node] = &cfg.Faults[i]
 		faulty = append(faulty, f.Node)
 	}

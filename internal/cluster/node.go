@@ -72,7 +72,7 @@ type NodeConfig struct {
 	Sender      types.NodeID `json:"sender"`
 	SenderValue types.Value  `json:"senderValue"`
 	// Fault arms this node with a Byzantine strategy (nil = honest).
-	Fault *chaos.FaultSpec `json:"fault,omitempty"`
+	Fault *adversary.FaultSpec `json:"fault,omitempty"`
 	// Faulty is the full fault set, for injector scoping.
 	Faulty []types.NodeID `json:"faulty,omitempty"`
 	// Injectors is the scenario's injector stack; this node applies it to
@@ -87,8 +87,8 @@ type NodeConfig struct {
 	// TopoFaults is the scenario's full fault list — the topology channel
 	// derives every node's relay-corruption behaviour from it, which this
 	// node's single Fault field cannot carry.
-	TopoFaults []chaos.FaultSpec `json:"topoFaults,omitempty"`
-	Seed       int64             `json:"seed,omitempty"`
+	TopoFaults []adversary.FaultSpec `json:"topoFaults,omitempty"`
+	Seed       int64                 `json:"seed,omitempty"`
 	// Deadline bounds each round's hold-back wait (§4 assumption b).
 	Deadline time.Duration `json:"deadline"`
 	// RecordViews captures the node's delivered transcript in its report.
@@ -579,7 +579,7 @@ func buildNode(cfg NodeConfig, p core.Params) (round.Node, error) {
 	if cfg.Fault == nil {
 		return p.NewNode(cfg.ID, cfg.SenderValue)
 	}
-	strat, err := cfg.Fault.Kind.Build(cfg.N, cfg.Fault.Value, cfg.Fault.Seed)
+	strat, err := cfg.Fault.Strategy(cfg.N)
 	if err != nil {
 		return nil, err
 	}

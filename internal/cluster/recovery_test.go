@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -101,6 +102,22 @@ func runCrash(t *testing.T, crashes []chaos.CrashSpec, deadline time.Duration) *
 	return rep
 }
 
+// deadlineCounters renders each node's round-deadline evidence: a node that
+// closed a round at its deadline before a batch arrived counts a deadline
+// miss, and the batch that came after counts late.
+func deadlineCounters(rep *Report) string {
+	var b strings.Builder
+	for id, nr := range rep.Nodes {
+		if nr == nil {
+			fmt.Fprintf(&b, "node %d: no report\n", id)
+			continue
+		}
+		fmt.Fprintf(&b, "node %d: deadline_misses_total=%d late_batches_total=%d\n",
+			id, nr.Obs.Counter("deadline_misses_total"), nr.Obs.Counter("late_batches_total"))
+	}
+	return b.String()
+}
+
 // TestCrashRestartConverges SIGKILLs a node mid-round and asserts the
 // survivors' verdict still passes the spec while the victim restarts,
 // restores its checkpoint, and lands in the convergence taxonomy within the
@@ -112,7 +129,7 @@ func TestCrashRestartConverges(t *testing.T) {
 	}, 1500*time.Millisecond)
 
 	if !rep.Verdict.OK {
-		t.Fatalf("spec violated across the crash: %s", rep.Verdict.Reason)
+		t.Fatalf("spec violated across the crash: %s\n%s", rep.Verdict.Reason, deadlineCounters(rep))
 	}
 	if rep.Recovery == nil {
 		t.Fatal("no recovery info on a crash run")

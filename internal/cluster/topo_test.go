@@ -23,7 +23,7 @@ func TestTopologyScenarioAcrossDrivers(t *testing.T) {
 	}
 	sc := chaos.Scenario{
 		N: 9, M: 1, U: 2, Seed: 13,
-		Faults: []chaos.FaultSpec{
+		Faults: []adversary.FaultSpec{
 			{Node: 3, Kind: adversary.KindLie, Value: 2002},
 			{Node: 5, Kind: adversary.KindSilent},
 		},

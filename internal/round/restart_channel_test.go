@@ -21,7 +21,7 @@ import (
 // exactly when the channel lets the lane run.
 func TestRestartOnChannelMatchesFresh(t *testing.T) {
 	p := core.Params{N: 9, M: 1, U: 2} // harary:4:9 carries κ = 4 = m+u+1
-	faults := []chaos.FaultSpec{{Node: 3, Kind: adversary.KindLie, Value: 99}}
+	faults := []adversary.FaultSpec{{Node: 3, Kind: adversary.KindLie, Value: 99}}
 	var faulty types.NodeSet
 	faulty = faulty.Add(3)
 	steps := []struct {

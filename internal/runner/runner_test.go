@@ -97,7 +97,7 @@ func TestWarmMatchesInstance(t *testing.T) {
 		for id, s := range tc.faults {
 			faults = append(faults, runner.Fault{Node: id, Strategy: s})
 		}
-		got, err := w.Run(value, faults, tc.ch)
+		got, err := w.Run(value, nil, faults, tc.ch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestWarmMatchesInstance(t *testing.T) {
 			t.Errorf("run %d: warm %+v, fresh %+v", k, got, res)
 		}
 	}
-	if _, err := w.Run(1, []runner.Fault{{Node: 7, Strategy: adversary.Silent{}}}, nil); err == nil {
+	if _, err := w.Run(1, nil, []runner.Fault{{Node: 7, Strategy: adversary.Silent{}}}, nil); err == nil {
 		t.Error("out-of-range fault accepted")
 	}
 	if _, err := runner.NewWarm(core.Params{N: 3, M: 1, U: 2}); err == nil {

@@ -84,38 +84,46 @@ func (w *Warm) Byzantine(id types.NodeID) (*adversary.Node, error) {
 }
 
 // Strategy builds the strategy of a run's k-th fault (k < N) as
-// kind.Build(N, value, seed) does, except that a random one is the
-// instance's source for position k: the first run with a random fault there
-// builds it and every later one re-seeds it, so an instance holds one
-// 4.9 kB source per position, not a fresh one per run.
-func (w *Warm) Strategy(k int, kind adversary.Kind, value types.Value, seed int64) (adversary.Strategy, error) {
-	if kind != adversary.KindRandom {
-		return kind.Build(w.n, value, seed)
+// FaultSpec.Strategy does, except that a random one is the instance's source
+// for position k: the first run with a random fault there builds it and
+// every later one re-seeds it, so an instance holds one 4.9 kB source per
+// position, not a fresh one per run.
+func (w *Warm) Strategy(k int, f adversary.FaultSpec) (adversary.Strategy, error) {
+	if f.Kind != adversary.KindRandom {
+		return f.Strategy(w.n)
 	}
 	if w.lies[k] == nil {
-		w.lies[k] = adversary.NewRandomLie(seed, []types.Value{value})
+		w.lies[k] = adversary.NewRandomLie(f.Seed, []types.Value{f.Value})
 	} else {
-		w.lies[k].Reseed(seed, []types.Value{value})
+		w.lies[k].Reseed(f.Seed, []types.Value{f.Value})
 	}
 	return w.lies[k], nil
 }
 
-// Run resets the complement with the sender holding value, arms faults and
-// drives one run over ch (nil is the perfect network) under
+// Run resets the complement with the sender holding value, arms each fault
+// spec (the k-th through Strategy(k, ·)) and then each strategy-form fault
+// in armed (chaos's crash victims, silent from a kill round no Kind names),
+// and drives one run over ch (nil is the perfect network) under
 // round.Reference. The result is the engine's own: it stays valid until the
 // next Run.
-func (w *Warm) Run(value types.Value, faults []Fault, ch round.Channel) (*round.Result, error) {
+func (w *Warm) Run(value types.Value, faults []adversary.FaultSpec, armed []Fault, ch round.Channel) (*round.Result, error) {
 	for i, nd := range w.honest {
 		nd.Reset(value)
 		w.nodes[i] = nd
 	}
-	for _, f := range faults {
-		bn, err := w.Byzantine(f.Node)
+	for k, f := range faults {
+		s, err := w.Strategy(k, f)
 		if err != nil {
 			return nil, err
 		}
-		bn.Reset(value, f.Strategy)
-		w.nodes[f.Node] = bn
+		if err := w.arm(f.Node, value, s); err != nil {
+			return nil, err
+		}
+	}
+	for _, f := range armed {
+		if err := w.arm(f.Node, value, f.Strategy); err != nil {
+			return nil, err
+		}
 	}
 	if err := w.eng.RestartOn(w.nodes, ch); err != nil {
 		return nil, err
@@ -124,4 +132,15 @@ func (w *Warm) Run(value types.Value, faults []Fault, ch round.Channel) (*round.
 		return nil, err
 	}
 	return w.eng.Finalize(), nil
+}
+
+// arm puts node id's Byzantine wrapper, reset onto s, in the run.
+func (w *Warm) arm(id types.NodeID, value types.Value, s adversary.Strategy) error {
+	bn, err := w.Byzantine(id)
+	if err != nil {
+		return err
+	}
+	bn.Reset(value, s)
+	w.nodes[id] = bn
+	return nil
 }

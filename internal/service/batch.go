@@ -10,12 +10,10 @@ import (
 )
 
 // pool is one shard's per-shape state: the warm instance the full path runs
-// on, the sender probe's receipt vector, and the arming scratch. A warm pool
-// executes an instance with zero allocations.
+// on and the sender probe's receipt vector. A warm pool executes an instance
+// with zero allocations.
 type pool struct {
 	inst *runner.Warm
-	// armed is the full path's fault list, rebuilt in place per request.
-	armed []runner.Fault
 	// recv is the sender probe's round-1 receipt vector: one slot per
 	// non-sender receiver, absences mapped to V_d per §4.
 	recv []types.Value
@@ -128,11 +126,7 @@ func (sh *shard) complete(t *task, fast bool) Response {
 	} else {
 		sh.stats.Inc(statFastFallback)
 	}
-	req := &t.req
-	var faulty types.NodeSet
-	for _, f := range req.Faults {
-		faulty = faulty.Add(f.Node)
-	}
+	req, faulty := &t.req, t.faulty
 	deciders, vdDeciders, degraded := receiverTally(t.dec, req.Sender, faulty)
 	_, cond := spec.Select(req.M, req.U, len(req.Faults), faulty.Contains(req.Sender))
 	sh.stats.Add(statDeciders, uint64(deciders))
@@ -194,7 +188,7 @@ func (sh *shard) complete(t *task, fast bool) Response {
 func (p *pool) probeSender(req *Request, dec []types.Value) bool {
 	f := req.Faults[0]
 	n := req.N
-	strat, err := p.inst.Strategy(0, f.Kind, f.Value, f.Seed)
+	strat, err := p.inst.Strategy(0, f)
 	if err != nil {
 		return false // the full path surfaces the same error to the caller
 	}
@@ -231,19 +225,11 @@ func (p *pool) probeSender(req *Request, dec []types.Value) bool {
 	return true
 }
 
-// runFull arms the request's fault set and executes the instance on the
+// runFull executes the instance with the request's fault set armed on the
 // warm complement under the reference schedule, reading each node's
 // decision into dec.
 func (p *pool) runFull(req *Request, dec []types.Value) error {
-	p.armed = p.armed[:0]
-	for k, f := range req.Faults {
-		strat, err := p.inst.Strategy(k, f.Kind, f.Value, f.Seed)
-		if err != nil {
-			return err
-		}
-		p.armed = append(p.armed, runner.Fault{Node: f.Node, Strategy: strat})
-	}
-	res, err := p.inst.Run(req.Value, p.armed, nil)
+	res, err := p.inst.Run(req.Value, req.Faults, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -32,7 +32,7 @@ func BenchmarkDoFaulty(b *testing.B) {
 	defer svc.Close()
 	ctx := context.Background()
 	req := Request{N: 7, M: 1, U: 2, Value: 42,
-		Faults: []FaultSpec{{Node: 3, Kind: adversary.KindTwoFaced, Value: 99}}}
+		Faults: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindTwoFaced, Value: 99}}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -87,7 +87,7 @@ func BenchmarkSlotDoSenderProbe(b *testing.B) {
 	ctx := context.Background()
 	sl := svc.NewSlot()
 	req := Request{N: 7, M: 1, U: 2, Value: 42,
-		Faults: []FaultSpec{{Node: 0, Kind: adversary.KindCrash}}}
+		Faults: []adversary.FaultSpec{{Node: 0, Kind: adversary.KindCrash}}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -109,9 +109,9 @@ func BenchmarkSlotDoFallback(b *testing.B) {
 		req  Request
 	}{
 		{"shallow", Request{N: 7, M: 1, U: 2, Value: 42,
-			Faults: []FaultSpec{{Node: 3, Kind: adversary.KindTwoFaced, Value: 99}}}},
+			Faults: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindTwoFaced, Value: 99}}}},
 		{"deep", Request{N: 11, M: 3, U: 4, Value: 42,
-			Faults: []FaultSpec{{Node: 3, Kind: adversary.KindTwoFaced, Value: 99}}}},
+			Faults: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindTwoFaced, Value: 99}}}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			svc := New(Config{Shards: 1, SpecSample: -1})
@@ -137,7 +137,7 @@ func BenchmarkDoPipelined(b *testing.B) {
 	svc := New(Config{QueueDepth: 4096})
 	defer svc.Close()
 	req := Request{N: 7, M: 1, U: 2, Value: 42,
-		Faults: []FaultSpec{{Node: 0, Kind: adversary.KindSilent}}}
+		Faults: []adversary.FaultSpec{{Node: 0, Kind: adversary.KindSilent}}}
 	const window = 64
 	pending := make([]<-chan Outcome, 0, window)
 	b.ReportAllocs()

@@ -143,7 +143,7 @@ func TestSenderProbeAllocs(t *testing.T) {
 			ctx := context.Background()
 			sl := svc.NewSlot()
 			req := Request{N: 7, M: 1, U: 2, Value: 42,
-				Faults: []FaultSpec{{Node: 0, Kind: tc.kind}}}
+				Faults: []adversary.FaultSpec{{Node: 0, Kind: tc.kind}}}
 			for i := 0; i < 100; i++ {
 				if _, err := sl.Do(ctx, req); err != nil {
 					t.Fatal(err)
@@ -173,7 +173,7 @@ func TestRandomFaultReseedZeroAlloc(t *testing.T) {
 	ctx := context.Background()
 	sl := svc.NewSlot()
 	req := Request{N: 7, M: 1, U: 2, Value: 42,
-		Faults: []FaultSpec{{Node: 3, Kind: adversary.KindRandom, Value: 99}}}
+		Faults: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindRandom, Value: 99}}}
 	for i := 0; i < 100; i++ {
 		req.Faults[0].Seed = int64(i)
 		if _, err := sl.Do(ctx, req); err != nil {

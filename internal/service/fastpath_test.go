@@ -31,7 +31,7 @@ func runOracle(tb testing.TB, req Request) []types.Value {
 		nodes[i] = nd
 	}
 	for _, f := range req.Faults {
-		strat, err := f.Kind.Build(req.N, f.Value, f.Seed)
+		strat, err := f.Strategy(req.N)
 		if err != nil {
 			tb.Fatalf("oracle strategy: %v", err)
 		}
@@ -126,17 +126,17 @@ func TestFastVsFullExhaustive(t *testing.T) {
 
 	for _, sh := range shapes {
 		for _, sender := range []types.NodeID{0, types.NodeID(sh.n - 1)} {
-			cfgs := [][]FaultSpec{nil}
+			cfgs := [][]adversary.FaultSpec{nil}
 			for node := 0; node < sh.n; node++ {
 				for _, k := range kinds {
-					cfgs = append(cfgs, []FaultSpec{
+					cfgs = append(cfgs, []adversary.FaultSpec{
 						{Node: types.NodeID(node), Kind: k, Value: 99, Seed: 3}})
 				}
 			}
 			if sh.u >= 2 {
 				for a := 0; a < sh.n; a++ {
 					for b := a + 1; b < sh.n; b++ {
-						cfgs = append(cfgs, []FaultSpec{
+						cfgs = append(cfgs, []adversary.FaultSpec{
 							{Node: types.NodeID(a), Kind: adversary.KindTwoFaced, Value: 7},
 							{Node: types.NodeID(b), Kind: adversary.KindLie, Value: 9}})
 					}
@@ -183,15 +183,15 @@ func FuzzFastVsFull(f *testing.F) {
 		if params.Validate() != nil {
 			return
 		}
-		var faults []FaultSpec
+		var faults []adversary.FaultSpec
 		if count := int(nf % 3); count > 0 {
-			faults = append(faults, FaultSpec{
+			faults = append(faults, adversary.FaultSpec{
 				Node: types.NodeID(int(n1) % params.N), Kind: adversary.Kind(1 + k1%5),
 				Value: types.Value(v1), Seed: s1,
 			})
 			node2 := types.NodeID(int(n2) % params.N)
 			if count > 1 && params.U > 1 && node2 != faults[0].Node {
-				faults = append(faults, FaultSpec{
+				faults = append(faults, adversary.FaultSpec{
 					Node: node2, Kind: adversary.Kind(1 + k2%5),
 					Value: types.Value(v2), Seed: s2,
 				})
@@ -224,10 +224,10 @@ func TestRandomSlotReuseIsInvisible(t *testing.T) {
 		seed := int64(i*7919 - 100)
 		node := types.NodeID(i % 7)
 		req := Request{N: 7, M: 1, U: 2, Sender: types.NodeID(i % 2), Value: types.Value(40 + i%5),
-			Faults: []FaultSpec{{Node: node, Kind: adversary.KindRandom, Value: types.Value(90 + i%3), Seed: seed}}}
+			Faults: []adversary.FaultSpec{{Node: node, Kind: adversary.KindRandom, Value: types.Value(90 + i%3), Seed: seed}}}
 		switch i % 4 {
 		case 1: // a second random slot
-			req.Faults = append(req.Faults, FaultSpec{Node: (node + 3) % 7, Kind: adversary.KindRandom, Value: 77, Seed: seed + 1})
+			req.Faults = append(req.Faults, adversary.FaultSpec{Node: (node + 3) % 7, Kind: adversary.KindRandom, Value: 77, Seed: seed + 1})
 		case 2: // the slot's node armed with another kind in between
 			req.Faults[0].Kind = adversary.KindTwoFaced
 		}

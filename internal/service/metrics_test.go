@@ -53,12 +53,12 @@ func TestMetricsEndpointUnderFaults(t *testing.T) {
 	// and D.3/D.4 (m < f ≤ u, the degraded regime).
 	reqs := []Request{
 		{N: 5, M: 1, U: 2, Value: 10},
-		{N: 5, M: 1, U: 2, Value: 11, Faults: []FaultSpec{{Node: 0, Kind: adversary.KindLie, Value: 99}}},
-		{N: 5, M: 1, U: 2, Value: 12, Faults: []FaultSpec{
+		{N: 5, M: 1, U: 2, Value: 11, Faults: []adversary.FaultSpec{{Node: 0, Kind: adversary.KindLie, Value: 99}}},
+		{N: 5, M: 1, U: 2, Value: 12, Faults: []adversary.FaultSpec{
 			{Node: 1, Kind: adversary.KindSilent}, {Node: 2, Kind: adversary.KindSilent}}},
-		{N: 5, M: 1, U: 2, Value: 13, Faults: []FaultSpec{
+		{N: 5, M: 1, U: 2, Value: 13, Faults: []adversary.FaultSpec{
 			{Node: 0, Kind: adversary.KindSilent}, {Node: 2, Kind: adversary.KindSilent}}},
-		{N: 7, M: 1, U: 2, Value: 14, Faults: []FaultSpec{
+		{N: 7, M: 1, U: 2, Value: 14, Faults: []adversary.FaultSpec{
 			{Node: 2, Kind: adversary.KindTwoFaced, Value: 77}, {Node: 5, Kind: adversary.KindSilent}}},
 	}
 	conditions := make(map[string]uint64)

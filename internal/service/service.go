@@ -99,18 +99,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// FaultSpec arms one node of a requested instance with a built-in Byzantine
-// behaviour (the same vocabulary as the degradable facade's Fault).
-type FaultSpec struct {
-	// Node is the faulty node (the sender may be faulty).
-	Node types.NodeID
-	// Kind selects the behaviour.
-	Kind adversary.Kind
-	// Value parameterizes the lying kinds.
-	Value types.Value
-	// Seed parameterizes KindRandom.
-	Seed int64
-}
+// FaultSpec is the repo's one fault record, adversary.FaultSpec, under the
+// name the benchmark's request generators use.
+type FaultSpec = adversary.FaultSpec
 
 // Request is one m/u-degradable agreement instance to execute.
 type Request struct {
@@ -121,7 +112,7 @@ type Request struct {
 	// Value is the sender's input.
 	Value types.Value
 	// Faults arms the fault set.
-	Faults []FaultSpec
+	Faults []adversary.FaultSpec
 	// Tenant bills the request to an admission-control tenant (0 =
 	// untenanted). Carried by tagged wire frames; does not affect
 	// execution or batching, only accounting.
@@ -133,27 +124,22 @@ type Request struct {
 func (r Request) shape() core.Params { return core.Params{N: r.N, M: r.M, U: r.U, Sender: r.Sender} }
 
 // Validate checks the request against the Theorem-2 feasibility bounds and
-// the fault list for range and duplicates. Strategy construction is
+// its fault list with adversary.CheckFaults. Strategy construction is
 // deferred to the shard (it is part of what batching amortizes).
 func (r Request) Validate() error {
-	p := core.Params{N: r.N, M: r.M, U: r.U, Sender: r.Sender}
-	if err := p.Validate(); err != nil {
-		return err
+	_, err := r.check()
+	return err
+}
+
+// check is Validate returning the request's faulty set.
+func (r Request) check() (types.NodeSet, error) {
+	if err := r.shape().Validate(); err != nil {
+		return 0, err
 	}
 	if r.N > int(types.MaxNodeSetID)+1 {
-		return fmt.Errorf("service: N=%d exceeds the node-set limit %d", r.N, types.MaxNodeSetID+1)
+		return 0, fmt.Errorf("service: N=%d exceeds the node-set limit %d", r.N, types.MaxNodeSetID+1)
 	}
-	var armed types.NodeSet
-	for _, f := range r.Faults {
-		if f.Node < 0 || int(f.Node) >= r.N {
-			return fmt.Errorf("service: faulty node %d out of range [0,%d)", int(f.Node), r.N)
-		}
-		if armed.Contains(f.Node) {
-			return fmt.Errorf("service: node %d armed twice", int(f.Node))
-		}
-		armed = armed.Add(f.Node)
-	}
-	return nil
+	return adversary.CheckFaults(r.N, r.Faults)
 }
 
 // Response reports one executed instance.
@@ -204,12 +190,14 @@ type Stats struct {
 	FastFallbacks uint64
 }
 
-// task is one submitted request with its completion slot. dec is the
-// task-owned decision buffer the deciding goroutine fills; Response.Decisions
-// aliases it, which is what lets a reused Slot serve a request without a
-// single allocation. decMap is the spec sampler's reusable decision map.
+// task is one submitted request with its completion slot. faulty is the
+// request's faulty set, from admission. dec is the task-owned decision
+// buffer the deciding goroutine fills; Response.Decisions aliases it, which
+// is what lets a reused Slot serve a request without a single allocation.
+// decMap is the spec sampler's reusable decision map.
 type task struct {
 	req    Request
+	faulty types.NodeSet
 	done   chan Outcome
 	dec    []types.Value
 	decMap map[types.NodeID]types.Value
@@ -443,7 +431,7 @@ type Slot struct {
 	svc    *Service
 	sh     *shard
 	t      *task
-	faults []FaultSpec
+	faults []adversary.FaultSpec
 }
 
 // NewSlot returns a reusable submission handle bound to the service, on
@@ -464,12 +452,13 @@ func (sl *Slot) Submit(req Request) error {
 	if sl.svc.closed.Load() {
 		return ErrClosed
 	}
-	if err := req.Validate(); err != nil {
+	faulty, err := req.check()
+	if err != nil {
 		return fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
 	sl.faults = append(sl.faults[:0], req.Faults...)
 	req.Faults = sl.faults
-	sl.t.req = req
+	sl.t.req, sl.t.faulty = req, faulty
 	if len(req.Faults) == 0 {
 		sl.sh.decideForced(sl.t)
 		return nil

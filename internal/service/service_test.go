@@ -20,7 +20,7 @@ func runReference(t *testing.T, req Request) map[types.NodeID]types.Value {
 	t.Helper()
 	strategies := make(map[types.NodeID]adversary.Strategy, len(req.Faults))
 	for _, f := range req.Faults {
-		s, err := f.Kind.Build(req.N, f.Value, f.Seed)
+		s, err := f.Strategy(req.N)
 		if err != nil {
 			t.Fatalf("build strategy: %v", err)
 		}
@@ -50,17 +50,17 @@ func TestServiceMatchesRunner(t *testing.T) {
 
 	reqs := []Request{
 		{N: 5, M: 1, U: 2, Value: 42},
-		{N: 5, M: 1, U: 2, Value: 43, Faults: []FaultSpec{{Node: 3, Kind: adversary.KindLie, Value: 99}}},
-		{N: 5, M: 1, U: 2, Value: 44, Faults: []FaultSpec{
+		{N: 5, M: 1, U: 2, Value: 43, Faults: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindLie, Value: 99}}},
+		{N: 5, M: 1, U: 2, Value: 44, Faults: []adversary.FaultSpec{
 			{Node: 2, Kind: adversary.KindTwoFaced, Value: 77},
 			{Node: 4, Kind: adversary.KindSilent}}},
-		{N: 5, M: 1, U: 2, Value: 45, Faults: []FaultSpec{{Node: 0, Kind: adversary.KindLie, Value: 88}}},
-		{N: 7, M: 1, U: 2, Value: 46, Faults: []FaultSpec{{Node: 1, Kind: adversary.KindCrash}}},
-		{N: 7, M: 2, U: 2, Value: 47, Faults: []FaultSpec{
+		{N: 5, M: 1, U: 2, Value: 45, Faults: []adversary.FaultSpec{{Node: 0, Kind: adversary.KindLie, Value: 88}}},
+		{N: 7, M: 1, U: 2, Value: 46, Faults: []adversary.FaultSpec{{Node: 1, Kind: adversary.KindCrash}}},
+		{N: 7, M: 2, U: 2, Value: 47, Faults: []adversary.FaultSpec{
 			{Node: 3, Kind: adversary.KindRandom, Value: 66, Seed: 7},
 			{Node: 5, Kind: adversary.KindLie, Value: 66}}},
-		{N: 4, M: 0, U: 2, Value: 48, Faults: []FaultSpec{{Node: 2, Kind: adversary.KindTwoFaced, Value: 55}}},
-		{N: 6, M: 1, U: 3, Sender: 2, Value: 49, Faults: []FaultSpec{{Node: 0, Kind: adversary.KindSilent}}},
+		{N: 4, M: 0, U: 2, Value: 48, Faults: []adversary.FaultSpec{{Node: 2, Kind: adversary.KindTwoFaced, Value: 55}}},
+		{N: 6, M: 1, U: 3, Sender: 2, Value: 49, Faults: []adversary.FaultSpec{{Node: 0, Kind: adversary.KindSilent}}},
 	}
 	// Three passes so every shape's pool is reused with different values
 	// and fault sets — a dirty Reset would surface as a mismatch.
@@ -104,15 +104,15 @@ func TestConditionSelection(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
 	cases := []struct {
-		faults []FaultSpec
+		faults []adversary.FaultSpec
 		want   string
 	}{
 		{nil, "D.1"},
-		{[]FaultSpec{{Node: 3, Kind: adversary.KindSilent}}, "D.1"},
-		{[]FaultSpec{{Node: 0, Kind: adversary.KindLie, Value: 9}}, "D.2"},
-		{[]FaultSpec{{Node: 1, Kind: adversary.KindSilent}, {Node: 2, Kind: adversary.KindSilent}}, "D.3"},
-		{[]FaultSpec{{Node: 0, Kind: adversary.KindSilent}, {Node: 2, Kind: adversary.KindSilent}}, "D.4"},
-		{[]FaultSpec{{Node: 1, Kind: adversary.KindSilent}, {Node: 2, Kind: adversary.KindSilent},
+		{[]adversary.FaultSpec{{Node: 3, Kind: adversary.KindSilent}}, "D.1"},
+		{[]adversary.FaultSpec{{Node: 0, Kind: adversary.KindLie, Value: 9}}, "D.2"},
+		{[]adversary.FaultSpec{{Node: 1, Kind: adversary.KindSilent}, {Node: 2, Kind: adversary.KindSilent}}, "D.3"},
+		{[]adversary.FaultSpec{{Node: 0, Kind: adversary.KindSilent}, {Node: 2, Kind: adversary.KindSilent}}, "D.4"},
+		{[]adversary.FaultSpec{{Node: 1, Kind: adversary.KindSilent}, {Node: 2, Kind: adversary.KindSilent},
 			{Node: 3, Kind: adversary.KindSilent}}, "none"},
 	}
 	for i, tc := range cases {
@@ -141,7 +141,7 @@ func TestDegradedFlag(t *testing.T) {
 	}
 	// Two silent receivers (f=2 > m=1) force fault-free receivers to vote
 	// with insufficient support: some decide V_d.
-	deg, err := svc.Do(context.Background(), Request{N: 5, M: 1, U: 2, Value: 7, Faults: []FaultSpec{
+	deg, err := svc.Do(context.Background(), Request{N: 5, M: 1, U: 2, Value: 7, Faults: []adversary.FaultSpec{
 		{Node: 1, Kind: adversary.KindSilent}, {Node: 2, Kind: adversary.KindSilent}}})
 	if err != nil {
 		t.Fatal(err)
@@ -162,12 +162,12 @@ func TestValidateRejects(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
 	cases := []Request{
-		{N: 4, M: 1, U: 2, Value: 1},                                            // N ≤ 2m+u
-		{N: 5, M: 2, U: 1, Value: 1},                                            // m > u
-		{N: 5, M: 1, U: 2, Value: 1, Faults: []FaultSpec{{Node: 9}}},            // node out of range
-		{N: 5, M: 1, U: 2, Value: 1, Faults: []FaultSpec{{Node: 2}, {Node: 2}}}, // armed twice
-		{N: 5, M: 1, U: 2, Sender: 7, Value: 1},                                 // sender out of range
-		{N: 80, M: 1, U: 2, Value: 1},                                           // beyond node-set limit
+		{N: 4, M: 1, U: 2, Value: 1}, // N ≤ 2m+u
+		{N: 5, M: 2, U: 1, Value: 1}, // m > u
+		{N: 5, M: 1, U: 2, Value: 1, Faults: []adversary.FaultSpec{{Node: 9}}},            // node out of range
+		{N: 5, M: 1, U: 2, Value: 1, Faults: []adversary.FaultSpec{{Node: 2}, {Node: 2}}}, // armed twice
+		{N: 5, M: 1, U: 2, Sender: 7, Value: 1},                                           // sender out of range
+		{N: 80, M: 1, U: 2, Value: 1},                                                     // beyond node-set limit
 	}
 	for i, req := range cases {
 		if _, err := svc.Submit(req); err == nil {
@@ -176,18 +176,25 @@ func TestValidateRejects(t *testing.T) {
 			t.Errorf("case %d: error %v does not wrap ErrInvalid", i, err)
 		}
 	}
-	// An unknown fault kind passes admission (kind construction is the
-	// shard's amortized work) and must come back as an execution error.
-	if _, err := svc.Do(context.Background(), Request{N: 5, M: 1, U: 2, Value: 1,
-		Faults: []FaultSpec{{Node: 1, Kind: adversary.Kind(99)}}}); err == nil {
-		t.Error("unknown fault kind succeeded")
+	// An unknown fault kind is refused at admission like every other
+	// malformed fault, before any work: it is neither accepted nor queued.
+	before := svc.Stats()
+	for _, kind := range []adversary.Kind{0, 6, 99} {
+		_, err := svc.Do(context.Background(), Request{N: 5, M: 1, U: 2, Value: 1,
+			Faults: []adversary.FaultSpec{{Node: 1, Kind: kind}}})
+		if !errors.Is(err, ErrInvalid) {
+			t.Errorf("unknown fault kind %d: error %v does not wrap ErrInvalid", int(kind), err)
+		}
+	}
+	if after := svc.Stats(); after != before {
+		t.Errorf("unknown fault kinds moved the counters: %+v -> %+v", before, after)
 	}
 }
 
 // armedReq is a request with a fault armed on a receiver: it queues on a
 // shard and runs the full exchange, where a fault-free one is decided at
 // submission.
-var armedReq = Request{N: 5, M: 1, U: 2, Value: 7, Faults: []FaultSpec{{Node: 3, Kind: adversary.KindSilent}}}
+var armedReq = Request{N: 5, M: 1, U: 2, Value: 7, Faults: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindSilent}}}
 
 // TestBackpressure pins the bounded-queue contract deterministically: with
 // the shard goroutine not yet running, admission succeeds exactly
@@ -378,7 +385,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				req := Request{N: 5, M: 1, U: 2, Value: types.Value(w*1000 + i)}
 				if i%3 == 0 {
-					req.Faults = []FaultSpec{{Node: types.NodeID(1 + (i % 4)), Kind: adversary.KindLie, Value: 999}}
+					req.Faults = []adversary.FaultSpec{{Node: types.NodeID(1 + (i % 4)), Kind: adversary.KindLie, Value: 999}}
 				}
 				resp, err := svc.Do(ctx, req)
 				if errors.Is(err, ErrOverloaded) {

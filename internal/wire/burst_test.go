@@ -22,7 +22,7 @@ import (
 func burstReq(i int) service.Request {
 	req := service.Request{N: 7, M: 1, U: 2, Sender: types.NodeID(i % 7), Value: types.Value(100 + i)}
 	if i%3 == 0 {
-		req.Faults = []service.FaultSpec{{Node: types.NodeID((i + 1) % 7), Kind: adversary.KindLie, Value: 9, Seed: int64(i)}}
+		req.Faults = []adversary.FaultSpec{{Node: types.NodeID((i + 1) % 7), Kind: adversary.KindLie, Value: 9, Seed: int64(i)}}
 	}
 	return req
 }
@@ -285,7 +285,7 @@ func TestBurstCloseWakesBlockedSender(t *testing.T) {
 // itself behind — the conn sees only whole frames.
 func TestBurstEncodeErrorKeepsFrameBoundary(t *testing.T) {
 	bad := burstReq(0)
-	bad.Faults = []service.FaultSpec{{Node: 1, Kind: adversary.KindLie}, {Node: 300, Kind: adversary.KindLie}}
+	bad.Faults = []adversary.FaultSpec{{Node: 1, Kind: adversary.KindLie}, {Node: 300, Kind: adversary.KindLie}}
 	if _, err := AppendRequest(make([]byte, 0, 256), 99, bad); err == nil {
 		t.Fatal("the bad request encodes")
 	}

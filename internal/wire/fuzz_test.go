@@ -54,7 +54,7 @@ func payloadOf(frame []byte, err error) []byte {
 
 var fuzzRequests = []service.Request{
 	{N: 5, M: 1, U: 2, Value: 7},
-	{N: 11, M: 3, U: 4, Sender: 10, Value: -3, Faults: []service.FaultSpec{
+	{N: 11, M: 3, U: 4, Sender: 10, Value: -3, Faults: []adversary.FaultSpec{
 		{Node: 2, Kind: adversary.KindTwoFaced, Value: 99, Seed: 5},
 		{Node: 10, Kind: adversary.KindRandom, Value: 1, Seed: -8}}},
 }

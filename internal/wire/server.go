@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"degradable/internal/adversary"
 	"degradable/internal/service"
 )
 
@@ -240,8 +241,8 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 
 	br := bufio.NewReader(conn)
-	var frame []byte                 // reused across frames
-	var fscratch []service.FaultSpec // reused fault decode buffer; Slot.Submit copies
+	var frame []byte                   // reused across frames
+	var fscratch []adversary.FaultSpec // reused fault decode buffer; Slot.Submit copies
 read:
 	for {
 		// Idle bounds the wait for the next frame to begin; once its length

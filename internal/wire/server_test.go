@@ -41,7 +41,7 @@ func TestEndToEnd(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		req := service.Request{N: 5, M: 1, U: 2, Value: types.Value(i)}
 		if i%2 == 1 {
-			req.Faults = []service.FaultSpec{{Node: 2, Kind: adversary.KindTwoFaced, Value: 999}}
+			req.Faults = []adversary.FaultSpec{{Node: 2, Kind: adversary.KindTwoFaced, Value: 999}}
 		}
 		res, err := c.Do(ctx, req)
 		if err != nil {
@@ -81,6 +81,29 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if st := srv.Service().Stats(); st.SpecViolations != 0 {
 		t.Fatalf("spec violations: %d", st.SpecViolations)
+	}
+}
+
+// TestUnknownKindInvalid: a fault kind outside the built-in set is a
+// malformed request, refused at admission with StatusInvalid before any
+// work, not an execution error on a shard.
+func TestUnknownKindInvalid(t *testing.T) {
+	srv, addr := startServer(t, service.Config{Shards: 1})
+	defer srv.Shutdown(context.Background())
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, kind := range []adversary.Kind{0, 6, 255} {
+		res, err := c.Do(context.Background(), service.Request{N: 5, M: 1, U: 2, Value: 1,
+			Faults: []adversary.FaultSpec{{Node: 2, Kind: kind}}})
+		if err != nil || res.Status != StatusInvalid {
+			t.Errorf("kind %d: status %v, err %v; want %v", int(kind), res.Status, err, StatusInvalid)
+		}
+	}
+	if st := srv.Service().Stats(); st.Accepted != 0 || st.Completed != 0 {
+		t.Errorf("unknown kinds were admitted: %+v", st)
 	}
 }
 
@@ -376,7 +399,7 @@ func TestFlushesBeforeWaiting(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow, err := c.Send(service.Request{N: 5, M: 1, U: 2, Value: 2,
-		Faults: []service.FaultSpec{{Node: 3, Kind: adversary.KindSilent}}})
+		Faults: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindSilent}}})
 	if err != nil {
 		t.Fatal(err)
 	}

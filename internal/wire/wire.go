@@ -370,7 +370,7 @@ func DecodeAnyRequest(payload []byte) (id uint64, tag Tag, tagged bool, req serv
 // past the next decode must copy the faults first (service.Slot.Submit
 // already does). With a warm buffer the request read path performs zero
 // allocations per frame.
-func DecodeAnyRequestInto(payload []byte, buf []service.FaultSpec) (id uint64, tag Tag, tagged bool, req service.Request, faultBuf []service.FaultSpec, err error) {
+func DecodeAnyRequestInto(payload []byte, buf []adversary.FaultSpec) (id uint64, tag Tag, tagged bool, req service.Request, faultBuf []adversary.FaultSpec, err error) {
 	id, tag, tagged, b, err := headerAny(payload, TypeRequest, TypeTaggedRequest)
 	if err != nil {
 		return 0, tag, false, req, buf, err
@@ -380,7 +380,7 @@ func DecodeAnyRequestInto(payload []byte, buf []service.FaultSpec) (id uint64, t
 	return id, tag, tagged, req, buf, err
 }
 
-func decodeRequestBody(b []byte, buf []service.FaultSpec) (req service.Request, _ []service.FaultSpec, err error) {
+func decodeRequestBody(b []byte, buf []adversary.FaultSpec) (req service.Request, _ []adversary.FaultSpec, err error) {
 	if len(b) < 13 {
 		return req, buf, fmt.Errorf("wire: truncated request body (%d bytes)", len(b))
 	}
@@ -396,12 +396,12 @@ func decodeRequestBody(b []byte, buf []service.FaultSpec) (req service.Request, 
 	}
 	if nf > 0 {
 		if cap(buf) < nf {
-			buf = make([]service.FaultSpec, nf)
+			buf = make([]adversary.FaultSpec, nf)
 		}
 		buf = buf[:nf]
 		for i := 0; i < nf; i++ {
 			f := b[i*18 : (i+1)*18]
-			buf[i] = service.FaultSpec{
+			buf[i] = adversary.FaultSpec{
 				Node:  types.NodeID(f[0]),
 				Kind:  adversary.Kind(f[1]),
 				Value: types.Value(binary.BigEndian.Uint64(f[2:10])),

@@ -16,7 +16,7 @@ import (
 func TestRequestRoundTrip(t *testing.T) {
 	reqs := []service.Request{
 		{N: 5, M: 1, U: 2, Value: 42},
-		{N: 7, M: 2, U: 2, Sender: 3, Value: -1, Faults: []service.FaultSpec{
+		{N: 7, M: 2, U: 2, Sender: 3, Value: -1, Faults: []adversary.FaultSpec{
 			{Node: 0, Kind: adversary.KindLie, Value: 99, Seed: 0},
 			{Node: 6, Kind: adversary.KindRandom, Value: -7, Seed: 123456789},
 		}},
@@ -133,7 +133,7 @@ func TestReadFrameRejects(t *testing.T) {
 func TestReadFrameInto(t *testing.T) {
 	small, _ := AppendRequest(nil, 1, service.Request{N: 5, M: 1, U: 2, Value: 1})
 	big, _ := AppendRequest(nil, 2, service.Request{N: 7, M: 2, U: 2, Value: 9,
-		Faults: []service.FaultSpec{{Node: 1, Kind: adversary.KindLie, Value: 3}}})
+		Faults: []adversary.FaultSpec{{Node: 1, Kind: adversary.KindLie, Value: 3}}})
 
 	// Growing: nil buffer allocates, then the bigger frame replaces it.
 	r := bytes.NewReader(append(append([]byte(nil), small...), big...))
@@ -186,7 +186,7 @@ func TestReadFrameInto(t *testing.T) {
 
 func TestDecodeRejects(t *testing.T) {
 	good, _ := AppendRequest(nil, 1, service.Request{N: 5, M: 1, U: 2, Value: 1,
-		Faults: []service.FaultSpec{{Node: 1, Kind: adversary.KindLie, Value: 2}}})
+		Faults: []adversary.FaultSpec{{Node: 1, Kind: adversary.KindLie, Value: 2}}})
 	payload := good[4:] // strip length prefix
 
 	bad := append([]byte{}, payload...)

@@ -1,44 +1,27 @@
 package degradable
 
 import (
+	"reflect"
 	"testing"
-
-	"degradable/internal/adversary"
 )
 
-// TestFaultKindEnumAligned pins the facade FaultKind constants to the shared
-// adversary.Kind enumeration: the chaos engine serializes kinds by number,
-// and the shrinker renders them back as facade constants, so the two
-// enumerations must never drift.
-func TestFaultKindEnumAligned(t *testing.T) {
-	pairs := []struct {
-		facade FaultKind
-		kind   adversary.Kind
-	}{
-		{FaultSilent, adversary.KindSilent},
-		{FaultCrash, adversary.KindCrash},
-		{FaultLie, adversary.KindLie},
-		{FaultTwoFaced, adversary.KindTwoFaced},
-		{FaultRandom, adversary.KindRandom},
-	}
-	for _, p := range pairs {
-		if int(p.facade) != int(p.kind) {
-			t.Errorf("FaultKind %d != adversary.%v (%d)", int(p.facade), p.kind, int(p.kind))
-		}
-	}
-}
-
-// TestStrategyDelegatesToSharedBuilder keeps Fault.strategy and the shared
-// builder in agreement on the unknown-kind error the facade documents.
+// TestStrategyDelegatesToSharedBuilder holds Fault.Strategy (Fault is
+// adversary.FaultSpec) to the shared Kind builder: the same strategy for
+// every kind, and the unknown-kind error the facade documents.
 func TestStrategyDelegatesToSharedBuilder(t *testing.T) {
 	f := Fault{Node: 1, Kind: FaultKind(42)}
-	if _, err := f.strategy(5); err == nil {
+	if _, err := f.Strategy(5); err == nil {
 		t.Error("unknown kind accepted")
 	}
 	for _, k := range []FaultKind{FaultSilent, FaultCrash, FaultLie, FaultTwoFaced, FaultRandom} {
 		f := Fault{Node: 1, Kind: k, Value: 99, Seed: 7}
-		if s, err := f.strategy(5); err != nil || s == nil {
-			t.Errorf("kind %v: strategy = %v, %v", k, s, err)
+		s, err := f.Strategy(5)
+		if err != nil || s == nil {
+			t.Fatalf("kind %v: strategy = %v, %v", k, s, err)
+		}
+		want, _ := k.Build(5, 99, 7)
+		if !reflect.DeepEqual(s, want) {
+			t.Errorf("kind %v: Strategy = %#v, Build = %#v", k, s, want)
 		}
 	}
 }

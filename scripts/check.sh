@@ -49,13 +49,15 @@ echo "== burst writes (race, repeated) =="
 # detector covers the interleavings the loopback tests rarely hit.
 go test -race -count=20 -run 'Burst' ./internal/wire/ ./internal/fleet/
 
-echo "== forced decisions and the server's writer (race, repeated) =="
+echo "== forced decisions, replay parity and the server's writer (race, repeated) =="
 # A fault-free request is decided on the submitting goroutine: Slot.Do,
 # Service.Do and the wire server answer it as the shard did, with the same
-# per-shard counters and spec samples. The server's writer flushes before it
-# waits on an undecided outcome, and a failed write ends the connection
-# without wedging its reader, so Shutdown returns.
-go test -race -count=20 -run 'ForcedParity' ./internal/service/
+# per-shard counters and spec samples. Every served request, forced or not,
+# replays as a chaos scenario with the same decisions and verdict
+# (ReplayParity). The server's writer flushes before it waits on an undecided
+# outcome, and a failed write ends the connection without wedging its
+# reader, so Shutdown returns.
+go test -race -count=20 -run 'ForcedParity|ReplayParity' ./internal/service/ ./internal/chaos/
 go test -race -count=20 -run 'ShutdownAfterFailedWrite|FlushesBeforeWaiting' ./internal/wire/
 
 echo "== go benchmark smoke =="

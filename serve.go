@@ -24,8 +24,8 @@ type (
 	Request = service.Request
 	// Response reports one executed instance.
 	Response = service.Response
-	// FaultSpec arms one node of a Request (same vocabulary as Fault).
-	FaultSpec = service.FaultSpec
+	// FaultSpec arms one node of a Request: the same type as Fault.
+	FaultSpec = adversary.FaultSpec
 	// Server exposes a Service over TCP with graceful shutdown.
 	Server = wire.Server
 	// Client is a pipelining TCP client for a served Service.
@@ -59,8 +59,3 @@ func NewServer(ln net.Listener, svc *Service) *Server { return wire.NewServer(ln
 
 // Dial connects to a serve daemon.
 func Dial(addr string) (*Client, error) { return wire.Dial(addr) }
-
-// ServiceFault converts a facade Fault into the service request form.
-func ServiceFault(f Fault) FaultSpec {
-	return FaultSpec{Node: f.Node, Kind: adversary.Kind(f.Kind), Value: f.Value, Seed: f.Seed}
-}

@@ -11,16 +11,15 @@ import (
 )
 
 // TestServeFacade exercises the public serving surface end-to-end:
-// NewService, NewServer, Dial, ServiceFault, and the error re-exports.
+// NewService, NewServer, Dial, a facade Fault armed on a Request as it
+// stands, and the error re-exports.
 func TestServeFacade(t *testing.T) {
 	svc := degradable.NewService(degradable.ServiceConfig{Shards: 1, SpecSample: 1})
 
 	// In-process path first.
 	resp, err := svc.Do(context.Background(), degradable.Request{
 		N: 5, M: 1, U: 2, Value: 42,
-		Faults: []degradable.FaultSpec{degradable.ServiceFault(degradable.Fault{
-			Node: 3, Kind: degradable.FaultLie, Value: 99,
-		})},
+		Faults: []degradable.Fault{{Node: 3, Kind: degradable.FaultLie, Value: 99}},
 	})
 	if err != nil {
 		t.Fatal(err)
