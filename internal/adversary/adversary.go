@@ -10,6 +10,13 @@
 // silence, and crashes are all expressible while traffic stays well-formed
 // enough to pass honest validation (arbitrary garbage would simply be
 // discarded by receivers, making it a weaker attack).
+//
+// On the bulk lane a faulty node takes the honest nodes' relays as slabs,
+// like any receiver (round.LaneReceiver, by delegation to its honest
+// node), but it never relays by slab: every send it makes goes through its
+// strategy. It resolves nothing at the end, since a faulty node's decision
+// carries no guarantee (D.1–D.4 judge only the fault-free receivers) and
+// Decide reports V_d regardless.
 package adversary
 
 import (
@@ -54,7 +61,7 @@ type Node struct {
 	outBuf []types.Message
 }
 
-var _ round.Node = (*Node)(nil)
+var _ round.LaneReceiver = (*Node)(nil)
 
 // NewNode wraps a Byzantine node with the given identity and strategy.
 // The arguments mirror relay.New; value matters only when id == sender.
@@ -104,8 +111,23 @@ func (b *Node) Step(round int, inbox []types.Message) []types.Message {
 	return out
 }
 
-// Finish implements round.Node.
-func (b *Node) Finish(inbox []types.Message) { b.honest.Finish(inbox) }
+// LaneShape implements round.LaneReceiver: the honest node's shape.
+func (b *Node) LaneShape() any { return b.honest.LaneShape() }
+
+// TakeSlab implements round.LaneReceiver: the honest node stores the relays
+// as it would absorb the messages, at the barrier before the Step that
+// shows an Observer the tree. The last round's relays are read by no Step;
+// only Finish would absorb them, and Finish does nothing, so they are not
+// stored at all.
+func (b *Node) TakeSlab(src round.LaneNode, round int) {
+	if round < b.honest.Tree().Depth() {
+		b.honest.TakeSlab(src, round)
+	}
+}
+
+// Finish implements round.Node. It does nothing: the last round's messages
+// could only feed the node's own decision, which Decide never reports.
+func (b *Node) Finish([]types.Message) {}
 
 // Decide implements round.Node. A faulty node's decision carries no
 // guarantee; it reports V_d.

@@ -117,6 +117,29 @@ func (p Params) System() (n, depth int, sender types.NodeID) {
 // Thresholds implements runner.Protocol.
 func (p Params) Thresholds() (m, u int) { return p.M, p.U }
 
+// Complexity is the exact cost of one fault-free run: message rounds,
+// messages sent, and wire bytes as round.MessageBytes counts them.
+type Complexity struct {
+	Rounds, Messages, Bytes int
+}
+
+// Cost returns the cost of a fault-free BYZ(m,m) run of p's shape, which
+// every fault that omits nothing (a lie, an equivocation) leaves unchanged.
+// Round r sends each of the N−1 receivers one message per length-r relay
+// path ending elsewhere, (N−1)·P(N−1, r−1) messages in all, each 8 bytes
+// of value plus 4 per path element.
+func Cost(p Params) Complexity {
+	c := Complexity{Rounds: p.Depth()}
+	paths := 1 // P(N−1, r−1)
+	for r := 1; r <= c.Rounds; r++ {
+		msgs := (p.N - 1) * paths
+		c.Messages += msgs
+		c.Bytes += msgs * (8 + 4*r)
+		paths *= p.N - r
+	}
+	return c
+}
+
 // Rule returns the per-level EIG resolution rule VOTE(n_σ−1−m, n_σ−1).
 func (p Params) Rule() eig.Rule {
 	m := p.M

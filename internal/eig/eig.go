@@ -64,8 +64,9 @@ type Tree struct {
 	gather []types.Value
 	odo    []int
 
-	// plan is the shape's shared relay table, fetched on the first bulk
-	// store (StoreRelays) and kept so later stores skip the cache.
+	// plan is the shape's shared relay table, fetched on the first relay
+	// read (Relays) or bulk store (StoreRelays) and kept so later ones skip
+	// the cache.
 	plan *relayPlan
 
 	// Unanimity tracking for the optimistic fast path: uni stays true while
@@ -238,6 +239,29 @@ func (t *Tree) StoreRelays(src *Tree, relayer, self types.NodeID, level int) err
 	}
 	return nil
 }
+
+// Relays is one relayer's relay round read through the shape's relay plan:
+// claim k is the k-th path σ of length level−1 that avoids the relayer, in
+// ascending rank — the order the relay outbox's template lists its claims
+// in — and Value(k) is what the tree holds for σ (Default when the claim
+// never arrived). It reads the tree live and allocates nothing.
+type Relays struct {
+	vals []types.Value
+	run  []relayEntry
+}
+
+// Relays returns relayer's claims for relay round level over this tree. It
+// is empty for the sender, which relays nothing, and for a level outside
+// [2, depth].
+func (t *Tree) Relays(level int, relayer types.NodeID) Relays {
+	if level < 2 || level > t.depth || relayer < 0 || int(relayer) >= t.n {
+		return Relays{}
+	}
+	return Relays{vals: t.vals, run: t.relayPlan().runs[level][relayer]}
+}
+
+// Value is claim k's value.
+func (r Relays) Value(k int) types.Value { return r.vals[r.run[k].src] }
 
 // noteStore folds one first-write store into the unanimity tracker.
 func (t *Tree) noteStore(v types.Value) {

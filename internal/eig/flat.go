@@ -12,14 +12,16 @@ import (
 // run fits with room to spare.
 const maxFlatEntries = 1 << 20
 
-// relayPlan is the bulk lane's rank-permutation table for one shape. For
+// relayPlan is the relay rounds' rank-permutation table for one shape. For
 // level ℓ ≥ 2 and relayer i, runs[ℓ][i] lists the level-ℓ paths σ·i in
 // ascending rank — which is also ascending rank of σ, the order the relay
 // outbox walks its claims in. Each entry names σ's flat index (read in the
-// relayer's tree), σ·i's flat index (written in a receiver's tree) and σ's
-// members, so a receiver on σ can skip the claim as absorption would. The
-// entries over all relayers are the universe minus its root, so a plan is
-// no larger than one tree's index space. Immutable once built.
+// relayer's tree, by its outbox and by the bulk lane), σ·i's flat index
+// (written in a receiver's tree by the lane) and σ's members, so a receiver
+// on σ can skip the claim as absorption would. Members are filled only
+// where a NodeSet holds every ID, the lane's range. The entries over all
+// relayers are the universe minus its root, so a plan is no larger than
+// one tree's index space. Immutable once built.
 type relayPlan struct {
 	runs [][][]relayEntry
 }
@@ -54,6 +56,7 @@ func (t *Tree) relayPlan() *relayPlan {
 // last element. A non-sender relayer ends exactly 1/(n−1) of each level.
 func newRelayPlan(rk *types.PathRanker) *relayPlan {
 	n, depth := rk.N(), rk.Depth()
+	members := n <= types.MaxNodeSetID+1
 	p := &relayPlan{runs: make([][][]relayEntry, depth+1)}
 	buf := make(types.Path, 0, depth)
 	for l := 2; l <= depth; l++ {
@@ -71,7 +74,9 @@ func newRelayPlan(rk *types.PathRanker) *relayPlan {
 			path, _ := rk.Unrank(l, rank, buf)
 			var on types.NodeSet
 			for _, id := range path[:l-1] {
-				on = on.Add(id)
+				if members {
+					on = on.Add(id)
+				}
 			}
 			last := path.Last()
 			runs[last] = append(runs[last], relayEntry{

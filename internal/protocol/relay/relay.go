@@ -16,11 +16,12 @@
 // the default value, which is also what receivers substitute for absent
 // messages.
 //
-// Node is a round.LaneNode. Between two honest nodes of one flat shape, on
-// an engine whose configuration allows the bulk lane, a round-r relay is not
-// a message: the engine counts it, and at the barrier the receiver copies
-// the relayer's level-(r−1) values into its own tree under the σ·relayer
-// labels (eig.Tree.StoreRelays), so Outbox leaves those recipients out.
+// Node is a round.LaneNode. On an engine whose configuration allows the
+// bulk lane, and whose every node takes slabs of this node's shape, a
+// round-r relay is not a message: the engine counts it, and at the barrier
+// each receiver copies the relayer's level-(r−1) values into its own tree
+// under the σ·relayer labels (eig.Tree.StoreRelays), so Outbox sends no
+// relays at all.
 package relay
 
 import (
@@ -55,13 +56,9 @@ type Node struct {
 	// Reset — pooled nodes re-run the same shape.
 	tmpl [][]types.Message
 
-	// lane is the peer set the engine last armed (see SetLanePeers): they
-	// take this node's relays as slabs, so Outbox leaves them out. keep
-	// lists the template block offsets of the recipients that stay
-	// per-message, and outBuf holds Outbox's filtered relays.
-	lane   types.NodeSet
-	keep   []int
-	outBuf []types.Message
+	// lane is set while the engine has every other node take this node's
+	// relays as slabs (see SetLanePeers); Outbox then sends none.
+	lane bool
 }
 
 var _ round.LaneNode = (*Node)(nil)
@@ -116,14 +113,14 @@ func (nd *Node) Step(round int, inbox []types.Message) []types.Message {
 
 // Outbox computes the honest sends for the given round from the node's
 // current tree. It is exported so the Byzantine wrapper in the adversary
-// package can obtain the honest schedule and corrupt it. Relays to the lane
-// peers an engine set are left out (see SetLanePeers); a node no engine
+// package can obtain the honest schedule and corrupt it. On an armed lane
+// (see SetLanePeers) the relay rounds send nothing; a node no engine
 // armed, like the wrapper's, sends its full schedule.
 func (nd *Node) Outbox(round int) []types.Message {
 	if round < 1 || round > nd.tree.Depth() {
 		return nil
 	}
-	if round == 1 && nd.id != nd.sender {
+	if round == 1 && nd.id != nd.sender || round > 1 && nd.lane {
 		return nil
 	}
 	if nd.tmpl == nil {
@@ -135,44 +132,19 @@ func (nd *Node) Outbox(round int) []types.Message {
 		nd.tmpl[round] = out
 	}
 	// Rewrite only the values: each claim occupies a contiguous block of
-	// n−1 template messages (one per recipient) sharing one path.
+	// n−1 template messages (one per recipient) sharing one path, and the
+	// relay plan lists the claims' parents in the same order.
 	if round == 1 {
 		for i := range out {
 			out[i].Value = nd.value
 		}
 		return out
 	}
-	if nd.lane != 0 {
-		return nd.keptRelays(out)
-	}
-	for i := 0; i < len(out); i += nd.n - 1 {
-		lbl := out[i].Path
-		v := nd.tree.Get(lbl[:len(lbl)-1]) // Default when the claim never arrived
+	claims := nd.tree.Relays(round, nd.id)
+	for c, i := 0, 0; i < len(out); c, i = c+1, i+nd.n-1 {
+		v := claims.Value(c) // Default when the claim never arrived
 		for k := 0; k < nd.n-1; k++ {
 			out[i+k].Value = v
-		}
-	}
-	return out
-}
-
-// keptRelays is a relay round's outbox with the lane peers left out: each
-// claim is read once and sent only to the recipients at the keep offsets,
-// in template order.
-func (nd *Node) keptRelays(tmpl []types.Message) []types.Message {
-	if len(nd.keep) == 0 {
-		return nil
-	}
-	if need := nd.LaneClaims(nd.tree.Depth()) * len(nd.keep); cap(nd.outBuf) < need {
-		nd.outBuf = make([]types.Message, 0, need) // the last round is the widest
-	}
-	out := nd.outBuf[:0]
-	for i := 0; i < len(tmpl); i += nd.n - 1 {
-		lbl := tmpl[i].Path
-		v := nd.tree.Get(lbl[:len(lbl)-1])
-		for _, k := range nd.keep {
-			m := tmpl[i+k]
-			m.Value = v
-			out = append(out, m)
 		}
 	}
 	return out
@@ -187,27 +159,10 @@ func (nd *Node) LaneShape() any {
 	return nil
 }
 
-// SetLanePeers implements round.LaneNode. Round 1 is always sent in full:
-// the lane only carries relays.
-func (nd *Node) SetLanePeers(peers types.NodeSet) {
-	nd.lane = peers
-	nd.keep = nd.keep[:0]
-	if peers == 0 {
-		return // Outbox never reads keep without peers
-	}
-	if nd.keep == nil {
-		nd.keep = make([]int, 0, nd.n-1)
-	}
-	for k := 0; k < nd.n-1; k++ {
-		j := types.NodeID(k)
-		if j >= nd.id {
-			j++ // block offsets skip self, like the template
-		}
-		if !peers.Contains(j) {
-			nd.keep = append(nd.keep, k)
-		}
-	}
-}
+// SetLanePeers implements round.LaneNode. The engine names every other
+// node or none, so the node relays by slab or by message, never a mix.
+// Round 1 is always sent in full: the lane only carries relays.
+func (nd *Node) SetLanePeers(peers types.NodeSet) { nd.lane = peers != 0 }
 
 // LaneClaims implements round.LaneNode: a round-r relayer owes each
 // recipient one claim per length-(r−1) path that avoids it, P(n−2, r−2)

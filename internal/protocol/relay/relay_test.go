@@ -1,6 +1,8 @@
 package relay
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"degradable/internal/round"
@@ -159,6 +161,43 @@ func TestEndToEndHonest(t *testing.T) {
 	for id, d := range res.Decisions {
 		if d != 5 {
 			t.Errorf("node %d decided %v", int(id), d)
+		}
+	}
+}
+
+// TestOutboxReadsEveryClaim holds the relay plan's read order to the
+// template's: on a tree holding random values at most claims, every relay
+// round's message carries the value stored at its path's parent (V_d where
+// none was), on both sides of the NodeSet range the plan's member sets
+// stop at.
+func TestOutboxReadsEveryClaim(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, shape := range []struct{ n, depth int }{{4, 3}, {7, 3}, {9, 4}, {70, 3}} {
+		for _, id := range []types.NodeID{1, types.NodeID(shape.n - 1)} {
+			nd, err := New(shape.n, shape.depth, 0, id, 0, majorityRule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l := 1; l < shape.depth; l++ {
+				nd.tree.ForEachPath(l, id, func(p types.Path) bool {
+					if rng.Intn(5) > 0 {
+						_ = nd.tree.Set(p, types.Value(rng.Intn(3)))
+					}
+					return true
+				})
+			}
+			for r := 2; r <= shape.depth; r++ {
+				out := nd.Outbox(r)
+				if want := nd.LaneClaims(r) * (shape.n - 1); len(out) != want {
+					t.Fatalf("n=%d id=%d round %d: %d sends, want %d", shape.n, id, r, len(out), want)
+				}
+				for _, m := range out {
+					if want := nd.tree.Get(m.Path[:r-1]); m.Value != want {
+						t.Fatalf("n=%d id=%d round %d: %s carries %s, the tree holds %s",
+							shape.n, id, r, fmt.Sprint(m.Path), m.Value, want)
+					}
+				}
+			}
 		}
 	}
 }

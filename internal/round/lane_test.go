@@ -8,6 +8,7 @@ import (
 
 	"degradable/internal/adversary"
 	"degradable/internal/core"
+	"degradable/internal/eig"
 	"degradable/internal/protocol/relay"
 	"degradable/internal/round"
 	"degradable/internal/types"
@@ -29,9 +30,28 @@ var laneShapes = []core.Params{
 	{N: 11, M: 3, U: 4},
 }
 
-var laneKinds = []adversary.Kind{
-	adversary.KindSilent, adversary.KindCrash, adversary.KindLie,
-	adversary.KindTwoFaced, adversary.KindRandom,
+// laneFault is one fault behaviour of the lane matrix.
+type laneFault struct {
+	name  string
+	build func(n int, seed int64) (adversary.Strategy, error)
+}
+
+func (f laneFault) String() string { return f.name }
+
+// kindFault is the built-in fault kind k, lying with 99.
+func kindFault(k adversary.Kind) laneFault {
+	return laneFault{k.String(), func(n int, seed int64) (adversary.Strategy, error) { return k.Build(n, 99, seed) }}
+}
+
+// laneKinds are the matrix's fault behaviours: every built-in kind, then
+// BandwagonLie, an Observer whose lies follow the tree its node holds at
+// each Step, so a slab stored a round early or late changes what it sends.
+var laneKinds = []laneFault{
+	kindFault(adversary.KindSilent), kindFault(adversary.KindCrash), kindFault(adversary.KindLie),
+	kindFault(adversary.KindTwoFaced), kindFault(adversary.KindRandom),
+	{"bandwagon", func(_ int, seed int64) (adversary.Strategy, error) {
+		return &adversary.BandwagonLie{Swing: seed%2 != 0}, nil
+	}},
 }
 
 var laneDrivers = []struct {
@@ -45,7 +65,7 @@ var laneDrivers = []struct {
 // laneRun executes one instance — honest complement, the given faults
 // wrapped, sender input 42 — and returns its result and Sink stream. It
 // sets no Trace, which would turn the lane off.
-func laneRun(t testing.TB, p core.Params, faults map[types.NodeID]adversary.Kind, seed int64,
+func laneRun(t testing.TB, p core.Params, faults map[types.NodeID]laneFault, seed int64,
 	d round.Driver, ch round.Channel) (transcript, []round.Node) {
 	t.Helper()
 	nodes, err := p.Nodes(42)
@@ -53,8 +73,8 @@ func laneRun(t testing.TB, p core.Params, faults map[types.NodeID]adversary.Kind
 		t.Fatal(err)
 	}
 	strategies := make(map[types.NodeID]adversary.Strategy, len(faults))
-	for id, k := range faults {
-		if strategies[id], err = k.Build(p.N, 99, seed+int64(id)); err != nil {
+	for id, f := range faults {
+		if strategies[id], err = f.build(p.N, seed+int64(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +96,7 @@ func laneRun(t testing.TB, p core.Params, faults map[types.NodeID]adversary.Kind
 
 // checkLane runs one case through the lane and through the per-message
 // twin and requires the same decisions, accounting and event stream.
-func checkLane(t testing.TB, name string, p core.Params, faults map[types.NodeID]adversary.Kind, seed int64, d round.Driver) {
+func checkLane(t testing.TB, name string, p core.Params, faults map[types.NodeID]laneFault, seed int64, d round.Driver) {
 	t.Helper()
 	got, _ := laneRun(t, p, faults, seed, d, nil)
 	want, _ := laneRun(t, p, faults, seed, d, perMessage{})
@@ -90,7 +110,8 @@ func checkLane(t testing.TB, name string, p core.Params, faults map[types.NodeID
 
 // TestLaneMatchesPerMessage is the lane's judge: every matrix shape, every
 // sender, 0..u Byzantine wrappers of every kind (the first kind's set
-// includes the sender), under both in-process drivers.
+// includes the sender), under both in-process drivers. The wrappers take
+// the honest relays by slab on the lane run and by message on its twin.
 func TestLaneMatchesPerMessage(t *testing.T) {
 	for _, shape := range laneShapes {
 		for s := 0; s < shape.N; s++ {
@@ -101,7 +122,7 @@ func TestLaneMatchesPerMessage(t *testing.T) {
 					if f == 0 && ki > 0 {
 						break // the fault-free case once
 					}
-					faults := make(map[types.NodeID]adversary.Kind, f)
+					faults := make(map[types.NodeID]laneFault, f)
 					for k := 0; k < f; k++ {
 						faults[types.NodeID((s+ki+k)%p.N)] = kind
 					}
@@ -115,9 +136,12 @@ func TestLaneMatchesPerMessage(t *testing.T) {
 	}
 }
 
-// TestLaneIsTaken guards the matrix against passing vacuously: in a
-// fault-free lane run every receiver's relays go by slab, so its outbox is
-// empty past round 1, while the per-message twin's is full.
+// TestLaneIsTaken guards the matrix against passing vacuously: in a lane
+// run every receiver's relays go by slab, so its outbox is empty past round
+// 1, while the per-message twin's is full. With a Lie wrapper in the run
+// the lane stays on — the honest outboxes are still empty — and the
+// wrapper's tree, seen through its strategy at each Step, holds the
+// slabbed claims: every claim that avoids it, as the twin's absorbs them.
 func TestLaneIsTaken(t *testing.T) {
 	p := laneShapes[1]
 	for _, tc := range []struct {
@@ -129,16 +153,69 @@ func TestLaneIsTaken(t *testing.T) {
 			t.Errorf("channel %T: receiver's round-2 outbox has %d sends, want %d", tc.ch, got, tc.want)
 		}
 	}
+
+	const liar = 3
+	depth := p.Depth()
+	trees := func(ch round.Channel) (snaps []treeSnap, nodes []round.Node) {
+		spy := &treeSpy{Lie: adversary.Lie{Value: 99}}
+		faults := map[types.NodeID]laneFault{liar: {"spy", func(int, int64) (adversary.Strategy, error) { return spy, nil }}}
+		_, nodes = laneRun(t, p, faults, 1, round.Reference{}, ch)
+		return spy.snaps, nodes
+	}
+	lane, nodes := trees(nil)
+	for i, nd := range nodes {
+		for r := 2; r <= depth && i != liar; r++ {
+			if got := len(nd.(*relay.Node).Outbox(r)); got != 0 {
+				t.Errorf("node %d's round-%d outbox has %d sends beside a Lie wrapper, want 0", i, r, got)
+			}
+		}
+	}
+	twin, _ := trees(perMessage{})
+	if !reflect.DeepEqual(lane, twin) {
+		t.Fatal("the wrapper's trees at each Step differ between the lane and the per-message run")
+	}
+	// At Step(depth) the wrapper holds every claim of length < depth that
+	// avoids it: P(n−2, ℓ−1) of length ℓ, all but length 1 taken by slab.
+	want, perm := 0, 1
+	for l := 1; l < depth; l++ {
+		want += perm
+		perm *= p.N - 1 - l
+	}
+	if got := lane[depth-1].stored; got != want {
+		t.Fatalf("the wrapper's tree holds %d claims at round %d, want %d", got, depth, want)
+	}
+}
+
+// treeSpy is a Lie strategy that records its node's tree at each Step.
+type treeSpy struct {
+	adversary.Lie
+	snaps []treeSnap
+}
+
+type treeSnap struct {
+	stored int
+	export []byte
+}
+
+func (s *treeSpy) Observe(_ int, tree *eig.Tree) {
+	b, err := tree.Export(nil)
+	if err != nil {
+		panic(err)
+	}
+	s.snaps = append(s.snaps, treeSnap{tree.Stored(), b})
 }
 
 // TestAdversaryNodeIsNotALaneNode pins the exclusion the lane's soundness
-// rests on: a Byzantine wrapper must corrupt every send, so it may never
-// take the lane. It holds its honest node as a field today; embedding it
+// rests on: a Byzantine wrapper must corrupt every send, so it may take
+// slabs but never send them. It holds its honest node as a field today; embedding it
 // would promote the LaneNode methods and silently let lies skip Corrupt.
 func TestAdversaryNodeIsNotALaneNode(t *testing.T) {
 	var nd round.Node = new(adversary.Node)
 	if _, ok := nd.(round.LaneNode); ok {
 		t.Fatal("*adversary.Node satisfies round.LaneNode")
+	}
+	if _, ok := nd.(round.LaneReceiver); !ok {
+		t.Fatal("*adversary.Node no longer takes slabs")
 	}
 	var honest round.Node = new(relay.Node)
 	if _, ok := honest.(round.LaneNode); !ok {
@@ -191,7 +268,7 @@ func FuzzLaneVsPerMessage(f *testing.F) {
 		p := laneShapes[int(shape)%len(laneShapes)]
 		p.Sender = types.NodeID(int(sender) % p.N)
 		rng := rand.New(rand.NewSource(seed))
-		faults := map[types.NodeID]adversary.Kind{}
+		faults := map[types.NodeID]laneFault{}
 		for id := 0; id < p.N; id++ {
 			if mask&(1<<id) != 0 {
 				faults[types.NodeID(id)] = laneKinds[rng.Intn(len(laneKinds))]

@@ -17,8 +17,8 @@ import (
 // a sparse topology channel, none again — and requires every run to equal a
 // freshly built engine's on the same channel: decisions, message, delivery
 // and byte accounting, and per-round counts. It also checks the lane is
-// re-armed each time: a receiver leaves its lane peers out of its relays
-// exactly when the channel lets the lane run.
+// re-armed each time: a receiver sends its relays by slab exactly when the
+// channel lets the lane run.
 func TestRestartOnChannelMatchesFresh(t *testing.T) {
 	p := core.Params{N: 9, M: 1, U: 2} // harary:4:9 carries κ = 4 = m+u+1
 	faults := []adversary.FaultSpec{{Node: 3, Kind: adversary.KindLie, Value: 99}}
@@ -114,12 +114,12 @@ func TestRestartOnChannelMatchesFresh(t *testing.T) {
 		if !reflect.DeepEqual(got.PerRound, want.PerRound) {
 			t.Errorf("%s: per-round %v, want %v", step.name, got.PerRound, want.PerRound)
 		}
-		// Receiver 1's one round-2 relay goes to its 7 lane peers by slab
-		// when the lane is on, leaving node 3, the wrapped liar, a message;
-		// with the lane off all 8 recipients get one.
+		// Receiver 1's one round-2 relay goes to all 8 other nodes by slab
+		// when the lane is on, node 3, the wrapped liar, included; with the
+		// lane off all 8 recipients get a message.
 		want1 := p.N - 1
 		if step.lane {
-			want1 = 1
+			want1 = 0
 		}
 		if got, want := len(warm[1].Outbox(2)), want1; got != want {
 			t.Errorf("%s: receiver's round-2 outbox has %d sends, want %d (lane on: %v)",

@@ -35,11 +35,14 @@
 //	    run's collect) stamps every message's From field with the true
 //	    sender, so even Byzantine nodes cannot spoof their identity.
 //
-// A bulk lane carries the same exchange between honest relay nodes without
-// the messages. When both ends of an edge are LaneNodes of one shape, the
-// engine is off the Trace/RecordViews/Channel paths that observe single
-// messages, Collect accounts the edge's claims arithmetically and records a
-// slab, and Deliver has the receiver copy it at the barrier. Assumption (c)
+// A bulk lane carries the same exchange's honest relays without the
+// messages. It runs only off the Trace/RecordViews/Channel paths that
+// observe single messages, and only when every node takes slabs of one
+// shape (LaneReceiver: the honest relay node and the Byzantine wrapper
+// alike). Then, for each honest relayer (LaneNode), Collect accounts its
+// claims arithmetically and records a slab, and Deliver has every other
+// node copy it at the barrier, before the next round's Step; a wrapper's
+// own sends still go through its strategy as messages. Assumption (c)
 // holds there too: the slab's source is the node at the Collect slot, the
 // engine's own record of who sent, never a field the node supplies.
 //
@@ -75,7 +78,6 @@ package round
 
 import (
 	"fmt"
-	"math/bits"
 
 	"degradable/internal/obs"
 	"degradable/internal/types"
@@ -106,27 +108,36 @@ type Node interface {
 	Decide() types.Value
 }
 
-// LaneNode is the optional bulk-lane extension of Node, implemented by the
-// honest relay node. A lane node's relays to a lane peer are a slab: its
-// tree's previous level, re-addressed by a rank permutation. The engine arms
-// the lane at NewEngine and Restart — every LaneNode is told its peers, an
-// empty set when the lane is off — and then, per lane edge and round, counts
-// the claims the message path would have sent and has the receiver take the
-// slab at the barrier, when no Step is in flight.
-type LaneNode interface {
+// LaneReceiver is the receive-only half of the bulk lane, implemented by
+// the honest relay node and, delegating to the honest node it holds, by the
+// Byzantine wrapper: a node that takes a relayer's round-r relays as a
+// slab — the relayer's tree's previous level, re-addressed by a rank
+// permutation — at the barrier, when no Step is in flight, and stores them
+// exactly as absorbing the messages would.
+type LaneReceiver interface {
 	Node
 	// LaneShape is a comparable key of the node's slab layout, or nil when
-	// the node cannot take the lane. Only nodes of one shape are peers.
+	// the node cannot take the lane.
 	LaneShape() any
-	// SetLanePeers names the nodes that take this node's relays as slabs;
-	// Step's outbox must leave them out.
+	// TakeSlab stores src's round-r relays to this node exactly as
+	// absorbing the messages would.
+	TakeSlab(src LaneNode, round int)
+}
+
+// LaneNode is a LaneReceiver that also relays by slab: the honest relay
+// node. The engine arms the lane at NewEngine and Restart — every LaneNode
+// is told its peers, every other node when the lane is on and an empty set
+// when it is off — and then, per relayer and round, counts the claims the
+// message path would have sent and has every other node take the slab at
+// the barrier. A node whose sends a strategy corrupts must not be one.
+type LaneNode interface {
+	LaneReceiver
+	// SetLanePeers names the nodes that take this node's relays as slabs,
+	// every other node or none; Step's outbox must leave them out.
 	SetLanePeers(peers types.NodeSet)
 	// LaneClaims is the number of messages the node's round-r outbox sends
 	// each recipient, lane peers included; each carries an r-element path.
 	LaneClaims(round int) int
-	// TakeSlab stores src's round-r relays to this node exactly as
-	// absorbing the messages would.
-	TakeSlab(src LaneNode, round int)
 }
 
 // Channel interposes on message delivery. Deliver may rewrite the message
@@ -251,17 +262,17 @@ type Engine struct {
 	// them into the counters when the round they belong to opens.
 	delivered, bytes int
 
-	// lane is empty unless the configuration lets the bulk lane run (see
-	// RestartOn). Then lane[i] holds node i and its peers while it is a
-	// lane member, and slabs the (relayer, round) pairs Collect recorded for
-	// Deliver to apply.
+	// lane is empty unless the run takes the bulk lane (see RestartOn and
+	// armLane). Then lane[i] holds node i as a receiver, and as a relayer
+	// when it is honest; slabs holds the (relayer, round) pairs Collect
+	// recorded for Deliver to apply.
 	lane  []laneSlot
 	slabs []slab
 }
 
 type laneSlot struct {
-	nd    LaneNode
-	peers types.NodeSet
+	rx LaneReceiver
+	tx LaneNode // nil for a node that sends only messages
 }
 
 type slab struct{ from, round int }
@@ -313,42 +324,35 @@ func NewEngine(nodes []Node, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// armLane picks the run's lane members — the LaneNodes sharing the first
-// one's shape, when the lane is on — and tells every LaneNode its peers, so
-// a node that was a member under an earlier engine or run stops leaving
-// recipients out.
+// armLane keeps the lane on only when every node is a LaneReceiver of one
+// non-nil shape, and tells every LaneNode its peers — every other node, or
+// none — so a node that was armed under an earlier engine or run stops
+// leaving recipients out when this run takes no lane.
 func (e *Engine) armLane() {
-	if len(e.lane) == 0 {
-		for _, nd := range e.byID {
-			if ln, ok := nd.(LaneNode); ok {
-				ln.SetLanePeers(0)
-			}
-		}
-		return
-	}
-	var members types.NodeSet
 	var shape any
-	for i, nd := range e.byID {
-		e.lane[i] = laneSlot{}
-		ln, ok := nd.(LaneNode)
-		if !ok {
-			continue
+	for i := range e.lane {
+		rx, ok := e.byID[i].(LaneReceiver)
+		var s any
+		if ok {
+			s = rx.LaneShape()
 		}
-		s := ln.LaneShape()
-		if shape == nil {
+		if i == 0 {
 			shape = s
 		}
-		if s != nil && s == shape {
-			e.lane[i].nd = ln
-			members = members.Add(types.NodeID(i))
+		if s == nil || s != shape {
+			e.lane = e.lane[:0]
+			break
 		}
+		tx, _ := rx.(LaneNode)
+		e.lane[i] = laneSlot{rx: rx, tx: tx}
+	}
+	var peers types.NodeSet
+	if len(e.lane) > 0 {
+		peers = types.NodeSet(1)<<len(e.byID) - 1
 	}
 	for i, nd := range e.byID {
-		if e.lane[i].nd != nil {
-			e.lane[i].peers = members.Remove(types.NodeID(i))
-		}
 		if ln, ok := nd.(LaneNode); ok {
-			ln.SetLanePeers(e.lane[i].peers)
+			ln.SetLanePeers(peers.Remove(types.NodeID(i)))
 		}
 	}
 }
@@ -396,7 +400,8 @@ func (e *Engine) RestartOn(nodes []Node, ch Channel) error {
 	// The bulk lane's one rule: it runs on a nil or PerfectChannel with no
 	// Trace and no RecordViews — the settings under which a message is
 	// never seen, dropped or rewritten on its own — over a complement that
-	// fits a NodeSet. Turning it off keeps its buffer.
+	// fits a NodeSet and whose every node takes slabs of one shape (see
+	// armLane). Turning it off keeps its buffer.
 	e.cfg.Channel = ch
 	e.expander, _ = ch.(Expander)
 	_, perfect := ch.(PerfectChannel)
@@ -432,9 +437,11 @@ func (e *Engine) Node(i int) Node { return e.byID[i] }
 // previous round read is truncated here to take the next one's deliveries.
 func (e *Engine) Deliver() {
 	for _, sl := range e.slabs {
-		src := e.lane[sl.from]
-		for p := uint64(src.peers); p != 0; p &= p - 1 {
-			e.lane[bits.TrailingZeros64(p)].nd.TakeSlab(src.nd, sl.round)
+		src := e.lane[sl.from].tx
+		for j := range e.lane {
+			if j != sl.from {
+				e.lane[j].rx.TakeSlab(src, sl.round)
+			}
 		}
 	}
 	e.slabs = e.slabs[:0]
@@ -519,8 +526,8 @@ func (e *Engine) Collect(i, round int, out []types.Message) {
 			e.route(&m)
 		}
 	}
-	if len(e.lane) > 0 && e.lane[i].nd != nil {
-		if k := e.lane[i].nd.LaneClaims(round) * e.lane[i].peers.Len(); k > 0 {
+	if len(e.lane) > 0 && e.lane[i].tx != nil {
+		if k := e.lane[i].tx.LaneClaims(round) * (n - 1); k > 0 {
 			sent += k
 			e.delivered += k
 			e.bytes += k * (8 + 4*round)

@@ -44,10 +44,10 @@ func TestFastPathZeroAlloc(t *testing.T) {
 // relay-plan tables are reused, and the engine keeps both of its inbox sets
 // and its result view across Restart. The deep case is the benchmark's
 // serve_deep shape with one two-faced non-sender fault, rotated over all ten
-// receivers across runs as the benchmark's requests rotate it, so the lane
-// peer set changes every run; the fault omits nothing, so every run owes
-// 10 + 100 + 900 + 7 200 = 8 210 messages, and a set dropped or regrown on
-// Restart cannot hide.
+// receivers across runs as the benchmark's requests rotate it, so the
+// wrapper taking slabs moves every run; the fault omits nothing, so every
+// run owes 10 + 100 + 900 + 7 200 = 8 210 messages (core.Cost), and a set
+// dropped or regrown on Restart cannot hide.
 func TestBatchArenaZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name     string

@@ -6,48 +6,52 @@ import (
 	"degradable/internal/types"
 )
 
-// FuzzVote checks the VOTE soundness invariants over arbitrary inputs: the
-// winner (when not V_d) occurs at least threshold times and is the unique
-// value doing so.
+// voteOracle is VOTE(threshold, len(vals)) by its definition in §4: tally
+// every value, and return the one value reaching the threshold, or V_d
+// when none or more than one does. A threshold below 1 counts as 1.
+func voteOracle(threshold int, vals []types.Value) types.Value {
+	if threshold < 1 {
+		threshold = 1
+	}
+	winner, winners := types.Default, 0
+	for v, c := range tallyForTest(vals) {
+		if c >= threshold {
+			winner, winners = v, winners+1
+		}
+	}
+	if winners != 1 {
+		return types.Default
+	}
+	return winner
+}
+
+// FuzzVote holds Vote to the counting oracle over arbitrary thresholds —
+// negative, at most half the vector (where ties are possible), above half
+// (the one-pass path) and past its length — and vectors on both sides of
+// the in-place and tally-map lengths. Each byte is one value from a small
+// alphabet that includes V_d, so ties and near-ties are common; repeat
+// stretches the vector past smallVote.
 func FuzzVote(f *testing.F) {
-	f.Add([]byte{1, 2, 2, 3}, uint8(2))
-	f.Add([]byte{1, 2, 0, 3}, uint8(2))
-	f.Add([]byte{1, 2, 2, 1}, uint8(2))
-	f.Add([]byte{}, uint8(1))
-	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7}, uint8(8))
-	f.Fuzz(func(t *testing.T, raw []byte, thRaw uint8) {
-		vals := make([]types.Value, len(raw))
-		for i, b := range raw {
-			v := types.Value(b % 5)
-			if b%7 == 0 {
-				v = types.Default
-			}
-			vals[i] = v
-		}
-		th := int(thRaw%10) + 1
-		got := Vote(th, vals)
-		if got == types.Default {
-			// Permissible always; but if a unique winner existed we must
-			// not have missed it.
-			var winners int
-			for v, c := range tallyForTest(vals) {
-				if c >= th && v != types.Default {
-					winners++
+	f.Add([]byte{1, 2, 2, 3}, int8(2), uint8(0))
+	f.Add([]byte{1, 2, 0, 3}, int8(2), uint8(0))
+	f.Add([]byte{1, 2, 2, 1}, int8(2), uint8(0))
+	f.Add([]byte{}, int8(1), uint8(0))
+	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7}, int8(8), uint8(0))
+	f.Add([]byte{3, 3, 1, 3, 2, 3, 3}, int8(4), uint8(12))
+	f.Add([]byte{1, 2}, int8(-3), uint8(40))
+	f.Fuzz(func(t *testing.T, raw []byte, threshold int8, repeat uint8) {
+		vals := make([]types.Value, 0, len(raw)*(1+int(repeat%40)))
+		for k := 0; k <= int(repeat%40); k++ {
+			for _, b := range raw {
+				v := types.Value(b % 5)
+				if b%7 == 0 {
+					v = types.Default
 				}
+				vals = append(vals, v)
 			}
-			defCount := Count(types.Default, vals)
-			if winners == 1 && defCount < th {
-				t.Errorf("Vote(%d, %v) = V_d but a unique winner exists", th, vals)
-			}
-			return
 		}
-		if Count(got, vals) < th {
-			t.Errorf("Vote(%d, %v) = %v with insufficient support", th, vals, got)
-		}
-		for v, c := range tallyForTest(vals) {
-			if v != got && c >= th {
-				t.Errorf("Vote(%d, %v) = %v but %v also reaches threshold", th, vals, got, v)
-			}
+		if got, want := Vote(int(threshold), vals), voteOracle(int(threshold), vals); got != want {
+			t.Fatalf("Vote(%d, %v) = %v, the count says %v", threshold, vals, got, want)
 		}
 	})
 }

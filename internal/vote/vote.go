@@ -27,6 +27,9 @@ func Vote(threshold int, vals []types.Value) types.Value {
 		// identical.
 		threshold = 1
 	}
+	if 2*threshold > len(vals) {
+		return voteMajority(threshold, vals)
+	}
 	if len(vals) <= smallVote {
 		return voteSmall(threshold, vals)
 	}
@@ -48,12 +51,37 @@ func Vote(threshold int, vals []types.Value) types.Value {
 	return winner
 }
 
+// voteMajority is Vote when the threshold exceeds half the vector, which
+// BYZ(m,m)'s VOTE(n_σ−1−m, n_σ−1) always does (N ≥ 2m+u+1 and u ≥ m put
+// n_σ−1 above 2m). Then at most one value can reach the threshold, so
+// there is no tie, and a value that reaches it holds a strict majority:
+// the Boyer–Moore pairing pass leaves it as the candidate, and one count
+// decides.
+func voteMajority(threshold int, vals []types.Value) types.Value {
+	cand, lead := types.Default, 0
+	for _, v := range vals {
+		switch {
+		case lead == 0:
+			cand, lead = v, 1
+		case v == cand:
+			lead++
+		default:
+			lead--
+		}
+	}
+	if Count(cand, vals) >= threshold {
+		return cand
+	}
+	return types.Default
+}
+
 // smallVote is the vector length up to which Vote counts in place instead
 // of building a tally map. Protocol vote vectors have at most n−1 entries,
 // so this covers every run the serving hot path sees without allocating.
 const smallVote = 64
 
-// voteSmall is Vote on short vectors: for each first occurrence, count its
+// voteSmall is Vote on short vectors at thresholds of at most half their
+// length, where two values may tie: for each first occurrence, count its
 // repeats directly. Quadratic, but allocation-free and faster than a map
 // for the vector sizes the protocols produce.
 func voteSmall(threshold int, vals []types.Value) types.Value {
@@ -94,33 +122,7 @@ func voteSmall(threshold int, vals []types.Value) types.Value {
 // values v_1...v_{n-1} if it exists, otherwise RETREAT" rule of Lamport's
 // OM(m) algorithm.
 func Majority(vals []types.Value) types.Value {
-	if len(vals) == 0 {
-		return types.Default
-	}
-	// Boyer–Moore majority vote: the only candidate that can hold a strict
-	// majority survives the pairing pass; one counting pass verifies it.
-	// Linear and allocation-free.
-	cand, count := vals[0], 0
-	for _, v := range vals {
-		switch {
-		case count == 0:
-			cand, count = v, 1
-		case v == cand:
-			count++
-		default:
-			count--
-		}
-	}
-	n := 0
-	for _, v := range vals {
-		if v == cand {
-			n++
-		}
-	}
-	if 2*n > len(vals) {
-		return cand
-	}
-	return types.Default
+	return voteMajority(len(vals)/2+1, vals)
 }
 
 // KOfN implements the external entity's (k)-out-of-(n) vote (condition C.1

@@ -140,6 +140,10 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(payloadOf(AppendTaggedResponse(nil, 2, Tag{Tenant: 3, Corr: 4}, StatusOK, ok, "")))
 	f.Add(payloadOf(AppendResponse(nil, 3, StatusOverloaded, service.Response{}, "shard queue full")))
 	f.Add(payloadOf(AppendTaggedResponse(nil, 4, Tag{Tenant: 1}, StatusQuota, service.Response{}, "")))
+	violated := service.Response{Decisions: []types.Value{7, 9}, Condition: "D.2", Checked: true,
+		Reason: "D.2: 2 distinct decisions {7×1, 9×1}"}
+	f.Add(payloadOf(AppendResponse(nil, 5, StatusOK, violated, "")))
+	f.Add(payloadOf(AppendTaggedResponse(nil, 6, Tag{Tenant: 2, Corr: 8}, StatusOK, violated, "")))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if len(payload) > MaxFrame {
 			return

@@ -9,8 +9,9 @@
 //	request  := ver type id n m u sender value nf fault*
 //	fault    := node kind value seed
 //	response := ver type id status (ok-body | errmsg)
-//	ok-body  := condition flags ndec value*
+//	ok-body  := condition flags ndec value* [reason]
 //	errmsg   := len(uint16) bytes
+//	reason   := len(uint16) bytes   (non-empty; only with the reason flag)
 //
 // Tagged frames (types 3 and 4) carry an 8-byte routing tag — a 4-byte
 // tenant ID and a 4-byte correlation value — between the request ID and
@@ -117,6 +118,7 @@ const (
 	flagChecked
 	flagOK
 	flagGraceful
+	flagReason // a length-prefixed Response.Reason follows the decisions
 )
 
 // Condition codes (byte form of the paper condition names).
@@ -185,10 +187,11 @@ func appendResponse(buf []byte, id uint64, typ uint8, tag Tag, st Status, resp s
 		tagLen = 8
 	}
 	if st != StatusOK {
-		if len(errmsg) > 0xFFFF {
-			errmsg = errmsg[:0xFFFF]
+		body := 2 + 8 + tagLen + 1 + 2
+		if room := MaxFrame - body; len(errmsg) > room {
+			errmsg = errmsg[:room] // the frame stays within what a reader accepts
 		}
-		body := 2 + 8 + tagLen + 1 + 2 + len(errmsg)
+		body += len(errmsg)
 		buf = appendHeader(buf, body, typ, id)
 		if tagLen > 0 {
 			buf = appendTag(buf, tag)
@@ -218,6 +221,14 @@ func appendResponse(buf []byte, id uint64, typ uint8, tag Tag, st Status, resp s
 		flags |= flagGraceful
 	}
 	body := 2 + 8 + tagLen + 1 + 1 + 1 + 1 + len(resp.Decisions)*8
+	reason := resp.Reason
+	if reason != "" {
+		flags |= flagReason
+		if room := MaxFrame - body - 2; len(reason) > room {
+			reason = reason[:room] // the frame stays within what a reader accepts
+		}
+		body += 2 + len(reason)
+	}
 	buf = appendHeader(buf, body, typ, id)
 	if tagLen > 0 {
 		buf = appendTag(buf, tag)
@@ -225,6 +236,10 @@ func appendResponse(buf []byte, id uint64, typ uint8, tag Tag, st Status, resp s
 	buf = append(buf, byte(st), code, flags, byte(len(resp.Decisions)))
 	for _, d := range resp.Decisions {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(d))
+	}
+	if reason != "" {
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(reason)))
+		buf = append(buf, reason...)
 	}
 	return buf, nil
 }
@@ -458,7 +473,7 @@ func decodeResponseBody(b []byte) (st Status, resp service.Response, errmsg stri
 	if int(code) >= len(condNames) {
 		return st, resp, "", fmt.Errorf("wire: unknown condition code %d", code)
 	}
-	if flags&^(flagDegraded|flagChecked|flagOK|flagGraceful) != 0 {
+	if flags&^(flagDegraded|flagChecked|flagOK|flagGraceful|flagReason) != 0 {
 		return st, resp, "", fmt.Errorf("wire: unknown response flags %#x", flags)
 	}
 	resp.Condition = condNames[code]
@@ -467,7 +482,7 @@ func decodeResponseBody(b []byte) (st Status, resp service.Response, errmsg stri
 	resp.OK = flags&flagOK != 0
 	resp.Graceful = flags&flagGraceful != 0
 	b = b[3:]
-	if len(b) != ndec*8 {
+	if len(b) < ndec*8 || flags&flagReason == 0 && len(b) != ndec*8 {
 		return st, resp, "", fmt.Errorf("wire: %d decision bytes, want %d", len(b), ndec*8)
 	}
 	if ndec > 0 {
@@ -475,6 +490,16 @@ func decodeResponseBody(b []byte) (st Status, resp service.Response, errmsg stri
 		for i := range resp.Decisions {
 			resp.Decisions[i] = types.Value(binary.BigEndian.Uint64(b[i*8 : (i+1)*8]))
 		}
+	}
+	if b = b[ndec*8:]; flags&flagReason != 0 {
+		if len(b) < 2 {
+			return st, resp, "", fmt.Errorf("wire: truncated reason")
+		}
+		n := int(binary.BigEndian.Uint16(b[:2]))
+		if n == 0 || len(b) != 2+n {
+			return st, resp, "", fmt.Errorf("wire: reason of %d bytes, want %d (non-empty)", len(b)-2, n)
+		}
+		resp.Reason = string(b[2:])
 	}
 	return st, resp, "", nil
 }

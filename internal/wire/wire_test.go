@@ -50,6 +50,8 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Decisions: []types.Value{types.Default, 5, 5}, Condition: "D.3",
 			Degraded: true, Checked: true, OK: true, Graceful: true},
 		{Decisions: []types.Value{-9}, Condition: "none"},
+		{Decisions: []types.Value{7, 9, 7}, Condition: "D.2", Checked: true,
+			Reason: "D.2: 2 distinct decisions {7×2, 9×1}"},
 	}
 	for i, resp := range resps {
 		buf, err := AppendResponse(nil, 99, StatusOK, resp, "")
@@ -70,6 +72,38 @@ func TestResponseRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, resp) {
 			t.Errorf("resp %d: round-trip mismatch:\n got %+v\nwant %+v", i, got, resp)
 		}
+	}
+}
+
+// TestResponseReasonBounds checks the text fields' edges: a reason or an
+// error message longer than a frame holds is cut to fit MaxFrame, and a
+// reason flag with an empty or overlong string is rejected, so a decoded
+// response re-encodes exactly.
+func TestResponseReasonBounds(t *testing.T) {
+	long := strings.Repeat("x", MaxFrame)
+	for _, st := range []Status{StatusOK, StatusError} {
+		resp := service.Response{Decisions: []types.Value{1}, Condition: "D.2", Checked: true, Reason: long}
+		buf, err := AppendTaggedResponse(nil, 1, Tag{Tenant: 1}, st, resp, long)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := ReadFrame(bytes.NewReader(buf))
+		if err != nil {
+			t.Fatalf("%v: a response with long text is not a frame: %v", st, err)
+		}
+		_, _, _, _, got, errmsg, err := DecodeAnyResponse(payload)
+		if err != nil || len(payload) != MaxFrame || !strings.HasPrefix(long, got.Reason+errmsg) {
+			t.Fatalf("%v: %d-byte payload, %d-byte reason, %d-byte message, %v",
+				st, len(payload), len(got.Reason), len(errmsg), err)
+		}
+	}
+	short, _ := AppendResponse(nil, 1, StatusOK, service.Response{Condition: "D.2", Reason: "r"}, "")
+	empty := append(append([]byte{}, short[4:len(short)-3]...), 0, 0)
+	if _, _, _, _, err := DecodeResponse(empty); err == nil {
+		t.Error("an empty flagged reason decoded")
+	}
+	if _, _, _, _, err := DecodeResponse(append(short[4:len(short)-1:len(short)-1], 'r', 'r')); err == nil {
+		t.Error("a reason longer than its prefix decoded")
 	}
 }
 

@@ -113,6 +113,9 @@ go test -run '^$' -fuzz FuzzSourceVsMathRand -fuzztime 10s ./internal/rng
 # The EIG tree against its string-map oracle: stores, and every path's
 # entry in the record the resolve sweep fills (what -explain prints).
 go test -run '^$' -fuzz FuzzFlatVsMap -fuzztime 10s ./internal/eig
+# VOTE against its counting oracle, at every threshold: the one-pass
+# majority path above half the vector, the tie-aware paths below it.
+go test -run '^$' -fuzz '^FuzzVote$' -fuzztime 10s ./internal/vote
 # The wire decoders read what a peer sends: request (plain and tagged),
 # response and round batch. None may panic or allocate past a small
 # multiple of the frame, and an accepted frame must be what the encoder
