@@ -11,12 +11,14 @@
 // enough to pass honest validation (arbitrary garbage would simply be
 // discarded by receivers, making it a weaker attack).
 //
-// On the bulk lane a faulty node takes the honest nodes' relays as slabs,
+// On the bulk lane a faulty node takes the other nodes' relays as slabs,
 // like any receiver (round.LaneReceiver, by delegation to its honest
-// node), but it never relays by slab: every send it makes goes through its
-// strategy. It resolves nothing at the end, since a faulty node's decision
-// carries no guarantee (D.1–D.4 judge only the fault-free receivers) and
-// Decide reports V_d regardless.
+// node), and sends its own relays as slabs of lies (relay.Liar): every
+// scheduled send still goes through its strategy, but the value chosen for
+// each recipient lands in that recipient's vector instead of a message.
+// It never relays its honest tree. It resolves nothing at the end, since a
+// faulty node's decision carries no guarantee (D.1–D.4 judge only the
+// fault-free receivers) and Decide reports V_d regardless.
 package adversary
 
 import (
@@ -59,9 +61,20 @@ type Node struct {
 	// into it, and the engine copies the Message structs on Collect, so the
 	// buffer is free again by the node's next Step.
 	outBuf []types.Message
+
+	// lane is set while the engine has every other node take this node's
+	// relays as slabs (see SetLanePeers). A relay round's Step then fills
+	// vals and sent instead of outBuf: recipient j's claims sit at
+	// vals[j*claims:] and its presence bits at sent[j*words:], and they
+	// stay valid until the next Step, past the barrier that stores them.
+	lane          bool
+	claims, words int
+	vals          []types.Value
+	sent          []uint64
+	nsent         int
 }
 
-var _ round.LaneReceiver = (*Node)(nil)
+var _ relay.Liar = (*Node)(nil)
 
 // NewNode wraps a Byzantine node with the given identity and strategy.
 // The arguments mirror relay.New; value matters only when id == sender.
@@ -90,11 +103,18 @@ func (b *Node) Reset(value types.Value, strat Strategy) {
 	b.strat = strat
 }
 
-// Step implements round.Node.
+// Step implements round.Node. Corrupt sees every send of the honest
+// schedule once, in outbox order. Off the lane the results go out as
+// messages; on it, a relay round's results go into the per-recipient
+// vectors Claims reads at the barrier, and Step returns no messages.
 func (b *Node) Step(round int, inbox []types.Message) []types.Message {
 	scheduled := b.honest.Step(round, inbox)
 	if obs, ok := b.strat.(Observer); ok {
 		obs.Observe(round, b.honest.Tree())
+	}
+	if b.lane && round >= 2 {
+		b.lie(scheduled)
+		return nil
 	}
 	if cap(b.outBuf) < len(scheduled) {
 		b.outBuf = make([]types.Message, 0, len(scheduled))
@@ -111,6 +131,57 @@ func (b *Node) Step(round int, inbox []types.Message) []types.Message {
 	return out
 }
 
+// lie corrupts a relay round's schedule into the per-recipient vectors.
+// The schedule lists each claim as a block of n−1 sends, one per
+// recipient, in relay-plan order.
+func (b *Node) lie(scheduled []types.Message) {
+	n := b.honest.Tree().N()
+	claims := len(scheduled) / (n - 1)
+	words := (claims + 63) / 64
+	if cap(b.vals) < n*claims {
+		b.vals = make([]types.Value, n*claims)
+	}
+	if cap(b.sent) < n*words {
+		b.sent = make([]uint64, n*words)
+	}
+	vals, sent := b.vals[:n*claims], b.sent[:n*words]
+	clear(sent)
+	self, nsent := b.ID(), 0
+	for c := 0; c < claims; c++ {
+		for _, m := range scheduled[c*(n-1) : (c+1)*(n-1)] {
+			v, ok := b.strat.Corrupt(self, m)
+			if !ok {
+				continue
+			}
+			to := int(m.To)
+			vals[to*claims+c] = v
+			sent[to*words+c>>6] |= 1 << uint(c&63)
+			nsent++
+		}
+	}
+	b.vals, b.sent, b.claims, b.words, b.nsent = vals, sent, claims, words, nsent
+}
+
+// SetLanePeers implements round.LaneSender: the engine names every other
+// node or none. Round 1 is always sent as messages, a faulty sender's
+// included.
+func (b *Node) SetLanePeers(peers types.NodeSet) { b.lane = peers != 0 }
+
+// LaneSent implements round.LaneSender: the sends the round's Step did not
+// drop. Round 1 has no slab, whatever an earlier run left in nsent.
+func (b *Node) LaneSent(round int) int {
+	if round < 2 {
+		return 0
+	}
+	return b.nsent
+}
+
+// Claims implements relay.Liar: what the last relay round sent node to.
+func (b *Node) Claims(to types.NodeID) ([]types.Value, []uint64) {
+	j := int(to)
+	return b.vals[j*b.claims : (j+1)*b.claims], b.sent[j*b.words : (j+1)*b.words]
+}
+
 // LaneShape implements round.LaneReceiver: the honest node's shape.
 func (b *Node) LaneShape() any { return b.honest.LaneShape() }
 
@@ -119,7 +190,7 @@ func (b *Node) LaneShape() any { return b.honest.LaneShape() }
 // shows an Observer the tree. The last round's relays are read by no Step;
 // only Finish would absorb them, and Finish does nothing, so they are not
 // stored at all.
-func (b *Node) TakeSlab(src round.LaneNode, round int) {
+func (b *Node) TakeSlab(src round.LaneSender, round int) {
 	if round < b.honest.Tree().Depth() {
 		b.honest.TakeSlab(src, round)
 	}

@@ -218,18 +218,17 @@ func (t *Tree) Layout() *types.PathRanker {
 // claims cannot change the tree. t and src must have equal non-nil
 // Layouts.
 func (t *Tree) StoreRelays(src *Tree, relayer, self types.NodeID, level int) error {
-	rk := t.Layout()
-	if rk == nil || src.Layout() != rk {
-		return fmt.Errorf("eig: bulk store needs two trees of one shape")
+	run, err := t.relayRun(level, relayer)
+	if err != nil {
+		return err
 	}
-	if level < 2 || level > t.depth || relayer < 0 || int(relayer) >= t.n || relayer == t.sender {
-		return fmt.Errorf("eig: no level-%d relays from %d for n=%d depth=%d sender=%d",
-			level, int(relayer), t.n, t.depth, int(t.sender))
+	if src.Layout() != t.rk {
+		return fmt.Errorf("eig: bulk store needs two trees of one shape")
 	}
 	if self == t.sender {
 		return nil // every claim carries the sender, which never stores its own
 	}
-	for _, e := range t.relayPlan().runs[level][relayer] {
+	for _, e := range run {
 		if e.on.Contains(self) {
 			continue
 		}
@@ -238,6 +237,48 @@ func (t *Tree) StoreRelays(src *Tree, relayer, self types.NodeID, level int) err
 		}
 	}
 	return nil
+}
+
+// StoreClaims is StoreRelays for a relayer whose claims differ per
+// recipient. Claim k is the k-th path σ of relayer's level-`level` relay
+// plan (see Relays); it was sent to self with value vals[k] when bit k of
+// sent is set, and not at all otherwise. Every sent claim whose σ avoids
+// self is stored as σ·relayer, exactly as absorbing the messages would;
+// an unsent one stays absent.
+func (t *Tree) StoreClaims(vals []types.Value, sent []uint64, relayer, self types.NodeID, level int) error {
+	run, err := t.relayRun(level, relayer)
+	if err != nil {
+		return err
+	}
+	if len(vals) != len(run) || len(sent) < (len(run)+63)/64 {
+		return fmt.Errorf("eig: %d values and %d presence words for %d level-%d claims from %d",
+			len(vals), len(sent), len(run), level, int(relayer))
+	}
+	if self == t.sender {
+		return nil
+	}
+	for k, e := range run {
+		if sent[k>>6]&(1<<uint(k&63)) == 0 || e.on.Contains(self) {
+			continue
+		}
+		if v := vals[k]; t.store(int(e.dst), v) {
+			t.noteStore(v)
+		}
+	}
+	return nil
+}
+
+// relayRun is relayer's level-`level` run of the relay plan, for the bulk
+// stores: it needs a non-nil Layout, whose plan fills the member sets.
+func (t *Tree) relayRun(level int, relayer types.NodeID) ([]relayEntry, error) {
+	if t.Layout() == nil {
+		return nil, fmt.Errorf("eig: no bulk store for n=%d", t.n)
+	}
+	if level < 2 || level > t.depth || relayer < 0 || int(relayer) >= t.n || relayer == t.sender {
+		return nil, fmt.Errorf("eig: no level-%d relays from %d for n=%d depth=%d sender=%d",
+			level, int(relayer), t.n, t.depth, int(t.sender))
+	}
+	return t.relayPlan().runs[level][relayer], nil
 }
 
 // Relays is one relayer's relay round read through the shape's relay plan:

@@ -296,6 +296,75 @@ func TestStoreRelaysMatchesSet(t *testing.T) {
 	}
 }
 
+// TestStoreClaimsMatchesSet holds the per-recipient bulk store to the Set
+// calls of the messages it replaces: claim k is the k-th path the relayer's
+// outbox walks (ForEachPath order), stored as σ·relayer with vals[k] when
+// bit k of sent is set and σ avoids self, over a tree that already holds
+// some claims (first write wins). The sender as self stores nothing.
+func TestStoreClaimsMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	domain := []types.Value{types.Default, 1, 2}
+	for n := 3; n <= 7; n++ {
+		for depth := 2; depth <= n-1 && depth <= 4; depth++ {
+			for relayer := 0; relayer < n; relayer++ {
+				for self := 0; self < n; self++ {
+					if self == relayer || relayer == 1 {
+						continue
+					}
+					for level := 2; level <= depth; level++ {
+						bulk, one := mustNew(t, n, depth, 1), mustNew(t, n, depth, 1)
+						for _, p := range enumeratePaths(bulk) {
+							if !p.Contains(types.NodeID(self)) && rng.Intn(8) == 0 {
+								v := domain[rng.Intn(len(domain))]
+								_ = bulk.Set(p, v)
+								_ = one.Set(p, v)
+							}
+						}
+						var vals []types.Value
+						var sent []uint64
+						one.ForEachPath(level-1, types.NodeID(relayer), func(p types.Path) bool {
+							k := len(vals)
+							vals = append(vals, domain[rng.Intn(len(domain))])
+							if k%64 == 0 {
+								sent = append(sent, 0)
+							}
+							if rng.Intn(4) > 0 { // leave a quarter unsent
+								sent[k/64] |= 1 << uint(k%64)
+								if !p.Contains(types.NodeID(self)) {
+									_ = one.Set(p.Append(types.NodeID(relayer)), vals[k])
+								}
+							}
+							return true
+						})
+						if err := bulk.StoreClaims(vals, sent, types.NodeID(relayer), types.NodeID(self), level); err != nil {
+							t.Fatal(err)
+						}
+						name := fmt.Sprintf("n=%d depth=%d relayer=%d self=%d level=%d", n, depth, relayer, self, level)
+						a, _ := bulk.Export(nil)
+						b, _ := one.Export(nil)
+						if string(a) != string(b) {
+							t.Fatalf("%s: vector store's claims differ from Set's", name)
+						}
+						if bulk.uni != one.uni || bulk.uniSeen != one.uniSeen || (bulk.uni && bulk.uniVal != one.uniVal) {
+							t.Fatalf("%s: unanimity tracker differs from Set's", name)
+						}
+						if len(vals) > 0 && bulk.StoreClaims(vals[1:], sent, types.NodeID(relayer), types.NodeID(self), level) == nil {
+							t.Fatalf("%s: a short vector accepted", name)
+						}
+					}
+				}
+			}
+		}
+	}
+	a := mustNew(t, 5, 3, 0)
+	if err := a.StoreClaims(nil, nil, 0, 3, 2); err == nil {
+		t.Error("claims from the sender accepted")
+	}
+	if wide := mustNew(t, 70, 2, 0); wide.StoreClaims(make([]types.Value, 68), make([]uint64, 2), 2, 3, 2) == nil {
+		t.Error("store past NodeSet's range accepted")
+	}
+}
+
 // TestStoreRelaysRejectsMismatch checks the shape guard: a bulk store
 // between trees of different layouts, past NodeSet's range, or from the
 // sender, is an error.

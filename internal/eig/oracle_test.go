@@ -120,6 +120,14 @@ func (t *mapTree) Import(data []byte) error {
 		int(body[5]) != t.n || int(body[6]) != t.depth || types.NodeID(body[7]) != t.sender {
 		return fmt.Errorf("oracle: header")
 	}
+	total, perm := 0, 1
+	for l := 1; l <= t.depth; l++ {
+		total += perm
+		perm *= t.n - l
+	}
+	if int(binary.BigEndian.Uint32(body[8:12])) > total {
+		return fmt.Errorf("oracle: more records than paths")
+	}
 	var paths []types.Path
 	var vals []types.Value
 	rest := body[snapHeader:]

@@ -21,7 +21,7 @@ import (
 //	n       uint8   system size
 //	depth   uint8   relay rounds
 //	sender  uint8   root sender
-//	count   uint32  recorded claims
+//	count   uint32  recorded claims, at most the tree's path total
 //	records count × (plen uint8, plen × uint8 hops, value uint64)
 //	crc     uint32  IEEE CRC32 over every preceding byte
 //
@@ -37,6 +37,8 @@ const (
 	snapHeader = 4 + 1 + 1 + 1 + 1 + 4
 	// snapTrailer is the CRC32 suffix.
 	snapTrailer = 4
+	// snapMinRecord is the smallest valid record: a one-hop path.
+	snapMinRecord = 1 + 1 + 8
 )
 
 // Export appends a snapshot of the tree's recorded claims to buf and
@@ -114,6 +116,14 @@ func (t *Tree) parseSnapshot(data []byte) ([]claim, error) {
 	}
 	count := int(binary.BigEndian.Uint32(body[8:12]))
 	rest := body[snapHeader:]
+	// The count sizes the claim list, so it is checked against what the
+	// bytes and the tree can hold before anything is allocated: a valid
+	// record is at least snapMinRecord bytes, and a tree records each of
+	// its paths once.
+	if count > len(rest)/snapMinRecord || count > t.rk.Total() {
+		return nil, fmt.Errorf("eig: snapshot announces %d records in %d bytes for a tree of %d paths",
+			count, len(rest), t.rk.Total())
+	}
 	claims := make([]claim, 0, count)
 	for i := 0; i < count; i++ {
 		if len(rest) < 1 {

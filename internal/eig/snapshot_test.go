@@ -2,7 +2,11 @@ package eig
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"degradable/internal/types"
@@ -168,9 +172,70 @@ func TestSnapshotRejectsBitFlips(t *testing.T) {
 	}
 }
 
+// importAllocBound is the most Import may allocate for a snapshot of n
+// bytes, the wire decoders' bound: a 10-byte record becomes a 32-byte
+// claim plus its path.
+func importAllocBound(n int) uint64 { return 16*uint64(n) + 1024 }
+
+// checkImportAlloc fails the test when imp allocates past the bound on each
+// of three runs: the count is process-wide, so one run over it may have
+// taken in what another goroutine (the fuzzing engine's) allocated. imp
+// must be repeatable: a failed import, or one into a tree it leaves
+// readable again.
+func checkImportAlloc(t *testing.T, data []byte, imp func()) {
+	t.Helper()
+	allocated := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		imp()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	limit := importAllocBound(len(data))
+	got := allocated()
+	for retry := 0; got > limit && retry < 2; retry++ {
+		got = min(got, allocated())
+	}
+	if got > limit {
+		t.Fatalf("importing %d bytes allocated %d, bound %d", len(data), got, limit)
+	}
+}
+
+// TestSnapshotCountIsCappedBeforeAllocating pins the header's record count
+// to what the bytes and the tree can hold: a 16-byte, checksum-valid
+// snapshot that announces 2^20 records (or 2^32−1) is refused before the
+// claim list is sized from the count, in under 1 kB.
+func TestSnapshotCountIsCappedBeforeAllocating(t *testing.T) {
+	tree := mustNew(t, 11, 4, 0)
+	for _, count := range []uint32{1 << 20, 1<<32 - 1, uint32(tree.rk.Total()) + 1} {
+		data := binary.BigEndian.AppendUint32(nil, snapMagic)
+		data = append(data, snapVersion, 11, 4, 0)
+		data = binary.BigEndian.AppendUint32(data, count)
+		data = binary.BigEndian.AppendUint32(data, crc32.ChecksumIEEE(data))
+		var err error
+		checkImportAlloc(t, data, func() { err = tree.Import(data) })
+		if err == nil || tree.Stored() != 0 {
+			t.Fatalf("count %d: import of %d bytes returned %v and stored %d claims", count, len(data), err, tree.Stored())
+		}
+	}
+	// Padded to hold the count's minimum records, a count past the tree's
+	// paths is refused by the second cap alone.
+	small := mustNew(t, 5, 2, 0)
+	over := small.rk.Total() + 1
+	data := binary.BigEndian.AppendUint32(nil, snapMagic)
+	data = append(data, snapVersion, 5, 2, 0)
+	data = binary.BigEndian.AppendUint32(data, uint32(over))
+	data = append(data, make([]byte, over*snapMinRecord)...)
+	data = binary.BigEndian.AppendUint32(data, crc32.ChecksumIEEE(data))
+	if err := small.Import(data); err == nil || !strings.Contains(err.Error(), "announces") {
+		t.Fatalf("count %d past %d paths: %v", over, small.rk.Total(), err)
+	}
+}
+
 // FuzzSnapshotImport fuzzes Import against the oracle's reference decoder:
 // arbitrary mutations of a valid snapshot must either error on both sides,
-// leaving both empty, or import the same claims.
+// leaving both empty, or import the same claims. Import allocates within
+// importAllocBound.
 func FuzzSnapshotImport(f *testing.F) {
 	base, _ := New(5, 2, 0)
 	rng := rand.New(rand.NewSource(17))
@@ -190,7 +255,8 @@ func FuzzSnapshotImport(f *testing.F) {
 		}
 		tree, _ := New(5, 2, 0)
 		oracle := newMapTree(5, 2, 0)
-		treeErr := tree.Import(mut)
+		var treeErr error
+		checkImportAlloc(t, mut, func() { treeErr = tree.Import(mut) })
 		oracleErr := oracle.Import(mut)
 		if (treeErr == nil) != (oracleErr == nil) {
 			t.Fatalf("decoders disagree: tree=%v oracle=%v", treeErr, oracleErr)

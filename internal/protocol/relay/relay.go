@@ -21,7 +21,9 @@
 // round-r relay is not a message: the engine counts it, and at the barrier
 // each receiver copies the relayer's level-(r−1) values into its own tree
 // under the σ·relayer labels (eig.Tree.StoreRelays), so Outbox sends no
-// relays at all.
+// relays at all. A lying relayer (Liar, the Byzantine wrapper) sends its
+// round as one value vector per recipient instead, which the receiver
+// stores through the same relay plan (eig.Tree.StoreClaims).
 package relay
 
 import (
@@ -62,6 +64,15 @@ type Node struct {
 }
 
 var _ round.LaneNode = (*Node)(nil)
+
+// Liar is a lane relayer whose claims differ per recipient: the Byzantine
+// wrapper. Claims returns what its last relay round sent node to: claim k,
+// in relay-plan order (eig.Tree.Relays), carries vals[k] when bit k of sent
+// is set and was not sent otherwise.
+type Liar interface {
+	round.LaneSender
+	Claims(to types.NodeID) (vals []types.Value, sent []uint64)
+}
 
 // New returns an honest node. If id == sender, value is the input to
 // distribute; receivers ignore it. depth is the number of message rounds.
@@ -164,6 +175,10 @@ func (nd *Node) LaneShape() any {
 // Round 1 is always sent in full: the lane only carries relays.
 func (nd *Node) SetLanePeers(peers types.NodeSet) { nd.lane = peers != 0 }
 
+// LaneSent implements round.LaneSender: the claims of LaneClaims to each
+// of the n−1 other nodes.
+func (nd *Node) LaneSent(round int) int { return nd.LaneClaims(round) * (nd.n - 1) }
+
 // LaneClaims implements round.LaneNode: a round-r relayer owes each
 // recipient one claim per length-(r−1) path that avoids it, P(n−2, r−2)
 // of them; the sender relays nothing.
@@ -178,12 +193,22 @@ func (nd *Node) LaneClaims(round int) int {
 	return c
 }
 
-// TakeSlab implements round.LaneNode: it stores src's round-r relays to
-// this node as absorb would store the messages.
-func (nd *Node) TakeSlab(src round.LaneNode, round int) {
-	s := src.(*Node)
-	if err := nd.tree.StoreRelays(s.tree, s.id, nd.id, round); err != nil {
-		panic(fmt.Sprintf("relay: slab from %d to %d: %v", int(s.id), int(nd.id), err))
+// TakeSlab implements round.LaneReceiver: it stores src's round-r relays
+// to this node as absorb would store the messages — an honest relayer's
+// tree level, or a Liar's vector for this node.
+func (nd *Node) TakeSlab(src round.LaneSender, round int) {
+	var err error
+	switch s := src.(type) {
+	case *Node:
+		err = nd.tree.StoreRelays(s.tree, s.id, nd.id, round)
+	case Liar:
+		vals, sent := s.Claims(nd.id)
+		err = nd.tree.StoreClaims(vals, sent, s.ID(), nd.id, round)
+	default:
+		err = fmt.Errorf("unknown relayer %T", src)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("relay: slab from %d to %d: %v", int(src.ID()), int(nd.id), err))
 	}
 }
 

@@ -62,40 +62,130 @@ var laneDrivers = []struct {
 	{"goroutine", round.Goroutine{}},
 }
 
+// laneLog is what the matrix compares of one run: its result and Sink
+// stream, each wrapper's Corrupt calls in call order, and node trees as
+// exported after every Step — the wrappers' under every driver (taken when
+// their strategy observes the tree), the honest nodes' under the reference
+// schedule, after Finish too.
+type laneLog struct {
+	transcript
+	Calls        map[types.NodeID][]corruptCall
+	WrapperTrees map[types.NodeID][][]byte
+	HonestTrees  [][]byte
+}
+
+// corruptCall is one Corrupt call: recipient, path, round, the honest value
+// shown, the value returned and whether the send was kept.
+type corruptCall struct {
+	To      types.NodeID
+	Path    types.Path
+	Round   int
+	In, Out types.Value
+	Sent    bool
+}
+
+// recorder wraps a fault's strategy and logs what it is asked and shown. It
+// is an Observer whatever it wraps, forwarding Observe only to an Observer.
+type recorder struct {
+	inner adversary.Strategy
+	calls []corruptCall
+	trees [][]byte
+}
+
+func (r *recorder) Corrupt(self types.NodeID, m types.Message) (types.Value, bool) {
+	v, ok := r.inner.Corrupt(self, m)
+	r.calls = append(r.calls, corruptCall{m.To, m.Path.Clone(), m.Round, m.Value, v, ok})
+	return v, ok
+}
+
+func (r *recorder) Observe(round int, tree *eig.Tree) {
+	r.trees = append(r.trees, export(tree))
+	if o, ok := r.inner.(adversary.Observer); ok {
+		o.Observe(round, tree)
+	}
+}
+
+func export(tree *eig.Tree) []byte {
+	b, err := tree.Export(nil)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// snapReference is round.Reference that exports every honest node's tree
+// after each of its Step calls and after Finish.
+type snapReference struct{ trees *[][]byte }
+
+func (d snapReference) Drive(e *round.Engine) error {
+	snap := func(i int) {
+		if nd, ok := e.Node(i).(*relay.Node); ok {
+			*d.trees = append(*d.trees, export(nd.Tree()))
+		}
+	}
+	for r := 1; r <= e.Rounds(); r++ {
+		e.Deliver()
+		for i := 0; i < e.N(); i++ {
+			e.Collect(i, r, e.Node(i).Step(r, e.Inbox(i)))
+			snap(i)
+		}
+	}
+	e.Deliver()
+	for i := 0; i < e.N(); i++ {
+		e.Node(i).Finish(e.Inbox(i))
+		snap(i)
+	}
+	return nil
+}
+
 // laneRun executes one instance — honest complement, the given faults
-// wrapped, sender input 42 — and returns its result and Sink stream. It
-// sets no Trace, which would turn the lane off.
+// wrapped, sender input 42 — and returns what laneLog records. It sets no
+// Trace, which would turn the lane off.
 func laneRun(t testing.TB, p core.Params, faults map[types.NodeID]laneFault, seed int64,
-	d round.Driver, ch round.Channel) (transcript, []round.Node) {
+	d round.Driver, ch round.Channel) (laneLog, []round.Node) {
 	t.Helper()
 	nodes, err := p.Nodes(42)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs := make(map[types.NodeID]*recorder, len(faults))
 	strategies := make(map[types.NodeID]adversary.Strategy, len(faults))
 	for id, f := range faults {
-		if strategies[id], err = f.build(p.N, seed+int64(id)); err != nil {
+		inner, err := f.build(p.N, seed+int64(id))
+		if err != nil {
 			t.Fatal(err)
 		}
+		recs[id] = &recorder{inner: inner}
+		strategies[id] = recs[id]
 	}
 	n, depth, sender := p.System()
 	if err := adversary.Wrap(nodes, n, depth, sender, 42, strategies); err != nil {
 		t.Fatal(err)
 	}
-	var tr transcript
-	eng, err := round.NewEngine(nodes, round.Config{Rounds: depth, Channel: ch, Sink: eventLog{&tr.Events}})
+	var log laneLog
+	if _, ok := d.(round.Reference); ok {
+		d = snapReference{&log.HonestTrees}
+	}
+	eng, err := round.NewEngine(nodes, round.Config{Rounds: depth, Channel: ch, Sink: eventLog{&log.Events}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Drive(eng); err != nil {
 		t.Fatal(err)
 	}
-	tr.Result = eng.Finalize()
-	return tr, nodes
+	log.Result = eng.Finalize()
+	log.Calls = make(map[types.NodeID][]corruptCall, len(recs))
+	log.WrapperTrees = make(map[types.NodeID][][]byte, len(recs))
+	for id, r := range recs {
+		log.Calls[id], log.WrapperTrees[id] = r.calls, r.trees
+	}
+	return log, nodes
 }
 
 // checkLane runs one case through the lane and through the per-message
-// twin and requires the same decisions, accounting and event stream.
+// twin and requires the same decisions, accounting and event stream, the
+// same Corrupt calls from every wrapper, and the same trees after every
+// Step.
 func checkLane(t testing.TB, name string, p core.Params, faults map[types.NodeID]laneFault, seed int64, d round.Driver) {
 	t.Helper()
 	got, _ := laneRun(t, p, faults, seed, d, nil)
@@ -106,12 +196,27 @@ func checkLane(t testing.TB, name string, p core.Params, faults map[types.NodeID
 	if !reflect.DeepEqual(got.Events, want.Events) {
 		t.Fatalf("%s: lane event stream differs from the per-message run\n got %v\nwant %v", name, got.Events, want.Events)
 	}
+	for id := range faults {
+		if !reflect.DeepEqual(got.Calls[id], want.Calls[id]) {
+			t.Fatalf("%s: wrapper %d's Corrupt calls differ from the per-message run\n got %v\nwant %v",
+				name, int(id), got.Calls[id], want.Calls[id])
+		}
+		if !reflect.DeepEqual(got.WrapperTrees[id], want.WrapperTrees[id]) {
+			t.Fatalf("%s: wrapper %d's trees differ from the per-message run", name, int(id))
+		}
+	}
+	if !reflect.DeepEqual(got.HonestTrees, want.HonestTrees) {
+		t.Fatalf("%s: honest trees differ from the per-message run", name)
+	}
 }
 
 // TestLaneMatchesPerMessage is the lane's judge: every matrix shape, every
 // sender, 0..u Byzantine wrappers of every kind (the first kind's set
-// includes the sender), under both in-process drivers. The wrappers take
-// the honest relays by slab on the lane run and by message on its twin.
+// includes the sender), under both in-process drivers; then, per shape and
+// sender, u wrappers of mixed kinds from the sender on — a lying sender
+// beside lying relayers, and relayers that take each other's lies by slab.
+// The wrappers take the honest relays by slab on the lane run and by
+// message on its twin.
 func TestLaneMatchesPerMessage(t *testing.T) {
 	for _, shape := range laneShapes {
 		for s := 0; s < shape.N; s++ {
@@ -130,6 +235,16 @@ func TestLaneMatchesPerMessage(t *testing.T) {
 						name := fmt.Sprintf("N=%d/sender=%d/f=%d/%s/%s", p.N, s, f, kind, drv.name)
 						checkLane(t, name, p, faults, int64(7*s+f), drv.d)
 					}
+				}
+			}
+			for ki := range laneKinds {
+				faults := make(map[types.NodeID]laneFault, p.U)
+				for k := 0; k < p.U; k++ {
+					faults[types.NodeID((s+k)%p.N)] = laneKinds[(ki+k)%len(laneKinds)]
+				}
+				for _, drv := range laneDrivers {
+					name := fmt.Sprintf("N=%d/sender=%d/mixed=%v/%s", p.N, s, faults, drv.name)
+					checkLane(t, name, p, faults, int64(7*s+ki), drv.d)
 				}
 			}
 		}
@@ -170,9 +285,17 @@ func TestLaneIsTaken(t *testing.T) {
 			}
 		}
 	}
-	twin, _ := trees(perMessage{})
+	twin, twinNodes := trees(perMessage{})
 	if !reflect.DeepEqual(lane, twin) {
 		t.Fatal("the wrapper's trees at each Step differ between the lane and the per-message run")
+	}
+	// The wrapper's own relays go by slab too: its last round stands for
+	// every scheduled send, none of them a message.
+	if got, want := nodes[liar].(round.LaneSender).LaneSent(depth), nodes[1].(round.LaneNode).LaneClaims(depth)*(p.N-1); got != want {
+		t.Errorf("the wrapper's round-%d slab stands for %d sends, want %d", depth, got, want)
+	}
+	if got := twinNodes[liar].(round.LaneSender).LaneSent(depth); got != 0 {
+		t.Errorf("the per-message twin's wrapper sent %d relays by slab", got)
 	}
 	// At Step(depth) the wrapper holds every claim of length < depth that
 	// avoids it: P(n−2, ℓ−1) of length ℓ, all but length 1 taken by slab.
@@ -207,19 +330,23 @@ func (s *treeSpy) Observe(_ int, tree *eig.Tree) {
 
 // TestAdversaryNodeIsNotALaneNode pins the exclusion the lane's soundness
 // rests on: a Byzantine wrapper must corrupt every send, so it may take
-// slabs but never send them. It holds its honest node as a field today; embedding it
-// would promote the LaneNode methods and silently let lies skip Corrupt.
+// slabs and send slabs of its strategy's values, but never relay its honest
+// tree. It holds its honest node as a field today; embedding it would
+// promote the LaneNode methods and silently let lies skip Corrupt.
 func TestAdversaryNodeIsNotALaneNode(t *testing.T) {
 	var nd round.Node = new(adversary.Node)
 	if _, ok := nd.(round.LaneNode); ok {
 		t.Fatal("*adversary.Node satisfies round.LaneNode")
 	}
-	if _, ok := nd.(round.LaneReceiver); !ok {
-		t.Fatal("*adversary.Node no longer takes slabs")
+	if _, ok := nd.(relay.Liar); !ok {
+		t.Fatal("*adversary.Node no longer sends its lies by slab")
 	}
 	var honest round.Node = new(relay.Node)
 	if _, ok := honest.(round.LaneNode); !ok {
 		t.Fatal("*relay.Node no longer satisfies round.LaneNode")
+	}
+	if _, ok := honest.(relay.Liar); ok {
+		t.Fatal("*relay.Node satisfies relay.Liar")
 	}
 }
 
@@ -264,6 +391,7 @@ func FuzzLaneVsPerMessage(f *testing.F) {
 	f.Add(uint8(3), uint8(0), uint64(1<<3), int64(1), false)
 	f.Add(uint8(1), uint8(2), uint64(0b1010011), int64(9), true)
 	f.Add(uint8(2), uint8(9), uint64(0), int64(4), false)
+	f.Add(uint8(0), uint8(1), uint64(0b11), int64(5), false) // a faulty sender beside a faulty relayer
 	f.Fuzz(func(t *testing.T, shape, sender uint8, mask uint64, seed int64, goroutine bool) {
 		p := laneShapes[int(shape)%len(laneShapes)]
 		p.Sender = types.NodeID(int(sender) % p.N)

@@ -35,16 +35,19 @@
 //	    run's collect) stamps every message's From field with the true
 //	    sender, so even Byzantine nodes cannot spoof their identity.
 //
-// A bulk lane carries the same exchange's honest relays without the
-// messages. It runs only off the Trace/RecordViews/Channel paths that
-// observe single messages, and only when every node takes slabs of one
-// shape (LaneReceiver: the honest relay node and the Byzantine wrapper
-// alike). Then, for each honest relayer (LaneNode), Collect accounts its
-// claims arithmetically and records a slab, and Deliver has every other
-// node copy it at the barrier, before the next round's Step; a wrapper's
-// own sends still go through its strategy as messages. Assumption (c)
-// holds there too: the slab's source is the node at the Collect slot, the
-// engine's own record of who sent, never a field the node supplies.
+// A bulk lane carries the same exchange's relays without the messages. It
+// runs only off the Trace/RecordViews/Channel paths that observe single
+// messages, and only when every node takes slabs of one shape
+// (LaneReceiver: the honest relay node and the Byzantine wrapper alike).
+// Then, for each relayer (LaneSender), Collect accounts the messages its
+// round stands for arithmetically and records a slab, and Deliver has every
+// other node store it at the barrier, before the next round's Step. An
+// honest relayer's slab is its tree's previous level (LaneNode); a
+// wrapper's is one vector per recipient of the values its strategy chose,
+// one Corrupt call per scheduled send as on the message path, with dropped
+// sends absent. Assumption (c) holds there too: the slab's source is the
+// node at the Collect slot, the engine's own record of who sent, never a
+// field the node supplies.
 //
 // An Engine holds one synchronous run's state: the node complement, the
 // channel, the two inbox sets, and the accounting that becomes the Result.
@@ -111,9 +114,8 @@ type Node interface {
 // LaneReceiver is the receive-only half of the bulk lane, implemented by
 // the honest relay node and, delegating to the honest node it holds, by the
 // Byzantine wrapper: a node that takes a relayer's round-r relays as a
-// slab — the relayer's tree's previous level, re-addressed by a rank
-// permutation — at the barrier, when no Step is in flight, and stores them
-// exactly as absorbing the messages would.
+// slab at the barrier, when no Step is in flight, and stores them exactly
+// as absorbing the messages would.
 type LaneReceiver interface {
 	Node
 	// LaneShape is a comparable key of the node's slab layout, or nil when
@@ -121,20 +123,31 @@ type LaneReceiver interface {
 	LaneShape() any
 	// TakeSlab stores src's round-r relays to this node exactly as
 	// absorbing the messages would.
-	TakeSlab(src LaneNode, round int)
+	TakeSlab(src LaneSender, round int)
 }
 
-// LaneNode is a LaneReceiver that also relays by slab: the honest relay
-// node. The engine arms the lane at NewEngine and Restart — every LaneNode
-// is told its peers, every other node when the lane is on and an empty set
-// when it is off — and then, per relayer and round, counts the claims the
-// message path would have sent and has every other node take the slab at
-// the barrier. A node whose sends a strategy corrupts must not be one.
-type LaneNode interface {
+// LaneSender is a LaneReceiver that also relays by slab: the honest relay
+// node, and the Byzantine wrapper, whose slab holds its strategy's values.
+// The engine arms the lane at NewEngine and Restart — every LaneSender is
+// told its peers, every other node when the lane is on and an empty set
+// when it is off — and then, per relayer and round, counts the messages
+// the slab stands for and has every other node take it at the barrier.
+type LaneSender interface {
 	LaneReceiver
 	// SetLanePeers names the nodes that take this node's relays as slabs,
 	// every other node or none; Step's outbox must leave them out.
 	SetLanePeers(peers types.NodeSet)
+	// LaneSent is the number of messages the node's round-r slab stands
+	// for, over every recipient; each carries an r-element path. It is
+	// read by Collect right after the round's Step.
+	LaneSent(round int) int
+}
+
+// LaneNode is a LaneSender whose slab is its own tree: the honest relay
+// node, which sends every recipient the same claims. A node whose sends a
+// strategy corrupts must not be one.
+type LaneNode interface {
+	LaneSender
 	// LaneClaims is the number of messages the node's round-r outbox sends
 	// each recipient, lane peers included; each carries an r-element path.
 	LaneClaims(round int) int
@@ -263,16 +276,16 @@ type Engine struct {
 	delivered, bytes int
 
 	// lane is empty unless the run takes the bulk lane (see RestartOn and
-	// armLane). Then lane[i] holds node i as a receiver, and as a relayer
-	// when it is honest; slabs holds the (relayer, round) pairs Collect
-	// recorded for Deliver to apply.
+	// armLane). Then lane[i] holds node i as a receiver and as a relayer;
+	// slabs holds the (relayer, round) pairs Collect recorded for Deliver
+	// to apply.
 	lane  []laneSlot
 	slabs []slab
 }
 
 type laneSlot struct {
 	rx LaneReceiver
-	tx LaneNode // nil for a node that sends only messages
+	tx LaneSender // nil for a node that only takes slabs
 }
 
 type slab struct{ from, round int }
@@ -325,7 +338,7 @@ func NewEngine(nodes []Node, cfg Config) (*Engine, error) {
 }
 
 // armLane keeps the lane on only when every node is a LaneReceiver of one
-// non-nil shape, and tells every LaneNode its peers — every other node, or
+// non-nil shape, and tells every LaneSender its peers — every other node, or
 // none — so a node that was armed under an earlier engine or run stops
 // leaving recipients out when this run takes no lane.
 func (e *Engine) armLane() {
@@ -343,7 +356,7 @@ func (e *Engine) armLane() {
 			e.lane = e.lane[:0]
 			break
 		}
-		tx, _ := rx.(LaneNode)
+		tx, _ := rx.(LaneSender)
 		e.lane[i] = laneSlot{rx: rx, tx: tx}
 	}
 	var peers types.NodeSet
@@ -351,7 +364,7 @@ func (e *Engine) armLane() {
 		peers = types.NodeSet(1)<<len(e.byID) - 1
 	}
 	for i, nd := range e.byID {
-		if ln, ok := nd.(LaneNode); ok {
+		if ln, ok := nd.(LaneSender); ok {
 			ln.SetLanePeers(peers.Remove(types.NodeID(i)))
 		}
 	}
@@ -496,10 +509,10 @@ func (e *Engine) Inbox(i int) []types.Message { return e.cur[i].msgs }
 // routed into the next round's inboxes, so the channel sees sends in collect
 // order — node-ID order × outbox order under the in-tree drivers — which is
 // the sequence a seeded channel's draws are pinned to. out is read, never
-// written: nodes reuse their outbox templates. A lane member's sends to its
-// peers are not in out: Collect counts them as the message path would have
-// (all delivered, since the lane runs only where nothing drops) and records
-// one slab for Deliver.
+// written: nodes reuse their outbox templates. A lane member's relays to
+// its peers are not in out: Collect counts them as the message path would
+// have (every send delivered, since the lane runs only where the channel
+// drops nothing) and records one slab for Deliver.
 func (e *Engine) Collect(i, round int, out []types.Message) {
 	n := len(e.byID)
 	from := types.NodeID(i)
@@ -527,7 +540,7 @@ func (e *Engine) Collect(i, round int, out []types.Message) {
 		}
 	}
 	if len(e.lane) > 0 && e.lane[i].tx != nil {
-		if k := e.lane[i].tx.LaneClaims(round) * (n - 1); k > 0 {
+		if k := e.lane[i].tx.LaneSent(round); k > 0 {
 			sent += k
 			e.delivered += k
 			e.bytes += k * (8 + 4*round)

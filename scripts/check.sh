@@ -113,6 +113,12 @@ go test -run '^$' -fuzz FuzzSourceVsMathRand -fuzztime 10s ./internal/rng
 # The EIG tree against its string-map oracle: stores, and every path's
 # entry in the record the resolve sweep fills (what -explain prints).
 go test -run '^$' -fuzz FuzzFlatVsMap -fuzztime 10s ./internal/eig
+# A snapshot is what a crash-recovery checkpoint restores: Import against
+# the reference decoder, allocating within a small multiple of the input.
+go test -run '^$' -fuzz FuzzSnapshotImport -fuzztime 10s ./internal/eig
+# The bulk lane against its per-message twin: honest and lying relayers,
+# every fault kind, trees after every Step, Corrupt calls and accounting.
+go test -run '^$' -fuzz FuzzLaneVsPerMessage -fuzztime 10s ./internal/round
 # VOTE against its counting oracle, at every threshold: the one-pass
 # majority path above half the vector, the tie-aware paths below it.
 go test -run '^$' -fuzz '^FuzzVote$' -fuzztime 10s ./internal/vote
