@@ -65,14 +65,12 @@ func eigRule(p core.Params, r Rule) (eig.Rule, error) {
 	case RulePaper:
 		return p.Rule(), nil
 	case RuleMajority:
-		return func(_ int, vals []types.Value) types.Value {
+		return eig.RuleFunc(func(_ int, vals []types.Value) types.Value {
 			return vote.Majority(vals)
-		}, nil
+		}), nil
 	case RuleFixedThreshold:
 		th := p.N - 1 - p.M
-		return func(_ int, vals []types.Value) types.Value {
-			return vote.Vote(th, vals)
-		}, nil
+		return eig.Vote(func(int) int { return th }), nil
 	default:
 		return nil, fmt.Errorf("ablation: unknown rule %d", int(r))
 	}

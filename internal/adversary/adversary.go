@@ -82,9 +82,9 @@ func NewNode(n, depth int, sender, id types.NodeID, value types.Value, strat Str
 	if strat == nil {
 		return nil, fmt.Errorf("adversary: nil strategy")
 	}
-	honest, err := relay.New(n, depth, sender, id, value, func(int, []types.Value) types.Value {
+	honest, err := relay.New(n, depth, sender, id, value, eig.RuleFunc(func(int, []types.Value) types.Value {
 		return types.Default // a faulty node's own decision is irrelevant
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -297,6 +297,22 @@ func (p PerRecipient) Corrupt(_ types.NodeID, m types.Message) (types.Value, boo
 	return m.Value, true
 }
 
+// OddLie sends Value to the odd-numbered recipients below N and the honest
+// value to every other one: KindTwoFaced's equivocation, answered by
+// parity with no per-recipient table.
+type OddLie struct {
+	N     int
+	Value types.Value
+}
+
+// Corrupt implements Strategy.
+func (o OddLie) Corrupt(_ types.NodeID, m types.Message) (types.Value, bool) {
+	if m.To&1 == 1 && int(m.To) < o.N {
+		return o.Value, true
+	}
+	return m.Value, true
+}
+
 // Scripted sends each recipient a fixed value (honest when unscripted) and
 // omits messages to recipients in Omit entirely. It is the workhorse of the
 // exhaustive small-system adversary enumeration: every deterministic
@@ -417,6 +433,7 @@ var (
 	_ Strategy = Lie{}
 	_ Strategy = TwoFaced{}
 	_ Strategy = PerRecipient{}
+	_ Strategy = OddLie{}
 	_ Strategy = Scripted{}
 	_ Strategy = ClaimSender{}
 	_ Strategy = (*RandomLie)(nil)

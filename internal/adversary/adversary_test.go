@@ -63,6 +63,55 @@ func TestPerRecipient(t *testing.T) {
 	}
 }
 
+// TestTwoFacedMatchesPerRecipient holds KindTwoFaced's parity strategy to
+// the per-recipient table it replaced — the lie for every odd recipient
+// below n, the honest value otherwise — for every n up to 255, every
+// recipient in the ID range and both rounds' honest values.
+func TestTwoFacedMatchesPerRecipient(t *testing.T) {
+	const lie = 99
+	for n := 2; n <= 255; n++ {
+		table := make(map[types.NodeID]types.Value, n/2)
+		for i := 1; i < n; i += 2 {
+			table[types.NodeID(i)] = lie
+		}
+		want := PerRecipient{Values: table}
+		got, err := KindTwoFaced.Build(n, lie, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for to := 0; to <= 255; to++ {
+			for _, m := range []types.Message{msg(1, types.NodeID(to), 7), msg(2, types.NodeID(to), types.Default)} {
+				gv, gok := got.Corrupt(0, m)
+				wv, wok := want.Corrupt(0, m)
+				if gv != wv || gok != wok {
+					t.Fatalf("n=%d to=%d round=%d: (%v, %v), table says (%v, %v)", n, to, m.Round, gv, gok, wv, wok)
+				}
+			}
+		}
+	}
+}
+
+// TestTwoFacedBuildsNoMap checks that arming a two-faced node builds no
+// per-recipient table: the strategy is OddLie, and Build allocates at most
+// the one interface box.
+func TestTwoFacedBuildsNoMap(t *testing.T) {
+	s, err := KindTwoFaced.Build(11, 99, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.(OddLie); !ok {
+		t.Fatalf("KindTwoFaced builds %T, want OddLie", s)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := KindTwoFaced.Build(11, 99, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("KindTwoFaced.Build allocates %.0f times, want at most 1", allocs)
+	}
+}
+
 func TestScripted(t *testing.T) {
 	s := Scripted{
 		Values: map[types.NodeID]types.Value{2: 5},

@@ -113,13 +113,7 @@ func (k Kind) Build(n int, value types.Value, seed int64) (Strategy, error) {
 	case KindLie:
 		return Lie{Value: value}, nil
 	case KindTwoFaced:
-		// Even-numbered recipients receive the honest value; odd-numbered
-		// ones receive the lie.
-		vals := make(map[types.NodeID]types.Value, n/2)
-		for i := 1; i < n; i += 2 {
-			vals[types.NodeID(i)] = value
-		}
-		return PerRecipient{Values: vals}, nil
+		return OddLie{N: n, Value: value}, nil
 	case KindRandom:
 		return NewRandomLie(seed, []types.Value{value}), nil
 	default:

@@ -27,7 +27,6 @@ import (
 	"degradable/internal/protocol/relay"
 	"degradable/internal/round"
 	"degradable/internal/types"
-	"degradable/internal/vote"
 )
 
 // Sentinel errors, matchable with errors.Is, wrapped with instance detail.
@@ -140,12 +139,13 @@ func Cost(p Params) Complexity {
 	return c
 }
 
-// Rule returns the per-level EIG resolution rule VOTE(n_σ−1−m, n_σ−1).
+// Rule returns the per-level EIG resolution rule VOTE(n_σ−1−m, n_σ−1). It
+// declares its threshold, which exceeds half the vote vector at the last
+// inner level (N−2m of N−m, and N > 3m), so most of that level is decided
+// by count.
 func (p Params) Rule() eig.Rule {
 	m := p.M
-	return func(nSub int, vals []types.Value) types.Value {
-		return vote.Vote(nSub-1-m, vals)
-	}
+	return eig.Vote(func(nSub int) int { return nSub - 1 - m })
 }
 
 // NewNode returns the honest node with the given identity. The sender's

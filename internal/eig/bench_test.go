@@ -40,9 +40,9 @@ func BenchmarkSetResolve(b *testing.B) {
 	for _, shape := range benchShapes {
 		tr, paths := benchTree(b, shape.n, shape.depth)
 		m := shape.m
-		rule := func(nSub int, vals []types.Value) types.Value {
+		rule := RuleFunc(func(nSub int, vals []types.Value) types.Value {
 			return vote.Vote(nSub-1-m, vals)
-		}
+		})
 		b.Run(shapeName(shape.n, shape.depth), func(b *testing.B) {
 			b.ReportAllocs()
 			var sink types.Value
@@ -63,9 +63,9 @@ func BenchmarkResolve(b *testing.B) {
 	for _, shape := range benchShapes {
 		tr, paths := benchTree(b, shape.n, shape.depth)
 		m := shape.m
-		rule := func(nSub int, vals []types.Value) types.Value {
+		rule := RuleFunc(func(nSub int, vals []types.Value) types.Value {
 			return vote.Vote(nSub-1-m, vals)
-		}
+		})
 		for j, p := range paths {
 			_ = tr.Set(p, types.Value(j%3))
 		}

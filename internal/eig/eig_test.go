@@ -105,10 +105,10 @@ func TestResolveDepthOne(t *testing.T) {
 	if err := tr.Set(types.Path{0}, 42); err != nil {
 		t.Fatal(err)
 	}
-	got := tr.Resolve(1, func(nSub int, vals []types.Value) types.Value {
+	got := tr.Resolve(1, RuleFunc(func(nSub int, vals []types.Value) types.Value {
 		t.Error("rule should not be called for a leaf root")
 		return types.Default
-	})
+	}))
 	if got != 42 {
 		t.Errorf("Resolve = %v, want 42", got)
 	}
@@ -130,11 +130,11 @@ func TestResolveDepthTwoValueVector(t *testing.T) {
 	}
 	var seenN int
 	var seenVals []types.Value
-	got := tr.Resolve(1, func(nSub int, vals []types.Value) types.Value {
+	got := tr.Resolve(1, RuleFunc(func(nSub int, vals []types.Value) types.Value {
 		seenN = nSub
 		seenVals = append([]types.Value(nil), vals...)
 		return vote.Vote(nSub-1-1, vals) // m = 1
-	})
+	}))
 	if seenN != n {
 		t.Errorf("nSub = %d, want %d", seenN, n)
 	}
@@ -153,9 +153,9 @@ func TestResolveMissingLeaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No echoes stored at all: vector = [3, V_d, V_d] for self=1.
-	got := tr.Resolve(1, func(nSub int, vals []types.Value) types.Value {
+	got := tr.Resolve(1, RuleFunc(func(nSub int, vals []types.Value) types.Value {
 		return vote.Vote(2, vals)
-	})
+	}))
 	if got != types.Default {
 		t.Errorf("Resolve = %v, want V_d (two defaults tie out the real value)", got)
 	}
@@ -166,13 +166,13 @@ func TestResolveLevelSizes(t *testing.T) {
 	const n = 7
 	tr := mustNew(t, n, 3, 0)
 	var sizes []int
-	tr.Resolve(1, func(nSub int, vals []types.Value) types.Value {
+	tr.Resolve(1, RuleFunc(func(nSub int, vals []types.Value) types.Value {
 		sizes = append(sizes, nSub)
 		if len(vals) != nSub-1 {
 			t.Errorf("vals len %d for nSub %d", len(vals), nSub)
 		}
 		return types.Default
-	})
+	}))
 	// Children of the root are resolved first (post-order): all level-2
 	// rules fire with nSub = n-1, then the root with nSub = n.
 	if len(sizes) == 0 || sizes[len(sizes)-1] != n {
@@ -267,9 +267,9 @@ func TestPathCountMatchesEnumeration(t *testing.T) {
 
 // Property: resolution is deterministic — same stored values, same result.
 func TestResolveDeterministicQuick(t *testing.T) {
-	rule := func(nSub int, vals []types.Value) types.Value {
+	rule := RuleFunc(func(nSub int, vals []types.Value) types.Value {
 		return vote.Vote(nSub-1-1, vals)
-	}
+	})
 	f := func(raw []uint8) bool {
 		tr1 := mustNewQuick(5, 3, 0)
 		tr2 := mustNewQuick(5, 3, 0)
@@ -302,9 +302,9 @@ func TestResolveUnanimityQuick(t *testing.T) {
 				return true
 			})
 		}
-		got := tr.Resolve(1, func(nSub int, vals []types.Value) types.Value {
+		got := tr.Resolve(1, RuleFunc(func(nSub int, vals []types.Value) types.Value {
 			return vote.Vote(nSub-1-2, vals) // m = 2
-		})
+		}))
 		return got == v
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -19,12 +19,37 @@ import (
 // useful for teaching and for debugging adversary scenarios
 // (`degradable degrade -explain`).
 func (t *Tree) ExplainResolve(self types.NodeID, rule Rule, label func(nSub int) string) string {
-	rec := append([]types.Value(nil), t.vals...)
-	t.resolve(self, rule, rec)
+	rec := t.Record(self, rule)
 	var b strings.Builder
 	fmt.Fprintf(&b, "resolution for receiver %d (N=%d, %d relay rounds):\n", int(self), t.n, t.depth)
-	t.explain(&b, rec, types.Path{t.sender}, self, label, 1)
+	t.explain(&b, rec.vals, types.Path{t.sender}, self, label, 1)
 	return b.String()
+}
+
+// Record is the record of one resolve sweep (see resolve): the resolved
+// value of every path for one receiver.
+type Record struct {
+	rk   *types.PathRanker
+	vals []types.Value
+}
+
+// Record resolves the tree for receiver self with rule, as Resolve does,
+// and returns the sweep's record. It allocates one value per path.
+func (t *Tree) Record(self types.NodeID, rule Rule) Record {
+	rec := append([]types.Value(nil), t.vals...)
+	t.resolve(self, rule, rec)
+	return Record{rk: t.rk, vals: rec}
+}
+
+// At is p's resolved value: a leaf's stored value (Default when absent),
+// an inner path's rule outcome. A path through the receiver, unless the
+// receiver is the sender, holds its stored value, which no resolution
+// reads; an invalid path reads Default.
+func (r Record) At(p types.Path) types.Value {
+	if idx, ok := r.rk.Index(p); ok {
+		return r.vals[idx]
+	}
+	return types.Default
 }
 
 // explain prints the subtree at p from rec: a leaf's value, or an inner

@@ -19,9 +19,9 @@ func TestExplainResolveDepthTwo(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Path [0,3] absent on purpose.
-	rule := func(nSub int, vals []types.Value) types.Value {
+	rule := RuleFunc(func(nSub int, vals []types.Value) types.Value {
 		return vote.Vote(nSub-1-1, vals)
-	}
+	})
 	out := tr.ExplainResolve(1, rule, func(nSub int) string { return "VOTE(2,3)" })
 	for _, want := range []string{
 		"resolution for receiver 1",
@@ -48,9 +48,9 @@ func TestExplainResolveDepthThree(t *testing.T) {
 			return true
 		})
 	}
-	rule := func(nSub int, vals []types.Value) types.Value {
+	rule := RuleFunc(func(nSub int, vals []types.Value) types.Value {
 		return vote.Vote(nSub-1-2, vals)
-	}
+	})
 	out := tr.ExplainResolve(1, rule, nil)
 	// A depth-3 explanation nests three levels and uses the fallback label.
 	if !strings.Contains(out, "rule over") {
@@ -81,9 +81,9 @@ func TestExplainMatchesOracle(t *testing.T) {
 		_ = tr.Set(p, v)
 		_ = oracle.Set(p, v)
 	}
-	rule := func(nSub int, vals []types.Value) types.Value {
+	rule := RuleFunc(func(nSub int, vals []types.Value) types.Value {
 		return vote.Vote(nSub-1-1, vals)
-	}
+	})
 	out := tr.ExplainResolve(self, rule, nil)
 	lines := 0
 	for l := 1; l < depth; l++ {

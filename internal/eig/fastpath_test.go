@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"degradable/internal/types"
-	"degradable/internal/vote"
 )
 
 // selfFreePaths returns every storable path that excludes self — the paths
@@ -22,9 +21,7 @@ func selfFreePaths(tr *Tree, self types.NodeID) []types.Path {
 
 // degradableRule is VOTE(n_σ−1−m, n_σ−1) at m = 1 — a unanimity-respecting
 // rule, as every VOTE instance with threshold ≤ vector length is.
-func degradableRule(nSub int, vals []types.Value) types.Value {
-	return vote.Vote(nSub-2, vals)
-}
+var degradableRule = Vote(func(nSub int) int { return nSub - 2 })
 
 func TestFastDecisionUnanimousComplete(t *testing.T) {
 	tr := mustNew(t, 5, 2, 0)

@@ -65,7 +65,7 @@ func (t *mapTree) resolve(p types.Path, self types.NodeID, rule Rule) types.Valu
 			vals = append(vals, t.resolve(p.Append(id), self, rule))
 		}
 	}
-	return rule(t.n-(len(p)-1), vals)
+	return rule.Decide(t.n-(len(p)-1), vals)
 }
 
 // each calls fn on every valid path, length-major and lexicographic within

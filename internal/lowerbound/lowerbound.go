@@ -23,11 +23,11 @@ import (
 	"fmt"
 
 	"degradable/internal/adversary"
+	"degradable/internal/eig"
 	"degradable/internal/protocol/relay"
 	"degradable/internal/round"
 	"degradable/internal/spec"
 	"degradable/internal/types"
-	"degradable/internal/vote"
 )
 
 // Fig2Nodes names the four nodes of Figure 2.
@@ -73,9 +73,7 @@ type Fig2Report struct {
 // byz12Rule is the degradable resolution rule for m = 1 (the protocol a
 // 4-node system would use in its doomed attempt at 1/2-degradable
 // agreement): VOTE(n_σ−1−1, n_σ−1).
-func byz12Rule(nSub int, vals []types.Value) types.Value {
-	return vote.Vote(nSub-1-1, vals)
-}
+var byz12Rule = eig.Vote(func(nSub int) int { return nSub - 1 - 1 })
 
 // Fig2Scenarios runs the three scenarios with values alpha ≠ beta (both
 // non-default) and returns the report.

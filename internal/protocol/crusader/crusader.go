@@ -23,7 +23,6 @@ import (
 	"degradable/internal/protocol/relay"
 	"degradable/internal/round"
 	"degradable/internal/types"
-	"degradable/internal/vote"
 )
 
 // Params configures one Crusader agreement instance.
@@ -56,9 +55,7 @@ func (p Params) Depth() int { return 2 }
 // Rule returns the resolution rule VOTE(n−1−f, n−1).
 func (p Params) Rule() eig.Rule {
 	f := p.F
-	return func(nSub int, vals []types.Value) types.Value {
-		return vote.Vote(nSub-1-f, vals)
-	}
+	return eig.Vote(func(nSub int) int { return nSub - 1 - f })
 }
 
 // System implements runner.Protocol.

@@ -20,8 +20,9 @@
 // bulk lane, and whose every node takes slabs of this node's shape, a
 // round-r relay is not a message: the engine counts it, and at the barrier
 // each receiver copies the relayer's level-(r−1) values into its own tree
-// under the σ·relayer labels (eig.Tree.StoreRelays), so Outbox sends no
-// relays at all. A lying relayer (Liar, the Byzantine wrapper) sends its
+// under the σ·relayer labels (eig.Tree.StoreRelays) — or, for the last
+// round, records the relayer's tree as their holder (eig.Tree.ReferRelays)
+// — so Outbox sends no relays at all. A lying relayer (Liar, the Byzantine wrapper) sends its
 // round as one value vector per recipient instead, which the receiver
 // stores through the same relay plan (eig.Tree.StoreClaims).
 package relay
@@ -195,12 +196,18 @@ func (nd *Node) LaneClaims(round int) int {
 
 // TakeSlab implements round.LaneReceiver: it stores src's round-r relays
 // to this node as absorb would store the messages — an honest relayer's
-// tree level, or a Liar's vector for this node.
+// tree level, or a Liar's vector for this node. An honest relayer's last
+// round is stored by reference to its tree, whose level depth−1 no later
+// step of the run changes.
 func (nd *Node) TakeSlab(src round.LaneSender, round int) {
 	var err error
 	switch s := src.(type) {
 	case *Node:
-		err = nd.tree.StoreRelays(s.tree, s.id, nd.id, round)
+		if round == nd.tree.Depth() {
+			err = nd.tree.ReferRelays(s.tree, s.id, nd.id)
+		} else {
+			err = nd.tree.StoreRelays(s.tree, s.id, nd.id, round)
+		}
 	case Liar:
 		vals, sent := s.Claims(nd.id)
 		err = nd.tree.StoreClaims(vals, sent, s.ID(), nd.id, round)

@@ -5,12 +5,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"degradable/internal/eig"
 	"degradable/internal/round"
 	"degradable/internal/types"
 	"degradable/internal/vote"
 )
 
-func majorityRule(_ int, vals []types.Value) types.Value { return vote.Majority(vals) }
+var majorityRule = eig.RuleFunc(func(_ int, vals []types.Value) types.Value { return vote.Majority(vals) })
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(5, 2, 0, 9, 0, majorityRule); err == nil {

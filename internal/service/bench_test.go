@@ -112,6 +112,10 @@ func BenchmarkSlotDoFallback(b *testing.B) {
 			Faults: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindTwoFaced, Value: 99}}}},
 		{"deep", Request{N: 11, M: 3, U: 4, Value: 42,
 			Faults: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindTwoFaced, Value: 99}}}},
+		{"deep_lie", Request{N: 11, M: 3, U: 4, Value: 42,
+			Faults: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindLie, Value: 99}}}},
+		{"deep_random", Request{N: 11, M: 3, U: 4, Value: 42,
+			Faults: []adversary.FaultSpec{{Node: 3, Kind: adversary.KindRandom, Value: 99, Seed: 7}}}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			svc := New(Config{Shards: 1, SpecSample: -1})

@@ -116,6 +116,10 @@ go test -run '^$' -fuzz FuzzFlatVsMap -fuzztime 10s ./internal/eig
 # A snapshot is what a crash-recovery checkpoint restores: Import against
 # the reference decoder, allocating within a small multiple of the input.
 go test -run '^$' -fuzz FuzzSnapshotImport -fuzztime 10s ./internal/eig
+# The last level's references and counts against a tree that copies every
+# leaf and gathers every vote: referenced, copied and lying relayers,
+# early leaves, late parents, two runs across a Reset.
+go test -run '^$' -fuzz FuzzReferVsCopy -fuzztime 10s ./internal/eig
 # The bulk lane against its per-message twin: honest and lying relayers,
 # every fault kind, trees after every Step, Corrupt calls and accounting.
 go test -run '^$' -fuzz FuzzLaneVsPerMessage -fuzztime 10s ./internal/round
