@@ -2,12 +2,15 @@ package om_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"degradable/internal/adversary"
+	"degradable/internal/eig"
 	"degradable/internal/protocol/om"
 	"degradable/internal/runner"
 	"degradable/internal/types"
+	"degradable/internal/vote"
 )
 
 const (
@@ -156,5 +159,75 @@ func TestOMBreaksBeyondM(t *testing.T) {
 func TestNodesError(t *testing.T) {
 	if _, err := (om.Params{N: 3, M: 1}).Nodes(alpha); err == nil {
 		t.Error("invalid params should fail")
+	}
+}
+
+// majorityAt is OM's resolution by its recursive definition: a leaf reads
+// its stored value, an inner path the strict majority of its own value
+// and its children's, skipping self's.
+func majorityAt(tr *eig.Tree, p types.Path, self types.NodeID) types.Value {
+	if len(p) == tr.Depth() {
+		return tr.Get(p)
+	}
+	vals := []types.Value{tr.Get(p)}
+	for j := 0; j < tr.N(); j++ {
+		if id := types.NodeID(j); id != self && !p.Contains(id) {
+			vals = append(vals, majorityAt(tr, p.Append(id), self))
+		}
+	}
+	return vote.Majority(vals)
+}
+
+// TestRuleRecordsMajority holds the record of OM's rule to strict majority
+// at every path, for the sender, whose vote vectors keep every child, and
+// for each receiver. The first tree is the case that tells majority from a
+// threshold fixed by nSub alone: the sender's root vector a, a, b, c has
+// no strict majority, while VOTE(2) would pick a.
+func TestRuleRecordsMajority(t *testing.T) {
+	rule := om.Params{N: 4, M: 1}.Rule()
+	tr, err := eig.New(4, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		p types.Path
+		v types.Value
+	}{{types.Path{0}, alpha}, {types.Path{0, 1}, alpha}, {types.Path{0, 2}, beta}, {types.Path{0, 3}, 300}} {
+		if err := tr.Set(c.p, c.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tr.Record(0, rule).At(types.Path{0}); got != types.Default {
+		t.Fatalf("sender's record at the root = %v, want V_d (no strict majority)", got)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, p := range []om.Params{{N: 4, M: 1}, {N: 7, M: 2}, {N: 5, M: 1, Sender: 4}} {
+		tr, err := eig.New(p.N, p.Depth(), p.Sender)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := 1; l <= p.Depth(); l++ {
+			tr.ForEachPath(l, -1, func(path types.Path) bool {
+				if rng.Intn(5) > 0 {
+					_ = tr.Set(path, types.Value(rng.Intn(3)))
+				}
+				return true
+			})
+		}
+		for self := 0; self < p.N; self++ {
+			id := types.NodeID(self)
+			rec := tr.Record(id, p.Rule())
+			for l := 1; l <= p.Depth(); l++ {
+				tr.ForEachPath(l, -1, func(path types.Path) bool {
+					if id != p.Sender && path.Contains(id) {
+						return true
+					}
+					if got, want := rec.At(path), majorityAt(tr, path, id); got != want {
+						t.Fatalf("%+v self=%d: record at %s = %v, majority %v", p, self, path, got, want)
+					}
+					return true
+				})
+			}
+		}
 	}
 }
