@@ -1,20 +1,18 @@
 // Command degradable is the repository's one binary. It reproduces the
 // paper's reportable artifacts: every table and figure (experiments; E1 is
 // the §2 minimum-nodes table, E4 Figure 1), single BYZ(m,m) runs with their
-// spec verdict and EIG resolution (degrade), Theorem 3's connectivity bound
-// on a given topology (netinfo), and a long-horizon mission under transient
-// faults (longhaul). It runs seeded fault-injection campaigns judged against
-// D.1–D.4 (chaos), the protocol as one OS process per node over loopback
-// TCP with §4 assumption (b) as real per-round deadlines (cluster, and node
-// for one such process by hand), and the agreement service with its fleet
-// front (serve, router).
+// spec verdict and EIG resolution (degrade), and Theorem 3's connectivity
+// bound on a given topology (netinfo). It runs seeded fault-injection
+// campaigns judged against D.1–D.4 (chaos), the protocol as one OS process
+// per node over loopback TCP with §4 assumption (b) as real per-round
+// deadlines (cluster, and node for one such process by hand), and the
+// agreement service with its fleet front (serve, router).
 //
 // Usage:
 //
 //	degradable experiments [-markdown] [-seed 42] [-only E3] [-list]
 //	degradable degrade -n 5 -m 1 -u 2 -value 42 -faults 3:lie:99,4:silent [-trace] [-explain 1|all]
 //	degradable netinfo -graph harary:4:9
-//	degradable longhaul -n 5 -m 1 -u 2 -steps 1000 -fail 0.05 -repair 0.5
 //	degradable chaos -seed 42 -runs 1000
 //	degradable cluster -n 7 -m 1 -u 2 -faults 2:twofaced:999,4:silent
 //	degradable node -listen 127.0.0.1:0
@@ -49,7 +47,6 @@ var commands = []command{
 	{"experiments", "regenerate every table and figure of the paper with its machine-checked claims", experimentsFlags},
 	{"degrade", "run one m/u-degradable agreement instance and judge it against D.1–D.4", degradeFlags},
 	{"netinfo", "topology analysis: connectivity, supported (m,u) pairs (Theorem 3), disjoint paths", netinfoFlags},
-	{"longhaul", "a long mission of agreement instances under transient faults and repairs", longhaulFlags},
 	{"chaos", "seeded fault-injection campaigns, each scenario classified against the spec", chaosFlags},
 	{"cluster", "one agreement instance or campaign with one OS process per node over TCP", clusterFlags},
 	{"node", "one cluster node over stdio, for running a node by hand", nodeFlags},

@@ -54,7 +54,6 @@ var helpFlags = map[string][]string{
 	"experiments": {"list", "markdown", "only", "seed"},
 	"degrade":     {"explain", "faults", "m", "n", "trace", "u", "value"},
 	"netinfo":     {"graph"},
-	"longhaul":    {"fail", "m", "n", "repair", "seed", "steps", "u"},
 	"chaos": {"async", "async-runs", "async-sweep", "graph", "grid", "infeasible", "json",
 		"max-injectors", "placement", "replay", "runs", "sched", "seed", "shrink",
 		"topo-runs", "topo-sweep", "trace"},
@@ -100,7 +99,7 @@ func checkHelp(t *testing.T, name string) {
 // subcommand has a pinned flag surface; the service and campaign
 // subcommands have a test each below.
 func TestHelpListsEveryFlag(t *testing.T) {
-	for _, name := range []string{"experiments", "degrade", "netinfo", "longhaul"} {
+	for _, name := range []string{"experiments", "degrade", "netinfo"} {
 		checkHelp(t, name)
 	}
 	for _, c := range commands {
@@ -378,34 +377,6 @@ func TestNetinfoErrors(t *testing.T) {
 	} {
 		if _, err := runSub(t, append([]string{"netinfo"}, args...)...); err == nil {
 			t.Errorf("netinfo %q accepted", args)
-		}
-	}
-}
-
-func TestLonghaulMission(t *testing.T) {
-	out, err := runSub(t, "longhaul", "-steps", "50", "-seed", "3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"Mission: 50 steps",
-		"condition violations within bounds",
-		"All paper conditions held",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestLonghaulErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"-n", "3"},      // undersized system
-		{"-fail", "2.0"}, // bad rate
-		{"-bogus"},
-	} {
-		if _, err := runSub(t, append([]string{"longhaul"}, args...)...); err == nil {
-			t.Errorf("longhaul %q accepted", args)
 		}
 	}
 }

@@ -35,8 +35,6 @@
 package degradable
 
 import (
-	"fmt"
-
 	"degradable/internal/adversary"
 	"degradable/internal/core"
 	"degradable/internal/protocol/crusader"
@@ -178,26 +176,37 @@ func AgreeObserved(cfg Config, senderValue Value, strategies map[NodeID]Strategy
 // AgreeOM runs the Lamport–Shostak–Pease OM(m) baseline (N > 3m) under the
 // same fault interface; the verdict checks the m/m (classic) conditions.
 func AgreeOM(n, m int, senderValue Value, faults ...Fault) (*Result, error) {
-	strategies, err := adversary.Strategies(n, faults)
-	if err != nil {
-		return nil, err
-	}
-	p := om.Params{N: n, M: m}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return run(p, senderValue, strategies, nil)
+	return agree(om.Params{N: n, M: m}, senderValue, faults)
 }
 
 // AgreeCrusader runs Dolev's Crusader agreement baseline (N > 3f) under the
 // same fault interface; the verdict checks the 0/f (degraded) conditions,
 // which correspond to Crusader's correct-or-detect guarantee.
 func AgreeCrusader(n, f int, senderValue Value, faults ...Fault) (*Result, error) {
+	return agree(crusader.Params{N: n, F: f}, senderValue, faults)
+}
+
+// AgreeSM runs Lamport's authenticated SM(m) algorithm (N ≥ m+2) under the
+// same fault interface; a faulty node applies its fault before it signs, so
+// it signs its own lies but can never forge other signatures. The verdict
+// checks the m/m (classic) conditions: with f ≤ m faults all fault-free
+// receivers decide one identical value (D.2), the sender's own value when
+// the sender is fault-free (D.1). Condition is "D.1" or "D.2", and "none"
+// past m faults, where SM promises nothing.
+func AgreeSM(n, m int, senderValue Value, faults ...Fault) (*Result, error) {
+	return agree(sm.Params{N: n, M: m}, senderValue, faults)
+}
+
+// agree arms faults on p's nodes and runs p, once it validates, under them.
+func agree(p interface {
+	runner.Protocol
+	Validate() error
+}, senderValue Value, faults []Fault) (*Result, error) {
+	n, _, _ := p.System()
 	strategies, err := adversary.Strategies(n, faults)
 	if err != nil {
 		return nil, err
 	}
-	p := crusader.Params{N: n, F: f}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -221,97 +230,4 @@ func run(p runner.Protocol, senderValue Value, strategies map[NodeID]Strategy,
 		Messages:  res.Messages,
 		Rounds:    len(res.PerRound),
 	}, nil
-}
-
-// AgreeSM runs Lamport's authenticated SM(m) algorithm (N ≥ m+2) under the
-// same fault interface; faults translate to pre-signing egress behaviours
-// (a faulty node signs its own lies but can never forge other signatures).
-// The verdict reports the signed-messages guarantee: with f ≤ m faults all
-// fault-free receivers decide one identical value, the sender's own value
-// when the sender is fault-free.
-func AgreeSM(n, m int, senderValue Value, faults ...Fault) (*Result, error) {
-	p := sm.Params{N: n, M: m}
-	inst, err := sm.NewInstance(p, senderValue)
-	if err != nil {
-		return nil, err
-	}
-	faultySet, err := adversary.CheckFaults(n, faults)
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range faults {
-		eg, err := smEgress(f)
-		if err != nil {
-			return nil, err
-		}
-		if err := inst.Arm(f.Node, senderValue, eg); err != nil {
-			return nil, err
-		}
-	}
-	runRes, err := inst.Run(nil)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Decisions: runRes.Decisions,
-		Condition: "SM",
-		OK:        true,
-		Classes:   make(map[Value]int),
-		Messages:  runRes.Messages,
-		Rounds:    len(runRes.PerRound),
-	}
-	senderFaulty := faultySet.Contains(0)
-	var ref Value
-	first := true
-	for i := 0; i < n; i++ {
-		id := NodeID(i)
-		if id == 0 || faultySet.Contains(id) {
-			continue
-		}
-		d := runRes.Decisions[id]
-		res.Classes[d]++
-		if !senderFaulty && d != senderValue {
-			res.OK = false
-			res.Reason = fmt.Sprintf("node %d decided %s, want sender's %s", i, d, senderValue)
-		}
-		if first {
-			ref, first = d, false
-		} else if d != ref {
-			res.OK = false
-			res.Reason = fmt.Sprintf("receivers disagree: %s vs %s", ref, d)
-		}
-	}
-	res.Graceful = res.OK
-	return res, nil
-}
-
-// smEgress maps a Fault to an SM pre-signing egress behaviour.
-func smEgress(f Fault) (sm.Egress, error) {
-	switch f.Kind {
-	case FaultSilent:
-		return func(types.Message) (Value, bool) { return Default, false }, nil
-	case FaultCrash:
-		return func(m Message) (Value, bool) {
-			if m.Round > 1 {
-				return Default, false
-			}
-			return m.Value, true
-		}, nil
-	case FaultLie:
-		v := f.Value
-		return func(Message) (Value, bool) { return v, true }, nil
-	case FaultTwoFaced:
-		v := f.Value
-		return func(m Message) (Value, bool) {
-			if m.To%2 == 1 {
-				return v, true
-			}
-			return m.Value, true
-		}, nil
-	case FaultRandom:
-		rl := adversary.NewRandomLie(f.Seed, []Value{f.Value})
-		return func(m Message) (Value, bool) { return rl.Corrupt(f.Node, m) }, nil
-	default:
-		return nil, fmt.Errorf("degradable: unknown fault kind %d", int(f.Kind))
-	}
 }

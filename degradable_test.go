@@ -209,17 +209,47 @@ func TestAgreeSMValidation(t *testing.T) {
 	}
 }
 
+// TestAgreeSMAllFaultKinds arms each fault kind on a receiver and on the
+// sender of SM(1) at N = 4 and pins every node's decision and the message
+// count to what the facade's own SM fault table produced before faults went
+// through adversary.Kind.Build.
 func TestAgreeSMAllFaultKinds(t *testing.T) {
-	for _, k := range []degradable.FaultKind{
-		degradable.FaultSilent, degradable.FaultCrash, degradable.FaultLie,
-		degradable.FaultTwoFaced, degradable.FaultRandom,
+	const d = degradable.Default
+	for _, tc := range []struct {
+		kind      degradable.FaultKind
+		node      degradable.NodeID
+		decisions [4]degradable.Value
+		messages  int
+	}{
+		{degradable.FaultSilent, 2, [4]degradable.Value{42, 42, 42, 42}, 7},
+		{degradable.FaultCrash, 2, [4]degradable.Value{42, 42, 42, 42}, 7},
+		{degradable.FaultLie, 2, [4]degradable.Value{42, 42, 42, 42}, 9},
+		{degradable.FaultTwoFaced, 2, [4]degradable.Value{42, 42, 42, 42}, 9},
+		{degradable.FaultRandom, 2, [4]degradable.Value{42, 42, 42, 42}, 9},
+		{degradable.FaultSilent, 0, [4]degradable.Value{42, d, d, d}, 0},
+		{degradable.FaultCrash, 0, [4]degradable.Value{42, 42, 42, 42}, 9},
+		{degradable.FaultLie, 0, [4]degradable.Value{42, 9, 9, 9}, 9},
+		{degradable.FaultTwoFaced, 0, [4]degradable.Value{42, d, d, d}, 9},
+		{degradable.FaultRandom, 0, [4]degradable.Value{42, d, d, d}, 9},
 	} {
-		res, err := degradable.AgreeSM(4, 1, 42, degradable.Fault{Node: 2, Kind: k, Value: 9, Seed: 5})
+		res, err := degradable.AgreeSM(4, 1, 42, degradable.Fault{Node: tc.node, Kind: tc.kind, Value: 9, Seed: 5})
 		if err != nil {
-			t.Fatalf("kind %v: %v", k, err)
+			t.Fatalf("kind %v on %d: %v", tc.kind, tc.node, err)
 		}
-		if !res.OK {
-			t.Errorf("kind %v: %s", k, res.Reason)
+		want := "D.1"
+		if tc.node == 0 {
+			want = "D.2"
+		}
+		if !res.OK || res.Condition != want {
+			t.Errorf("kind %v on %d: %s held=%v (%s), want %s held", tc.kind, tc.node, res.Condition, res.OK, res.Reason, want)
+		}
+		for id, v := range tc.decisions {
+			if got := res.Decisions[degradable.NodeID(id)]; got != v {
+				t.Errorf("kind %v on %d: node %d decided %v, want %v", tc.kind, tc.node, id, got, v)
+			}
+		}
+		if res.Messages != tc.messages {
+			t.Errorf("kind %v on %d: %d messages, want %d", tc.kind, tc.node, res.Messages, tc.messages)
 		}
 	}
 }

@@ -14,6 +14,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	degradable "degradable"
 )
@@ -62,8 +63,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("BYZ(1/2) at f=2: condition %s ok=%v graceful=%v — receivers hold ", deg2.Condition, deg2.OK, deg2.Graceful)
-	for v, c := range deg2.Classes {
-		fmt.Printf("%s×%d ", v, c)
+	held := make([]degradable.Value, 0, len(deg2.Classes))
+	for v := range deg2.Classes {
+		held = append(held, v)
+	}
+	slices.Sort(held)
+	for _, v := range held {
+		fmt.Printf("%s×%d ", v, deg2.Classes[v])
 	}
 	fmt.Println()
 	fmt.Println()

@@ -26,7 +26,7 @@ import (
 	"degradable/internal/core"
 	"degradable/internal/eig"
 	"degradable/internal/protocol/relay"
-	"degradable/internal/round"
+	"degradable/internal/runner"
 	"degradable/internal/spec"
 	"degradable/internal/types"
 	"degradable/internal/vote"
@@ -87,33 +87,15 @@ func Run(p core.Params, r Rule, senderValue types.Value,
 	if err != nil {
 		return spec.Verdict{}, nil, err
 	}
-	depth := p.Depth()
-	nodes := make([]round.Node, p.N)
-	for i := 0; i < p.N; i++ {
-		nd, err := relay.New(p.N, depth, p.Sender, types.NodeID(i), senderValue, rule)
-		if err != nil {
-			return spec.Verdict{}, nil, err
-		}
-		nodes[i] = nd
+	in := runner.Instance{
+		Protocol:    relay.Protocol{N: p.N, Depth: p.Depth(), Sender: p.Sender, M: p.M, U: p.U, Rule: rule},
+		SenderValue: senderValue,
+		Strategies:  strategies,
 	}
-	if err := adversary.Wrap(nodes, p.N, depth, p.Sender, senderValue, strategies); err != nil {
-		return spec.Verdict{}, nil, err
-	}
-	res, err := round.Run(nodes, round.Config{Rounds: depth}, round.Reference{})
+	res, verdict, err := in.Run()
 	if err != nil {
 		return spec.Verdict{}, nil, err
 	}
-	var faulty types.NodeSet
-	for id := range strategies {
-		faulty = faulty.Add(id)
-	}
-	verdict := spec.Check(spec.Execution{
-		M: p.M, U: p.U,
-		Sender:      p.Sender,
-		SenderValue: senderValue,
-		Faulty:      faulty,
-		Decisions:   res.Decisions,
-	})
 	return verdict, res.Decisions, nil
 }
 

@@ -204,15 +204,28 @@ func (b *Node) Finish([]types.Message) {}
 // guarantee; it reports V_d.
 func (b *Node) Decide() types.Value { return types.Default }
 
-// Wrap replaces the entries of nodes named in strategies with Byzantine
-// wrappers. nodes must be the honest complement (e.g. from core.Params.Nodes)
-// of a protocol with the given shape. senderValue is the faulty sender's
-// nominal input, used as the honest baseline its strategy corrupts.
+// Armable is a node that carries its own Byzantine egress: Wrap arms it
+// with its strategy instead of wrapping it in Node, the EIG relay wrapper.
+// SM's signing node is one, since its strategy must act before it signs.
+// Such a node keeps no EIG tree, so an Observer strategy is never shown one.
+type Armable interface {
+	Arm(Strategy)
+}
+
+// Wrap arms the entries of nodes named in strategies: an Armable node arms
+// itself, any other is replaced with a Byzantine wrapper. nodes must be the
+// honest complement (e.g. from core.Params.Nodes) of a protocol with the
+// given shape. senderValue is the faulty sender's nominal input, used as
+// the honest baseline its strategy corrupts.
 func Wrap(nodes []round.Node, n, depth int, sender types.NodeID, senderValue types.Value,
 	strategies map[types.NodeID]Strategy) error {
 	for id, strat := range strategies {
 		if id < 0 || int(id) >= len(nodes) {
 			return fmt.Errorf("adversary: faulty id %d out of range", int(id))
+		}
+		if a, ok := nodes[int(id)].(Armable); ok && strat != nil {
+			a.Arm(strat)
+			continue
 		}
 		bn, err := NewNode(n, depth, sender, id, senderValue, strat)
 		if err != nil {

@@ -319,13 +319,6 @@ type peerBatch struct {
 	msgs  []types.Message
 }
 
-// RunNode executes one node of the cluster: mesh-connect to the roster,
-// drive the protocol's rounds with hold-back and deadline, decide, and
-// report. ln must already be listening on the roster address for cfg.ID.
-func RunNode(cfg NodeConfig, ln net.Listener, peers []string) (*NodeReport, error) {
-	return runNode(cfg, ln, peers, nil)
-}
-
 // resume is where a (possibly restarted) node's main loop enters the round
 // schedule.
 type resume struct {
@@ -342,8 +335,11 @@ type resume struct {
 	held []heldRound
 }
 
-// runNode is RunNode with the stdout writer progress marks go to (nil when
-// the caller does not consume them).
+// runNode executes one node of the cluster: mesh-connect to the roster,
+// drive the protocol's rounds with hold-back and deadline, decide, and
+// report. ln must already be listening on the roster address for cfg.ID.
+// Progress marks go to progress (nil when the caller does not consume
+// them).
 func runNode(cfg NodeConfig, ln net.Listener, peers []string, progress io.Writer) (*NodeReport, error) {
 	p := core.Params{N: cfg.N, M: cfg.M, U: cfg.U, Sender: cfg.Sender}
 	if err := p.Validate(); err != nil {

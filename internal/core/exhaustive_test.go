@@ -244,6 +244,9 @@ func TestFunctionalMatchesEngine(t *testing.T) {
 				t.Fatalf("bhv=%v node %d: engine %v, functional %v", bhv, int(id), got, w)
 			}
 		}
+		// The scripts are stateless, so the per-path judge replays the
+		// same run.
+		checkSubInstances(t, p, strategies, fmt.Sprintf("bhv=%v", bhv))
 	})
 	if sample == 0 {
 		t.Fatal("no behaviours enumerated")

@@ -46,11 +46,11 @@ func MinNodesTable(seed int64) (*Result, error) {
 			return nil, err
 		}
 		p := core.Params{N: nmin, M: cell.m, U: cell.u}
-		ok, detail := batteryWorst(p, cell.u, seed)
+		w := batteryWorst(p, cell.u, seed)
 		res.Checks = append(res.Checks, Check{
 			Name:   fmt.Sprintf("sufficiency m=%d u=%d at N=%d", cell.m, cell.u, nmin),
-			OK:     ok,
-			Detail: detail,
+			OK:     w.ok,
+			Detail: w.detail,
 		})
 	}
 
@@ -87,17 +87,16 @@ func TradeoffSeven(seed int64) (*Result, error) {
 	for _, mu := range []struct{ m, u int }{{2, 2}, {1, 4}, {0, 6}} {
 		p := core.Params{N: 7, M: mu.m, U: mu.u}
 		for f := 0; f <= mu.u; f++ {
-			ok, detail := batteryWorst(p, f, seed)
-			maxDef, cond := worstClasses(p, f, seed)
+			w := batteryWorst(p, f, seed)
 			regime := "classic"
 			if f > mu.m {
 				regime = "degraded"
 			}
-			table.AddRow(fmt.Sprintf("%d/%d", mu.m, mu.u), f, regime, ok, maxDef)
+			table.AddRow(fmt.Sprintf("%d/%d", mu.m, mu.u), f, regime, w.ok, w.defaults)
 			res.Checks = append(res.Checks, Check{
-				Name:   fmt.Sprintf("%d/%d f=%d (%s)", mu.m, mu.u, f, cond),
-				OK:     ok,
-				Detail: detail,
+				Name:   fmt.Sprintf("%d/%d f=%d (%s)", mu.m, mu.u, f, w.cond),
+				OK:     w.ok,
+				Detail: w.detail,
 			})
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"degradable/internal/protocol/sm"
 	"degradable/internal/rng"
 	"degradable/internal/runner"
-	"degradable/internal/spec"
 	"degradable/internal/stats"
 	"degradable/internal/types"
 )
@@ -35,24 +34,24 @@ func NodeBudgetTable(seed int64) (*Result, error) {
 	table := stats.NewTable("Minimum node counts and verified guarantees",
 		"protocol", "m", "u", "N_min", "guarantee at f≤m", "guarantee m<f≤u", "verified")
 
-	// SM(m) at N = m+2, full egress battery over all fault subsets.
+	// SM(m) at N = m+2 and OM(m) at N = 3m+1, the battery over every fault
+	// set of at most m nodes.
 	for _, m := range []int{1, 2} {
-		ok := smVerified(m, seed)
-		table.AddRow(fmt.Sprintf("SM(%d) signed", m), m, "-", m+2, "full agreement", "none", ok)
+		w := classicWorst(sm.Params{N: m + 2, M: m}, seed)
+		table.AddRow(fmt.Sprintf("SM(%d) signed", m), m, "-", m+2, "full agreement", "none", w.ok)
 		res.Checks = append(res.Checks, Check{
-			Name: fmt.Sprintf("SM(%d) agreement at N=%d", m, m+2),
-			OK:   ok,
+			Name:   fmt.Sprintf("SM(%d) agreement at N=%d", m, m+2),
+			OK:     w.ok,
+			Detail: w.detail,
 		})
 	}
-	// OM(m) at N = 3m+1.
 	for _, m := range []int{1, 2} {
-		p := om.Params{N: 3*m + 1, M: m}
-		ok, detail := omVerified(p, seed)
-		table.AddRow(fmt.Sprintf("OM(%d) oral", m), m, "-", 3*m+1, "full agreement", "none", ok)
+		w := classicWorst(om.Params{N: 3*m + 1, M: m}, seed)
+		table.AddRow(fmt.Sprintf("OM(%d) oral", m), m, "-", 3*m+1, "full agreement", "none", w.ok)
 		res.Checks = append(res.Checks, Check{
 			Name:   fmt.Sprintf("OM(%d) agreement at N=%d", m, 3*m+1),
-			OK:     ok,
-			Detail: detail,
+			OK:     w.ok,
+			Detail: w.detail,
 		})
 	}
 	// Degradable at N = 2m+u+1.
@@ -62,13 +61,13 @@ func NodeBudgetTable(seed int64) (*Result, error) {
 			return nil, err
 		}
 		p := core.Params{N: nmin, M: mu.m, U: mu.u}
-		ok, detail := batteryWorst(p, mu.u, seed)
+		w := batteryWorst(p, mu.u, seed)
 		table.AddRow(fmt.Sprintf("BYZ(%d/%d) degradable", mu.m, mu.u), mu.m, mu.u, nmin,
-			"full agreement", "two-class (value | V_d)", ok)
+			"full agreement", "two-class (value | V_d)", w.ok)
 		res.Checks = append(res.Checks, Check{
 			Name:   fmt.Sprintf("BYZ(%d/%d) at N=%d under f=u", mu.m, mu.u, nmin),
-			OK:     ok,
-			Detail: detail,
+			OK:     w.ok,
+			Detail: w.detail,
 		})
 	}
 	res.Table = table
@@ -78,83 +77,15 @@ func NodeBudgetTable(seed int64) (*Result, error) {
 	return res, nil
 }
 
-func smVerified(m int, seed int64) bool {
-	p := sm.Params{N: m + 2, M: m}
-	all := make([]types.NodeID, p.N)
-	for i := range all {
-		all[i] = types.NodeID(i)
-	}
-	ok := true
-	for f := 0; f <= m && ok; f++ {
-		types.Subsets(all, f, func(faulty types.NodeSet) bool {
-			in, err := sm.NewInstance(p, Alpha)
-			if err != nil {
-				ok = false
-				return false
-			}
-			for i, id := range faulty.IDs() {
-				lie := Beta
-				idx := i
-				err := in.Arm(id, Alpha, func(msg types.Message) (types.Value, bool) {
-					if (int(msg.To)+idx)%2 == 0 {
-						return lie, true
-					}
-					return msg.Value, true
-				})
-				if err != nil {
-					ok = false
-					return false
-				}
-			}
-			runRes, err := in.Run(nil)
-			if err != nil {
-				ok = false
-				return false
-			}
-			// f ≤ m, so this is exactly D.1/D.2.
-			ok = spec.Check(spec.Execution{M: m, U: m, SenderValue: Alpha, Faulty: faulty, Decisions: runRes.Decisions}).OK
-			return ok
-		})
-	}
-	return ok
-}
-
-func omVerified(p om.Params, seed int64) (bool, string) {
-	all := make([]types.NodeID, p.N)
-	for i := range all {
-		all[i] = types.NodeID(i)
-	}
-	for f := 0; f <= p.M; f++ {
-		okAll := true
-		detail := ""
-		types.Subsets(all, f, func(faulty types.NodeSet) bool {
-			honest := make([]types.NodeID, 0, p.N)
-			for _, id := range all {
-				if !faulty.Contains(id) {
-					honest = append(honest, id)
-				}
-			}
-			ctx := adversary.Context{N: p.N, Sender: 0, SenderValue: Alpha, Alt: Beta, Honest: honest}
-			for _, sc := range adversary.Battery() {
-				in := runner.Instance{Protocol: p, SenderValue: Alpha, Strategies: sc.Build(faulty.IDs(), seed, ctx)}
-				_, verdict, err := in.Run()
-				if err != nil || !verdict.OK {
-					okAll = false
-					if err != nil {
-						detail = err.Error()
-					} else {
-						detail = verdict.Reason
-					}
-					return false
-				}
-			}
-			return true
-		})
-		if !okAll {
-			return false, detail
+// classicWorst sweeps the battery over p at every fault count 0..m and
+// stops at the first count that fails.
+func classicWorst(p runner.Protocol, seed int64) worst {
+	m, _ := p.Thresholds()
+	for f := 0; ; f++ {
+		if w := batteryWorst(p, f, seed); !w.ok || f == m {
+			return w
 		}
 	}
-	return true, ""
 }
 
 // ReliabilityTable (E13) is the §3 safety argument as a Monte-Carlo

@@ -3,10 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"degradable/internal/adversary"
 	"degradable/internal/channels"
 	"degradable/internal/stats"
-	"degradable/internal/types"
 )
 
 // Fig1Channels reproduces the Figure 1 comparison: a 3-channel system fed by
@@ -47,46 +45,25 @@ func Fig1Channels(seed int64) (*Result, error) {
 			counter := stats.NewCounter()
 			c2ok := true
 			// All fault subsets over sender + channels.
-			all := make([]types.NodeID, sys.cfg.N())
-			for i := range all {
-				all[i] = types.NodeID(i)
-			}
-			var runErr error
-			types.Subsets(all, f, func(faulty types.NodeSet) bool {
-				honest := make([]types.NodeID, 0, len(all))
-				for _, id := range all {
-					if !faulty.Contains(id) {
-						honest = append(honest, id)
+			err := eachBattery(sys.cfg.N(), 0, f, seed, func(r armedRun) error {
+				sr, err := channels.Step(sys.cfg, Alpha, r.strategies, 1)
+				if err != nil {
+					return err
+				}
+				counter.Add(sr.Outcome.String())
+				if sr.Outcome == channels.OutcomeUnsafe {
+					if !r.faulty.Contains(0) {
+						c2ok = false
+					}
+					// The OM system's failure mode beyond m.
+					if f > 1 && sys.cfg.Kind == channels.KindOM {
+						omUnsafeBeyondM = true
 					}
 				}
-				ctx := adversary.Context{
-					N: sys.cfg.N(), Sender: 0, SenderValue: Alpha, Alt: Beta, Honest: honest,
-				}
-				for _, sc := range adversary.Battery() {
-					strategies := sc.Build(faulty.IDs(), seed, ctx)
-					sr, err := channels.Step(sys.cfg, Alpha, strategies, 1)
-					if err != nil {
-						runErr = err
-						return false
-					}
-					counter.Add(sr.Outcome.String())
-					senderFaulty := faulty.Contains(0)
-					if sr.Outcome == channels.OutcomeUnsafe {
-						if !senderFaulty {
-							c2ok = false
-						}
-						if f > 1 {
-							// The OM system's failure mode beyond m.
-							if sys.cfg.Kind == channels.KindOM {
-								omUnsafeBeyondM = true
-							}
-						}
-					}
-				}
-				return true
+				return nil
 			})
-			if runErr != nil {
-				return nil, runErr
+			if err != nil {
+				return nil, err
 			}
 			table.AddRow(sys.name, f, counter.Total(),
 				counter.Get("correct"), counter.Get("default"), counter.Get("unsafe"), c2ok)

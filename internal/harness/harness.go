@@ -11,9 +11,7 @@ import (
 	"strings"
 
 	"degradable/internal/adversary"
-	"degradable/internal/core"
 	"degradable/internal/runner"
-	"degradable/internal/spec"
 	"degradable/internal/stats"
 	"degradable/internal/types"
 )
@@ -89,74 +87,79 @@ func All() []Experiment {
 	}
 }
 
-// batteryWorst runs the full adversary battery for every fault set of size f
-// over protocol p and reports whether every verdict held, plus a diagnostic
-// of the first failure.
-func batteryWorst(p core.Params, f int, seed int64) (bool, string) {
-	all := make([]types.NodeID, p.N)
+// armedRun is one battery scenario armed on one fault set.
+type armedRun struct {
+	faulty     types.NodeSet
+	index      int    // the scenario's place in adversary.Battery()
+	name       string // the scenario's name
+	strategies map[types.NodeID]adversary.Strategy
+}
+
+// eachBattery calls fn with every adversary.Battery() scenario armed on
+// every fault set of size f out of n nodes, fault sets in types.Subsets
+// order, the honest sender holding Alpha and the liars Beta. An error from
+// fn stops the sweep and is returned.
+func eachBattery(n int, sender types.NodeID, f int, seed int64, fn func(armedRun) error) error {
+	all := make([]types.NodeID, n)
 	for i := range all {
 		all[i] = types.NodeID(i)
 	}
-	ok, detail := true, ""
+	var err error
 	types.Subsets(all, f, func(faulty types.NodeSet) bool {
-		honest := make([]types.NodeID, 0, p.N)
+		honest := make([]types.NodeID, 0, n)
 		for _, id := range all {
 			if !faulty.Contains(id) {
 				honest = append(honest, id)
 			}
 		}
-		ctx := adversary.Context{N: p.N, Sender: p.Sender, SenderValue: Alpha, Alt: Beta, Honest: honest}
-		for _, sc := range adversary.Battery() {
-			in := runner.Instance{
-				Protocol:    p,
-				SenderValue: Alpha,
-				Strategies:  sc.Build(faulty.IDs(), seed, ctx),
-			}
-			_, verdict, err := in.Run()
+		ctx := adversary.Context{N: n, Sender: sender, SenderValue: Alpha, Alt: Beta, Honest: honest}
+		for i, sc := range adversary.Battery() {
+			err = fn(armedRun{faulty: faulty, index: i, name: sc.Name, strategies: sc.Build(faulty.IDs(), seed, ctx)})
 			if err != nil {
-				ok, detail = false, err.Error()
-				return false
-			}
-			if !verdict.OK || !verdict.Graceful {
-				ok = false
-				detail = fmt.Sprintf("faulty=%v scenario=%s: %s %s", faulty, sc.Name, verdict.Condition, verdict.Reason)
 				return false
 			}
 		}
 		return true
 	})
-	return ok, detail
+	return err
 }
 
-// worstClasses runs the battery and returns the largest observed number of
-// fault-free receivers deciding the default value (the depth of degradation).
-func worstClasses(p core.Params, f int, seed int64) (maxDefaults int, verdictCond string) {
-	all := make([]types.NodeID, p.N)
-	for i := range all {
-		all[i] = types.NodeID(i)
+// worst is what one battery sweep found.
+type worst struct {
+	// ok reports that every verdict held, and with it the §2 floor (m+1
+	// fault-free nodes agree) wherever N > 2m+u promises it.
+	ok bool
+	// detail describes the first failure.
+	detail string
+	// defaults is the most fault-free receivers one run left on V_d: the
+	// depth of degradation.
+	defaults int
+	// cond is the condition the last run was judged by.
+	cond string
+}
+
+// batteryWorst runs protocol p under the whole battery on every fault set
+// of size f and judges every run.
+func batteryWorst(p runner.Protocol, f int, seed int64) worst {
+	n, _, sender := p.System()
+	m, u := p.Thresholds()
+	floor := n > 2*m+u
+	w := worst{ok: true}
+	err := eachBattery(n, sender, f, seed, func(r armedRun) error {
+		_, verdict, err := runner.Instance{Protocol: p, SenderValue: Alpha, Strategies: r.strategies}.Run()
+		if err != nil {
+			return err
+		}
+		w.cond = verdict.Condition
+		w.defaults = max(w.defaults, verdict.Classes[types.Default])
+		if w.ok && (!verdict.OK || floor && !verdict.Graceful) {
+			w.ok = false
+			w.detail = fmt.Sprintf("faulty=%v scenario=%s: %s %s", r.faulty, r.name, verdict.Condition, verdict.Reason)
+		}
+		return nil
+	})
+	if err != nil {
+		w.ok, w.detail = false, err.Error()
 	}
-	types.Subsets(all, f, func(faulty types.NodeSet) bool {
-		honest := make([]types.NodeID, 0, p.N)
-		for _, id := range all {
-			if !faulty.Contains(id) {
-				honest = append(honest, id)
-			}
-		}
-		ctx := adversary.Context{N: p.N, Sender: p.Sender, SenderValue: Alpha, Alt: Beta, Honest: honest}
-		for _, sc := range adversary.Battery() {
-			in := runner.Instance{Protocol: p, SenderValue: Alpha, Strategies: sc.Build(faulty.IDs(), seed, ctx)}
-			_, verdict, err := in.Run()
-			if err != nil {
-				continue
-			}
-			verdictCond = verdict.Condition
-			if d := verdict.Classes[types.Default]; d > maxDefaults {
-				maxDefaults = d
-			}
-		}
-		return true
-	})
-	return maxDefaults, verdictCond
+	return w
 }
-
-var _ = spec.RegimeClassic // spec is used by sibling files in this package

@@ -3,12 +3,10 @@ package harness
 import (
 	"fmt"
 
-	"degradable/internal/adversary"
 	"degradable/internal/core"
 	"degradable/internal/round"
 	"degradable/internal/runner"
 	"degradable/internal/stats"
-	"degradable/internal/types"
 )
 
 // RelaxedTimeoutTable reproduces §6.1: when more than m nodes are faulty,
@@ -28,53 +26,38 @@ func RelaxedTimeoutTable(seed int64) (*Result, error) {
 
 	for _, cfg := range []struct{ n, m, u int }{{5, 1, 2}, {6, 1, 3}} {
 		p := core.Params{N: cfg.n, M: cfg.m, U: cfg.u}
-		all := make([]types.NodeID, p.N)
-		for i := range all {
-			all[i] = types.NodeID(i)
-		}
 		for f := cfg.m + 1; f <= cfg.u; f++ {
 			for _, prob := range []float64{0.1, 0.3} {
 				runs, held, graceful := 0, 0, 0
 				var firstFail string
-				var runErr error
-				types.Subsets(all, f, func(faulty types.NodeSet) bool {
-					honest := make([]types.NodeID, 0, p.N)
-					for _, id := range all {
-						if !faulty.Contains(id) {
-							honest = append(honest, id)
-						}
+				err := eachBattery(p.N, p.Sender, f, seed, func(r armedRun) error {
+					in := runner.Instance{
+						Protocol:    p,
+						SenderValue: Alpha,
+						Strategies:  r.strategies,
+						// §6.1: drops hit any message; faulty nodes'
+						// traffic is already adversarial, so exempting
+						// them only strengthens the drop adversary's
+						// focus on fault-free links.
+						Channel: round.NewRelaxedChannel(prob, seed+int64(r.index)*31+int64(r.faulty), r.faulty),
 					}
-					ctx := adversary.Context{N: p.N, Sender: 0, SenderValue: Alpha, Alt: Beta, Honest: honest}
-					for i, sc := range adversary.Battery() {
-						in := runner.Instance{
-							Protocol:    p,
-							SenderValue: Alpha,
-							Strategies:  sc.Build(faulty.IDs(), seed, ctx),
-							// §6.1: drops hit any message; faulty nodes'
-							// traffic is already adversarial, so exempting
-							// them only strengthens the drop adversary's
-							// focus on fault-free links.
-							Channel: round.NewRelaxedChannel(prob, seed+int64(i)*31+int64(faulty), faulty),
-						}
-						_, verdict, err := in.Run()
-						if err != nil {
-							runErr = err
-							return false
-						}
-						runs++
-						if verdict.OK {
-							held++
-						} else if firstFail == "" {
-							firstFail = fmt.Sprintf("faulty=%v sc=%s: %s", faulty, sc.Name, verdict.Reason)
-						}
-						if verdict.Graceful {
-							graceful++
-						}
+					_, verdict, err := in.Run()
+					if err != nil {
+						return err
 					}
-					return true
+					runs++
+					if verdict.OK {
+						held++
+					} else if firstFail == "" {
+						firstFail = fmt.Sprintf("faulty=%v sc=%s: %s", r.faulty, r.name, verdict.Reason)
+					}
+					if verdict.Graceful {
+						graceful++
+					}
+					return nil
 				})
-				if runErr != nil {
-					return nil, runErr
+				if err != nil {
+					return nil, err
 				}
 				table.AddRow(cfg.n, fmt.Sprintf("%d/%d", cfg.m, cfg.u), f, prob, runs, held, graceful)
 				res.Checks = append(res.Checks, Check{

@@ -5,8 +5,7 @@ import (
 
 	"degradable/internal/adversary"
 	"degradable/internal/core"
-	"degradable/internal/protocol/relay"
-	"degradable/internal/round"
+	"degradable/internal/runner"
 	"degradable/internal/spec"
 	"degradable/internal/topology"
 	"degradable/internal/transport"
@@ -39,8 +38,8 @@ type ConnectivityResult struct {
 //     degrades crossing deliveries to V_d at worst, and the spec holds.
 //
 // sideSize controls |G1| and |G2| (each at least 2 so that G2 has fault-free
-// receivers). The protocol is built directly (bypassing the N > 2m+u check
-// is unnecessary: N = 2·sideSize + cut always exceeds it here).
+// receivers). The run is BYZ(m,m) at N = 2·sideSize + cut, which must
+// exceed 2m+u.
 func ConnectivityScenario(m, u, cut, sideSize int, alpha, beta types.Value) (*ConnectivityResult, error) {
 	if m < 0 || u < max(m, 1) {
 		return nil, fmt.Errorf("lowerbound: infeasible m=%d u=%d", m, u)
@@ -58,37 +57,15 @@ func ConnectivityScenario(m, u, cut, sideSize int, alpha, beta types.Value) (*Co
 	n := g.N()
 	_, cutNodes, _ := topology.BridgeParts(sideSize, cut, sideSize)
 
-	// G1-side membership for the crossing-flip corruptor: G1 plus the cut.
-	var side1 types.NodeSet
-	for i := 0; i < sideSize; i++ {
-		side1 = side1.Add(types.NodeID(i))
-	}
-
 	// The faulty cut subset F2: the last u cut nodes.
 	faultyIDs := cutNodes[len(cutNodes)-u:]
-	var faulty types.NodeSet
 	corrupt := make(map[types.NodeID]transport.RelayCorruptor, u)
 	strategies := make(map[types.NodeID]adversary.Strategy, u)
 	for _, id := range faultyIDs {
-		faulty = faulty.Add(id)
 		corrupt[id] = transport.FlipTo(alpha)
 		strategies[id] = adversary.Lie{Value: alpha}
 	}
 
-	p := core.Params{N: n, M: m, U: u}
-	depth := p.Depth()
-	rule := p.Rule()
-	nodes := make([]round.Node, n)
-	for i := 0; i < n; i++ {
-		nd, err := relay.New(n, depth, 0, types.NodeID(i), beta, rule)
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = nd
-	}
-	if err := adversary.Wrap(nodes, n, depth, 0, beta, strategies); err != nil {
-		return nil, err
-	}
 	routes, err := topology.NewRoutes(g, m+u+1)
 	if err != nil {
 		return nil, err
@@ -97,17 +74,16 @@ func ConnectivityScenario(m, u, cut, sideSize int, alpha, beta types.Value) (*Co
 	if err != nil {
 		return nil, err
 	}
-	res, err := round.Run(nodes, round.Config{Rounds: depth, Channel: ch}, round.Reference{})
+	in := runner.Instance{
+		Protocol:    core.Params{N: n, M: m, U: u},
+		SenderValue: beta,
+		Strategies:  strategies,
+		Channel:     ch,
+	}
+	res, verdict, err := in.Run()
 	if err != nil {
 		return nil, err
 	}
-	verdict := spec.Check(spec.Execution{
-		M: m, U: u,
-		Sender:      0,
-		SenderValue: beta,
-		Faulty:      faulty,
-		Decisions:   res.Decisions,
-	})
 	return &ConnectivityResult{
 		Cut:                cut,
 		F:                  u,
@@ -115,11 +91,4 @@ func ConnectivityScenario(m, u, cut, sideSize int, alpha, beta types.Value) (*Co
 		Decisions:          res.Decisions,
 		DegradedDeliveries: int(ch.Stats().Counter(transport.CounterNames[transport.CounterDegraded])),
 	}, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

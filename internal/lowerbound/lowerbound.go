@@ -25,7 +25,7 @@ import (
 	"degradable/internal/adversary"
 	"degradable/internal/eig"
 	"degradable/internal/protocol/relay"
-	"degradable/internal/round"
+	"degradable/internal/runner"
 	"degradable/internal/spec"
 	"degradable/internal/types"
 )
@@ -83,14 +83,14 @@ func Fig2Scenarios(alpha, beta types.Value) (*Fig2Report, error) {
 	}
 	// Scenario (a): A faulty; sender fault-free with value beta; A pretends
 	// it received alpha.
-	a, err := runFig2("a", beta, types.NewNodeSet(NodeA), map[types.NodeID]adversary.Strategy{
+	a, err := runFig2("a", beta, map[types.NodeID]adversary.Strategy{
 		NodeA: adversary.ClaimSender{Claim: alpha},
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Scenario (b): S faulty; sends alpha to A, beta to B and C.
-	b, err := runFig2("b", beta, types.NewNodeSet(NodeS), map[types.NodeID]adversary.Strategy{
+	b, err := runFig2("b", beta, map[types.NodeID]adversary.Strategy{
 		NodeS: adversary.PerRecipient{Values: map[types.NodeID]types.Value{
 			NodeA: alpha, NodeB: beta, NodeC: beta,
 		}},
@@ -100,7 +100,7 @@ func Fig2Scenarios(alpha, beta types.Value) (*Fig2Report, error) {
 	}
 	// Scenario (c): B and C faulty; sender fault-free with value alpha;
 	// B and C pretend they received beta.
-	c, err := runFig2("c", alpha, types.NewNodeSet(NodeB, NodeC), map[types.NodeID]adversary.Strategy{
+	c, err := runFig2("c", alpha, map[types.NodeID]adversary.Strategy{
 		NodeB: adversary.ClaimSender{Claim: beta},
 		NodeC: adversary.ClaimSender{Claim: beta},
 	})
@@ -122,35 +122,22 @@ func Fig2Scenarios(alpha, beta types.Value) (*Fig2Report, error) {
 	return rep, nil
 }
 
-func runFig2(name string, senderValue types.Value, faulty types.NodeSet,
+func runFig2(name string, senderValue types.Value,
 	strategies map[types.NodeID]adversary.Strategy) (*ScenarioResult, error) {
-	const n, depth = 4, 2
-	nodes := make([]round.Node, n)
-	for i := 0; i < n; i++ {
-		nd, err := relay.New(n, depth, NodeS, types.NodeID(i), senderValue, byz12Rule)
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = nd
+	in := runner.Instance{
+		Protocol:    relay.Protocol{N: 4, Depth: 2, Sender: NodeS, M: 1, U: 2, Rule: byz12Rule},
+		SenderValue: senderValue,
+		Strategies:  strategies,
+		RecordViews: true,
 	}
-	if err := adversary.Wrap(nodes, n, depth, NodeS, senderValue, strategies); err != nil {
-		return nil, err
-	}
-	res, err := round.Run(nodes, round.Config{Rounds: depth, RecordViews: true}, round.Reference{})
+	res, verdict, err := in.Run()
 	if err != nil {
 		return nil, err
 	}
-	verdict := spec.Check(spec.Execution{
-		M: 1, U: 2,
-		Sender:      NodeS,
-		SenderValue: senderValue,
-		Faulty:      faulty,
-		Decisions:   res.Decisions,
-	})
 	return &ScenarioResult{
 		Name:        name,
 		SenderValue: senderValue,
-		Faulty:      faulty,
+		Faulty:      in.Faulty(),
 		Decisions:   res.Decisions,
 		Views:       res.Views,
 		Verdict:     verdict,

@@ -72,13 +72,5 @@ func (p Params) Nodes(value types.Value) ([]round.Node, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	nodes := make([]round.Node, p.N)
-	for i := 0; i < p.N; i++ {
-		nd, err := relay.New(p.N, p.Depth(), p.Sender, types.NodeID(i), value, p.Rule())
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = nd
-	}
-	return nodes, nil
+	return relay.Protocol{N: p.N, Depth: p.Depth(), Sender: p.Sender, Rule: p.Rule()}.Nodes(value)
 }

@@ -91,6 +91,37 @@ func New(n, depth int, sender, id types.NodeID, value types.Value, rule eig.Rule
 	return &Node{id: id, n: n, sender: sender, value: value, tree: tree, rule: rule}, nil
 }
 
+// Protocol is an EIG relay exchange named by its shape and its rule and
+// judged at (M, U): a runner.Protocol. OM and Crusader build their nodes
+// through it; the ablations and Figure 2's N = 4 attempt run it directly
+// with rules no parameter type validates.
+type Protocol struct {
+	N, Depth int
+	Sender   types.NodeID
+	M, U     int
+	Rule     eig.Rule
+}
+
+// System implements runner.Protocol.
+func (p Protocol) System() (n, depth int, sender types.NodeID) { return p.N, p.Depth, p.Sender }
+
+// Thresholds implements runner.Protocol.
+func (p Protocol) Thresholds() (m, u int) { return p.M, p.U }
+
+// Nodes implements runner.Protocol: the honest complement, the sender
+// holding value.
+func (p Protocol) Nodes(value types.Value) ([]round.Node, error) {
+	nodes := make([]round.Node, p.N)
+	for i := range nodes {
+		nd, err := New(p.N, p.Depth, p.Sender, types.NodeID(i), value, p.Rule)
+		if err != nil {
+			return nil, err
+		}
+		nodes[i] = nd
+	}
+	return nodes, nil
+}
+
 // ID implements round.Node.
 func (nd *Node) ID() types.NodeID { return nd.id }
 

@@ -16,11 +16,14 @@
 // and may withhold relays, but cannot forge other nodes' signatures — any
 // value tampering in flight invalidates the chain and the message is
 // discarded. The fault model is enforced by the sig.Authority substrate.
+// Params is a runner.Protocol, so an SM run is built, armed with adversary
+// strategies and judged by D.1/D.2 like every other protocol's.
 package sm
 
 import (
 	"fmt"
 
+	"degradable/internal/adversary"
 	"degradable/internal/round"
 	"degradable/internal/sig"
 	"degradable/internal/types"
@@ -53,27 +56,56 @@ func (p Params) Validate() error {
 // Depth returns the number of message rounds, m+1.
 func (p Params) Depth() int { return p.M + 1 }
 
-// Egress lets a Byzantine node rewrite (or drop) an outgoing value BEFORE
-// it is signed, so its lies carry its own valid signature — exactly the
-// power the authenticated model grants a traitor. Honest nodes use nil.
-type Egress func(m types.Message) (types.Value, bool)
+// System implements runner.Protocol.
+func (p Params) System() (n, depth int, sender types.NodeID) {
+	return p.N, p.Depth(), p.Sender
+}
 
-// Node is an SM(m) participant.
+// Thresholds implements runner.Protocol: SM(m) promises Byzantine agreement
+// (D.1/D.2) up to m faults and nothing past them.
+func (p Params) Thresholds() (m, u int) { return p.M, p.M }
+
+// Nodes implements runner.Protocol: the honest complement over one shared
+// sig.Authority, the sender holding value.
+func (p Params) Nodes(value types.Value) ([]round.Node, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	auth := sig.NewAuthority()
+	nodes := make([]round.Node, p.N)
+	for i := range nodes {
+		nd, err := NewNode(p, types.NodeID(i), value, auth)
+		if err != nil {
+			return nil, err
+		}
+		nodes[i] = nd
+	}
+	return nodes, nil
+}
+
+// Node is an SM(m) participant. A faulty one is armed with an
+// adversary.Strategy (Arm), which rewrites or drops each outgoing value
+// BEFORE the node signs it, so its lies carry its own valid signature —
+// exactly the power the authenticated model grants a traitor.
 type Node struct {
 	p        Params
 	id       types.NodeID
 	auth     *sig.Authority
 	value    types.Value // sender's input
-	egress   Egress
+	strat    adversary.Strategy
 	seen     map[types.Value]bool
 	decision types.Value
 	decided  bool
 }
 
-var _ round.Node = (*Node)(nil)
+var (
+	_ round.Node        = (*Node)(nil)
+	_ adversary.Armable = (*Node)(nil)
+)
 
-// NewNode returns a participant. auth must be shared by the whole instance.
-func NewNode(p Params, id types.NodeID, value types.Value, auth *sig.Authority, egress Egress) (*Node, error) {
+// NewNode returns an honest participant. auth must be shared by the whole
+// instance.
+func NewNode(p Params, id types.NodeID, value types.Value, auth *sig.Authority) (*Node, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -83,7 +115,22 @@ func NewNode(p Params, id types.NodeID, value types.Value, auth *sig.Authority, 
 	if auth == nil {
 		return nil, fmt.Errorf("sm: nil authority")
 	}
-	return &Node{p: p, id: id, auth: auth, value: value, egress: egress, seen: make(map[types.Value]bool)}, nil
+	return &Node{p: p, id: id, auth: auth, value: value, seen: make(map[types.Value]bool)}, nil
+}
+
+// Arm implements adversary.Armable: from now on every send goes through
+// strat before it is signed.
+func (nd *Node) Arm(strat adversary.Strategy) { nd.strat = strat }
+
+// egress is the value the node signs and sends to `to` in place of v: v
+// itself when honest, its strategy's choice when armed (ok=false drops the
+// send). The strategy is shown the scheduled send: recipient, round, the
+// chain so far and v.
+func (nd *Node) egress(round int, to types.NodeID, path types.Path, v types.Value) (types.Value, bool) {
+	if nd.strat == nil {
+		return v, true
+	}
+	return nd.strat.Corrupt(nd.id, types.Message{To: to, Round: round, Path: path, Value: v})
 }
 
 // ID implements round.Node.
@@ -103,13 +150,9 @@ func (nd *Node) Step(round int, inbox []types.Message) []types.Message {
 			if to == nd.id {
 				continue
 			}
-			v := nd.value
-			if nd.egress != nil {
-				var keep bool
-				v, keep = nd.egress(types.Message{To: to, Round: round, Path: types.Path{nd.id}, Value: nd.value})
-				if !keep {
-					continue
-				}
+			v, ok := nd.egress(round, to, types.Path{nd.id}, nd.value)
+			if !ok {
+				continue
 			}
 			chain := nd.auth.Sign(nd.id, v, nil)
 			out = append(out, types.Message{To: to, Path: chain, Value: v})
@@ -132,13 +175,9 @@ func (nd *Node) relay(round int, inbox []types.Message) []types.Message {
 			if to == nd.id || m.Path.Contains(to) {
 				continue
 			}
-			v := m.Value
-			if nd.egress != nil {
-				var keep bool
-				v, keep = nd.egress(types.Message{To: to, Round: round, Path: m.Path, Value: m.Value})
-				if !keep {
-					continue
-				}
+			v, ok := nd.egress(round, to, m.Path, m.Value)
+			if !ok {
+				continue
 			}
 			// Signing a changed value yields a chain whose earlier links
 			// don't verify for v — receivers will discard it, exactly as
@@ -211,52 +250,4 @@ func (nd *Node) Decide() types.Value {
 		return types.Default
 	}
 	return nd.decision
-}
-
-// Instance bundles the node complement and shared authority for one run.
-type Instance struct {
-	Params Params
-	Auth   *sig.Authority
-	Nodes  []round.Node
-}
-
-// NewInstance builds all-honest nodes with the sender holding value;
-// replace entries' egress by rebuilding with NewNode for Byzantine nodes.
-func NewInstance(p Params, value types.Value) (*Instance, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	auth := sig.NewAuthority()
-	nodes := make([]round.Node, p.N)
-	for i := 0; i < p.N; i++ {
-		nd, err := NewNode(p, types.NodeID(i), value, auth, nil)
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = nd
-	}
-	return &Instance{Params: p, Auth: auth, Nodes: nodes}, nil
-}
-
-// Arm replaces node id with a Byzantine participant driven by egress.
-func (in *Instance) Arm(id types.NodeID, value types.Value, egress Egress) error {
-	if id < 0 || int(id) >= in.Params.N {
-		return fmt.Errorf("sm: arm id %d out of range", int(id))
-	}
-	nd, err := NewNode(in.Params, id, value, in.Auth, egress)
-	if err != nil {
-		return err
-	}
-	in.Nodes[int(id)] = nd
-	return nil
-}
-
-// Run executes the instance under the given round driver (nil selects the
-// sequential reference schedule — SM has no concurrency of its own, and the
-// protocol layer never names a concrete driver).
-func (in *Instance) Run(d round.Driver) (*round.Result, error) {
-	if d == nil {
-		d = round.Reference{}
-	}
-	return round.Run(in.Nodes, round.Config{Rounds: in.Params.Depth()}, d)
 }

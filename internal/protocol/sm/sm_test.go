@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"degradable/internal/adversary"
+	"degradable/internal/runner"
+	"degradable/internal/spec"
 	"degradable/internal/types"
 )
 
@@ -34,28 +37,32 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// run executes p with the sender holding alpha and the given nodes armed.
+func run(t *testing.T, p Params, strategies map[types.NodeID]adversary.Strategy) (map[types.NodeID]types.Value, spec.Verdict) {
+	t.Helper()
+	res, verdict, err := runner.Instance{Protocol: p, SenderValue: alpha, Strategies: strategies}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Decisions, verdict
+}
+
 func TestFaultFree(t *testing.T) {
-	in, err := NewInstance(Params{N: 4, M: 2}, alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := in.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, d := range res.Decisions {
+	decisions, verdict := run(t, Params{N: 4, M: 2}, nil)
+	for id, d := range decisions {
 		if d != alpha {
 			t.Errorf("node %d decided %v", int(id), d)
 		}
 	}
+	if !verdict.OK || verdict.Condition != "D.1" {
+		t.Errorf("verdict %+v, want D.1 held", verdict)
+	}
 }
 
-// The authenticated algorithm's headline: agreement with N = m+2 — far
-// below the oral-messages 3m+1 — for every fault placement and a set of
-// adversarial egress behaviours.
-func TestAgreementAtMPlusTwo(t *testing.T) {
+// eachFaultSet calls fn with every fault set of at most m nodes of SM(m) at
+// its minimum size N = m+2, for m = 1, 2, 3, one subtest per m.
+func eachFaultSet(t *testing.T, fn func(t *testing.T, p Params, faulty types.NodeSet)) {
 	for _, m := range []int{1, 2, 3} {
-		m := m
 		t.Run(fmt.Sprintf("SM(%d)_N%d", m, m+2), func(t *testing.T) {
 			p := Params{N: m + 2, M: m}
 			all := make([]types.NodeID, p.N)
@@ -64,9 +71,7 @@ func TestAgreementAtMPlusTwo(t *testing.T) {
 			}
 			for f := 0; f <= m; f++ {
 				types.Subsets(all, f, func(faulty types.NodeSet) bool {
-					for _, eg := range egressBattery() {
-						runSM(t, p, faulty, eg)
-					}
+					fn(t, p, faulty)
 					return !t.Failed()
 				})
 			}
@@ -74,107 +79,69 @@ func TestAgreementAtMPlusTwo(t *testing.T) {
 	}
 }
 
-// egressBattery enumerates adversarial pre-signing behaviours.
-func egressBattery() []struct {
-	name string
-	mk   func(self types.NodeID) Egress
-} {
-	return []struct {
-		name string
-		mk   func(self types.NodeID) Egress
-	}{
-		{"silent", func(types.NodeID) Egress {
-			return func(types.Message) (types.Value, bool) { return 0, false }
-		}},
-		{"lie-beta", func(types.NodeID) Egress {
-			return func(types.Message) (types.Value, bool) { return beta, true }
-		}},
-		{"equivocate-by-parity", func(types.NodeID) Egress {
-			return func(m types.Message) (types.Value, bool) {
-				if m.To%2 == 0 {
-					return alpha, true
-				}
-				return beta, true
-			}
-		}},
-		{"selective-silence", func(types.NodeID) Egress {
-			return func(m types.Message) (types.Value, bool) {
-				if m.To%2 == 0 {
-					return 0, false
-				}
-				return m.Value, true
-			}
-		}},
-		{"honest", func(types.NodeID) Egress {
-			return func(m types.Message) (types.Value, bool) { return m.Value, true }
-		}},
-	}
+// evens is the set of even-numbered nodes of the largest system tested.
+var evens = types.NewNodeSet(0, 2, 4)
+
+// behaviours are adversarial pre-signing strategies, each armed on every
+// node of a fault set.
+var behaviours = []struct {
+	name  string
+	strat adversary.Strategy
+}{
+	{"silent", adversary.Silent{}},
+	{"lie-beta", adversary.Lie{Value: beta}},
+	{"equivocate-by-parity", adversary.TwoFaced{A: evens, ValueA: alpha, ValueB: beta}},
+	{"selective-silence", adversary.Scripted{Omit: evens}},
+	{"honest", adversary.Honest{}},
 }
 
-func runSM(t *testing.T, p Params, faulty types.NodeSet, eg struct {
-	name string
-	mk   func(self types.NodeID) Egress
-}) {
-	t.Helper()
-	in, err := NewInstance(p, alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range faulty.IDs() {
-		if err := in.Arm(id, alpha, eg.mk(id)); err != nil {
-			t.Fatal(err)
+// The authenticated algorithm's headline: agreement with N = m+2 — far
+// below the oral-messages 3m+1 — for every fault placement and a set of
+// adversarial pre-signing behaviours. f ≤ m, so the verdict is D.1 or D.2:
+// all fault-free receivers decide one value, the sender's when it is
+// fault-free.
+func TestAgreementAtMPlusTwo(t *testing.T) {
+	eachFaultSet(t, func(t *testing.T, p Params, faulty types.NodeSet) {
+		for _, b := range behaviours {
+			strategies := make(map[types.NodeID]adversary.Strategy)
+			for _, id := range faulty.IDs() {
+				strategies[id] = b.strat
+			}
+			if _, verdict := run(t, p, strategies); !verdict.OK {
+				t.Errorf("faulty=%v behaviour=%s: %s", faulty, b.name, verdict.Reason)
+			}
 		}
-	}
-	res, err := in.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// IC1': all fault-free receivers decide the same value; IC2': if the
-	// sender is fault-free they decide its value.
-	senderFaulty := faulty.Contains(p.Sender)
-	var ref types.Value
-	first := true
-	for i := 0; i < p.N; i++ {
-		id := types.NodeID(i)
-		if id == p.Sender || faulty.Contains(id) {
-			continue
+	})
+}
+
+// Every scenario of the adversary battery, on every fault set of at most m
+// nodes at N = m+2, meets D.1/D.2 (574 runs). The battery's adaptive
+// bandwagon scenario is never shown a tree on SM, which keeps none.
+func TestBatteryAtMPlusTwo(t *testing.T) {
+	eachFaultSet(t, func(t *testing.T, p Params, faulty types.NodeSet) {
+		var honest []types.NodeID
+		for i := 0; i < p.N; i++ {
+			if !faulty.Contains(types.NodeID(i)) {
+				honest = append(honest, types.NodeID(i))
+			}
 		}
-		d := res.Decisions[id]
-		if !senderFaulty && d != alpha {
-			t.Errorf("faulty=%v egress=%s: node %d decided %v with fault-free sender",
-				faulty, eg.name, int(id), d)
+		ctx := adversary.Context{N: p.N, Sender: p.Sender, SenderValue: alpha, Alt: beta, Honest: honest}
+		for _, sc := range adversary.Battery() {
+			if _, verdict := run(t, p, sc.Build(faulty.IDs(), 7, ctx)); !verdict.OK {
+				t.Errorf("faulty=%v scenario=%s: %s", faulty, sc.Name, verdict.Reason)
+			}
 		}
-		if first {
-			ref, first = d, false
-		} else if d != ref {
-			t.Errorf("faulty=%v egress=%s: receivers disagree (%v vs %v)", faulty, eg.name, ref, d)
-		}
-	}
+	})
 }
 
 // An equivocating faulty sender drives everyone to the default — both
 // values are certified, so choice(V) with |V| = 2 yields V_d.
 func TestEquivocatingSenderYieldsDefault(t *testing.T) {
-	p := Params{N: 4, M: 1}
-	in, err := NewInstance(p, alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = in.Arm(0, alpha, func(m types.Message) (types.Value, bool) {
-		if m.To == 1 {
-			return alpha, true
-		}
-		return beta, true
+	decisions, _ := run(t, Params{N: 4, M: 1}, map[types.NodeID]adversary.Strategy{
+		0: adversary.TwoFaced{A: types.NewNodeSet(1), ValueA: alpha, ValueB: beta},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := in.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, id := range []types.NodeID{1, 2, 3} {
-		if d := res.Decisions[id]; d != types.Default {
+		if d := decisions[id]; d != types.Default {
 			t.Errorf("node %d decided %v, want V_d", int(id), d)
 		}
 	}
@@ -183,60 +150,50 @@ func TestEquivocatingSenderYieldsDefault(t *testing.T) {
 // A faulty relayer cannot launder a changed value: its re-signed chain
 // fails prefix verification and is discarded, so agreement is unaffected.
 func TestRelayTamperingIsImpotent(t *testing.T) {
-	p := Params{N: 4, M: 2}
-	in, err := NewInstance(p, alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = in.Arm(2, alpha, func(m types.Message) (types.Value, bool) {
-		if m.Round >= 2 {
-			return beta, true // tamper every relay
-		}
-		return m.Value, true
+	// ClaimSender tampers every relay (round ≥ 2) and sends round 1 honestly.
+	decisions, _ := run(t, Params{N: 4, M: 2}, map[types.NodeID]adversary.Strategy{
+		2: adversary.ClaimSender{Claim: beta},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := in.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, id := range []types.NodeID{1, 3} {
-		if d := res.Decisions[id]; d != alpha {
+		if d := decisions[id]; d != alpha {
 			t.Errorf("node %d decided %v despite signature protection", int(id), d)
 		}
 	}
 }
 
+// Arming goes through adversary.Wrap, which refuses an out-of-range node
+// and a nil strategy.
 func TestInstanceArmValidation(t *testing.T) {
-	in, err := NewInstance(Params{N: 4, M: 1}, alpha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Arm(9, alpha, nil); err == nil {
-		t.Error("out-of-range arm should error")
+	for _, strategies := range []map[types.NodeID]adversary.Strategy{
+		{9: adversary.Silent{}},
+		{1: nil},
+	} {
+		in := runner.Instance{Protocol: Params{N: 4, M: 1}, SenderValue: alpha, Strategies: strategies}
+		if _, _, err := in.Run(); err == nil {
+			t.Errorf("arming %v should error", strategies)
+		}
 	}
 }
 
 func TestNewNodeValidation(t *testing.T) {
 	p := Params{N: 4, M: 1}
-	if _, err := NewNode(p, 0, alpha, nil, nil); err == nil {
+	if _, err := NewNode(p, 0, alpha, nil); err == nil {
 		t.Error("nil authority should error")
 	}
-	if _, err := NewNode(p, 9, alpha, nil, nil); err == nil {
+	if _, err := NewNode(p, 9, alpha, nil); err == nil {
 		t.Error("bad id should error")
 	}
-	if _, err := NewInstance(Params{N: 2, M: 1}, alpha); err == nil {
+	if _, err := (Params{N: 2, M: 1}).Nodes(alpha); err == nil {
 		t.Error("invalid params should error")
 	}
 }
 
 func TestDecideBeforeFinish(t *testing.T) {
-	in, err := NewInstance(Params{N: 4, M: 1}, alpha)
+	nodes, err := Params{N: 4, M: 1}.Nodes(alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := in.Nodes[1].Decide(); got != types.Default {
+	if got := nodes[1].Decide(); got != types.Default {
 		t.Errorf("undecided node reports %v", got)
 	}
 }

@@ -15,7 +15,8 @@ import (
 )
 
 // Protocol abstracts an agreement protocol instance (degradable BYZ, OM,
-// Crusader). Implemented by core.Params, om.Params, and crusader.Params.
+// Crusader, SM). Implemented by core.Params, om.Params, crusader.Params,
+// sm.Params, and relay.Protocol for a relay exchange with any rule.
 type Protocol interface {
 	// System returns the node count, relay depth (= message rounds), and
 	// sender identity.

@@ -36,7 +36,7 @@ import (
 // drop the copy. It must be a pure function of (relay, message, value):
 // Deliver walks one path to the end before starting the next, so the order
 // in which relays on different paths are consulted is not part of the
-// contract. FlipTo, DropAll and FlipCrossing are pure.
+// contract. FlipTo and DropAll are pure.
 type RelayCorruptor func(relay types.NodeID, m types.Message, v types.Value) (types.Value, bool)
 
 // Names of the channel's obs counters, in index order.
@@ -136,17 +136,5 @@ func FlipTo(v types.Value) RelayCorruptor {
 func DropAll() RelayCorruptor {
 	return func(types.NodeID, types.Message, types.Value) (types.Value, bool) {
 		return types.Default, false
-	}
-}
-
-// FlipCrossing returns the Theorem-3 proof behaviour: copies of messages
-// whose endpoints lie in different sides (per side membership) are rewritten
-// to forged; all other copies are rewritten to other.
-func FlipCrossing(side1 types.NodeSet, forged, other types.Value) RelayCorruptor {
-	return func(_ types.NodeID, m types.Message, _ types.Value) (types.Value, bool) {
-		if side1.Contains(m.From) != side1.Contains(m.To) {
-			return forged, true
-		}
-		return other, true
 	}
 }

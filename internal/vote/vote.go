@@ -176,11 +176,6 @@ func Count(v types.Value, vals []types.Value) int {
 	return c
 }
 
-// Distinct returns the number of distinct values in vals.
-func Distinct(vals []types.Value) int {
-	return len(tally(vals))
-}
-
 func tally(vals []types.Value) map[types.Value]int {
 	counts := make(map[types.Value]int, len(vals))
 	for _, v := range vals {

@@ -122,19 +122,13 @@ func TestUnanimous(t *testing.T) {
 	}
 }
 
-func TestCountAndDistinct(t *testing.T) {
+func TestCount(t *testing.T) {
 	vals := vs(1, 2, 2, 3, 3, 3)
 	if got := Count(3, vals); got != 3 {
 		t.Errorf("Count(3) = %d", got)
 	}
 	if got := Count(9, vals); got != 0 {
 		t.Errorf("Count(9) = %d", got)
-	}
-	if got := Distinct(vals); got != 3 {
-		t.Errorf("Distinct = %d", got)
-	}
-	if got := Distinct(nil); got != 0 {
-		t.Errorf("Distinct(nil) = %d", got)
 	}
 }
 

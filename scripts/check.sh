@@ -29,6 +29,20 @@ if grep -rl --include='*.go' 'rand\.NewSource' . |
 	exit 1
 fi
 
+echo "== one assembly =="
+# Every in-memory run is built and judged by runner.Instance. The degrade
+# subcommand alone assembles one by hand: -explain renders the trees of the
+# nodes it built.
+if grep -rlE --include='*.go' 'adversary\.Wrap\(|round\.Run\(' . |
+  grep -v -e '_test\.go$' -e '^\./internal/runner/' -e '^\./bench/' -e '^\./cmd/degradable/degrade\.go$'; then
+	echo "adversary.Wrap or round.Run outside internal/runner/ and cmd/degradable/degrade.go: build a runner.Instance"
+	exit 1
+fi
+
+echo "== non-test lines =="
+# ROADMAP item 1's count.
+find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
+
 echo "== go test =="
 # Includes TestBenchModule, which runs go vet and go test in the bench/
 # module (its own go.mod, so ./... alone stops at it).
